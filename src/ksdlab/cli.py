@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -258,10 +257,6 @@ _STAGES = {
 
 def run(config: RunConfig) -> int:
     """Execute the configured stage(s); returns the process exit code."""
-    threads = os.environ.get("KSD_LAB_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
     outdir = Path(config.out)
     outdir.mkdir(parents=True, exist_ok=True)
     cache: dict = {}

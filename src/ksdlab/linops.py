@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from .errors import (
     DivergentIntegrand,
@@ -29,6 +28,7 @@ from .errors import (
     OrderUnsupported,
 )
 from .profile import ProfileParams, RadialProfile
+from .radial import cumulative_simpson_uniform
 
 
 # ---------------------------------------------------------------------------
@@ -186,9 +186,8 @@ class RadialQuad:
         """Cumulative ``\\int_0^{r_i} F s^power ds`` (below-grid part negligible
         for integrands vanishing at the origin)."""
         integrand = F * self.r ** (power + 1)
-        return cumulative_simpson(y=integrand, x=self.u, initial=0.0) + integrand[0] / (
-            power + 1.0
-        )
+        h = self.u[1] - self.u[0]
+        return cumulative_simpson_uniform(integrand, h) + integrand[0] / (power + 1.0)
 
 
 @dataclass(frozen=True)
@@ -411,8 +410,9 @@ def coercivity_probe(
 ) -> list[dict]:
     """Rayleigh quotients ``(Lg, g)_w / ||g||_w^2`` over the suite.
 
-    Flags any quotient above the coercivity bound -1/8 + 1e-3.  Results are
-    order-stable by suite index.
+    Flags any quotient above the coercivity bound -1/8 + 1e-3, and any
+    non-finite one (an overflowing weight gives NaN, which must not pass).
+    Results are order-stable by suite index.
     """
     if quad is None:
         quad = RadialQuad.make()
@@ -434,7 +434,7 @@ def coercivity_probe(
                 "p": tf.p,
                 "s": tf.s,
                 "quotient": quot,
-                "flagged": bool(quot > -0.125 + 1e-3),
+                "flagged": not (math.isfinite(quot) and quot <= -0.125 + 1e-3),
             }
         )
     return results

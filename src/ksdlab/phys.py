@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from .errors import (
     DomainError,
@@ -28,6 +27,7 @@ from .errors import (
     SnapshotMismatch,
 )
 from .profile import RadialProfile
+from .radial import cumulative_simpson_uniform
 from .renorm import chi_bump
 
 
@@ -66,7 +66,7 @@ def _phys_rhs(rho: np.ndarray, grid: np.ndarray, mu: float) -> np.ndarray:
     h = grid[1] - grid[0]
     # drift velocity u >= 0 at faces (the advective flux is -rho*u, inward)
     g = rho * grid * grid
-    m = cumulative_simpson(y=g, x=grid, initial=0.0)
+    m = cumulative_simpson_uniform(g, h)
     r_face = grid[:-1] + 0.5 * h
     # face mass to cubic accuracy: midpoint = average - (h^2/8) m'' with m' = g
     m_face = 0.5 * (m[:-1] + m[1:]) - 0.125 * h * (g[1:] - g[:-1])
@@ -213,7 +213,7 @@ def run_phys(
             raise NoBlowupDetected(
                 f"sup-norm at {sup / sup0:.3g}x initial after t = {t:.3g}"
             )
-        m = cumulative_simpson(y=rho * grid * grid, x=grid, initial=0.0)
+        m = cumulative_simpson_uniform(rho * grid * grid, h)
         umax = float(np.max(m[1:] / grid[1:] ** 2)) + 1e-300
         dt = cfl * min(0.5 * h * h, h / umax, 0.5 / ((1.0 - mu) * sup + 1e-300))
         # Heun predictor-corrector

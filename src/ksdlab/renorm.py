@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from .errors import (
     CFLViolation,
@@ -28,6 +27,7 @@ from .errors import (
     NonFiniteField,
 )
 from .profile import ProfileParams, RadialProfile
+from .radial import cumulative_simpson_uniform
 
 ALL_TERMS = frozenset({"diffusion", "drift", "nonlocal", "reaction"})
 
@@ -40,8 +40,6 @@ class RenormState:
     lam0: float
     grid: np.ndarray
     psi: np.ndarray
-    c: np.ndarray
-    residual_norm: float
 
     @property
     def lam(self) -> float:
@@ -77,7 +75,7 @@ def _rhs(psi, grid, h, lam, params, terms=ALL_TERMS):
     # advective velocity: d r/d tau = r (beta - f) >= 0, outgoing
     if "drift" in terms or "nonlocal" in terms:
         if "nonlocal" in terms:
-            m = cumulative_simpson(y=psi * grid * grid, x=grid, initial=0.0)
+            m = cumulative_simpson_uniform(psi * grid * grid, h)
             f = np.empty_like(psi)
             f[0] = psi[0] / 3.0
             f[1:] = m[1:] / grid[1:] ** 3
@@ -129,10 +127,7 @@ def make_state(
     psi = profile.evaluator.q(grid)
     if perturbation is not None:
         psi = psi + perturbation(grid)
-    h = grid[1] - grid[0]
-    params = profile.evaluator.params
-    res = _residual_norm(psi, grid, h, lam0, params)
-    return RenormState(tau=0.0, lam0=lam0, grid=grid, psi=psi, c=np.zeros(0), residual_norm=res)
+    return RenormState(tau=0.0, lam0=lam0, grid=grid, psi=psi)
 
 
 def step_renorm(
@@ -159,13 +154,7 @@ def step_renorm(
     new = psi + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if not np.all(np.isfinite(new)):
         raise NonFiniteField("non-finite value in evolved field")
-    tau = state.tau + dt
-    lam = state.lam0 * math.exp(-tau / 2.0)
-    res = math.sqrt(
-        4.0 * math.pi
-        * np.trapezoid((F(new, dt)) ** 2 * grid * grid, grid)
-    )
-    return replace(state, tau=tau, psi=new, residual_norm=res)
+    return replace(state, tau=state.tau + dt, psi=new)
 
 
 def extract_modes(
@@ -220,7 +209,7 @@ def run_renorm(
         taus.append(st.tau)
         lams.append(st.lam)
         eps_sup.append(float(np.max(np.abs(st.psi - q_ref))))
-        residuals.append(st.residual_norm)
+        residuals.append(_residual_norm(st.psi, st.grid, h, st.lam, params, terms))
         coefs.append(extract_modes(st, profile, fit_radius, Kfit, q_ref=q_ref))
 
     record(state)

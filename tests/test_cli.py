@@ -1,9 +1,14 @@
 """Command-line driver: config handling, exit codes, artifacts, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ksdlab
 from ksdlab.cli import RunConfig, main, parse_config, portrait_scan
 from ksdlab.errors import ConfigParseError
 from ksdlab.io import load_profile_cache, save_profile_cache
@@ -98,3 +103,32 @@ class TestCache:
         path.write_bytes(bytes(raw))
         with pytest.raises(ConfigParseError):
             load_profile_cache(path)
+
+
+class TestThreads:
+    """KSD_LAB_THREADS is applied by ``import ksdlab``, before numpy loads."""
+
+    def _pool_after_import(self, **env_over):
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("KSD_LAB_THREADS", "OMP_NUM_THREADS",
+                            "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+        env["PYTHONPATH"] = str(Path(ksdlab.__file__).parents[1])
+        env.update(env_over)
+        code = (
+            "import ksdlab, os, sys; "
+            "assert 'numpy' not in sys.modules; "
+            "print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        return out.stdout.strip()
+
+    def test_sets_pool_before_numpy(self):
+        assert self._pool_after_import(KSD_LAB_THREADS="1") == "1"
+
+    def test_explicit_pool_wins(self):
+        assert self._pool_after_import(
+            KSD_LAB_THREADS="1", OPENBLAS_NUM_THREADS="2") == "2"
+
+    def test_unset_leaves_pool_alone(self):
+        assert self._pool_after_import() == "None"

@@ -1,6 +1,7 @@
 """Weighted inner products, operator identities, and coercivity probes."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -213,6 +214,16 @@ class TestCoercivity:
         for r in rows:
             assert r["quotient"] <= -0.125 + 1e-3
             assert not r["flagged"]
+
+    def test_nonfinite_quotient_flagged(self, mu0_profile, mu0_params, weight36):
+        # at A=60 the split weight r^{-A/2} overflows on the r = e^{-30} end of
+        # the quadrature grid and every quotient is NaN; none may pass
+        w = replace(weight36, A=60)
+        suite = make_test_suite(w.A, count=4)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = coercivity_probe(mu0_profile, mu0_params, w, suite)
+        assert all(math.isnan(r["quotient"]) for r in rows)
+        assert all(r["flagged"] for r in rows)
 
     def test_low_order_rejected(self, mu0_profile, mu0_params, weight36):
         from ksdlab.linops import TestFunction

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+import ksdlab.renorm as renorm
 from ksdlab.errors import CFLViolation, DomainError
 from ksdlab.renorm import (
     RenormState,
+    _residual_norm,
     chi_bump,
     dt_policy,
     extract_modes,
@@ -42,7 +44,9 @@ class TestFlow:
         ratios = []
         for lam0 in (1e-6, 1e-9, 1e-12):
             st = make_state(mu0_profile, lam0, n=2048)
-            ratios.append(st.residual_norm / lam0 ** (1.0 / 6.0))
+            h = st.grid[1] - st.grid[0]
+            res = _residual_norm(st.psi, st.grid, h, lam0, mu0_params)
+            ratios.append(res / lam0 ** (1.0 / 6.0))
         # the compensated ratio is constant up to the lam0-independent O(h^2)
         # advection discretization error, while the raw norms span 100x
         assert ratios[0] == pytest.approx(ratios[1], rel=0.02)
@@ -63,10 +67,7 @@ class TestFlow:
 
     def test_zero_data_stays_zero(self, mu0_profile, mu0_params):
         st = make_state(mu0_profile, 1e-3, n=512, perturbation=None)
-        zero = RenormState(
-            tau=0.0, lam0=1e-3, grid=st.grid, psi=np.zeros_like(st.psi),
-            c=np.zeros(0), residual_norm=0.0,
-        )
+        zero = RenormState(tau=0.0, lam0=1e-3, grid=st.grid, psi=np.zeros_like(st.psi))
         h = st.grid[1] - st.grid[0]
         out = step_renorm(zero, mu0_profile, mu0_params, dt_policy(h, 1e-3, mu0_params, st.grid[-1]))
         assert np.all(out.psi == 0.0)
@@ -76,6 +77,29 @@ class TestFlow:
         with pytest.raises(CFLViolation):
             step_renorm(st, mu0_profile, mu0_params, 1.0)
 
+    def test_four_rhs_calls_per_step(self, mu0_profile, mu0_params, monkeypatch):
+        calls = []
+        rhs = renorm._rhs
+        monkeypatch.setattr(renorm, "_rhs", lambda *a, **k: calls.append(1) or rhs(*a, **k))
+        st = make_state(mu0_profile, 1e-3, n=512)
+        h = st.grid[1] - st.grid[0]
+        step_renorm(st, mu0_profile, mu0_params, dt_policy(h, 1e-3, mu0_params, st.grid[-1]))
+        assert len(calls) == 4
+
+    def test_recorded_residual_is_state_residual(self, mu0_profile, mu0_params, monkeypatch):
+        # the residual is taken at record time from the recorded slice, with
+        # lambda at that slice's tau
+        states = []
+        extract = renorm.extract_modes
+        monkeypatch.setattr(
+            renorm, "extract_modes", lambda st, *a, **k: states.append(st) or extract(st, *a, **k)
+        )
+        traj = run_renorm(mu0_profile, mu0_params, 1e-3, 0.2, n=512)
+        assert len(states) == len(traj["residual"]) == 5
+        for st, res in zip(states, traj["residual"]):
+            h = st.grid[1] - st.grid[0]
+            assert res == _residual_norm(st.psi, st.grid, h, st.lam, mu0_params)
+
 
 class TestModes:
     def test_extraction_exact(self, mu0_profile):
@@ -84,8 +108,7 @@ class TestModes:
         psi = mu0_profile.evaluator.q(st0.grid) + sum(
             c * st0.grid ** (2 * j) for j, c in enumerate(coeffs)
         )
-        st = RenormState(tau=0.0, lam0=1e-3, grid=st0.grid, psi=psi,
-                         c=np.zeros(0), residual_norm=0.0)
+        st = RenormState(tau=0.0, lam0=1e-3, grid=st0.grid, psi=psi)
         got = extract_modes(st, mu0_profile, Kfit=4)
         assert np.allclose(got, coeffs, atol=1e-10)
 
