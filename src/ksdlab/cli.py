@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .errors import ConfigParseError, DomainError, KSDLabError, StageFailure
 from .heat import HeatParams, heat_coercivity, make_heat_suite
-from .io import save_profile_cache, write_csv, write_json, write_manifest
+from .io import write_csv, write_json, write_manifest
 from .linops import coercivity_probe, make_test_suite, select_weight
 from .phys import run_phys
 from .profile import (
@@ -78,8 +78,7 @@ def _resolve_params(cfg: RunConfig) -> ProfileParams:
 
 def _solve(cfg: RunConfig, params: ProfileParams):
     series = build_series(params, min(cfg.tol, 1e-12))
-    profile = solve_profile(params, series, 1.0e4, cfg.tol)
-    return series, profile
+    return solve_profile(params, series, 1.0e4, cfg.tol)
 
 
 def portrait_scan(mu: float, beta_grid) -> list[dict]:
@@ -99,9 +98,8 @@ def portrait_scan(mu: float, beta_grid) -> list[dict]:
 def _stage_profile(cfg: RunConfig, outdir: Path, cache: dict) -> None:
     t0 = time.perf_counter()
     params = _resolve_params(cfg)
-    series, profile = _solve(cfg, params)
-    cache["params"], cache["series"], cache["profile"] = params, series, profile
-    save_profile_cache(outdir / "profile_cache.npz", params, series, profile)
+    profile = _solve(cfg, params)
+    cache["params"], cache["profile"] = params, profile
     write_csv(
         outdir / "profile.csv",
         ["r", "Q", "f", "dQ"],

@@ -17,8 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergentIntegrand, DomainError, GridMismatch
-from .linops import PolyGauss, RadialQuad, SampledRadial
+from .errors import DomainError
+from .linops import (
+    PolyGauss,
+    RadialQuad,
+    SampledRadial,
+    _rayleigh_quotient,
+    _sample_slope,
+    _split_weight_integrand,
+)
 
 
 @dataclass(frozen=True)
@@ -71,16 +78,7 @@ def heat_apply_L(
 ) -> SampledRadial:
     """Sample ``L e = -e - (1/(2m)) y e' + 2 U_* e`` on the quadrature grid."""
     y = quad.r
-    if isinstance(eps, PolyGauss):
-        ev = eps(y)
-        dv = eps.deriv()(y)
-        p_ord = eps.vanish_order
-    else:
-        if eps.r.shape != y.shape or not np.allclose(eps.r, y):
-            raise GridMismatch("sampled function not on the quadrature grid")
-        ev = eps.vals
-        dv = np.gradient(eps.vals, quad.u) / y
-        p_ord = eps.vanish_order
+    ev, dv, p_ord = _sample_slope(eps, quad)
     U = heat_profile(p, y)
     vals = -ev - y * dv / (2.0 * p.m) + 2.0 * U * ev
     return SampledRadial(r=y, vals=vals, vanish_order=p_ord)
@@ -95,22 +93,9 @@ def heat_weighted_inner(
 ) -> float:
     """``\\int_0^inf a b (y^{-4m-4} + kappa) dy`` on the log grid.
 
-    The singular factor is split between the inputs to dodge underflow.
+    Raises DivergentIntegrand unless ``pa + pb >= 4m + 4``.
     """
-
-    def sample(x):
-        if isinstance(x, PolyGauss):
-            return x(quad.r), x.vanish_order
-        return x.vals, x.vanish_order
-
-    av, pa = sample(a)
-    bv, pb = sample(b)
-    if pa + pb < p.theta_exponent - 1:
-        raise DivergentIntegrand(
-            f"vanishing order {pa}+{pb} below {p.theta_exponent - 1}"
-        )
-    half = np.float_power(quad.r, -p.theta_exponent / 2.0)
-    integrand = (av * half) * (bv * half) + kappa * av * bv
+    integrand = _split_weight_integrand(a, b, p.theta_exponent, kappa, quad, power=0)
     return quad.integrate(integrand, power=0)
 
 
@@ -166,31 +151,22 @@ def heat_coercivity(
     """Rayleigh quotients under Theta+kappa; keeps the largest admissible kappa.
 
     Returns the chosen kappa and per-function records; every quotient at the
-    accepted kappa is <= -1/(4m) + 1e-3.
+    accepted kappa is finite and <= -1/(4m) + 1e-3.  When no kappa passes, the
+    smallest one is reported with its flagged records.
     """
     if quad is None:
         quad = RadialQuad.make()
     bound = -1.0 / (4.0 * p.m) + 1e-3
-    chosen = None
-    records = None
     for kappa in kappas:
-        recs = []
-        ok = True
+
+        def inner(a, b):
+            return heat_weighted_inner(p, a, b, kappa, quad)
+
+        records = []
         for idx, g in enumerate(suite):
-            Lg = heat_apply_L(p, g, quad)
-            num = heat_weighted_inner(p, Lg, g, kappa, quad)
-            den = heat_weighted_inner(p, g, g, kappa, quad)
-            quot = num / den
-            recs.append({"index": idx, "s": g.s, "quotient": quot,
-                         "flagged": bool(quot > bound)})
-            if quot > bound:
-                ok = False
-        if ok:
-            chosen = kappa
-            records = recs
+            quot, flagged = _rayleigh_quotient(inner, heat_apply_L(p, g, quad), g, bound)
+            records.append({"index": idx, "s": g.s, "quotient": quot, "flagged": flagged})
+        all_pass = not any(r["flagged"] for r in records)
+        if all_pass:
             break
-    if chosen is None:
-        chosen = kappas[-1]
-        records = recs
-    return {"kappa": chosen, "records": records,
-            "all_pass": all(not r["flagged"] for r in records)}
+    return {"kappa": kappa, "records": records, "all_pass": all_pass}

@@ -1,10 +1,10 @@
-"""Result persistence: RFC-4180 CSV export, JSON manifests, profile cache.
+"""Result persistence: RFC-4180 CSV export and JSON manifests.
 
 CSV bodies are deterministic: floats are formatted with 17 significant digits
 (round-trip exact for binary64) and rows end with CRLF, so identical inputs
 produce byte-identical files.  Manifests carry a canonical-JSON config hash,
-the library version, and wall time; the profile cache is an .npz container
-with a format-version field and a content checksum verified on load.
+the library version, and wall time.  Profiles are not persisted: recomputing
+one from its parameters takes well under a second.
 """
 
 from __future__ import annotations
@@ -13,17 +13,11 @@ import csv
 import hashlib
 import json
 import time
-import zipfile
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .errors import ConfigParseError
-from .profile import PowerSeries, ProfileParams, RadialProfile
-
-CACHE_FORMAT_VERSION = 1
 
 
 def fmt_float(x) -> str:
@@ -74,92 +68,3 @@ def _jsonable(obj):
 
 def write_json(path, doc: dict) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, default=_jsonable) + "\n")
-
-
-# ---------------------------------------------------------------------------
-# profile cache
-# ---------------------------------------------------------------------------
-
-
-def _cache_checksum(arrays: dict[str, np.ndarray]) -> str:
-    h = hashlib.sha256()
-    for key in sorted(arrays):
-        h.update(key.encode())
-        h.update(np.ascontiguousarray(arrays[key]).tobytes())
-    return h.hexdigest()
-
-
-def save_profile_cache(
-    path,
-    params: ProfileParams,
-    series: PowerSeries,
-    profile: RadialProfile,
-) -> None:
-    """Persist (params, series, sampled profile) with integrity metadata."""
-    arrays = {
-        "grid": profile.grid,
-        "q_vals": profile.q_vals,
-        "f_vals": profile.f_vals,
-        "dq_vals": profile.dq_vals,
-        "q_coeffs": series.q_coeffs,
-        "f_coeffs": series.f_coeffs,
-    }
-    meta = {
-        "format_version": CACHE_FORMAT_VERSION,
-        "params": asdict(params),
-        "series": {
-            "radius_estimate": series.radius_estimate,
-            "truncation": series.truncation,
-            "bound_K": series.bound_K,
-            "bound_alpha": series.bound_alpha,
-            "stride": series.stride,
-        },
-        "profile": {
-            "handoff_radius": profile.handoff_radius,
-            "tail_exponent": profile.tail_exponent,
-            "residual_max": profile.residual_max,
-            "decay_const": profile.decay_const,
-        },
-        "checksum": _cache_checksum(arrays),
-    }
-    np.savez(path, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
-
-
-def load_profile_cache(path) -> tuple[ProfileParams, PowerSeries, RadialProfile]:
-    """Load and verify a profile cache; the evaluator is not reconstituted."""
-    try:
-        with np.load(path) as z:
-            meta = json.loads(bytes(z["meta"]).decode())
-            arrays = {k: z[k] for k in z.files if k != "meta"}
-    except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
-        raise ConfigParseError(f"unreadable profile cache: {exc}") from exc
-    if meta.get("format_version") != CACHE_FORMAT_VERSION:
-        raise ConfigParseError(
-            f"cache format version {meta.get('format_version')} != {CACHE_FORMAT_VERSION}"
-        )
-    if meta["checksum"] != _cache_checksum(arrays):
-        raise ConfigParseError("profile cache checksum mismatch")
-    params = ProfileParams(**meta["params"])
-    sm = meta["series"]
-    series = PowerSeries(
-        q_coeffs=arrays["q_coeffs"],
-        f_coeffs=arrays["f_coeffs"],
-        radius_estimate=sm["radius_estimate"],
-        truncation=sm["truncation"],
-        bound_K=sm["bound_K"],
-        bound_alpha=sm["bound_alpha"],
-        stride=sm["stride"],
-    )
-    pm = meta["profile"]
-    profile = RadialProfile(
-        grid=arrays["grid"],
-        q_vals=arrays["q_vals"],
-        f_vals=arrays["f_vals"],
-        dq_vals=arrays["dq_vals"],
-        handoff_radius=pm["handoff_radius"],
-        tail_exponent=pm["tail_exponent"],
-        residual_max=pm["residual_max"],
-        decay_const=pm["decay_const"],
-        evaluator=None,
-    )
-    return params, series, profile

@@ -325,6 +325,50 @@ def select_weight(
 # ---------------------------------------------------------------------------
 
 
+def _sample(x: PolyGauss | SampledRadial, quad: RadialQuad) -> tuple[np.ndarray, int]:
+    """Grid values and vanishing order of an analytic or sampled radial function."""
+    if isinstance(x, PolyGauss):
+        return x(quad.r), x.vanish_order
+    if x.r.shape != quad.r.shape or not np.allclose(x.r, quad.r):
+        raise GridMismatch("sampled function not on the quadrature grid")
+    return x.vals, x.vanish_order
+
+
+def _sample_slope(x: PolyGauss | SampledRadial, quad: RadialQuad):
+    """``(values, d/dr, vanishing order)``: analytic slope, or ``d/du / r`` for samples."""
+    vals, p = _sample(x, quad)
+    if isinstance(x, PolyGauss):
+        return vals, x.deriv()(quad.r), p
+    return vals, np.gradient(vals, quad.u) / quad.r, p
+
+
+def _split_weight_integrand(a, b, A: int, B: float, quad: RadialQuad, power: int) -> np.ndarray:
+    """``a b (r^{-A} + B)`` on the grid, for quadrature against ``r^power dr``.
+
+    The singular factor is split evenly between the two inputs so neither
+    partial product under/overflows.  Raises DivergentIntegrand unless the
+    combined vanishing order makes ``r^{pa+pb-A+power}`` integrable at 0.
+    """
+    av, pa = _sample(a, quad)
+    bv, pb = _sample(b, quad)
+    if not pa + pb + power > A - 1:
+        raise DivergentIntegrand(
+            f"vanishing order {pa}+{pb} with r^{power} dr not above A-1={A - 1}"
+        )
+    half = np.float_power(quad.r, -A / 2.0)
+    return (av * half) * (bv * half) + B * av * bv
+
+
+def _rayleigh_quotient(inner, Lg, g, bound: float) -> tuple[float, bool]:
+    """``inner(Lg, g) / inner(g, g)`` and whether it is flagged.
+
+    Only a finite quotient at or below ``bound`` passes: an overflowing
+    weight gives NaN, which must not pass.
+    """
+    quot = inner(Lg, g) / inner(g, g)
+    return quot, not (math.isfinite(quot) and quot <= bound)
+
+
 def _profile_samples(profile: RadialProfile, quad: RadialQuad):
     ev = profile.evaluator
     return ev.q(quad.r), ev.f(quad.r), ev.dq(quad.r)
@@ -349,17 +393,7 @@ def apply_L(
         Q, fq, dQ = _coeffs
     mu, beta = params.mu, params.beta
     r = quad.r
-    if isinstance(g, PolyGauss):
-        gv = g(r)
-        dg = g.deriv()(r)
-        p = g.vanish_order
-    else:
-        if g.r.shape != r.shape or not np.allclose(g.r, r):
-            raise GridMismatch("sampled function not on the quadrature grid")
-        gv = g.vals
-        du = np.gradient(g.vals, quad.u)
-        dg = du / r
-        p = g.vanish_order
+    gv, dg, p = _sample_slope(g, quad)
     J = quad.cumulative(gv, power=2) / (r * r)  # (1/r^2) int_0^r g s^2 ds
     out = -(gv + beta * r * dg) + r * fq * dg + dQ * J + 2.0 * (1.0 - mu) * Q * gv
     return SampledRadial(r=r, vals=out, vanish_order=p)
@@ -373,26 +407,10 @@ def weighted_inner(
 ) -> float:
     """``(g, h)_{L^2_w} = 4 pi \\int g h (r^{-A} + B) r^2 dr``.
 
-    The singular factor is split evenly between the two inputs so neither
-    partial product under/overflows; panel halving estimates the quadrature
-    error and raises NoConvergence above 1e-8 relative.
+    Panel halving estimates the quadrature error and raises NoConvergence
+    above 1e-8 relative.
     """
-
-    def sample(x):
-        if isinstance(x, PolyGauss):
-            return x(quad.r), x.vanish_order
-        if x.r.shape != quad.r.shape or not np.allclose(x.r, quad.r):
-            raise GridMismatch("sampled function not on the quadrature grid")
-        return x.vals, x.vanish_order
-
-    gv, pg = sample(g)
-    hv, ph = sample(h)
-    if pg + ph < w.A - 2:
-        raise DivergentIntegrand(
-            f"vanishing order {pg}+{ph} below A-2={w.A - 2}"
-        )
-    half = np.float_power(quad.r, -w.A / 2.0)
-    integrand = (gv * half) * (hv * half) + w.B * gv * hv
+    integrand = _split_weight_integrand(g, h, w.A, w.B, quad, power=2)
     fine = 4.0 * math.pi * quad.integrate(integrand, power=2)
     coarse = 4.0 * math.pi * quad.integrate(integrand, power=2, coarse=True)
     err = abs(fine - coarse) / 15.0
@@ -418,15 +436,17 @@ def coercivity_probe(
         quad = RadialQuad.make()
     pmin = min_vanish_order(w.A)
     coeffs = _profile_samples(profile, quad)
+
+    def inner(a, b):
+        return weighted_inner(a, b, w, quad)
+
     results = []
     for idx, tf in enumerate(suite):
         if tf.p < pmin:
             raise DivergentIntegrand(f"suite member {idx} has p={tf.p} < {pmin}")
         g = tf.to_polygauss()
         Lg = apply_L(profile, params, g, quad, _coeffs=coeffs)
-        num = weighted_inner(Lg, g, w, quad)
-        den = weighted_inner(g, g, w, quad)
-        quot = num / den
+        quot, flagged = _rayleigh_quotient(inner, Lg, g, -0.125 + 1e-3)
         results.append(
             {
                 "index": idx,
@@ -434,7 +454,7 @@ def coercivity_probe(
                 "p": tf.p,
                 "s": tf.s,
                 "quotient": quot,
-                "flagged": not (math.isfinite(quot) and quot <= -0.125 + 1e-3),
+                "flagged": flagged,
             }
         )
     return results
@@ -535,16 +555,13 @@ def _du_matrix(vals: np.ndarray, u: np.ndarray, order: int) -> np.ndarray:
     """4th-order finite difference d^order/du^order on a uniform grid."""
     h = u[1] - u[0]
     n = len(vals)
-    out = np.empty(n)
     if order == 1:
         c = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * h)
     else:
         c = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * h * h)
-    for k in range(2, n - 2):
-        out[k] = np.dot(c, vals[k - 2 : k + 3])
-    for k in (0, 1, n - 2, n - 1):
-        kk = min(max(k, 2), n - 3)
-        out[k] = np.dot(c, vals[kk - 2 : kk + 3])  # crude edge copy; integrands vanish there
+    out = np.empty(n)
+    out[2:-2] = sum(c[j] * vals[j : n - 4 + j] for j in range(5))
+    out[:2], out[-2:] = out[2], out[-3]  # crude edge copy; integrands vanish there
     return out
 
 

@@ -60,8 +60,11 @@ def _minmod(a, b):
     return np.where(a * b > 0.0, np.where(np.abs(a) < np.abs(b), a, b), 0.0)
 
 
-def _phys_rhs(rho: np.ndarray, grid: np.ndarray, mu: float) -> np.ndarray:
-    """Flux-form spatial operator; inward drift is upwinded from the outer cell."""
+def _phys_rhs(rho: np.ndarray, grid: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray]:
+    """Flux-form spatial operator; inward drift is upwinded from the outer cell.
+
+    Returns the operator and the partial mass ``\\int_0^r rho s^2 ds`` it used.
+    """
     n = len(rho)
     h = grid[1] - grid[0]
     # drift velocity u >= 0 at faces (the advective flux is -rho*u, inward)
@@ -93,7 +96,7 @@ def _phys_rhs(rho: np.ndarray, grid: np.ndarray, mu: float) -> np.ndarray:
     # outer cell: vanishing exterior flux (compact support)
     out[-1] = -F[-1] / (h * grid[-1] ** 2)
     out -= mu * rho * rho
-    return out
+    return out, m
 
 
 def build_initial(
@@ -213,13 +216,12 @@ def run_phys(
             raise NoBlowupDetected(
                 f"sup-norm at {sup / sup0:.3g}x initial after t = {t:.3g}"
             )
-        m = cumulative_simpson_uniform(rho * grid * grid, h)
+        k1, m = _phys_rhs(rho, grid, mu)
         umax = float(np.max(m[1:] / grid[1:] ** 2)) + 1e-300
         dt = cfl * min(0.5 * h * h, h / umax, 0.5 / ((1.0 - mu) * sup + 1e-300))
         # Heun predictor-corrector
-        k1 = _phys_rhs(rho, grid, mu)
         mid = rho + dt * k1
-        k2 = _phys_rhs(mid, grid, mu)
+        k2, _ = _phys_rhs(mid, grid, mu)
         new = rho + 0.5 * dt * (k1 + k2)
         if not np.all(np.isfinite(new)):
             raise NonFiniteField("non-finite density")
@@ -311,7 +313,7 @@ def pde_residual(
     if ga.shape != gb.shape or not np.allclose(ga, gb) or tb <= ta:
         raise SnapshotMismatch("snapshots not on a shared grid with tb > ta")
     mid = 0.5 * (ra + rb)
-    res = (rb - ra) / (tb - ta) - _phys_rhs(mid, ga, mu)
+    res = (rb - ra) / (tb - ta) - _phys_rhs(mid, ga, mu)[0]
     return float(
         math.sqrt(4.0 * math.pi * np.trapezoid(res * res * ga * ga, ga))
     )

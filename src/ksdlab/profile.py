@@ -356,25 +356,27 @@ def _fd_stencil(offsets: np.ndarray, order: int) -> np.ndarray:
     return np.linalg.solve(A, b)
 
 
-def _dense_dq_ds(sol, s: np.ndarray, s_lo: float, s_hi: float, h: float = 0.01) -> np.ndarray:
-    """8th-order finite difference of the dense-output Q component in s = ln r.
+def _dense_ds(sol, s: np.ndarray, s_lo: float, s_hi: float, h: float = 0.01) -> np.ndarray:
+    """8th-order finite difference in s = ln r of both dense-output components.
 
-    Used as a derivative route independent of the ODE right-hand side so the
-    sampled residual measures genuine integration error.
+    Returns shape ``(2, len(s))``: d/ds of Q and of f.  Used as a derivative
+    route independent of the ODE right-hand side so the sampled residual
+    measures genuine integration error.
     """
-    out = np.empty_like(s)
+    out = np.empty((2, len(s)))
     base = np.arange(-4, 5, dtype=float)
+    weights = {}  # stencil shift -> weights; only a few distinct shifts occur
     for k, sk in enumerate(s):
-        offs = base.copy()
         # shift the stencil inward near the ends of the integration interval
         lo_room = (sk - s_lo) / h
         hi_room = (s_hi - sk) / h
         shift = max(0.0, math.ceil(4 - lo_room)) - max(0.0, math.ceil(4 - hi_room))
-        offs = offs + shift
-        w = _fd_stencil(offs, 1)
-        vals = sol(sk + offs * h)[0]
-        out[k] = np.dot(w, vals) / h
-    return out
+        if shift not in weights:
+            weights[shift] = _fd_stencil(base + shift, 1)
+        w = weights[shift]
+        q, f = sol(sk + (base + shift) * h)
+        out[:, k] = np.dot(w, q), np.dot(w, f)
+    return out / h
 
 
 def make_grid(r_max: float, r_min: float = 0.05, per_decade: int = 64) -> np.ndarray:
@@ -481,20 +483,9 @@ def solve_profile(
     if np.any(outer) and sol is not None:
         ro = grid[outer]
         so = np.log(ro)
-        dqds = _dense_dq_ds(sol, so, s_lo, s_hi)
+        dqds, dfds = _dense_ds(sol, so, s_lo, s_hi)
         qo, fo = q_vals[outer], f_vals[outer]
         res_q = qo + (beta - fo) * dqds - (1.0 - mu) * qo * qo
-        # f-equation residual via the same finite-difference route
-        h = 0.01
-        dfds = np.empty_like(so)
-        base = np.arange(-4, 5, dtype=float)
-        for k, sk in enumerate(so):
-            offs = base.copy()
-            lo_room = (sk - s_lo) / h
-            hi_room = (s_hi - sk) / h
-            offs = offs + max(0.0, math.ceil(4 - lo_room)) - max(0.0, math.ceil(4 - hi_room))
-            w = _fd_stencil(offs, 1)
-            dfds[k] = np.dot(w, sol(sk + offs * h)[1]) / h
         res_f = dfds - (qo - 3.0 * fo)
         residual = max(residual, float(np.max(np.abs(res_q))), float(np.max(np.abs(res_f))))
 

@@ -1,5 +1,6 @@
 """Command-line driver: config handling, exit codes, artifacts, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -11,7 +12,6 @@ import pytest
 import ksdlab
 from ksdlab.cli import RunConfig, main, parse_config, portrait_scan
 from ksdlab.errors import ConfigParseError
-from ksdlab.io import load_profile_cache, save_profile_cache
 
 
 class TestConfig:
@@ -46,7 +46,7 @@ class TestRun:
         out = tmp_path / "out"
         rc = main(["profile", "--mu", "0", "--j0", "4", "--out", str(out)])
         assert rc == 0
-        for name in ("profile.csv", "profile_cache.npz", "manifest_profile.json"):
+        for name in ("profile.csv", "manifest_profile.json"):
             assert (out / name).exists()
         manifest = json.loads((out / "manifest_profile.json").read_text())
         assert manifest["config"]["mu"] == 0.0
@@ -84,25 +84,15 @@ class TestRun:
             outs.append((out / "profile.csv").read_bytes())
         assert outs[0] == outs[1]
 
-
-class TestCache:
-    def test_round_trip(self, tmp_path, mu0_params, mu0_series, mu0_profile):
-        path = tmp_path / "cache.npz"
-        save_profile_cache(path, mu0_params, mu0_series, mu0_profile)
-        params, series, profile = load_profile_cache(path)
-        assert params == mu0_params
-        assert (series.q_coeffs == mu0_series.q_coeffs).all()
-        assert (profile.q_vals == mu0_profile.q_vals).all()
-        assert profile.tail_exponent == mu0_profile.tail_exponent
-
-    def test_corruption_detected(self, tmp_path, mu0_params, mu0_series, mu0_profile):
-        path = tmp_path / "cache.npz"
-        save_profile_cache(path, mu0_params, mu0_series, mu0_profile)
-        raw = bytearray(path.read_bytes())
-        raw[len(raw) // 2] ^= 0xFF
-        path.write_bytes(bytes(raw))
-        with pytest.raises(ConfigParseError):
-            load_profile_cache(path)
+    def test_profile_outputs_pinned(self, tmp_path):
+        # seed-day values: the dense-output finite-difference residual route
+        # must keep its arithmetic, not only its tolerance
+        out = tmp_path / "out"
+        assert main(["profile", "--mu", "0", "--j0", "4", "--out", str(out)]) == 0
+        digest = hashlib.sha256((out / "profile.csv").read_bytes()).hexdigest()
+        assert digest == "bbb488bf4e1e92629f7f4afe51bb8d90ab7962ec5d393639be031af19f82dd9f"
+        manifest = json.loads((out / "manifest_profile.json").read_text())
+        assert manifest["residual_max"] == 1.1535229327286345e-08
 
 
 class TestThreads:

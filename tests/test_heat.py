@@ -95,6 +95,17 @@ class TestInner:
         with pytest.raises(DivergentIntegrand):
             heat_weighted_inner(hp, monomial(2, 1.0), monomial(2, 1.0), 0.1, quad)
 
+    def test_log_divergent_pair_rejected(self, hp, quad):
+        # pa + pb = theta - 1 leaves y^{-1} dy at the origin: the quadrature
+        # would return a value set only by the grid's lower cutoff
+        with pytest.raises(DivergentIntegrand):
+            heat_weighted_inner(hp, monomial(5, 1.0), monomial(6, 1.0), 0.1, quad)
+
+    def test_grid_mismatch(self, hp, quad):
+        bad = SampledRadial(r=quad.r[:-1], vals=quad.r[:-1], vanish_order=6)
+        with pytest.raises(GridMismatch):
+            heat_weighted_inner(hp, bad, monomial(6, 1.0), 0.1, quad)
+
     def test_multiplier_route(self, hp, quad):
         for p, s in ((6, 0.5), (6, 1.0), (8, 2.0)):
             g = monomial(p, s)
@@ -110,6 +121,16 @@ class TestCoercivity:
         assert report["all_pass"]
         for r in report["records"]:
             assert r["quotient"] <= -0.125 + 1e-3
+
+    def test_nonfinite_quotient_flagged(self):
+        # at m=40 the split weight y^{-82} overflows on the y = e^{-30} end of
+        # the quadrature grid and every quotient is NaN; none may pass
+        hp = HeatParams(m=40)
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = heat_coercivity(hp, make_heat_suite(hp, count=4))
+        assert all(np.isnan(r["quotient"]) for r in report["records"])
+        assert all(r["flagged"] for r in report["records"])
+        assert not report["all_pass"]
 
     def test_near_origin_cluster(self, hp):
         # tightly localized probes see the full multiplier: quotients near -3/8

@@ -27,6 +27,7 @@ from ksdlab.linops import (
     quadratic_form_split,
     select_weight,
     sobolev_probe_low_order,
+    _du_matrix,
     weighted_inner,
 )
 from ksdlab.profile import ProfileParams, build_series, solve_profile
@@ -243,6 +244,17 @@ class TestSobolev:
             assert out["coefficient"] == pytest.approx(pred, abs=1e-15)
             assert out["drift_direct"] == pytest.approx(out["drift_predicted"], rel=1e-10)
             assert out["drift_dilation"] == pytest.approx(out["drift_direct"], rel=1e-6)
+
+    def test_du_matrix_exact_on_quartic(self):
+        # the 5-point stencils are exact on quartics; the two edge nodes at
+        # each end copy their nearest interior neighbour
+        u = np.linspace(0.0, 1.0, 41)
+        vals = 1.0 + u + u**2 + u**3 + u**4
+        exact = {1: 1.0 + 2 * u + 3 * u**2 + 4 * u**3, 2: 2.0 + 6 * u + 12 * u**2}
+        for order, ref in exact.items():
+            out = _du_matrix(vals, u, order)
+            np.testing.assert_allclose(out[2:-2], ref[2:-2], rtol=1e-10)
+            assert np.all(out[:2] == out[2]) and np.all(out[-2:] == out[-3])
 
     def test_order_guard(self, mu0_profile, mu0_params, quad):
         with pytest.raises(OrderUnsupported):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_simpson
 
+import ksdlab.phys as phys
 from ksdlab.errors import DomainError, NoBlowupDetected, SnapshotMismatch
 from ksdlab.phys import (
     _fv_mass,
@@ -21,8 +22,8 @@ def _step(rho, grid, mu, cfl=0.25):
     m = cumulative_simpson(y=rho * grid * grid, x=grid, initial=0.0)
     umax = float(np.max(m[1:] / grid[1:] ** 2)) + 1e-300
     dt = cfl * min(0.5 * h * h, h / umax, 0.5 / ((1.0 - mu) * rho.max() + 1e-300))
-    k1 = _phys_rhs(rho, grid, mu)
-    k2 = _phys_rhs(rho + dt * k1, grid, mu)
+    k1, _ = _phys_rhs(rho, grid, mu)
+    k2, _ = _phys_rhs(rho + dt * k1, grid, mu)
     return rho + 0.5 * dt * (k1 + k2), dt
 
 
@@ -76,7 +77,7 @@ class TestScaling:
         res = pde_residual(a, b, mu=0.0)
         # normalize by the scale of d rho/dt
         scale = np.sqrt(4 * np.pi * np.trapezoid(
-            _phys_rhs(b[2], b[1], 0.0) ** 2 * b[1] ** 2, b[1]))
+            _phys_rhs(b[2], b[1], 0.0)[0] ** 2 * b[1] ** 2, b[1]))
         assert res < 0.05 * scale
 
     def test_identity_rescaling(self, mu0_profile):
@@ -113,6 +114,21 @@ class TestBlowup:
         rel_drift = abs(series["mass"][-1] - series["mass"][0]) / series["mass"][0]
         assert rel_drift < 1e-10
         assert fit.T_est == pytest.approx(1e-16, rel=0.05)
+
+    def test_two_partial_mass_kernels_per_step(self, mu0_profile, monkeypatch):
+        # k1's partial mass also sets dt, so each Heun step runs the kernel twice
+        calls = []
+        kernel = phys.cumulative_simpson_uniform
+
+        def counted(y, h):
+            calls.append(len(y))
+            return kernel(y, h)
+
+        monkeypatch.setattr(phys, "cumulative_simpson_uniform", counted)
+        steps = 5
+        with pytest.raises(NoBlowupDetected, match="step budget"):
+            run_phys(mu0_profile, lam0=1e-8, n=2048, max_steps=steps)
+        assert len(calls) == 2 * steps
 
     def test_diffusion_dominated_decay(self, mu0_profile):
         # a moderate lam0 leaves the physical diffusion coefficient
