@@ -168,7 +168,7 @@ def _stage_renorm(cfg: RunConfig, outdir: Path, cache: dict) -> None:
     t0 = time.perf_counter()
     params, profile = _ensure_profile(cfg, outdir, cache)
     lam0 = cfg.lambda0 if cfg.lambda0 is not None else 1.0e-3
-    n = cfg.grid_n if cfg.grid_n is not None else (512 if cfg.quick else 4096)
+    n = cfg.grid_n if cfg.grid_n is not None else (1024 if cfg.quick else 4096)
     tau_end = 0.5 if cfg.quick else 2.0
     traj = run_renorm(profile, params, lam0, tau_end, n=n)
     kf = traj["c"].shape[1]

@@ -22,6 +22,7 @@ from .linops import (
     PolyGauss,
     RadialQuad,
     SampledRadial,
+    _probe_suite,
     _rayleigh_quotient,
     _sample_slope,
     _split_weight_integrand,
@@ -129,26 +130,16 @@ def heat_multiplier_route(
 
 def make_heat_suite(p: HeatParams, count: int = 50, seed: int = 777) -> list[PolyGauss]:
     """Randomized admissible 1D probe functions (same family as the 3D suite)."""
-    rng = np.random.default_rng(seed)
-    scales = (0.5, 1.0, 2.0, 4.0)
-    p0 = p.min_vanish_order
-    suite = []
-    for i in range(count):
-        pv = p0 if i % 2 == 0 else p0 + 2
-        s = scales[i % len(scales)]
-        coeffs = np.zeros(pv + 13)
-        coeffs[pv::2] = rng.uniform(-1.0, 1.0, size=7)
-        suite.append(PolyGauss(coeffs, s))
-    return suite
+    return [tf.to_polygauss() for tf in _probe_suite(p.min_vanish_order, count, seed)]
 
 
 def heat_coercivity(
     p: HeatParams,
     suite: list[PolyGauss],
     quad: RadialQuad | None = None,
-    kappas: tuple[float, ...] = tuple(10.0**-k for k in range(1, 7)),
 ) -> dict:
-    """Rayleigh quotients under Theta+kappa; keeps the largest admissible kappa.
+    """Rayleigh quotients under Theta+kappa; keeps the largest admissible kappa
+    of 1e-1, 1e-2, ..., 1e-6.
 
     Returns the chosen kappa and per-function records; every quotient at the
     accepted kappa is finite and <= -1/(4m) + 1e-3.  When no kappa passes, the
@@ -157,7 +148,7 @@ def heat_coercivity(
     if quad is None:
         quad = RadialQuad.make()
     bound = -1.0 / (4.0 * p.m) + 1e-3
-    for kappa in kappas:
+    for kappa in (10.0**-k for k in range(1, 7)):
 
         def inner(a, b):
             return heat_weighted_inner(p, a, b, kappa, quad)

@@ -129,11 +129,10 @@ def min_vanish_order(A: int) -> int:
     return p + (p % 2)
 
 
-def make_test_suite(A: int, count: int = 50, seed: int = 12345) -> list[TestFunction]:
-    """Reproducible randomized probe suite spanning near-origin and tail scales."""
+def _probe_suite(p0: int, count: int, seed: int) -> list[TestFunction]:
+    """Seeded probe suite: vanishing orders alternate p0, p0+2; scales cycle 0.5..4."""
     rng = np.random.default_rng(seed)
     scales = (0.5, 1.0, 2.0, 4.0)
-    p0 = A // 2
     suite = []
     for i in range(count):
         p = p0 if i % 2 == 0 else p0 + 2
@@ -141,6 +140,11 @@ def make_test_suite(A: int, count: int = 50, seed: int = 12345) -> list[TestFunc
         coeffs = rng.uniform(-1.0, 1.0, size=7)  # even degrees 0..12
         suite.append(TestFunction(p=p, s=s, poly_coeffs=coeffs, seed_label=f"{seed}:{i}"))
     return suite
+
+
+def make_test_suite(A: int, count: int = 50, seed: int = 12345) -> list[TestFunction]:
+    """Reproducible randomized probe suite spanning near-origin and tail scales."""
+    return _probe_suite(A // 2, count, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -256,13 +260,12 @@ def select_weight(
     profile: RadialProfile,
     j0: int,
     A: int | None = None,
-    A_cap: int = 1000,
 ) -> WeightParams:
     """Choose weight parameters per the admissibility conditions.
 
     With ``A=None`` the exponent scan starts at the least multiple of 4 with
     ``A >= 8 j0 + 3`` and grows in steps of 4 until the whole-norm certificate
-    passes, raising NoAdmissibleA past ``A_cap``.  Passing ``A`` explicitly
+    passes, raising NoAdmissibleA past 1000.  Passing ``A`` explicitly
     pins the exponent (certificates are still computed and stored).  ``R1`` is
     the smallest radius passing both tail conditions; ``B`` is the largest
     power of ten passing the flat-part condition.
@@ -278,9 +281,9 @@ def select_weight(
             A_try += 1
         while math.sqrt(1.0 / (4.0 * math.pi * (A_try + 3.0))) * wholenorm > 1.0 / 100.0:
             A_try += 4
-            if A_try > A_cap:
+            if A_try > 1000:
                 raise NoAdmissibleA(
-                    f"no A <= {A_cap} passes the whole-norm certificate "
+                    f"no A <= 1000 passes the whole-norm certificate "
                     f"(norm={wholenorm:.4g})"
                 )
         A = A_try

@@ -138,6 +138,15 @@ def series_recurrence(
         return Q
 
 
+def _even_series(coeffs: np.ndarray, r):
+    """``sum_j coeffs[j] r^{2j}`` by Horner's rule in ``r^2``."""
+    x = np.square(np.asarray(r, dtype=float))
+    out = np.zeros_like(x)
+    for c in coeffs[::-1]:
+        out = out * x + c
+    return out
+
+
 @dataclass(frozen=True)
 class PowerSeries:
     """Even Taylor coefficients of (Q, f) at the origin, with a growth certificate.
@@ -156,28 +165,15 @@ class PowerSeries:
     stride: int = 1
 
     def eval_q(self, r):
-        x = np.square(np.asarray(r, dtype=float))
-        out = np.zeros_like(x)
-        for c in self.q_coeffs[::-1]:
-            out = out * x + c
-        return out
+        return _even_series(self.q_coeffs, r)
 
     def eval_f(self, r):
-        x = np.square(np.asarray(r, dtype=float))
-        out = np.zeros_like(x)
-        for c in self.f_coeffs[::-1]:
-            out = out * x + c
-        return out
+        return _even_series(self.f_coeffs, r)
 
     def eval_dq(self, r):
         """Term-wise derivative dQ/dr."""
-        r = np.asarray(r, dtype=float)
-        x = np.square(r)
-        out = np.zeros_like(x)
-        n = len(self.q_coeffs) - 1
-        for j in range(n, 0, -1):
-            out = out * x + 2 * j * self.q_coeffs[j]
-        return out * r
+        j = np.arange(1, len(self.q_coeffs))
+        return _even_series(2 * j * self.q_coeffs[1:], r) * np.asarray(r, dtype=float)
 
     def remainder_bound(self, r: float) -> float:
         """Geometric estimate of the truncation remainder |sum_{j>N} Q_j r^{2j}|."""
@@ -203,17 +199,13 @@ def _growth_certificate(q: np.ndarray) -> tuple[float, float]:
     return float(K * (1.0 + 1e-12)), alpha
 
 
-def build_series(
-    params: ProfileParams,
-    tol: float,
-    n_coeffs: int | None = None,
-) -> PowerSeries:
+def build_series(params: ProfileParams, tol: float) -> PowerSeries:
     """Construct the origin Taylor series certified to tolerance ``tol``.
 
     Coefficients are generated to N_MAX in extended precision; the stored
     truncation N is the shortest prefix whose geometric remainder estimate at
     the planned handoff radius (80% of the fitted convergence radius) is below
-    ``tol``.  ``n_coeffs`` forces a minimum number of stored coefficients.
+    ``tol``.
     """
     if tol <= 0:
         raise DomainError("tol must be positive")
@@ -245,8 +237,6 @@ def build_series(
         raise NoConvergence(
             f"series remainder not below tol={tol} within {N_MAX} coefficients"
         )
-    if n_coeffs is not None:
-        n_trunc = max(n_trunc, min(n_coeffs, N_MAX))
 
     qk = q[: n_trunc + 1].copy()
     fk = qk / (2 * np.arange(n_trunc + 1) + 3)
@@ -356,13 +346,14 @@ def _fd_stencil(offsets: np.ndarray, order: int) -> np.ndarray:
     return np.linalg.solve(A, b)
 
 
-def _dense_ds(sol, s: np.ndarray, s_lo: float, s_hi: float, h: float = 0.01) -> np.ndarray:
-    """8th-order finite difference in s = ln r of both dense-output components.
+def _dense_ds(sol, s: np.ndarray, s_lo: float, s_hi: float) -> np.ndarray:
+    """8th-order finite difference, step 0.01 in s = ln r, of both dense-output components.
 
     Returns shape ``(2, len(s))``: d/ds of Q and of f.  Used as a derivative
     route independent of the ODE right-hand side so the sampled residual
     measures genuine integration error.
     """
+    h = 0.01
     out = np.empty((2, len(s)))
     base = np.arange(-4, 5, dtype=float)
     weights = {}  # stencil shift -> weights; only a few distinct shifts occur
@@ -379,11 +370,11 @@ def _dense_ds(sol, s: np.ndarray, s_lo: float, s_hi: float, h: float = 0.01) -> 
     return out / h
 
 
-def make_grid(r_max: float, r_min: float = 0.05, per_decade: int = 64) -> np.ndarray:
-    """Graded radial grid: node at 0, then log-spaced nodes to r_max."""
-    n_dec = math.log10(r_max / r_min)
-    n = int(round(n_dec * per_decade))
-    rs = r_min * 10 ** (np.arange(n + 1) / per_decade)
+def make_grid(r_max: float) -> np.ndarray:
+    """Graded radial grid: node at 0, then 64 log-spaced nodes per decade, 0.05 to r_max."""
+    n_dec = math.log10(r_max / 0.05)
+    n = int(round(n_dec * 64))
+    rs = 0.05 * 10 ** (np.arange(n + 1) / 64)
     rs[-1] = r_max
     return np.concatenate(([0.0], rs))
 
@@ -549,19 +540,20 @@ def partial_mass(profile: RadialProfile, r: float) -> float:
     return float(4.0 * math.pi * val)
 
 
-def classify_beta(mu: float, beta: float, tol: float = 1e-9) -> tuple[str, int | None]:
+def classify_beta(mu: float, beta: float) -> tuple[str, int | None]:
     """Phase-portrait classification of a candidate similarity exponent.
 
     Returns ``(label, j0)`` with label in {"Trivial", "Nontrivial", "Degenerate"}.
-    Below or at ``f0`` the stagnation point sits above/on the critical line and
-    only the constant solution exists; above it a nontrivial branch requires the
-    resonance ``beta - f0 = 1/(2 j0)`` with integer ``j0 >= 2`` and ``beta < 1/2``.
+    Below or at ``f0`` (to 1e-9) the stagnation point sits above/on the critical
+    line and only the constant solution exists; above it a nontrivial branch
+    requires the resonance ``beta - f0 = 1/(2 j0)`` with integer ``j0 >= 2`` and
+    ``beta < 1/2``.
     """
     if not (0.0 < beta < 0.5):
         raise DomainError(f"beta={beta} outside (0, 1/2)")
     f0 = 1.0 / (3.0 * (1.0 - mu))
     gap = beta - f0
-    if gap <= tol:
+    if gap <= 1e-9:
         return "Trivial", None
     j0_real = 1.0 / (2.0 * gap)
     j0 = int(round(j0_real))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -23,3 +25,8 @@ def cumulative_simpson_uniform(y: np.ndarray, h: float) -> np.ndarray:
     out = np.zeros(n)
     np.cumsum(sub * (h / 3.0), out=out[1:])
     return out
+
+
+def l2_norm(v: np.ndarray, grid: np.ndarray) -> float:
+    """Radial L2 norm ``sqrt(4 pi int v^2 r^2 dr)`` by the trapezoid rule on ``grid``."""
+    return math.sqrt(4.0 * math.pi * np.trapezoid(v * v * grid * grid, grid))

@@ -27,9 +27,15 @@ from .errors import (
     NonFiniteField,
 )
 from .profile import ProfileParams, RadialProfile
-from .radial import cumulative_simpson_uniform
+from .radial import cumulative_simpson_uniform, l2_norm
 
 ALL_TERMS = frozenset({"diffusion", "drift", "nonlocal", "reaction"})
+
+#: modes are fitted on ``r <= _FIT_RADIUS``, inside the plateau of the seed cutoff
+_FIT_RADIUS = 0.5
+
+#: tau spacing of the records kept by run_renorm
+_RECORD_DTAU = 0.05
 
 
 @dataclass(frozen=True)
@@ -105,8 +111,7 @@ def _rhs(psi, grid, h, lam, params, terms=ALL_TERMS):
 
 
 def _residual_norm(psi, grid, h, lam, params, terms=ALL_TERMS):
-    rhs = _rhs(psi, grid, h, lam, params, terms)
-    return math.sqrt(4.0 * math.pi * np.trapezoid(rhs * rhs * grid * grid, grid))
+    return l2_norm(_rhs(psi, grid, h, lam, params, terms), grid)
 
 
 def dt_policy(h, lam, params, r_dom, safety: float = 0.4) -> float:
@@ -118,12 +123,11 @@ def dt_policy(h, lam, params, r_dom, safety: float = 0.4) -> float:
 def make_state(
     profile: RadialProfile,
     lam0: float,
-    r_dom: float = 50.0,
     n: int = 4096,
     perturbation=None,
 ) -> RenormState:
-    """Initial slice Psi(0) = Q (+ optional perturbation callable)."""
-    grid = np.linspace(0.0, r_dom, n)
+    """Initial slice Psi(0) = Q (+ optional perturbation callable) on [0, 50]."""
+    grid = np.linspace(0.0, 50.0, n)
     psi = profile.evaluator.q(grid)
     if perturbation is not None:
         psi = psi + perturbation(grid)
@@ -160,28 +164,31 @@ def step_renorm(
 def extract_modes(
     state: RenormState,
     profile: RadialProfile,
-    fit_radius: float = 0.5,
     Kfit: int = 6,
     q_ref: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Least-squares coefficients of ``Psi - Q`` against ``{r^{2j}}`` near 0.
+    """Least-squares coefficients of ``Psi - Q`` against ``{r^{2j}}``, ``r <= 1/2``.
 
-    Columns are scaled by ``fit_radius^{2j}`` before conditioning is checked;
-    the fit window must sit inside the region where the mode cutoff is 1.
+    Columns are scaled by ``(1/2)^{2j}`` before conditioning is checked; the
+    fit window sits inside the region where the mode cutoff is 1.  A window
+    with no more nodes than the ``Kfit + 1`` unknowns raises IllConditionedFit:
+    its minimum-norm solution is not a fit.
     """
     grid = state.grid
-    sel = grid <= fit_radius
+    sel = grid <= _FIT_RADIUS
     r = grid[sel]
+    if len(r) <= Kfit:
+        raise IllConditionedFit(f"{len(r)} nodes in the fit window for {Kfit + 1} modes")
     if q_ref is None:
         q_ref = profile.evaluator.q(grid)
     eps = state.psi[sel] - q_ref[sel]
-    x = (r / fit_radius) ** 2
+    x = (r / _FIT_RADIUS) ** 2
     M = np.vander(x, Kfit + 1, increasing=True)
     cond = np.linalg.cond(M)
     if cond > 1e12:
         raise IllConditionedFit(f"Vandermonde condition number {cond:.3g}")
     coef, *_ = np.linalg.lstsq(M, eps, rcond=None)
-    return coef / fit_radius ** (2 * np.arange(Kfit + 1))
+    return coef / _FIT_RADIUS ** (2 * np.arange(Kfit + 1))
 
 
 def run_renorm(
@@ -189,18 +196,15 @@ def run_renorm(
     params: ProfileParams,
     lam0: float,
     tau_end: float,
-    r_dom: float = 50.0,
     n: int = 4096,
     perturbation=None,
-    record_dtau: float = 0.05,
-    fit_radius: float = 0.5,
-    Kfit: int | None = None,
     terms=ALL_TERMS,
 ) -> dict:
-    """Evolve to ``tau_end`` recording (tau, lambda, sup|eps|, modes, residual)."""
-    if Kfit is None:
-        Kfit = params.j0 + 2
-    state = make_state(profile, lam0, r_dom=r_dom, n=n, perturbation=perturbation)
+    """Evolve to ``tau_end`` recording (tau, lambda, sup|eps|, modes, residual).
+
+    Records every 0.05 in tau; the modes are ``c_0 .. c_{j0+2}``.
+    """
+    state = make_state(profile, lam0, n=n, perturbation=perturbation)
     h = state.grid[1] - state.grid[0]
     q_ref = profile.evaluator.q(state.grid)
     taus, lams, eps_sup, residuals, coefs = [], [], [], [], []
@@ -210,17 +214,17 @@ def run_renorm(
         lams.append(st.lam)
         eps_sup.append(float(np.max(np.abs(st.psi - q_ref))))
         residuals.append(_residual_norm(st.psi, st.grid, h, st.lam, params, terms))
-        coefs.append(extract_modes(st, profile, fit_radius, Kfit, q_ref=q_ref))
+        coefs.append(extract_modes(st, profile, params.j0 + 2, q_ref=q_ref))
 
     record(state)
-    next_rec = record_dtau
+    next_rec = _RECORD_DTAU
     while state.tau < tau_end - 1e-12:
-        dt = dt_policy(h, state.lam, params, r_dom)
+        dt = dt_policy(h, state.lam, params, state.grid[-1])
         dt = min(dt, tau_end - state.tau, next_rec - state.tau + 1e-15)
         state = step_renorm(state, profile, params, dt, terms=terms)
         if state.tau >= next_rec - 1e-12:
             record(state)
-            next_rec = round(next_rec / record_dtau + 1) * record_dtau
+            next_rec = round(next_rec / _RECORD_DTAU + 1) * _RECORD_DTAU
     return {
         "tau": np.array(taus),
         "lam": np.array(lams),
@@ -243,6 +247,15 @@ class RateFit:
     dc: np.ndarray
 
 
+def _seeded_difference(profile, params, lam0, tau_end, n, baseline, perturbation):
+    """The seeded run, and its modes minus those of the unseeded ``baseline``
+    run (made here when not given)."""
+    if baseline is None:
+        baseline = run_renorm(profile, params, lam0, tau_end, n=n)
+    seeded = run_renorm(profile, params, lam0, tau_end, n=n, perturbation=perturbation)
+    return seeded, seeded["c"] - baseline["c"]
+
+
 def measure_rates(
     params: ProfileParams,
     profile: RadialProfile,
@@ -250,7 +263,6 @@ def measure_rates(
     amplitude: float = 1e-4,
     tau_end: float = 2.0,
     lam0: float = 1e-3,
-    r_dom: float = 50.0,
     n: int = 4096,
     baseline: dict | None = None,
 ) -> RateFit:
@@ -265,13 +277,9 @@ def measure_rates(
         raise DomainError("seed mode must satisfy j <= j0")
     if amplitude > 1e-3 * params.q0:
         raise DomainError("amplitude too large for the linear regime")
-    if baseline is None:
-        baseline = run_renorm(profile, params, lam0, tau_end, r_dom=r_dom, n=n)
     pert = lambda r: amplitude * chi_bump(r) * r ** (2 * j)
-    seeded = run_renorm(profile, params, lam0, tau_end, r_dom=r_dom, n=n, perturbation=pert)
+    seeded, dc = _seeded_difference(profile, params, lam0, tau_end, n, baseline, pert)
     tau = seeded["tau"]
-    dc = seeded["c"] - baseline["c"]
-
     dcj = dc[:, j]
     if np.any(dcj == 0.0):
         raise ForcingDominates("seeded mode vanished; amplitude below drift noise")
@@ -293,24 +301,17 @@ def measure_rates(
 def measure_coupling(
     params: ProfileParams,
     profile: RadialProfile,
-    amplitude: float = 1e-4,
     tau_end: float = 2.0,
     lam0: float = 1e-3,
-    r_dom: float = 50.0,
     n: int = 4096,
     baseline: dict | None = None,
 ) -> float:
     """Slope of ``d(delta c_{j0})/d tau`` against ``delta c_0`` for a seeded
-    constant mode; the linear prediction is ``-(2 j0/3 + 2(1-mu))``."""
-    if baseline is None:
-        baseline = run_renorm(profile, params, lam0, tau_end, r_dom=r_dom, n=n)
-    pert = lambda r: amplitude * chi_bump(r)
-    seeded = run_renorm(profile, params, lam0, tau_end, r_dom=r_dom, n=n, perturbation=pert)
-    tau = seeded["tau"]
-    dc = seeded["c"] - baseline["c"]
+    constant mode ``1e-4 chi``; the linear prediction is ``-(2 j0/3 + 2(1-mu))``."""
+    pert = lambda r: 1e-4 * chi_bump(r)
+    seeded, dc = _seeded_difference(profile, params, lam0, tau_end, n, baseline, pert)
     dc0 = dc[:, 0]
-    dcj0 = dc[:, params.j0]
-    ddt = np.gradient(dcj0, tau)
+    ddt = np.gradient(dc[:, params.j0], seeded["tau"])
     return float(np.dot(ddt, dc0) / np.dot(dc0, dc0))
 
 

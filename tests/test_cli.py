@@ -1,7 +1,9 @@
 """Command-line driver: config handling, exit codes, artifacts, determinism."""
 
+import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -93,6 +95,16 @@ class TestRun:
         assert digest == "bbb488bf4e1e92629f7f4afe51bb8d90ab7962ec5d393639be031af19f82dd9f"
         manifest = json.loads((out / "manifest_profile.json").read_text())
         assert manifest["residual_max"] == 1.1535229327286345e-08
+
+    def test_quick_renorm_modes_finite(self, tmp_path):
+        # the quick grid must leave more nodes in the fit window than modes
+        out = tmp_path / "out"
+        assert main(["renorm", "--quick", "--mu", "0", "--j0", "4", "--out", str(out)]) == 0
+        with open(out / "renorm.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        cols = [k for k in rows[0] if k.startswith("c")]
+        assert cols == [f"c{j}" for j in range(7)]
+        assert all(math.isfinite(float(row[c])) for row in rows for c in cols)
 
 
 class TestThreads:

@@ -140,7 +140,7 @@ class TestSelectWeight:
         # the profile-gradient norm is O(1), so the whole-norm certificate
         # needs A far beyond any reasonable cap
         with pytest.raises(NoAdmissibleA):
-            select_weight(mu0_profile, 4, A_cap=1000)
+            select_weight(mu0_profile, 4)
 
     def test_B_is_maximal(self, mu0_profile, mu0_params, weight36):
         w10 = WeightParams(

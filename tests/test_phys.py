@@ -114,6 +114,9 @@ class TestBlowup:
         rel_drift = abs(series["mass"][-1] - series["mass"][0]) / series["mass"][0]
         assert rel_drift < 1e-10
         assert fit.T_est == pytest.approx(1e-16, rel=0.05)
+        # pinned outputs: the run constants must keep the arithmetic
+        assert fit.p_amp == pytest.approx(-0.9944027253361255, rel=1e-12)
+        assert fit.p_len == pytest.approx(0.5092071862428219, rel=1e-12)
 
     def test_two_partial_mass_kernels_per_step(self, mu0_profile, monkeypatch):
         # k1's partial mass also sets dt, so each Heun step runs the kernel twice

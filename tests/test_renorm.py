@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import ksdlab.renorm as renorm
-from ksdlab.errors import CFLViolation, DomainError
+from ksdlab.errors import CFLViolation, DomainError, IllConditionedFit
 from ksdlab.renorm import (
     RenormState,
     _residual_norm,
@@ -94,7 +94,7 @@ class TestFlow:
         monkeypatch.setattr(
             renorm, "extract_modes", lambda st, *a, **k: states.append(st) or extract(st, *a, **k)
         )
-        traj = run_renorm(mu0_profile, mu0_params, 1e-3, 0.2, n=512)
+        traj = run_renorm(mu0_profile, mu0_params, 1e-3, 0.2, n=1024)
         assert len(states) == len(traj["residual"]) == 5
         for st, res in zip(states, traj["residual"]):
             h = st.grid[1] - st.grid[0]
@@ -111,6 +111,13 @@ class TestModes:
         st = RenormState(tau=0.0, lam0=1e-3, grid=st0.grid, psi=psi)
         got = extract_modes(st, mu0_profile, Kfit=4)
         assert np.allclose(got, coeffs, atol=1e-10)
+
+    def test_window_without_enough_nodes_rejected(self, mu0_profile):
+        # n=512 leaves 6 nodes in r <= 1/2 for the 7 unknowns at Kfit=6; the
+        # wide Vandermonde matrix is well conditioned, but the fit is not unique
+        st = make_state(mu0_profile, 1e-3, n=512)
+        with pytest.raises(IllConditionedFit):
+            extract_modes(st, mu0_profile)
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +136,8 @@ class TestRates:
             )
             assert fit.expected == pytest.approx((4 - j) / 4.0, abs=1e-15)
             assert fit.rate == pytest.approx(fit.expected, rel=tol)
+        # pinned output of the last fit (j=1): the run constants must keep the arithmetic
+        assert fit.rate == pytest.approx(0.7500063181137886, rel=1e-12)
 
     def test_slow_mode_rate_at_higher_resolution(self, mu0_profile, mu0_params):
         # the j=3 rate (slope 1/4) needs the smaller O(h^2) drift floor of a
@@ -145,6 +154,7 @@ class TestRates:
             baseline=perturbative_baseline,
         )
         assert sig == pytest.approx(-14.0 / 3.0, rel=0.30)
+        assert sig == pytest.approx(-4.536477500782284, rel=1e-12)  # pinned output
 
     def test_amplitude_guard(self, mu0_profile, mu0_params):
         with pytest.raises(DomainError):
