@@ -164,11 +164,25 @@ def _stage_coercivity(cfg: RunConfig, outdir: Path, cache: dict) -> None:
     write_manifest(outdir / "manifest_coercivity.json", cfg.to_dict(), time.perf_counter() - t0)
 
 
+def _quick_renorm_n(j0: int) -> int:
+    """Least power of two >= 1024 whose renorm grid leaves ``j0 + 3`` nodes in the fit window.
+
+    ``run_renorm`` fits ``j0 + 3`` modes on ``r <= 1/2`` of ``linspace(0, 50, n)``,
+    which holds the ``(n - 1) // 100 + 1`` nodes ``50 i / (n - 1) <= 1/2``.
+    """
+    n = 1024
+    while (n - 1) // 100 + 1 < j0 + 3:
+        n *= 2
+    return n
+
+
 def _stage_renorm(cfg: RunConfig, outdir: Path, cache: dict) -> None:
     t0 = time.perf_counter()
     params, profile = _ensure_profile(cfg, outdir, cache)
     lam0 = cfg.lambda0 if cfg.lambda0 is not None else 1.0e-3
-    n = cfg.grid_n if cfg.grid_n is not None else (1024 if cfg.quick else 4096)
+    n = cfg.grid_n
+    if n is None:
+        n = _quick_renorm_n(params.j0) if cfg.quick else 4096
     tau_end = 0.5 if cfg.quick else 2.0
     traj = run_renorm(profile, params, lam0, tau_end, n=n)
     kf = traj["c"].shape[1]

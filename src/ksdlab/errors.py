@@ -9,10 +9,6 @@ class DomainError(KSDLabError):
     """Parameters outside the admissible range (e.g. mu >= 1/3)."""
 
 
-class RecurrenceDegenerate(KSDLabError):
-    """A recurrence denominator vanished at an off-resonance index."""
-
-
 class NoConvergence(KSDLabError):
     """Series ratio test failed to certify the target tolerance."""
 

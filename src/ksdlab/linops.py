@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.integrate import cumulative_simpson
 
 from .errors import (
     DivergentIntegrand,
@@ -225,9 +226,6 @@ class WeightParams:
     q_at_R1: float = 0.0
     mu: float = 0.0
 
-    def weight(self, r):
-        return np.asarray(r, dtype=float) ** (-self.A) + self.B
-
     def invariant_checks(self, j0: int) -> dict[str, bool]:
         """The four admissibility conditions, evaluated from stored certificates."""
         c1 = 1.0 + (-self.A + 3.0) / (4.0 * j0) <= -1.0
@@ -267,7 +265,7 @@ def select_weight(
     ``A >= 8 j0 + 3`` and grows in steps of 4 until the whole-norm certificate
     passes, raising NoAdmissibleA past 1000.  Passing ``A`` explicitly
     pins the exponent (certificates are still computed and stored).  ``R1`` is
-    the smallest radius passing both tail conditions; ``B`` is the largest
+    the smallest profile grid radius passing both tail conditions; ``B`` is the largest
     power of ten passing the flat-part condition.
     """
     if profile.tail_exponent >= -2.0:
@@ -277,8 +275,6 @@ def select_weight(
 
     if A is None:
         A_try = 8 * j0 + 4
-        while A_try % 4:
-            A_try += 1
         while math.sqrt(1.0 / (4.0 * math.pi * (A_try + 3.0))) * wholenorm > 1.0 / 100.0:
             A_try += 4
             if A_try > 1000:
@@ -291,16 +287,22 @@ def select_weight(
         if A % 4 or A < 8 * j0 + 3:
             raise DomainError("A must be a multiple of 4 with A >= 8 j0 + 3")
 
-    # R1: smallest radius passing (3/2) Q <= 1/1000 and the tail-norm bound,
-    # located on the profile grid then refined by bisection on the Q condition
+    # R1: smallest profile grid radius passing (3/2) Q <= 1/1000 and the
+    # tail-norm bound.  The tail norms at every node come from one reverse
+    # cumulative Simpson integral of dQ^2 r^2 in u = ln r; the last grid
+    # interval is shorter than the others, hence scipy's non-uniform rule.
     grid = profile.grid[1:]
-    R1 = None
-    for r in grid:
-        if 1.5 * ev.q(r) <= 1e-3 and _dq_weighted_norm(profile, r_lo=r) <= 1.0 / 5000.0:
-            R1 = float(r)
-            break
-    if R1 is None:
+    q_vals = profile.q_vals[1:]
+    u = np.log(grid)
+    y = profile.dq_vals[1:] ** 2 * grid**2
+    tail_sq = cumulative_simpson(y[::-1], x=-u[::-1], initial=0.0)[::-1]
+    passing = np.flatnonzero(
+        (1.5 * q_vals <= 1e-3) & (np.sqrt(4.0 * math.pi * tail_sq) <= 1.0 / 5000.0)
+    )
+    if not len(passing):
         raise DomainError("no radius passes the tail conditions")
+    i1 = passing[0]
+    R1 = float(grid[i1])
     tailnorm = _dq_weighted_norm(profile, r_lo=R1)
 
     # B: largest 10^{-k} passing the flat-part smallness condition
@@ -318,7 +320,7 @@ def select_weight(
         cert_tailnorm=tailnorm,
         cert_wholenorm=wholenorm,
         q_origin=q0,
-        q_at_R1=float(ev.q(R1)),
+        q_at_R1=float(q_vals[i1]),
         mu=mu,
     )
 

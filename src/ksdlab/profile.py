@@ -24,7 +24,6 @@ from .errors import (
     DomainError,
     NoConvergence,
     OutOfRange,
-    RecurrenceDegenerate,
     RegionExitScenario1,
     RegionExitScenario2,
     StepSizeUnderflow,
@@ -94,46 +93,33 @@ class ProfileParams:
         return cls(mu=mu, j0=j0, beta=beta, q_j0=q_j0)
 
 
-def series_recurrence(
-    mu: float,
-    beta: float,
-    n: int,
-    j0: int | None = None,
-    q_j0: float = -1.0,
-):
+def series_recurrence(mu: float, beta: float, n: int, j0: int, q_j0: float = -1.0):
     """Run the Taylor recurrence in extended precision; return mpmath Q_j list.
 
     For ``1 <= j != j0`` the coefficient is forced:
 
-        Q_j = S_j / (2j (beta - 1/(2j) - f0)),
-        S_j = sum_{i=1}^{j-1} (2i/(2(j-i)+3) + (1-mu)) Q_i Q_{j-i}.
+        Q_j = S_j / (2j (1/(2 j0) - 1/(2j))),
+        S_j = sum_{i=1}^{j-1} (2i/(2(j-i)+3) + (1-mu)) Q_i Q_{j-i},
 
+    using ``beta - f0 = 1/(2 j0)``, which ``ProfileParams`` checks for ``beta``.
     At the resonant index ``j == j0`` the denominator vanishes and ``q_j0`` is
-    injected as the free datum.  With ``j0=None`` (probe mode, arbitrary beta)
-    no injection happens; a vanishing denominator raises RecurrenceDegenerate.
+    injected as the free datum.  Below ``j0`` every ``S_j`` is 0, and by
+    induction so is every ``Q_j`` with ``j0`` not dividing ``j``: a product
+    ``Q_i Q_{j-i}`` of two lattice terms lies on the lattice.  So only
+    ``j = 2 j0, 3 j0, ...`` are computed, summing ``i = j0, 2 j0, ..., j - j0``;
+    the other entries stay exactly 0.
     """
+    ProfileParams(mu, j0, beta, q_j0)
     with mp.workdps(SERIES_DPS):
         one_m_mu = mp.mpf(1) - mp.mpf(mu)
-        f0 = 1 / (3 * one_m_mu)
-        b = mp.mpf(beta)
         Q = [1 / one_m_mu] + [mp.mpf(0)] * n
-        for j in range(1, n + 1):
-            if j0 is not None and j == j0:
-                Q[j] = mp.mpf(q_j0)
-                continue
-            den_factor = b - mp.mpf(1) / (2 * j) - f0
-            if j0 is not None:
-                # exact cancellation form: beta - f0 = 1/(2 j0) by construction
-                den_factor = mp.mpf(1) / (2 * j0) - mp.mpf(1) / (2 * j)
-            if abs(den_factor) < mp.mpf("1e-12"):
-                raise RecurrenceDegenerate(
-                    f"recurrence denominator vanishes at off-resonance index j={j}"
-                )
+        if j0 <= n:
+            Q[j0] = mp.mpf(q_j0)
+        for j in range(2 * j0, n + 1, j0):
             S = mp.mpf(0)
-            for i in range(1, j):
-                if Q[i] == 0 or Q[j - i] == 0:
-                    continue
+            for i in range(j0, j, j0):
                 S += (mp.mpf(2 * i) / (2 * (j - i) + 3) + one_m_mu) * Q[i] * Q[j - i]
+            den_factor = mp.mpf(1) / (2 * j0) - mp.mpf(1) / (2 * j)
             Q[j] = S / (2 * j * den_factor)
         return Q
 
@@ -329,7 +315,6 @@ class RadialProfile:
     handoff_radius: float
     tail_exponent: float
     residual_max: float
-    decay_const: float
     evaluator: ProfileEvaluator | None = field(default=None, compare=False, repr=False)
 
     @property
@@ -483,15 +468,7 @@ def solve_profile(
     if residual > 10.0 * tol:
         raise NoConvergence(f"sampled residual {residual:.3g} exceeds 10*tol")
 
-    # --- tail exponent over the last decade ---
-    if constant:
-        tail_exp = 0.0
-    else:
-        tail = grid >= r_max / 10.0
-        tail_exp = float(np.polyfit(np.log(grid[tail]), np.log(q_vals[tail]), 1)[0])
-
-    decay_const = float(np.max(q_vals * (1.0 + grid**2)))
-
+    tail_exp = 0.0
     if not constant:
         pos = grid > 0
         if np.any(q_vals <= 0) or np.any(f_vals <= 0):
@@ -501,6 +478,9 @@ def solve_profile(
         margin = f_vals[pos] - q_vals[pos] / 3.0
         if np.any(margin < -1e-13 * f_vals[pos]):
             raise RegionExitScenario1("sampled profile left the trapping region")
+        # tail exponent over the last decade
+        tail = grid >= r_max / 10.0
+        tail_exp = float(np.polyfit(np.log(grid[tail]), np.log(q_vals[tail]), 1)[0])
 
     return RadialProfile(
         grid=grid,
@@ -510,7 +490,6 @@ def solve_profile(
         handoff_radius=r_h,
         tail_exponent=tail_exp,
         residual_max=residual,
-        decay_const=decay_const,
         evaluator=ev,
     )
 

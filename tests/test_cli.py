@@ -96,15 +96,24 @@ class TestRun:
         manifest = json.loads((out / "manifest_profile.json").read_text())
         assert manifest["residual_max"] == 1.1535229327286345e-08
 
-    def test_quick_renorm_modes_finite(self, tmp_path):
-        # the quick grid must leave more nodes in the fit window than modes
+    def _quick_renorm(self, tmp_path, j0):
+        """Run ``renorm --quick`` at mu=0; return the mode columns and the grid size n."""
         out = tmp_path / "out"
-        assert main(["renorm", "--quick", "--mu", "0", "--j0", "4", "--out", str(out)]) == 0
+        assert main(["renorm", "--quick", "--mu", "0", "--j0", str(j0), "--out", str(out)]) == 0
         with open(out / "renorm.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         cols = [k for k in rows[0] if k.startswith("c")]
-        assert cols == [f"c{j}" for j in range(7)]
+        assert cols == [f"c{j}" for j in range(j0 + 3)]
         assert all(math.isfinite(float(row[c])) for row in rows for c in cols)
+        return json.loads((out / "manifest_renorm.json").read_text())["n"]
+
+    def test_quick_renorm_modes_finite(self, tmp_path):
+        # the quick grid must leave more nodes in the fit window than modes
+        assert self._quick_renorm(tmp_path, 4) == 1024
+
+    def test_quick_renorm_grid_follows_j0(self, tmp_path):
+        # j0=10 fits 13 modes: n=1024 leaves 11 nodes in r <= 1/2, n=2048 leaves 21
+        assert self._quick_renorm(tmp_path, 10) == 2048
 
 
 class TestThreads:

@@ -27,6 +27,7 @@ from ksdlab.linops import (
     quadratic_form_split,
     select_weight,
     sobolev_probe_low_order,
+    _dq_weighted_norm,
     _du_matrix,
     weighted_inner,
 )
@@ -135,6 +136,21 @@ class TestSelectWeight:
         assert checks["exponent_gap"]
         assert checks["tail_smallness"]
         assert checks["flat_part_smallness"]
+
+    def test_R1_is_first_passing_grid_radius(self, mu0_profile, weight36):
+        # checked with the per-radius quadrature route, independent of the
+        # cumulative integral select_weight scans with
+        grid = mu0_profile.grid
+        k = int(np.flatnonzero(grid == weight36.R1)[0])
+
+        def passes(i):
+            r = grid[i]
+            return (1.5 * mu0_profile.evaluator.q(r) <= 1e-3
+                    and _dq_weighted_norm(mu0_profile, r_lo=r) <= 1.0 / 5000.0)
+
+        assert passes(k) and not passes(k - 1)
+        assert weight36.cert_tailnorm == _dq_weighted_norm(mu0_profile, r_lo=weight36.R1)
+        assert weight36.q_at_R1 == mu0_profile.evaluator.q(weight36.R1)
 
     def test_scan_exhausts(self, mu0_profile):
         # the profile-gradient norm is O(1), so the whole-norm certificate

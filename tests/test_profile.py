@@ -6,14 +6,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ksdlab.errors import (
-    DomainError,
-    OutOfRange,
-    RecurrenceDegenerate,
-)
+from ksdlab.errors import DomainError, OutOfRange
 from ksdlab.profile import (
     ProfileParams,
     build_series,
@@ -87,10 +83,20 @@ class TestParams:
 
 
 class TestRecurrence:
-    def test_against_rational_oracle(self):
-        Qmp = series_recurrence(0.0, 11.0 / 24.0, 40, j0=4, q_j0=-1.0)
-        Qfr = rational_recurrence(Fraction(0), 4, Fraction(-1), 40)
-        for j in range(41):
+    @given(
+        mu=st.floats(min_value=0.0, max_value=0.3),
+        extra=st.integers(min_value=0, max_value=3),
+    )
+    @example(mu=0.0, extra=0)
+    @settings(max_examples=15, deadline=None)
+    def test_against_rational_oracle(self, mu, extra):
+        # the oracle runs every index j, the recurrence only the lattice j0 N
+        j0 = compute_admissibility(mu)[1] + extra
+        n = 10 * j0 + j0 // 2
+        p = ProfileParams.make(mu, j0)
+        Qmp = series_recurrence(p.mu, p.beta, n, j0=j0, q_j0=-1.0)
+        Qfr = rational_recurrence(Fraction(mu), j0, Fraction(-1), n)
+        for j in range(n + 1):
             assert float(Qmp[j]) == pytest.approx(float(Qfr[j]), rel=1e-13, abs=1e-300)
 
     def test_q8_value(self):
@@ -103,14 +109,10 @@ class TestRecurrence:
             if j % 4:
                 assert Qmp[j] == 0
 
-    def test_probe_mode_degenerate(self):
-        # beta - f0 = 1/10 makes the j=5 denominator vanish without injection
-        with pytest.raises(RecurrenceDegenerate):
-            series_recurrence(0.0, 1.0 / 3.0 + 0.1, 10, j0=None)
-
-    def test_probe_mode_off_resonance(self):
-        Q = series_recurrence(0.0, 0.30, 10, j0=None)
-        assert all(q == 0 for q in Q[1:])  # no seed, below f0: stays constant
+    def test_inconsistent_beta_rejected(self):
+        # beta must equal 1/(3(1-mu)) + 1/(2 j0); 1/3 + 1/10 belongs to j0=5
+        with pytest.raises(DomainError):
+            series_recurrence(0.0, 1.0 / 3.0 + 0.1, 10, j0=4)
 
     @given(
         j0=st.integers(min_value=4, max_value=9),
