@@ -211,7 +211,9 @@ def _stage_phys(cfg: RunConfig, outdir: Path, cache: dict) -> None:
     # well under the aggregation scale so the run actually blows up
     lam0 = cfg.lambda0 if cfg.lambda0 is not None else 10.0 ** (-1.6 / (2.0 - 4.0 * params.beta))
     # the half-maximum radius starts at ~n/167 cells, so n must stay large for
-    # the 8-cell resolution floor to leave a usable growth window
+    # the 8-cell resolution floor to leave a usable growth window; diffusion
+    # is implicit, so dt follows the advective and reaction bounds, capped by
+    # the 2.5 h^2 record spacing, instead of the explicit 0.125 h^2
     n = cfg.grid_n if cfg.grid_n is not None else 8192
     series, fit = run_phys(profile, lam0=lam0, n=n)
     write_csv(

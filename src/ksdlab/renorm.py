@@ -15,7 +15,7 @@ rates ``(j0-j)/j0``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -38,14 +38,43 @@ _FIT_RADIUS = 0.5
 _RECORD_DTAU = 0.05
 
 
+@dataclass(frozen=True, eq=False)
+class _RenormGrid:
+    """The grid-only arrays of ``_rhs``, built once per grid.
+
+    ``ext`` holds a slice plus its outflow ghost value; every ``_rhs`` call
+    overwrites it, so it is scratch space, not state.
+    """
+
+    grid: np.ndarray
+    h: float
+    r3: np.ndarray  # grid[1:]**3
+    hr: np.ndarray  # h * grid[1:]
+    ext: np.ndarray
+
+    @classmethod
+    def make(cls, grid: np.ndarray) -> "_RenormGrid":
+        h = grid[1] - grid[0]
+        return cls(grid, h, grid[1:] ** 3, h * grid[1:], np.empty(len(grid) + 1))
+
+
 @dataclass(frozen=True)
 class RenormState:
-    """One time slice of the renormalized flow on a uniform radial grid."""
+    """One time slice of the renormalized flow on a uniform radial grid.
+
+    ``ops`` is built from ``grid`` when not given, and ``replace()`` carries
+    it to the next slice.
+    """
 
     tau: float
     lam0: float
     grid: np.ndarray
     psi: np.ndarray
+    ops: _RenormGrid | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.ops is None or self.ops.grid is not self.grid:
+            object.__setattr__(self, "ops", _RenormGrid.make(self.grid))
 
     @property
     def lam(self) -> float:
@@ -59,59 +88,74 @@ def chi_bump(r):
     return 1.0 - t**3 * (10.0 - 15.0 * t + 6.0 * t * t)
 
 
-def _rhs(psi, grid, h, lam, params, terms=ALL_TERMS):
+def _rhs(psi, ops, lam, params, terms=ALL_TERMS):
     """Semi-discrete right-hand side (second-order stencils throughout)."""
     mu, beta = params.mu, params.beta
-    n = len(psi)
+    grid, h = ops.grid, ops.h
     out = np.zeros_like(psi)
 
-    # quadratic outflow ghost value at R_dom + h
-    ghost = 3.0 * psi[-1] - 3.0 * psi[-2] + psi[-3]
+    # psi and its quadratic outflow ghost value at R_dom + h
+    pe = ops.ext
+    pe[:-1] = psi
+    pe[-1] = 3.0 * psi[-1] - 3.0 * psi[-2] + psi[-3]
 
     if "diffusion" in terms:
         dif = lam ** (2.0 - 4.0 * beta)
         lap = np.empty_like(psi)
         lap[0] = 6.0 * (psi[1] - psi[0]) / (h * h)
-        pe = np.concatenate((psi, [ghost]))
-        lap[1:] = (pe[2:] - 2.0 * pe[1:-1] + pe[:-2]) / (h * h) + (
-            pe[2:] - pe[:-2]
-        ) / (h * grid[1:])
-        out += dif * lap
+        inner = lap[1:]
+        np.multiply(pe[1:-1], -2.0, out=inner)
+        inner += pe[2:]
+        inner += pe[:-2]
+        inner /= h * h
+        central = pe[2:] - pe[:-2]
+        central /= ops.hr
+        inner += central
+        lap *= dif
+        out += lap
 
     # advective velocity: d r/d tau = r (beta - f) >= 0, outgoing
     if "drift" in terms or "nonlocal" in terms:
+        bcoef = beta if "drift" in terms else 0.0
         if "nonlocal" in terms:
             m = cumulative_simpson_uniform(psi * grid * grid, h)
-            f = np.empty_like(psi)
-            f[0] = psi[0] / 3.0
-            f[1:] = m[1:] / grid[1:] ** 3
+            a = np.empty_like(psi)
+            a[0] = psi[0] / 3.0
+            np.divide(m[1:], ops.r3, out=a[1:])
+            np.subtract(bcoef, a, out=a)
+            a *= grid
         else:
-            f = np.zeros_like(psi)
-        bcoef = beta if "drift" in terms else 0.0
-        a = grid * (bcoef - f)
+            a = grid * bcoef
         dpsi = np.empty_like(psi)
         dpsi[0] = 0.0
         dpsi[1] = (psi[2] - psi[0]) / (2.0 * h)
-        dpsi[2:] = (3.0 * psi[2:] - 4.0 * psi[1:-1] + psi[:-2]) / (2.0 * h)
+        upwind = dpsi[2:]
+        np.multiply(psi[2:], 3.0, out=upwind)
+        upwind -= 4.0 * psi[1:-1]
+        upwind += psi[:-2]
+        upwind /= 2.0 * h
         # forward-biased fallback where the flow is incoming
-        if np.any(a[2:] < 0.0):
+        if (a[2:] < 0.0).any():
             fwd = np.empty_like(psi)
-            pe = np.concatenate((psi, [ghost]))
             fwd[0] = 0.0
-            fwd[1:] = (pe[2:] - pe[:-2]) / (2.0 * h)
+            np.subtract(pe[2:], pe[:-2], out=fwd[1:])
+            fwd[1:] /= 2.0 * h
             dpsi = np.where(a < 0.0, fwd, dpsi)
-        out -= a * dpsi
+        dpsi *= a
+        out -= dpsi
 
     # the -Psi damping is part of the linear rescaling and is always on (the
     # advection-only subcheck has exact solution e^{-tau} Psi0(r e^{-beta tau}))
     out -= psi
     if "reaction" in terms:
-        out += (1.0 - mu) * psi * psi
+        react = (1.0 - mu) * psi
+        react *= psi
+        out += react
     return out
 
 
-def _residual_norm(psi, grid, h, lam, params, terms=ALL_TERMS):
-    return l2_norm(_rhs(psi, grid, h, lam, params, terms), grid)
+def _residual_norm(psi, ops, lam, params, terms=ALL_TERMS):
+    return l2_norm(_rhs(psi, ops, lam, params, terms), ops.grid)
 
 
 def dt_policy(h, lam, params, r_dom, safety: float = 0.4) -> float:
@@ -142,14 +186,13 @@ def step_renorm(
     terms=ALL_TERMS,
 ) -> RenormState:
     """One classical 4-stage explicit step; lambda evaluated exactly per stage."""
-    grid, psi = state.grid, state.psi
-    h = grid[1] - grid[0]
-    if dt > dt_policy(h, state.lam, params, grid[-1], safety=1.0):
+    ops, psi = state.ops, state.psi
+    if dt > dt_policy(ops.h, state.lam, params, ops.grid[-1], safety=1.0):
         raise CFLViolation(f"dt={dt:.3g} exceeds the stability bound")
 
     def F(p, dtau):
         lam = state.lam0 * math.exp(-(state.tau + dtau) / 2.0)
-        return _rhs(p, grid, h, lam, params, terms)
+        return _rhs(p, ops, lam, params, terms)
 
     k1 = F(psi, 0.0)
     k2 = F(psi + 0.5 * dt * k1, 0.5 * dt)
@@ -205,7 +248,7 @@ def run_renorm(
     Records every 0.05 in tau; the modes are ``c_0 .. c_{j0+2}``.
     """
     state = make_state(profile, lam0, n=n, perturbation=perturbation)
-    h = state.grid[1] - state.grid[0]
+    h = state.ops.h
     q_ref = profile.evaluator.q(state.grid)
     taus, lams, eps_sup, residuals, coefs = [], [], [], [], []
 
@@ -213,7 +256,7 @@ def run_renorm(
         taus.append(st.tau)
         lams.append(st.lam)
         eps_sup.append(float(np.max(np.abs(st.psi - q_ref))))
-        residuals.append(_residual_norm(st.psi, st.grid, h, st.lam, params, terms))
+        residuals.append(_residual_norm(st.psi, st.ops, st.lam, params, terms))
         coefs.append(extract_modes(st, profile, params.j0 + 2, q_ref=q_ref))
 
     record(state)

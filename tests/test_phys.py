@@ -2,29 +2,47 @@
 
 import numpy as np
 import pytest
-from scipy.integrate import cumulative_simpson
+from scipy.sparse import diags
 
 import ksdlab.phys as phys
 from ksdlab.errors import DomainError, NoBlowupDetected, SnapshotMismatch
 from ksdlab.phys import (
     _fv_mass,
     _half_max_radius,
+    _imex_step,
     _phys_rhs,
+    _PhysGrid,
+    _stable_dt,
     build_initial,
     check_scaling_invariance,
     pde_residual,
     run_phys,
 )
+from ksdlab.profile import ProfileParams, build_series, solve_profile
 
 
-def _step(rho, grid, mu, cfl=0.25):
-    h = grid[1] - grid[0]
-    m = cumulative_simpson(y=rho * grid * grid, x=grid, initial=0.0)
-    umax = float(np.max(m[1:] / grid[1:] ** 2)) + 1e-300
-    dt = cfl * min(0.5 * h * h, h / umax, 0.5 / ((1.0 - mu) * rho.max() + 1e-300))
-    k1, _ = _phys_rhs(rho, grid, mu)
-    k2, _ = _phys_rhs(rho + dt * k1, grid, mu)
-    return rho + 0.5 * dt * (k1 + k2), dt
+@pytest.fixture(scope="module")
+def mu02_profile():
+    p02 = ProfileParams.make(0.2, 7)
+    return solve_profile(p02, build_series(p02, 1e-12), 1.0e4, 1e-8)
+
+
+def _step(rho, pg, mu, dt=None):
+    k0, m = _phys_rhs(rho, pg, mu)
+    if dt is None:
+        dt = _stable_dt(m, rho.max(), pg, mu)
+    return _imex_step(rho, k0, pg, mu, dt)[0], dt
+
+
+def _record_minima(monkeypatch):
+    """The minimum of rho at the initial state and every record of the next
+    run_phys call."""
+    minima = []
+    fv_mass = phys._fv_mass
+    monkeypatch.setattr(
+        phys, "_fv_mass", lambda rho, grid: minima.append(rho.min()) or fv_mass(rho, grid)
+    )
+    return minima
 
 
 class TestDiscretization:
@@ -36,20 +54,41 @@ class TestDiscretization:
         assert st.rho[-1] == 0.0  # cut off before the boundary
         assert st.mass > 0.0
 
+    def test_laplacian_bands_are_flux_form(self, mu0_profile):
+        # the diffusive part of the FV flux form, written out face by face
+        st = build_initial(mu0_profile, 1e-4, n=1024)
+        rho, grid = st.rho, st.grid
+        h = grid[1] - grid[0]
+        r_face = grid[:-1] + 0.5 * h
+        F = r_face * r_face * (rho[1:] - rho[:-1]) / h
+        flux_form = np.empty_like(rho)
+        flux_form[0] = (6.0 / h) * (rho[1] - rho[0]) / h
+        flux_form[1:-1] = (F[1:] - F[:-1]) / (h * grid[1:-1] ** 2)
+        flux_form[-1] = -F[-1] / (h * grid[-1] ** 2)
+        pg = _PhysGrid.make(grid)
+        L = diags([pg.lower, pg.diag, pg.upper], [-1, 0, 1])
+        scale = np.max(np.abs(flux_form))
+        assert np.max(np.abs(L @ rho - flux_form)) < 1e-12 * scale
+        assert np.max(np.abs(pg.laplacian(rho) - flux_form)) < 1e-12 * scale
+
     def test_transport_conserves_discrete_mass(self, mu0_profile):
         st = build_initial(mu0_profile, 1e-4, n=512)
         rho, grid = st.rho, st.grid
+        pg = _PhysGrid.make(grid)
         m0 = _fv_mass(rho, grid)
-        for _ in range(50):
-            rho, _dt = _step(rho, grid, mu=0.0)
+        rho, _dt = _step(rho, pg, mu=0.0)
+        assert _fv_mass(rho, grid) == pytest.approx(m0, rel=1e-14)
+        for _ in range(49):
+            rho, _dt = _step(rho, pg, mu=0.0)
         assert _fv_mass(rho, grid) == pytest.approx(m0, rel=1e-13)
 
     def test_damping_only_removes(self, mu0_profile):
         st = build_initial(mu0_profile, 1e-4, n=512)
         rho, grid = st.rho, st.grid
+        pg = _PhysGrid.make(grid)
         masses = [_fv_mass(rho, grid)]
         for _ in range(50):
-            rho, _dt = _step(rho, grid, mu=0.2)
+            rho, _dt = _step(rho, pg, mu=0.2)
             masses.append(_fv_mass(rho, grid))
         assert np.all(np.diff(masses) < 0)
 
@@ -61,12 +100,14 @@ class TestDiscretization:
 
 class TestScaling:
     def _snapshots(self, profile, n=512, steps=2):
-        # a narrow pair: the midpoint-in-time residual is O(dt^2) in the gap
+        # a narrow pair: the midpoint-in-time residual is O(dt^2) in the gap,
+        # so the steps stay at the explicit-diffusion scale 0.125 h^2
         st = build_initial(profile, 1e-4, n=n)
         rho, grid = st.rho.copy(), st.grid
+        pg = _PhysGrid.make(grid)
         t = 0.0
         for _ in range(steps):
-            rho, dt = _step(rho, grid, mu=0.0)
+            rho, dt = _step(rho, pg, mu=0.0, dt=0.125 * pg.h**2)
             t += dt
         a = (0.0, grid, st.rho)
         b = (t, grid, rho)
@@ -76,8 +117,9 @@ class TestScaling:
         a, b = self._snapshots(mu0_profile)
         res = pde_residual(a, b, mu=0.0)
         # normalize by the scale of d rho/dt
-        scale = np.sqrt(4 * np.pi * np.trapezoid(
-            _phys_rhs(b[2], b[1], 0.0)[0] ** 2 * b[1] ** 2, b[1]))
+        pg = _PhysGrid.make(b[1])
+        op = _phys_rhs(b[2], pg, 0.0)[0] + pg.laplacian(b[2])
+        scale = np.sqrt(4 * np.pi * np.trapezoid(op ** 2 * b[1] ** 2, b[1]))
         assert res < 0.05 * scale
 
     def test_identity_rescaling(self, mu0_profile):
@@ -106,7 +148,8 @@ class TestScaling:
 
 
 class TestBlowup:
-    def test_mu0_run(self, mu0_profile):
+    def test_mu0_run(self, mu0_profile, monkeypatch):
+        minima = _record_minima(monkeypatch)
         series, fit = run_phys(mu0_profile, lam0=1e-8, n=4096)
         assert fit.p_amp == pytest.approx(-1.0, rel=0.10)
         assert fit.p_len == pytest.approx(11.0 / 24.0, rel=0.15)
@@ -115,11 +158,37 @@ class TestBlowup:
         assert rel_drift < 1e-10
         assert fit.T_est == pytest.approx(1e-16, rel=0.05)
         # pinned outputs: the run constants must keep the arithmetic
-        assert fit.p_amp == pytest.approx(-0.9944027253361255, rel=1e-12)
-        assert fit.p_len == pytest.approx(0.5092071862428219, rel=1e-12)
+        assert fit.p_amp == pytest.approx(-0.994932614109449, rel=1e-12)
+        assert fit.p_len == pytest.approx(0.5125796166713109, rel=1e-12)
+        # every record but the final (stopping) one sits on the 2.5 h^2 lattice
+        grid = series["grid"]
+        t_rec = 2.5 * (grid[1] - grid[0]) ** 2
+        k = np.arange(len(series["t"]) - 1)
+        assert np.allclose(series["t"][:-1], k * t_rec, rtol=1e-12, atol=0.0)
+        assert len(minima) > len(series["t"]) and min(minima) >= 0.0
+
+    def test_mu02_mass_identity(self, mu02_profile, monkeypatch):
+        # the accumulated sink uses the step's own explicit weights and the
+        # FV volumes, so mass(t) - mass(0) matches it to round-off
+        minima = _record_minima(monkeypatch)
+        series, fit = run_phys(mu02_profile, lam0=1e-35, n=4096)
+        assert fit.mass_identity_err < 1e-13
+        assert np.all(np.diff(series["mass"]) < 0)
+        assert min(minima) >= 0.0
+
+    def test_implicit_diffusion_step_count(self, mu0_profile, monkeypatch):
+        # diffusion no longer bounds dt: the n=8192 run took ~2950 explicit steps
+        calls = []
+        kernel = phys.cumulative_simpson_uniform
+        monkeypatch.setattr(
+            phys, "cumulative_simpson_uniform", lambda y, h: calls.append(1) or kernel(y, h)
+        )
+        series, _ = run_phys(mu0_profile, lam0=1e-8, n=8192)
+        assert len(calls) // 2 <= 300
+        assert len(series["t"]) >= 140
 
     def test_two_partial_mass_kernels_per_step(self, mu0_profile, monkeypatch):
-        # k1's partial mass also sets dt, so each Heun step runs the kernel twice
+        # k0's partial mass also sets dt, so each IMEX step runs the kernel twice
         calls = []
         kernel = phys.cumulative_simpson_uniform
 

@@ -44,8 +44,7 @@ class TestFlow:
         ratios = []
         for lam0 in (1e-6, 1e-9, 1e-12):
             st = make_state(mu0_profile, lam0, n=2048)
-            h = st.grid[1] - st.grid[0]
-            res = _residual_norm(st.psi, st.grid, h, lam0, mu0_params)
+            res = _residual_norm(st.psi, st.ops, lam0, mu0_params)
             ratios.append(res / lam0 ** (1.0 / 6.0))
         # the compensated ratio is constant up to the lam0-independent O(h^2)
         # advection discretization error, while the raw norms span 100x
@@ -97,8 +96,7 @@ class TestFlow:
         traj = run_renorm(mu0_profile, mu0_params, 1e-3, 0.2, n=1024)
         assert len(states) == len(traj["residual"]) == 5
         for st, res in zip(states, traj["residual"]):
-            h = st.grid[1] - st.grid[0]
-            assert res == _residual_norm(st.psi, st.grid, h, st.lam, mu0_params)
+            assert res == _residual_norm(st.psi, st.ops, st.lam, mu0_params)
 
 
 class TestModes:
