@@ -27,7 +27,7 @@ from .profile import (
     compute_admissibility,
     solve_profile,
 )
-from .renorm import run_renorm, sigma_coupling
+from .renorm import fit_nodes, run_renorm, sigma_coupling
 
 COMMANDS = ("profile", "portrait", "coercivity", "renorm", "phys", "heat", "all")
 
@@ -167,11 +167,11 @@ def _stage_coercivity(cfg: RunConfig, outdir: Path, cache: dict) -> None:
 def _quick_renorm_n(j0: int) -> int:
     """Least power of two >= 1024 whose renorm grid leaves ``j0 + 3`` nodes in the fit window.
 
-    ``run_renorm`` fits ``j0 + 3`` modes on ``r <= 1/2`` of ``linspace(0, 50, n)``,
-    which holds the ``(n - 1) // 100 + 1`` nodes ``50 i / (n - 1) <= 1/2``.
+    ``run_renorm`` fits ``j0 + 3`` modes on ``r <= 1/2`` of the grid ``make_state``
+    builds at resolution n; ``fit_nodes`` counts that grid's nodes there.
     """
     n = 1024
-    while (n - 1) // 100 + 1 < j0 + 3:
+    while fit_nodes(n) < j0 + 3:
         n *= 2
     return n
 
@@ -200,7 +200,8 @@ def _stage_renorm(cfg: RunConfig, outdir: Path, cache: dict) -> None:
         cfg.to_dict(),
         time.perf_counter() - t0,
         extra={"lam0": lam0, "n": n, "tau_end": tau_end,
-               "sigma_expected": sigma_coupling(params)},
+               "sigma_expected": sigma_coupling(params),
+               "steps": traj["steps"], "dt_bound": traj["dt_bound"]},
     )
 
 

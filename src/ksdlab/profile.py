@@ -331,14 +331,15 @@ def _fd_stencil(offsets: np.ndarray, order: int) -> np.ndarray:
     return np.linalg.solve(A, b)
 
 
-def _dense_ds(sol, s: np.ndarray, s_lo: float, s_hi: float) -> np.ndarray:
-    """8th-order finite difference, step 0.01 in s = ln r, of both dense-output components.
+def _dense_ds(sol, s: np.ndarray, s_lo: float, s_hi: float, j0: int) -> np.ndarray:
+    """8th-order finite difference, step 0.04/j0 in s = ln r, of both dense-output components.
 
     Returns shape ``(2, len(s))``: d/ds of Q and of f.  Used as a derivative
     route independent of the ODE right-hand side so the sampled residual
-    measures genuine integration error.
+    measures genuine integration error.  Q varies on a scale of about
+    ``1/(2 j0)`` in s past the handoff, so the step follows j0 (0.01 at j0=4).
     """
-    h = 0.01
+    h = 0.04 / j0
     out = np.empty((2, len(s)))
     base = np.arange(-4, 5, dtype=float)
     weights = {}  # stencil shift -> weights; only a few distinct shifts occur
@@ -459,7 +460,7 @@ def solve_profile(
     if np.any(outer) and sol is not None:
         ro = grid[outer]
         so = np.log(ro)
-        dqds, dfds = _dense_ds(sol, so, s_lo, s_hi)
+        dqds, dfds = _dense_ds(sol, so, s_lo, s_hi, params.j0)
         qo, fo = q_vals[outer], f_vals[outer]
         res_q = qo + (beta - fo) * dqds - (1.0 - mu) * qo * qo
         res_f = dfds - (qo - 3.0 * fo)

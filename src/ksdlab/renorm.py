@@ -10,6 +10,13 @@ whose radial form uses the partial-mass average ``f(r) = r^{-3} int_0^r Psi
 s^2 ds``.  The profile ``Q`` is a fixed point up to the vanishing diffusive
 forcing; perturbation modes ``c_j r^{2j}`` near the origin grow at the linear
 rates ``(j0-j)/j0``.
+
+The flow lives on a sinh-mapped grid ``r = a sinh(xi/a)`` with ``xi`` uniform
+on ``[0, a asinh(50/a)]`` (Budd, Huang & Russell, SIAM J. Sci. Comput. 17,
+1996, for stretched meshes in blowup problems).  It is nearly uniform on the
+mode-fit window ``r <= 1/2`` and logarithmic beyond ``r ~ a``, so the
+advective CFL no longer scales with the domain radius.  Every stencil is the
+uniform one in ``xi``, carried back to ``r`` by the metric ``J = dr/dxi``.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from .errors import (
     CFLViolation,
     DomainError,
     ForcingDominates,
+    GridMismatch,
     IllConditionedFit,
     NonFiniteField,
 )
@@ -37,33 +45,81 @@ _FIT_RADIUS = 0.5
 #: tau spacing of the records kept by run_renorm
 _RECORD_DTAU = 0.05
 
+#: outer radius of the renorm domain
+_R_DOM = 50.0
+
+#: stretch scale a of the grid map r = a sinh(xi/a).  The spacing grows by the
+#: factor J = sqrt(1 + (r/a)^2), 1.2 at r = 2; the seed and the drift need
+#: near-origin spacing out there (a = 1, with J = 2.2 at r = 2, took the
+#: advection-only error from 8.7e-4 to 1.5e-3)
+_STRETCH = 3.0
+
+#: xi at the outer edge r = _R_DOM
+_XI_MAX = _STRETCH * math.asinh(_R_DOM / _STRETCH)
+
+#: fraction of the stability bound that run_renorm steps at
+_CFL_SAFETY = 0.4
+
+
+def _mapped_grid(nodes: int) -> np.ndarray:
+    """``r = a sinh(xi/a)`` on ``nodes`` uniform ``xi`` in ``[0, _XI_MAX]``; last node 50."""
+    grid = _STRETCH * np.sinh(np.linspace(0.0, _XI_MAX, nodes) / _STRETCH)
+    grid[-1] = _R_DOM
+    return grid
+
+
+def _grid(n: int) -> np.ndarray:
+    """The mapped grid of resolution ``n``: its origin spacing is at most ``50/(n-1)``,
+    the spacing of ``linspace(0, 50, n)``, with about ``n/4.7`` nodes."""
+    return _mapped_grid(math.ceil(_XI_MAX * (n - 1) / _R_DOM) + 1)
+
+
+def fit_nodes(n: int) -> int:
+    """Nodes in the mode-fit window ``r <= 1/2`` of the grid ``make_state`` builds
+    at resolution ``n``: 6, 11, 21, 41, 82 at n = 512, 1024, ..., 8192."""
+    return int(np.count_nonzero(_grid(n) <= _FIT_RADIUS))
+
 
 @dataclass(frozen=True, eq=False)
 class _RenormGrid:
     """The grid-only arrays of ``_rhs``, built once per grid.
 
-    ``ext`` holds a slice plus its outflow ghost value; every ``_rhs`` call
-    overwrites it, so it is scratch space, not state.
+    ``h`` is the uniform ``xi`` spacing; the metric ``J = dr/dxi = sqrt(1 +
+    (r/a)^2)`` turns the ``xi`` stencils into ``r`` derivatives.  ``ext`` holds
+    a slice plus its outflow ghost value; every ``_rhs`` call overwrites it, so
+    it is scratch space, not state.
     """
 
     grid: np.ndarray
     h: float
     r3: np.ndarray  # grid[1:]**3
-    hr: np.ndarray  # h * grid[1:]
+    r_j: np.ndarray  # r/J: the drift velocity r (beta - f) in xi units is r_j (beta - f)
+    lap2: np.ndarray  # 1/(J h)^2 on grid[1:], weight of the second xi difference
+    lap1: np.ndarray  # (2/(r J) - J'/J^3)/(2h) on grid[1:], weight of the central difference
+    r2j: np.ndarray  # r^2 J, the Simpson weight of the partial mass in xi
+    r1sq: float  # grid[1]**2, for the origin Laplacian 6 (psi_1 - psi_0)/r_1^2
     ext: np.ndarray
 
     @classmethod
     def make(cls, grid: np.ndarray) -> "_RenormGrid":
-        h = grid[1] - grid[0]
-        return cls(grid, h, grid[1:] ** 3, h * grid[1:], np.empty(len(grid) + 1))
+        nodes = len(grid)
+        if nodes < 3 or not np.array_equal(grid, _mapped_grid(nodes)):
+            raise GridMismatch("renorm runs only on the sinh-mapped grid that make_state builds")
+        h = _XI_MAX / (nodes - 1)
+        jac = np.sqrt(1.0 + (grid / _STRETCH) ** 2)
+        r, j = grid[1:], jac[1:]
+        # J' = dJ/dxi = r/a^2
+        lap1 = (2.0 / (r * j) - r / (_STRETCH**2 * j**3)) / (2.0 * h)
+        return cls(grid, h, r**3, grid / jac, 1.0 / (j * h) ** 2, lap1,
+                   grid * grid * jac, grid[1] ** 2, np.empty(nodes + 1))
 
 
 @dataclass(frozen=True)
 class RenormState:
-    """One time slice of the renormalized flow on a uniform radial grid.
+    """One time slice of the renormalized flow on the sinh-mapped radial grid.
 
     ``ops`` is built from ``grid`` when not given, and ``replace()`` carries
-    it to the next slice.
+    it to the next slice.  Any other grid raises GridMismatch.
     """
 
     tau: float
@@ -89,12 +145,12 @@ def chi_bump(r):
 
 
 def _rhs(psi, ops, lam, params, terms=ALL_TERMS):
-    """Semi-discrete right-hand side (second-order stencils throughout)."""
+    """Semi-discrete right-hand side (second-order stencils in xi throughout)."""
     mu, beta = params.mu, params.beta
-    grid, h = ops.grid, ops.h
+    h = ops.h
     out = np.zeros_like(psi)
 
-    # psi and its quadratic outflow ghost value at R_dom + h
+    # psi and its quadratic outflow ghost value one xi step past R_dom
     pe = ops.ext
     pe[:-1] = psi
     pe[-1] = 3.0 * psi[-1] - 3.0 * psi[-2] + psi[-3]
@@ -102,30 +158,30 @@ def _rhs(psi, ops, lam, params, terms=ALL_TERMS):
     if "diffusion" in terms:
         dif = lam ** (2.0 - 4.0 * beta)
         lap = np.empty_like(psi)
-        lap[0] = 6.0 * (psi[1] - psi[0]) / (h * h)
+        lap[0] = 6.0 * (psi[1] - psi[0]) / ops.r1sq
         inner = lap[1:]
         np.multiply(pe[1:-1], -2.0, out=inner)
         inner += pe[2:]
         inner += pe[:-2]
-        inner /= h * h
+        inner *= ops.lap2
         central = pe[2:] - pe[:-2]
-        central /= ops.hr
+        central *= ops.lap1
         inner += central
         lap *= dif
         out += lap
 
-    # advective velocity: d r/d tau = r (beta - f) >= 0, outgoing
+    # advective velocity in xi: d xi/d tau = (r/J) (beta - f) >= 0, outgoing
     if "drift" in terms or "nonlocal" in terms:
         bcoef = beta if "drift" in terms else 0.0
         if "nonlocal" in terms:
-            m = cumulative_simpson_uniform(psi * grid * grid, h)
+            m = cumulative_simpson_uniform(psi * ops.r2j, h)
             a = np.empty_like(psi)
             a[0] = psi[0] / 3.0
             np.divide(m[1:], ops.r3, out=a[1:])
             np.subtract(bcoef, a, out=a)
-            a *= grid
+            a *= ops.r_j
         else:
-            a = grid * bcoef
+            a = ops.r_j * bcoef
         dpsi = np.empty_like(psi)
         dpsi[0] = 0.0
         dpsi[1] = (psi[2] - psi[0]) / (2.0 * h)
@@ -158,10 +214,21 @@ def _residual_norm(psi, ops, lam, params, terms=ALL_TERMS):
     return l2_norm(_rhs(psi, ops, lam, params, terms), ops.grid)
 
 
-def dt_policy(h, lam, params, r_dom, safety: float = 0.4) -> float:
-    """Stability bound: advective CFL plus explicit-diffusion limit."""
+def _stability_bounds(h, lam, params, r_dom) -> tuple[float, float]:
+    """The advective CFL and explicit-diffusion limits on dt, at safety 1.
+
+    ``h`` is the xi spacing.  The drift speed in xi is ``beta r/J``, largest at
+    ``r_dom`` where ``r/J = r_dom/sqrt(1 + (r_dom/a)^2)``; the largest diffusion
+    weight ``1/J^2`` is 1, at the origin.
+    """
     dif = lam ** (2.0 - 4.0 * params.beta)
-    return safety * min(h / (params.beta * r_dom), h * h / (2.0 * dif))
+    adv = h * math.sqrt(1.0 + (r_dom / _STRETCH) ** 2) / (params.beta * r_dom)
+    return adv, h * h / (2.0 * dif)
+
+
+def dt_policy(h, lam, params, r_dom, safety: float = _CFL_SAFETY) -> float:
+    """Stability bound on the mapped grid: advective CFL plus explicit-diffusion limit."""
+    return safety * min(_stability_bounds(h, lam, params, r_dom))
 
 
 def make_state(
@@ -170,8 +237,13 @@ def make_state(
     n: int = 4096,
     perturbation=None,
 ) -> RenormState:
-    """Initial slice Psi(0) = Q (+ optional perturbation callable) on [0, 50]."""
-    grid = np.linspace(0.0, 50.0, n)
+    """Initial slice Psi(0) = Q (+ optional perturbation callable) on [0, 50].
+
+    The grid is the sinh-mapped one: ``n`` sets the resolution, so the origin
+    spacing is at most ``50/(n-1)`` as on ``linspace(0, 50, n)``, and the
+    grid has about ``n/4.7`` nodes (217 at n=1024, 863 at n=4096).
+    """
+    grid = _grid(n)
     psi = profile.evaluator.q(grid)
     if perturbation is not None:
         psi = psi + perturbation(grid)
@@ -245,10 +317,12 @@ def run_renorm(
 ) -> dict:
     """Evolve to ``tau_end`` recording (tau, lambda, sup|eps|, modes, residual).
 
-    Records every 0.05 in tau; the modes are ``c_0 .. c_{j0+2}``.
+    Records every 0.05 in tau; the modes are ``c_0 .. c_{j0+2}``.  ``steps``
+    counts the RK4 steps and ``dt_bound`` names the stability limit,
+    ``"advective"`` or ``"diffusive"``, that was the smaller one at most steps.
     """
     state = make_state(profile, lam0, n=n, perturbation=perturbation)
-    h = state.ops.h
+    h, r_dom = state.ops.h, state.grid[-1]
     q_ref = profile.evaluator.q(state.grid)
     taus, lams, eps_sup, residuals, coefs = [], [], [], [], []
 
@@ -261,14 +335,19 @@ def run_renorm(
 
     record(state)
     next_rec = _RECORD_DTAU
+    steps = advective = 0
     while state.tau < tau_end - 1e-12:
-        dt = dt_policy(h, state.lam, params, state.grid[-1])
-        dt = min(dt, tau_end - state.tau, next_rec - state.tau + 1e-15)
+        adv, dif = _stability_bounds(h, state.lam, params, r_dom)
+        advective += adv <= dif
+        dt = min(_CFL_SAFETY * min(adv, dif), tau_end - state.tau, next_rec - state.tau + 1e-15)
         state = step_renorm(state, profile, params, dt, terms=terms)
+        steps += 1
         if state.tau >= next_rec - 1e-12:
             record(state)
             next_rec = round(next_rec / _RECORD_DTAU + 1) * _RECORD_DTAU
     return {
+        "steps": steps,
+        "dt_bound": "advective" if 2 * advective >= steps else "diffusive",
         "tau": np.array(taus),
         "lam": np.array(lams),
         "eps_sup": np.array(eps_sup),

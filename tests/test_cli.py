@@ -12,8 +12,9 @@ from pathlib import Path
 import pytest
 
 import ksdlab
-from ksdlab.cli import RunConfig, main, parse_config, portrait_scan
+from ksdlab.cli import RunConfig, _quick_renorm_n, main, parse_config, portrait_scan
 from ksdlab.errors import ConfigParseError
+from ksdlab.renorm import fit_nodes
 
 
 class TestConfig:
@@ -105,7 +106,10 @@ class TestRun:
         cols = [k for k in rows[0] if k.startswith("c")]
         assert cols == [f"c{j}" for j in range(j0 + 3)]
         assert all(math.isfinite(float(row[c])) for row in rows for c in cols)
-        return json.loads((out / "manifest_renorm.json").read_text())["n"]
+        manifest = json.loads((out / "manifest_renorm.json").read_text())
+        assert manifest["steps"] > 0
+        assert manifest["dt_bound"] in ("advective", "diffusive")
+        return manifest["n"]
 
     def test_quick_renorm_modes_finite(self, tmp_path):
         # the quick grid must leave more nodes in the fit window than modes
@@ -114,6 +118,14 @@ class TestRun:
     def test_quick_renorm_grid_follows_j0(self, tmp_path):
         # j0=10 fits 13 modes: n=1024 leaves 11 nodes in r <= 1/2, n=2048 leaves 21
         assert self._quick_renorm(tmp_path, 10) == 2048
+
+    @pytest.mark.parametrize("j0", [8, 9, 18, 19, 38])
+    def test_quick_renorm_n_is_least(self, j0):
+        # the count comes from the grid make_state builds, not a closed form
+        n = _quick_renorm_n(j0)
+        assert fit_nodes(n) >= j0 + 3
+        if n > 1024:
+            assert fit_nodes(n // 2) < j0 + 3
 
 
 class TestThreads:

@@ -205,6 +205,16 @@ class TestSolve:
         assert np.all(np.diff(prof.q_vals) <= 0)
         assert np.all(np.diff(prof.q_vals[prof.grid >= 0.2]) < 0)
 
+    @pytest.mark.parametrize("mu", [0.28, 0.3])
+    def test_near_critical_mu_profile(self, mu):
+        # j0 = 15 and 22: the residual check's FD step follows the 1/(2 j0) scale
+        # of Q in ln r, so the accurate ODE solution is not falsely rejected
+        p = ProfileParams.make(mu, compute_admissibility(mu)[1])
+        tol = 1e-10
+        prof = solve_profile(p, build_series(p, 1e-12), 1.0e4, tol)
+        assert prof.residual_max <= 10.0 * tol
+        assert prof.tail_exponent == pytest.approx(-1.0 / p.beta, rel=0.01)
+
     def test_evaluator_range_guard(self, mu0_profile):
         with pytest.raises(OutOfRange):
             mu0_profile.evaluator.q(2.0e4)

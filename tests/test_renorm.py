@@ -4,15 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 import ksdlab.renorm as renorm
-from ksdlab.errors import CFLViolation, DomainError, IllConditionedFit
+from ksdlab.errors import CFLViolation, DomainError, GridMismatch, IllConditionedFit
+from ksdlab.radial import cumulative_simpson_uniform
 from ksdlab.renorm import (
     RenormState,
     _residual_norm,
+    _rhs,
     chi_bump,
     dt_policy,
     extract_modes,
+    fit_nodes,
     make_state,
     measure_coupling,
     measure_rates,
@@ -35,6 +39,52 @@ class TestBump:
         eps = 1e-6
         assert abs(chi_bump(1.0 + eps) - 1.0) < 1e-11
         assert abs(chi_bump(2.0 - eps)) < 1e-11
+
+
+class TestMappedGrid:
+    def test_fit_window_keeps_uniform_count(self):
+        # r <= 1/2 holds as many nodes as linspace(0, 50, n) does
+        ns = (512, 1024, 2048, 4096, 8192)
+        counts = [fit_nodes(n) for n in ns]
+        assert counts == [6, 11, 21, 41, 82]
+        assert counts == [np.count_nonzero(np.linspace(0.0, 50.0, n) <= 0.5) for n in ns]
+
+    def test_grid_shape(self, mu0_profile):
+        for n, nodes in ((1024, 217), (4096, 863)):
+            grid = make_state(mu0_profile, 1e-3, n=n).grid
+            assert len(grid) == nodes
+            assert grid[0] == 0.0 and grid[-1] == 50.0
+            assert grid[1] <= 50.0 / (n - 1)
+
+    def test_simpson_partial_mass(self, mu0_profile):
+        # the xi-uniform Simpson sum of psi r^2 J is int_0^r psi s^2 ds, as
+        # accurate as Simpson on linspace(0, 50, n) (5.1e-9 there)
+        st = make_state(mu0_profile, 1e-3, n=4096)
+        ops, r = st.ops, st.grid
+        m = cumulative_simpson_uniform(np.exp(-r * r) * ops.r2j, ops.h)
+        exact = math.sqrt(math.pi) / 4.0 * erf(r) - r * np.exp(-r * r) / 2.0
+        assert np.max(np.abs(m - exact)) < 1e-8
+
+    def test_laplacian_second_order(self, mu0_profile, mu0_params):
+        # Lap e^{-r^2} = (4 r^2 - 6) e^{-r^2}; at lam = 1 the diffusion
+        # coefficient is 1 and _rhs adds the -psi damping
+        errs, hs = [], []
+        for n in (512, 1024):
+            st = make_state(mu0_profile, 1.0, n=n)
+            r = st.grid
+            psi = np.exp(-r * r)
+            lap = _rhs(psi, st.ops, 1.0, mu0_params, frozenset({"diffusion"})) + psi
+            errs.append(np.max(np.abs(lap - (4.0 * r * r - 6.0) * psi)))
+            hs.append(st.ops.h)
+        assert hs[0] == pytest.approx(2.0 * hs[1], rel=1e-12)
+        assert 3.5 <= errs[0] / errs[1] <= 4.5
+
+    def test_other_grid_rejected(self, mu0_profile):
+        st = make_state(mu0_profile, 1e-3, n=512)
+        uniform = np.linspace(0.0, 50.0, 512)
+        for grid in (uniform, st.grid * (1.0 + 1e-9)):
+            with pytest.raises(GridMismatch):
+                RenormState(tau=0.0, lam0=1e-3, grid=grid, psi=np.ones_like(grid))
 
 
 class TestFlow:
@@ -126,6 +176,12 @@ def perturbative_baseline(mu0_profile, mu0_params):
 
 
 class TestRates:
+    def test_step_count(self, perturbative_baseline):
+        # on the mapped grid the advective CFL is not set by R_dom = 50: about
+        # 4 steps per 0.05 record interval
+        assert perturbative_baseline["steps"] <= 400
+        assert perturbative_baseline["dt_bound"] == "advective"
+
     def test_unstable_mode_rates(self, mu0_profile, mu0_params, perturbative_baseline):
         for j, tol in ((0, 0.05), (1, 0.05)):
             fit = measure_rates(
@@ -135,7 +191,7 @@ class TestRates:
             assert fit.expected == pytest.approx((4 - j) / 4.0, abs=1e-15)
             assert fit.rate == pytest.approx(fit.expected, rel=tol)
         # pinned output of the last fit (j=1): the run constants must keep the arithmetic
-        assert fit.rate == pytest.approx(0.7500063181137886, rel=1e-12)
+        assert fit.rate == pytest.approx(0.7500695441456742, rel=1e-12)
 
     def test_slow_mode_rate_at_higher_resolution(self, mu0_profile, mu0_params):
         # the j=3 rate (slope 1/4) needs the smaller O(h^2) drift floor of a
@@ -152,7 +208,7 @@ class TestRates:
             baseline=perturbative_baseline,
         )
         assert sig == pytest.approx(-14.0 / 3.0, rel=0.30)
-        assert sig == pytest.approx(-4.536477500782284, rel=1e-12)  # pinned output
+        assert sig == pytest.approx(-4.576086546175657, rel=1e-12)  # pinned output
 
     def test_amplitude_guard(self, mu0_profile, mu0_params):
         with pytest.raises(DomainError):
