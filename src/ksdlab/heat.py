@@ -12,7 +12,6 @@ integral identities used by the full nonlocal operator probes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +23,9 @@ from .linops import (
     SampledRadial,
     _probe_suite,
     _rayleigh_quotient,
+    _sample,
     _sample_slope,
-    _split_weight_integrand,
+    _WeightedL2,
 )
 
 
@@ -72,6 +72,11 @@ def heat_profile_residual(p: HeatParams, y):
     return -U - y * heat_profile_dy(p, y) / (2.0 * p.m) + U * U
 
 
+def _heat_L_vals(p: HeatParams, y: np.ndarray, u2: np.ndarray, ev: np.ndarray, dv: np.ndarray):
+    """``L e`` on the grid from the samples of ``e`` and ``e'``; ``u2`` is ``2 U_*(y)``."""
+    return -ev - y * dv / (2.0 * p.m) + u2 * ev
+
+
 def heat_apply_L(
     p: HeatParams,
     eps: PolyGauss | SampledRadial,
@@ -80,8 +85,7 @@ def heat_apply_L(
     """Sample ``L e = -e - (1/(2m)) y e' + 2 U_* e`` on the quadrature grid."""
     y = quad.r
     ev, dv, p_ord = _sample_slope(eps, quad)
-    U = heat_profile(p, y)
-    vals = -ev - y * dv / (2.0 * p.m) + 2.0 * U * ev
+    vals = _heat_L_vals(p, y, 2.0 * heat_profile(p, y), ev, dv)
     return SampledRadial(r=y, vals=vals, vanish_order=p_ord)
 
 
@@ -96,8 +100,9 @@ def heat_weighted_inner(
 
     Raises DivergentIntegrand unless ``pa + pb >= 4m + 4``.
     """
-    integrand = _split_weight_integrand(a, b, p.theta_exponent, kappa, quad, power=0)
-    return quad.integrate(integrand, power=0)
+    av, pa = _sample(a, quad)
+    bv, pb = _sample(b, quad)
+    return _WeightedL2(quad, p.theta_exponent, kappa, 0).pair(av, pa, bv, pb)
 
 
 def heat_multiplier_route(
@@ -114,18 +119,18 @@ def heat_multiplier_route(
         (L e, e) = \\int e^2 [ (-1 + 2 U_*)(Theta+kappa)
                               - ((4m+3)/(4m)) Theta + kappa/(4m) ].
     """
+    core = _WeightedL2(quad, p.theta_exponent, kappa, 0)
     y = quad.r
     ev = eps(y)
     U = heat_profile(p, y)
-    half = np.float_power(y, -p.theta_exponent / 2.0)
-    e2s = (ev * half) ** 2
+    e2s = (ev * core.half) ** 2
     e2 = ev * ev
     integrand = (
         (-1.0 + 2.0 * U) * (e2s + kappa * e2)
         - (4.0 * p.m + 3.0) / (4.0 * p.m) * e2s
         + kappa / (4.0 * p.m) * e2
     )
-    return quad.integrate(integrand, power=0)
+    return core.integrate(integrand)
 
 
 def make_heat_suite(p: HeatParams, count: int = 50, seed: int = 777) -> list[PolyGauss]:
@@ -148,14 +153,17 @@ def heat_coercivity(
     if quad is None:
         quad = RadialQuad.make()
     bound = -1.0 / (4.0 * p.m) + 1e-3
+    y = quad.r
+    u2 = 2.0 * heat_profile(p, y)
     for kappa in (10.0**-k for k in range(1, 7)):
-
-        def inner(a, b):
-            return heat_weighted_inner(p, a, b, kappa, quad)
-
+        core = _WeightedL2(quad, p.theta_exponent, kappa, 0)
         records = []
         for idx, g in enumerate(suite):
-            quot, flagged = _rayleigh_quotient(inner, heat_apply_L(p, g, quad), g, bound)
+            ev, dv, p_ord = _sample_slope(g, quad)
+            Lv = _heat_L_vals(p, y, u2, ev, dv)
+            quot, flagged = _rayleigh_quotient(
+                core.pair(Lv, p_ord, ev, p_ord), core.pair(ev, p_ord, ev, p_ord), bound
+            )
             records.append({"index": idx, "s": g.s, "quotient": quot, "flagged": flagged})
         all_pass = not any(r["flagged"] for r in records)
         if all_pass:

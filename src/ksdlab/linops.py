@@ -14,8 +14,9 @@ integrable.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
@@ -179,20 +180,12 @@ class RadialQuad:
 
     def integrate(self, F: np.ndarray, power: int = 2, coarse: bool = False):
         """Quadrature of ``F(r) r^power dr`` = ``F e^{(power+1)u} du``."""
-        if coarse:
-            u, F, r = self.u[::2], F[::2], self.r[::2]
-        else:
-            u, F, r = self.u, F, self.r
-        h = u[1] - u[0]
-        w = self._simpson_weights(len(u), h)
-        return float(np.dot(w, F * r ** (power + 1)))
+        return _WeightedL2(self, 0, 0.0, power).integrate(F, coarse)
 
     def cumulative(self, F: np.ndarray, power: int = 2) -> np.ndarray:
         """Cumulative ``\\int_0^{r_i} F s^power ds`` (below-grid part negligible
         for integrands vanishing at the origin)."""
-        integrand = F * self.r ** (power + 1)
-        h = self.u[1] - self.u[0]
-        return cumulative_simpson_uniform(integrand, h) + integrand[0] / (power + 1.0)
+        return _WeightedL2(self, 0, 0.0, power).cumulative(F)
 
 
 @dataclass(frozen=True)
@@ -326,7 +319,7 @@ def select_weight(
 
 
 # ---------------------------------------------------------------------------
-# the linearized operator
+# the weighted-L^2 core and the linearized operator
 # ---------------------------------------------------------------------------
 
 
@@ -347,36 +340,96 @@ def _sample_slope(x: PolyGauss | SampledRadial, quad: RadialQuad):
     return vals, np.gradient(vals, quad.u) / quad.r, p
 
 
-def _split_weight_integrand(a, b, A: int, B: float, quad: RadialQuad, power: int) -> np.ndarray:
-    """``a b (r^{-A} + B)`` on the grid, for quadrature against ``r^power dr``.
+class _WeightedL2:
+    """The pairing ``\\int a b (r^{-A} + B) r^power dr`` on one RadialQuad.
 
-    The singular factor is split evenly between the two inputs so neither
-    partial product under/overflows.  Raises DivergentIntegrand unless the
-    combined vanishing order makes ``r^{pa+pb-A+power}`` integrable at 0.
+    Built once per ``(quad, A, B, power)``, it holds the arrays every pairing
+    on the grid reuses: the split-weight factor ``r^{-A/2}`` (formed on first
+    use, as the operator needs only the cumulative integral), ``r^{power+1}``
+    on the fine and the coarse (every other) nodes, and both Simpson weight
+    vectors.  It pairs grid samples with their vanishing orders, so a probe
+    is sampled once however many pairings it enters.  ``A = B = 0`` (weight
+    1) is the plain quadrature behind ``RadialQuad.integrate``.
     """
-    av, pa = _sample(a, quad)
-    bv, pb = _sample(b, quad)
-    if not pa + pb + power > A - 1:
-        raise DivergentIntegrand(
-            f"vanishing order {pa}+{pb} with r^{power} dr not above A-1={A - 1}"
-        )
-    half = np.float_power(quad.r, -A / 2.0)
-    return (av * half) * (bv * half) + B * av * bv
+
+    def __init__(self, quad: RadialQuad, A: int, B: float, power: int):
+        u, r = quad.u, quad.r
+        self.quad, self.A, self.B, self.power = quad, A, B, power
+        self.rp = r ** (power + 1)
+        self.rp_coarse = r[::2] ** (power + 1)
+        self.w = quad._simpson_weights(len(u), u[1] - u[0])
+        self.w_coarse = quad._simpson_weights(len(u[::2]), u[2] - u[0])
+
+    @functools.cached_property
+    def half(self) -> np.ndarray:
+        return np.float_power(self.quad.r, -self.A / 2.0)
+
+    def integrate(self, F: np.ndarray, coarse: bool = False) -> float:
+        """``\\int F r^power dr`` by Simpson in u on the fine or the coarse nodes."""
+        if coarse:
+            return float(np.dot(self.w_coarse, F[::2] * self.rp_coarse))
+        return float(np.dot(self.w, F * self.rp))
+
+    def cumulative(self, F: np.ndarray) -> np.ndarray:
+        """Cumulative ``\\int_0^{r_i} F s^power ds`` (below-grid part negligible
+        for integrands vanishing at the origin)."""
+        integrand = F * self.rp
+        h = self.quad.u[1] - self.quad.u[0]
+        return cumulative_simpson_uniform(integrand, h) + integrand[0] / (self.power + 1.0)
+
+    def integrand(self, av: np.ndarray, pa: int, bv: np.ndarray, pb: int) -> np.ndarray:
+        """``a b (r^{-A} + B)`` on the grid.
+
+        The singular factor is split evenly between the two inputs so neither
+        partial product under/overflows.  Raises DivergentIntegrand unless the
+        combined vanishing order makes ``r^{pa+pb-A+power}`` integrable at 0.
+        """
+        if not pa + pb + self.power > self.A - 1:
+            raise DivergentIntegrand(
+                f"vanishing order {pa}+{pb} with r^{self.power} dr not above A-1={self.A - 1}"
+            )
+        half = self.half
+        return (av * half) * (bv * half) + self.B * av * bv
+
+    def pair(self, av: np.ndarray, pa: int, bv: np.ndarray, pb: int) -> float:
+        """``\\int a b (r^{-A} + B) r^power dr`` on the fine nodes."""
+        return self.integrate(self.integrand(av, pa, bv, pb))
+
+    def inner(self, av: np.ndarray, pa: int, bv: np.ndarray, pb: int) -> float:
+        """``4 pi \\int a b (r^{-A} + B) r^power dr``, the radial 3D inner product.
+
+        Panel halving estimates the quadrature error and raises NoConvergence
+        above 1e-8 relative.
+        """
+        F = self.integrand(av, pa, bv, pb)
+        fine = 4.0 * math.pi * self.integrate(F)
+        coarse = 4.0 * math.pi * self.integrate(F, coarse=True)
+        err = abs(fine - coarse) / 15.0
+        if err > 1e-8 * abs(fine) + 1e-300:
+            raise NoConvergence(f"quadrature error estimate {err:.3g} too large")
+        return fine
 
 
-def _rayleigh_quotient(inner, Lg, g, bound: float) -> tuple[float, bool]:
-    """``inner(Lg, g) / inner(g, g)`` and whether it is flagged.
+def _rayleigh_quotient(num: float, den: float, bound: float) -> tuple[float, bool]:
+    """``num / den`` and whether it is flagged.
 
     Only a finite quotient at or below ``bound`` passes: an overflowing
     weight gives NaN, which must not pass.
     """
-    quot = inner(Lg, g) / inner(g, g)
+    quot = num / den
     return quot, not (math.isfinite(quot) and quot <= bound)
 
 
-def _profile_samples(profile: RadialProfile, quad: RadialQuad):
-    ev = profile.evaluator
-    return ev.q(quad.r), ev.f(quad.r), ev.dq(quad.r)
+def _operator_coeffs(params: ProfileParams, r, Q, fq, dQ):
+    """Grid coefficients of ``L``: ``beta r``, ``r f_Q``, ``dQ/dr``, ``2(1-mu) Q``, ``r^2``."""
+    return params.beta * r, r * fq, dQ, 2.0 * (1.0 - params.mu) * Q, r * r
+
+
+def _L_vals(core: _WeightedL2, coeffs, gv: np.ndarray, dg: np.ndarray) -> np.ndarray:
+    """``L g`` on the grid from the samples of ``g`` and ``g'``; ``core.power`` is 2."""
+    beta_r, r_fq, dQ, q2, r2 = coeffs
+    J = core.cumulative(gv) / r2  # (1/r^2) int_0^r g s^2 ds
+    return -(gv + beta_r * dg) + r_fq * dg + dQ * J + q2 * gv
 
 
 def apply_L(
@@ -384,7 +437,6 @@ def apply_L(
     params: ProfileParams,
     g: PolyGauss | SampledRadial,
     quad: RadialQuad,
-    _coeffs=None,
 ) -> SampledRadial:
     """Sample ``L g`` on the quadrature grid.
 
@@ -392,16 +444,10 @@ def apply_L(
     falls back to finite differences in u.  The nonlocal term uses cumulative
     Simpson prefix sums of ``g s^2``.
     """
-    if _coeffs is None:
-        Q, fq, dQ = _profile_samples(profile, quad)
-    else:
-        Q, fq, dQ = _coeffs
-    mu, beta = params.mu, params.beta
-    r = quad.r
     gv, dg, p = _sample_slope(g, quad)
-    J = quad.cumulative(gv, power=2) / (r * r)  # (1/r^2) int_0^r g s^2 ds
-    out = -(gv + beta * r * dg) + r * fq * dg + dQ * J + 2.0 * (1.0 - mu) * Q * gv
-    return SampledRadial(r=r, vals=out, vanish_order=p)
+    coeffs = _operator_coeffs(params, quad.r, *profile.evaluator.sample(quad.r))
+    vals = _L_vals(_WeightedL2(quad, 0, 0.0, 2), coeffs, gv, dg)
+    return SampledRadial(r=quad.r, vals=vals, vanish_order=p)
 
 
 def weighted_inner(
@@ -415,13 +461,9 @@ def weighted_inner(
     Panel halving estimates the quadrature error and raises NoConvergence
     above 1e-8 relative.
     """
-    integrand = _split_weight_integrand(g, h, w.A, w.B, quad, power=2)
-    fine = 4.0 * math.pi * quad.integrate(integrand, power=2)
-    coarse = 4.0 * math.pi * quad.integrate(integrand, power=2, coarse=True)
-    err = abs(fine - coarse) / 15.0
-    if err > 1e-8 * abs(fine) + 1e-300:
-        raise NoConvergence(f"quadrature error estimate {err:.3g} too large")
-    return fine
+    gv, pg = _sample(g, quad)
+    hv, ph = _sample(h, quad)
+    return _WeightedL2(quad, w.A, w.B, 2).inner(gv, pg, hv, ph)
 
 
 def coercivity_probe(
@@ -435,23 +477,24 @@ def coercivity_probe(
 
     Flags any quotient above the coercivity bound -1/8 + 1e-3, and any
     non-finite one (an overflowing weight gives NaN, which must not pass).
-    Results are order-stable by suite index.
+    Results are order-stable by suite index.  Each probe is sampled once,
+    as ``g`` and ``g'``, and paired on one weighted-L^2 core.
     """
     if quad is None:
         quad = RadialQuad.make()
     pmin = min_vanish_order(w.A)
-    coeffs = _profile_samples(profile, quad)
-
-    def inner(a, b):
-        return weighted_inner(a, b, w, quad)
+    core = _WeightedL2(quad, w.A, w.B, 2)
+    coeffs = _operator_coeffs(params, quad.r, *profile.evaluator.sample(quad.r))
 
     results = []
     for idx, tf in enumerate(suite):
         if tf.p < pmin:
             raise DivergentIntegrand(f"suite member {idx} has p={tf.p} < {pmin}")
-        g = tf.to_polygauss()
-        Lg = apply_L(profile, params, g, quad, _coeffs=coeffs)
-        quot, flagged = _rayleigh_quotient(inner, Lg, g, -0.125 + 1e-3)
+        gv, dg, p = _sample_slope(tf.to_polygauss(), quad)
+        Lv = _L_vals(core, coeffs, gv, dg)
+        quot, flagged = _rayleigh_quotient(
+            core.inner(Lv, p, gv, p), core.inner(gv, p, gv, p), -0.125 + 1e-3
+        )
         results.append(
             {
                 "index": idx,
@@ -483,17 +526,16 @@ def nonlocal_ibp_routes(
     """
     if quad is None:
         quad = RadialQuad.make()
-    Q, fq, _ = _profile_samples(profile, quad)
-    r = quad.r
-    gv = g(r)
-    dg = g.deriv()(r)
-    half = np.float_power(r, -w.A / 2.0)
-    route1 = 4.0 * math.pi * quad.integrate(
-        r * fq * (dg * half) * (gv * half) + w.B * r * fq * dg * gv, power=2
+    core = _WeightedL2(quad, w.A, w.B, 2)
+    Q, fq, _ = profile.evaluator.sample(quad.r)
+    r, half = quad.r, core.half
+    gv, dg, _ = _sample_slope(g, quad)
+    route1 = 4.0 * math.pi * core.integrate(
+        r * fq * (dg * half) * (gv * half) + w.B * r * fq * dg * gv
     )
     route2 = 4.0 * math.pi * (
-        -0.5 * quad.integrate(Q * (gv * half) ** 2 + w.B * Q * gv * gv, power=2)
-        + 0.5 * w.A * quad.integrate(fq * (gv * half) ** 2, power=2)
+        -0.5 * core.integrate(Q * (gv * half) ** 2 + w.B * Q * gv * gv)
+        + 0.5 * w.A * core.integrate(fq * (gv * half) ** 2)
     )
     return route1, route2
 
@@ -515,15 +557,15 @@ def quadratic_form_split(
     if quad is None:
         quad = RadialQuad.make()
     mu, beta = params.mu, params.beta
-    Q, fq, dQ = _profile_samples(profile, quad)
-    r = quad.r
-    gv = g(r)
-    half = np.float_power(r, -w.A / 2.0)
+    core = _WeightedL2(quad, w.A, w.B, 2)
+    Q, fq, dQ = profile.evaluator.sample(quad.r)
+    r, half = quad.r, core.half
+    gv, dg, p = _sample_slope(g, quad)
     g2s = (gv * half) ** 2  # g^2 r^{-A}
     g2 = gv * gv
 
     def I(vals):
-        return 4.0 * math.pi * quad.integrate(vals, power=2)
+        return 4.0 * math.pi * core.integrate(vals)
 
     I_SI = (
         (-1.0 + beta * (3.0 - w.A) / 2.0) * I(g2s)
@@ -531,10 +573,10 @@ def quadratic_form_split(
         + (1.5 - 2.0 * mu) * I(Q * g2s)
     )
     I_LO = w.B * ((-1.0 + 1.5 * beta) * I(g2) + (1.5 - 2.0 * mu) * I(Q * g2))
-    J = quad.cumulative(gv, power=2) / (r * r)
+    J = core.cumulative(gv) / (r * r)
     I_NLO = I(dQ * ((J * half) * (gv * half) + w.B * J * gv))
-    Lg = apply_L(profile, params, g, quad)
-    direct = weighted_inner(Lg, g, w, quad)
+    Lv = _L_vals(core, _operator_coeffs(params, r, Q, fq, dQ), gv, dg)
+    direct = core.inner(Lv, p, gv, p)
     return {"I_SI": I_SI, "I_LO": I_LO, "I_NLO": I_NLO, "direct": direct}
 
 

@@ -17,6 +17,18 @@ import math
 from dataclasses import dataclass, field
 
 import mpmath as mp
+from mpmath.libmp import (
+    dps_to_prec,
+    from_float,
+    from_int,
+    fzero,
+    mpf_add,
+    mpf_div,
+    mpf_mul,
+    mpf_mul_int,
+    mpf_rdiv_int,
+    mpf_sub,
+)
 import numpy as np
 from scipy.integrate import cumulative_simpson, solve_ivp
 
@@ -110,18 +122,26 @@ def series_recurrence(mu: float, beta: float, n: int, j0: int, q_j0: float = -1.
     the other entries stay exactly 0.
     """
     ProfileParams(mu, j0, beta, q_j0)
-    with mp.workdps(SERIES_DPS):
-        one_m_mu = mp.mpf(1) - mp.mpf(mu)
-        Q = [1 / one_m_mu] + [mp.mpf(0)] * n
-        if j0 <= n:
-            Q[j0] = mp.mpf(q_j0)
-        for j in range(2 * j0, n + 1, j0):
-            S = mp.mpf(0)
-            for i in range(j0, j, j0):
-                S += (mp.mpf(2 * i) / (2 * (j - i) + 3) + one_m_mu) * Q[i] * Q[j - i]
-            den_factor = mp.mpf(1) / (2 * j0) - mp.mpf(1) / (2 * j)
-            Q[j] = S / (2 * j * den_factor)
-        return Q
+    # The sums run on raw mpmath tuples, with the very libmp calls, precision
+    # and rounding that mp.mpf's operators make inside workdps(SERIES_DPS), so
+    # every value is bit-identical to the operator form at a fraction of the
+    # object overhead.
+    prec, rnd = dps_to_prec(SERIES_DPS), "n"
+    one = from_int(1)
+    one_m_mu = mpf_sub(one, from_float(mu), prec, rnd)
+    Q = [mpf_rdiv_int(1, one_m_mu, prec, rnd)] + [fzero] * n
+    if j0 <= n:
+        Q[j0] = from_float(q_j0)
+    for j in range(2 * j0, n + 1, j0):
+        S = fzero
+        for i in range(j0, j, j0):
+            c = mpf_add(mpf_div(from_int(2 * i), from_int(2 * (j - i) + 3), prec, rnd),
+                        one_m_mu, prec, rnd)
+            S = mpf_add(S, mpf_mul(mpf_mul(c, Q[i], prec, rnd), Q[j - i], prec, rnd), prec, rnd)
+        den_factor = mpf_sub(mpf_div(one, from_int(2 * j0), prec, rnd),
+                             mpf_div(one, from_int(2 * j), prec, rnd), prec, rnd)
+        Q[j] = mpf_div(S, mpf_mul_int(den_factor, 2 * j, prec, rnd), prec, rnd)
+    return [mp.make_mpf(q) for q in Q]
 
 
 def _even_series(coeffs: np.ndarray, r):
@@ -282,6 +302,11 @@ class ProfileEvaluator:
     def f(self, r):
         return self._qf(r)[1]
 
+    def _dq_outer(self, r, q, f):
+        """dQ/dr from the ODE right-hand side, given Q and f at r."""
+        mu, beta = self.params.mu, self.params.beta
+        return ((1.0 - mu) * q * q - q) / ((beta - f) * r)
+
     def dq(self, r):
         """dQ/dr: series derivative inside, ODE right-hand side outside."""
         r = self._check(r)
@@ -292,12 +317,24 @@ class ProfileEvaluator:
         out[inner] = self.series.eval_dq(r[inner])
         outer = ~inner
         if np.any(outer):
-            qo, fo = self._qf(r[outer])
-            mu, beta = self.params.mu, self.params.beta
-            out[outer] = ((1.0 - mu) * qo * qo - qo) / ((beta - fo) * r[outer])
+            out[outer] = self._dq_outer(r[outer], *self._qf(r[outer]))
         if scalar:
             return out[0]
         return out
+
+    def sample(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(Q, f, dQ/dr)`` on the array ``r``, with one pass of ``_qf``.
+
+        The same values as ``q``, ``f`` and ``dq`` at every node.
+        """
+        r = np.atleast_1d(self._check(r))
+        q, f = self._qf(r)
+        dq = np.empty_like(r)
+        inner = r <= self.r_h
+        dq[inner] = self.series.eval_dq(r[inner])
+        outer = ~inner
+        dq[outer] = self._dq_outer(r[outer], q[outer], f[outer])
+        return q, f, dq
 
 
 @dataclass(frozen=True)
@@ -340,19 +377,21 @@ def _dense_ds(sol, s: np.ndarray, s_lo: float, s_hi: float, j0: int) -> np.ndarr
     ``1/(2 j0)`` in s past the handoff, so the step follows j0 (0.01 at j0=4).
     """
     h = 0.04 / j0
-    out = np.empty((2, len(s)))
     base = np.arange(-4, 5, dtype=float)
+    # shift the stencil inward near the ends of the integration interval
+    lo_shift = np.maximum(0.0, np.ceil(4 - (s - s_lo) / h))
+    hi_shift = np.maximum(0.0, np.ceil(4 - (s_hi - s) / h))
+    shifts = lo_shift - hi_shift
+    # every stencil point of every node in one dense-output call
+    q, f = sol((s[:, None] + (base + shifts[:, None]) * h).ravel())
+    q, f = q.reshape(len(s), 9), f.reshape(len(s), 9)
     weights = {}  # stencil shift -> weights; only a few distinct shifts occur
-    for k, sk in enumerate(s):
-        # shift the stencil inward near the ends of the integration interval
-        lo_room = (sk - s_lo) / h
-        hi_room = (s_hi - sk) / h
-        shift = max(0.0, math.ceil(4 - lo_room)) - max(0.0, math.ceil(4 - hi_room))
+    out = np.empty((2, len(s)))
+    for k, shift in enumerate(shifts):
         if shift not in weights:
             weights[shift] = _fd_stencil(base + shift, 1)
         w = weights[shift]
-        q, f = sol(sk + (base + shift) * h)
-        out[:, k] = np.dot(w, q), np.dot(w, f)
+        out[:, k] = np.dot(w, q[k]), np.dot(w, f[k])
     return out / h
 
 
@@ -441,9 +480,7 @@ def solve_profile(
     ev = ProfileEvaluator(params, series, r_h, sol, r_max)
 
     grid = make_grid(r_max)
-    q_vals = ev.q(grid)
-    f_vals = ev.f(grid)
-    dq_vals = ev.dq(grid)
+    q_vals, f_vals, dq_vals = ev.sample(grid)
 
     # --- sampled ODE residual, independent derivative routes ---
     inner = (grid > 0) & (grid <= r_h)

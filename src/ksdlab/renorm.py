@@ -136,6 +136,12 @@ class RenormState:
     def lam(self) -> float:
         return self.lam0 * math.exp(-self.tau / 2.0)
 
+    @property
+    def h(self) -> float:
+        """The uniform ``xi`` spacing of the grid: the ``h`` that ``dt_policy``
+        takes and that ``step_renorm``'s stability guard uses."""
+        return self.ops.h
+
 
 def chi_bump(r):
     """C^2 polynomial bump: 1 on r<=1, 0 on r>=2, quintic smoothstep between."""
@@ -322,7 +328,7 @@ def run_renorm(
     ``"advective"`` or ``"diffusive"``, that was the smaller one at most steps.
     """
     state = make_state(profile, lam0, n=n, perturbation=perturbation)
-    h, r_dom = state.ops.h, state.grid[-1]
+    h, r_dom = state.h, state.grid[-1]
     q_ref = profile.evaluator.q(state.grid)
     taus, lams, eps_sup, residuals, coefs = [], [], [], [], []
 

@@ -97,6 +97,26 @@ class TestRun:
         manifest = json.loads((out / "manifest_profile.json").read_text())
         assert manifest["residual_max"] == 1.1535229327286345e-08
 
+    def test_probe_csvs_pinned(self, tmp_path):
+        # seed-day bytes of both probe tables at a fixed seed: a faster probe
+        # loop must keep every quotient's arithmetic
+        out = tmp_path / "out"
+        for cmd in ("coercivity", "heat"):
+            assert main([cmd, "--mu", "0", "--j0", "4", "--seed", "12345", "--out", str(out)]) == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in ("coercivity.csv", "heat.csv")}
+        assert digests == {
+            "coercivity.csv": "d8958ed26891a7f0921bbdd995f15c8f36bec3b063cc08f2fc1c1e0b0e696fc8",
+            "heat.csv": "63660e4d0d136d27c422715abc041302f010fdfa79c5af678ad8d4e4617e58dc",
+        }
+
+    def test_mu02_residual_pinned(self, tmp_path):
+        out = tmp_path / "out"
+        argv = ["profile", "--mu", "0.2", "--j0", "7", "--tol", "1e-8", "--out", str(out)]
+        assert main(argv) == 0
+        manifest = json.loads((out / "manifest_profile.json").read_text())
+        assert manifest["residual_max"] == 8.194491751822852e-10
+
     def _quick_renorm(self, tmp_path, j0):
         """Run ``renorm --quick`` at mu=0; return the mode columns and the grid size n."""
         out = tmp_path / "out"

@@ -132,6 +132,21 @@ class TestCoercivity:
         assert all(r["flagged"] for r in report["records"])
         assert not report["all_pass"]
 
+    @pytest.mark.parametrize("m, count", [(2, 50), (40, 4)])
+    def test_each_probe_sampled_once_per_kappa(self, m, count, monkeypatch):
+        # one e(y) and one e'(y) per probe for each kappa tried; at m=40 every
+        # quotient is NaN, so all six kappas are tried
+        calls = []
+        call = PolyGauss.__call__
+        monkeypatch.setattr(PolyGauss, "__call__", lambda g, r: calls.append(1) or call(g, r))
+        hp = HeatParams(m=m)
+        suite = make_heat_suite(hp, count=count)
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = heat_coercivity(hp, suite)
+        tried = round(-np.log10(report["kappa"]))
+        assert tried == (1 if m == 2 else 6)
+        assert len(calls) <= 2 * len(suite) * tried
+
     def test_near_origin_cluster(self, hp):
         # tightly localized probes see the full multiplier: quotients near -3/8
         report = heat_coercivity(hp, make_heat_suite(hp, count=20))

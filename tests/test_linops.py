@@ -242,6 +242,17 @@ class TestCoercivity:
         assert all(math.isnan(r["quotient"]) for r in rows)
         assert all(r["flagged"] for r in rows)
 
+    def test_each_probe_sampled_once(self, mu0_profile, mu0_params, weight36, monkeypatch):
+        # one g(r) and one g'(r) per probe: the operator and both pairings
+        # share the samples
+        calls = []
+        call = PolyGauss.__call__
+        monkeypatch.setattr(PolyGauss, "__call__", lambda g, r: calls.append(1) or call(g, r))
+        suite = make_test_suite(36, count=50)
+        rows = coercivity_probe(mu0_profile, mu0_params, weight36, suite)
+        assert len(rows) == 50
+        assert len(calls) <= 2 * len(suite)
+
     def test_low_order_rejected(self, mu0_profile, mu0_params, weight36):
         from ksdlab.linops import TestFunction
 

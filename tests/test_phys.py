@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.sparse import diags
 
 import ksdlab.phys as phys
@@ -25,6 +28,15 @@ from ksdlab.profile import ProfileParams, build_series, solve_profile
 def mu02_profile():
     p02 = ProfileParams.make(0.2, 7)
     return solve_profile(p02, build_series(p02, 1e-12), 1.0e4, 1e-8)
+
+
+@st.composite
+def _fv_cases(draw):
+    """A uniform phys grid of n in [16, 512] nodes and a density rho >= 0 on it."""
+    n = draw(st.integers(min_value=16, max_value=512))
+    r_max = draw(st.floats(min_value=1.0, max_value=100.0))
+    rho = draw(hnp.arrays(np.float64, n, elements=st.floats(min_value=0.0, max_value=1e6)))
+    return _PhysGrid.make(np.linspace(0.0, r_max, n)), rho
 
 
 def _step(rho, pg, mu, dt=None):
@@ -211,3 +223,18 @@ class TestBlowup:
     def test_global_existence_probe(self, mu0_profile):
         with pytest.raises(NoBlowupDetected):
             run_phys(mu0_profile, lam0=1e-8, mu=0.4, n=1024)
+
+
+class TestMassTelescoping:
+    @given(case=_fv_cases(), mu=st.floats(min_value=0.0, max_value=1.0 / 3.0, exclude_max=True))
+    @settings(max_examples=60, deadline=None)
+    def test_fv_mass_telescopes(self, case, mu):
+        # the transport fluxes cancel face by face in the FV mass sum, and the
+        # damping removes exactly mu * sum vol rho^2
+        pg, rho = case
+        k0 = _phys_rhs(rho, pg, 0.0)[0]
+        scale = np.dot(pg.vol, np.abs(k0))
+        assert abs(np.dot(pg.vol, k0)) <= 1e-13 * scale
+        damping = -mu * np.dot(pg.vol, rho * rho)
+        km = _phys_rhs(rho, pg, mu)[0]
+        assert abs(np.dot(pg.vol, km - k0) - damping) <= 1e-13 * (scale + abs(damping))

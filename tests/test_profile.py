@@ -4,6 +4,7 @@ import math
 import time
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 
 from ksdlab.errors import DomainError, OutOfRange
 from ksdlab.profile import (
+    N_MAX,
+    SERIES_DPS,
     ProfileParams,
     build_series,
     classify_beta,
@@ -38,6 +41,20 @@ def rational_recurrence(mu: Fraction, j0: int, q_j0: Fraction, n: int) -> list[F
         Q[j] = S / den
     return Q
 
+
+
+def operator_recurrence(mu: float, j0: int, q_j0: float, n: int) -> list:
+    """The lattice recurrence written with ``mp.mpf`` operators at SERIES_DPS."""
+    with mp.workdps(SERIES_DPS):
+        one_m_mu = mp.mpf(1) - mp.mpf(mu)
+        Q = [1 / one_m_mu] + [mp.mpf(0)] * n
+        Q[j0] = mp.mpf(q_j0)
+        for j in range(2 * j0, n + 1, j0):
+            S = mp.mpf(0)
+            for i in range(j0, j, j0):
+                S += (mp.mpf(2 * i) / (2 * (j - i) + 3) + one_m_mu) * Q[i] * Q[j - i]
+            Q[j] = S / (2 * j * (mp.mpf(1) / (2 * j0) - mp.mpf(1) / (2 * j)))
+        return Q
 
 class TestAdmissibility:
     def test_mu0_threshold(self):
@@ -98,6 +115,15 @@ class TestRecurrence:
         Qfr = rational_recurrence(Fraction(mu), j0, Fraction(-1), n)
         for j in range(n + 1):
             assert float(Qmp[j]) == pytest.approx(float(Qfr[j]), rel=1e-13, abs=1e-300)
+
+    @pytest.mark.parametrize("mu, j0", [(0.0, 4), (0.2, 7), (0.3, 22)])
+    def test_bits_match_operator_form(self, mu, j0):
+        # the libmp-tuple loop must round exactly where mp.mpf's operators do
+        p = ProfileParams.make(mu, j0)
+        got = series_recurrence(p.mu, p.beta, N_MAX, j0=j0, q_j0=-1.0)
+        ref = operator_recurrence(mu, j0, -1.0, N_MAX)
+        assert all(isinstance(q, mp.mpf) for q in got)
+        assert [q._mpf_ for q in got] == [q._mpf_ for q in ref]
 
     def test_q8_value(self):
         Qmp = series_recurrence(0.0, 11.0 / 24.0, 8, j0=4, q_j0=-1.0)

@@ -56,6 +56,14 @@ class TestMappedGrid:
             assert grid[0] == 0.0 and grid[-1] == 50.0
             assert grid[1] <= 50.0 / (n - 1)
 
+    def test_h_is_xi_spacing(self, mu0_profile):
+        # r = a sinh(xi/a), so the first r spacing exceeds the xi step that
+        # dt_policy and the step guard take
+        st = make_state(mu0_profile, 1e-3, n=1024)
+        assert st.h == st.ops.h
+        assert st.h == pytest.approx(3.0 * np.arcsinh(st.grid[1] / 3.0), rel=1e-12)
+        assert st.grid[1] - st.grid[0] > st.h
+
     def test_simpson_partial_mass(self, mu0_profile):
         # the xi-uniform Simpson sum of psi r^2 J is int_0^r psi s^2 ds, as
         # accurate as Simpson on linspace(0, 50, n) (5.1e-9 there)
@@ -117,8 +125,7 @@ class TestFlow:
     def test_zero_data_stays_zero(self, mu0_profile, mu0_params):
         st = make_state(mu0_profile, 1e-3, n=512, perturbation=None)
         zero = RenormState(tau=0.0, lam0=1e-3, grid=st.grid, psi=np.zeros_like(st.psi))
-        h = st.grid[1] - st.grid[0]
-        out = step_renorm(zero, mu0_profile, mu0_params, dt_policy(h, 1e-3, mu0_params, st.grid[-1]))
+        out = step_renorm(zero, mu0_profile, mu0_params, dt_policy(st.h, 1e-3, mu0_params, st.grid[-1]))
         assert np.all(out.psi == 0.0)
 
     def test_cfl_guard(self, mu0_profile, mu0_params):
@@ -131,8 +138,7 @@ class TestFlow:
         rhs = renorm._rhs
         monkeypatch.setattr(renorm, "_rhs", lambda *a, **k: calls.append(1) or rhs(*a, **k))
         st = make_state(mu0_profile, 1e-3, n=512)
-        h = st.grid[1] - st.grid[0]
-        step_renorm(st, mu0_profile, mu0_params, dt_policy(h, 1e-3, mu0_params, st.grid[-1]))
+        step_renorm(st, mu0_profile, mu0_params, dt_policy(st.h, 1e-3, mu0_params, st.grid[-1]))
         assert len(calls) == 4
 
     def test_recorded_residual_is_state_residual(self, mu0_profile, mu0_params, monkeypatch):
