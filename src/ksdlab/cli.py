@@ -69,18 +69,6 @@ class RunConfig:
         return cls(**d)
 
 
-def _resolve_params(cfg: RunConfig) -> ProfileParams:
-    j0 = cfg.j0
-    if j0 is None:
-        _, j0 = compute_admissibility(cfg.mu)
-    return ProfileParams.make(cfg.mu, j0, q_j0=cfg.qj0)
-
-
-def _solve(cfg: RunConfig, params: ProfileParams):
-    series = build_series(params, min(cfg.tol, 1e-12))
-    return solve_profile(params, series, 1.0e4, cfg.tol)
-
-
 def portrait_scan(mu: float, beta_grid) -> list[dict]:
     """Classify candidate similarity exponents along ``beta_grid``."""
     rows = []
@@ -95,30 +83,27 @@ def portrait_scan(mu: float, beta_grid) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-def _stage_profile(cfg: RunConfig, outdir: Path, cache: dict) -> None:
-    t0 = time.perf_counter()
-    params = _resolve_params(cfg)
-    profile = _solve(cfg, params)
+def _stage_profile(cfg: RunConfig, outdir: Path, cache: dict) -> dict:
+    j0 = cfg.j0
+    if j0 is None:
+        _, j0 = compute_admissibility(cfg.mu)
+    params = ProfileParams.make(cfg.mu, j0, q_j0=cfg.qj0)
+    series = build_series(params, min(cfg.tol, 1e-12))
+    profile = solve_profile(params, series, 1.0e4, cfg.tol)
     cache["params"], cache["profile"] = params, profile
     write_csv(
         outdir / "profile.csv",
         ["r", "Q", "f", "dQ"],
         zip(profile.grid, profile.q_vals, profile.f_vals, profile.dq_vals),
     )
-    write_manifest(
-        outdir / "manifest_profile.json",
-        cfg.to_dict(),
-        time.perf_counter() - t0,
-        extra={
-            "tail_exponent": profile.tail_exponent,
-            "residual_max": profile.residual_max,
-            "handoff_radius": profile.handoff_radius,
-        },
-    )
+    return {
+        "tail_exponent": profile.tail_exponent,
+        "residual_max": profile.residual_max,
+        "handoff_radius": profile.handoff_radius,
+    }
 
 
 def _stage_portrait(cfg: RunConfig, outdir: Path, cache: dict) -> None:
-    t0 = time.perf_counter()
     betas = [0.30, 1.0 / 3.0, 11.0 / 24.0]
     rows = portrait_scan(cfg.mu, betas)
     write_csv(
@@ -126,17 +111,15 @@ def _stage_portrait(cfg: RunConfig, outdir: Path, cache: dict) -> None:
         ["mu", "beta", "label", "j0"],
         [(r["mu"], r["beta"], r["label"], "" if r["j0"] is None else r["j0"]) for r in rows],
     )
-    write_manifest(outdir / "manifest_portrait.json", cfg.to_dict(), time.perf_counter() - t0)
 
 
 def _ensure_profile(cfg: RunConfig, outdir: Path, cache: dict):
     if "profile" not in cache:
-        _stage_profile(cfg, outdir, cache)
+        _run_stage("profile", cfg, outdir, cache)
     return cache["params"], cache["profile"]
 
 
 def _stage_coercivity(cfg: RunConfig, outdir: Path, cache: dict) -> None:
-    t0 = time.perf_counter()
     params, profile = _ensure_profile(cfg, outdir, cache)
     w = select_weight(profile, params.j0, A=36)
     count = 10 if cfg.quick else 50
@@ -161,7 +144,6 @@ def _stage_coercivity(cfg: RunConfig, outdir: Path, cache: dict) -> None:
             "invariants": w.invariant_checks(params.j0),
         },
     )
-    write_manifest(outdir / "manifest_coercivity.json", cfg.to_dict(), time.perf_counter() - t0)
 
 
 def _quick_renorm_n(j0: int) -> int:
@@ -176,8 +158,7 @@ def _quick_renorm_n(j0: int) -> int:
     return n
 
 
-def _stage_renorm(cfg: RunConfig, outdir: Path, cache: dict) -> None:
-    t0 = time.perf_counter()
+def _stage_renorm(cfg: RunConfig, outdir: Path, cache: dict) -> dict:
     params, profile = _ensure_profile(cfg, outdir, cache)
     lam0 = cfg.lambda0 if cfg.lambda0 is not None else 1.0e-3
     n = cfg.grid_n
@@ -195,18 +176,12 @@ def _stage_renorm(cfg: RunConfig, outdir: Path, cache: dict) -> None:
             for i in range(len(traj["tau"]))
         ],
     )
-    write_manifest(
-        outdir / "manifest_renorm.json",
-        cfg.to_dict(),
-        time.perf_counter() - t0,
-        extra={"lam0": lam0, "n": n, "tau_end": tau_end,
-               "sigma_expected": sigma_coupling(params),
-               "steps": traj["steps"], "dt_bound": traj["dt_bound"]},
-    )
+    return {"lam0": lam0, "n": n, "tau_end": tau_end,
+            "sigma_expected": sigma_coupling(params),
+            "steps": traj["steps"], "dt_bound": traj["dt_bound"]}
 
 
 def _stage_phys(cfg: RunConfig, outdir: Path, cache: dict) -> None:
-    t0 = time.perf_counter()
     params, profile = _ensure_profile(cfg, outdir, cache)
     # default lam0 keeps the physical diffusion coefficient lam0^{2-4beta}
     # well under the aggregation scale so the run actually blows up
@@ -223,25 +198,10 @@ def _stage_phys(cfg: RunConfig, outdir: Path, cache: dict) -> None:
         zip(series["t"], series["sup_norm"], series["mass"],
             series["half_max_radius"], series["dt"]),
     )
-    write_json(
-        outdir / "blowup_fit.json",
-        {
-            "T_est": fit.T_est,
-            "p_amp": fit.p_amp,
-            "p_len": fit.p_len,
-            "fit_window": list(fit.fit_window),
-            "r2_amp": fit.r2_amp,
-            "r2_len": fit.r2_len,
-            "mass_drift_rate": fit.mass_drift_rate,
-            "mass_identity_err": fit.mass_identity_err,
-            "lam0": lam0,
-        },
-    )
-    write_manifest(outdir / "manifest_phys.json", cfg.to_dict(), time.perf_counter() - t0)
+    write_json(outdir / "blowup_fit.json", {**asdict(fit), "lam0": lam0})
 
 
 def _stage_heat(cfg: RunConfig, outdir: Path, cache: dict) -> None:
-    t0 = time.perf_counter()
     hp = HeatParams(m=2)
     count = 10 if cfg.quick else 50
     suite = make_heat_suite(hp, count=count, seed=cfg.seed)
@@ -255,19 +215,26 @@ def _stage_heat(cfg: RunConfig, outdir: Path, cache: dict) -> None:
         outdir / "heat_certificate.json",
         {"m": hp.m, "c": hp.c, "kappa": report["kappa"], "all_pass": report["all_pass"]},
     )
-    write_manifest(outdir / "manifest_heat.json", cfg.to_dict(), time.perf_counter() - t0)
 
 
+#: each stage writes its artifacts and returns the extra manifest fields, if any;
+#: ``all`` runs them in this order
 _STAGES = {
-    "profile": (_stage_profile,),
-    "portrait": (_stage_portrait,),
-    "coercivity": (_stage_coercivity,),
-    "renorm": (_stage_renorm,),
-    "phys": (_stage_phys,),
-    "heat": (_stage_heat,),
-    "all": (_stage_profile, _stage_portrait, _stage_coercivity,
-            _stage_renorm, _stage_phys, _stage_heat),
+    "profile": _stage_profile,
+    "portrait": _stage_portrait,
+    "coercivity": _stage_coercivity,
+    "renorm": _stage_renorm,
+    "phys": _stage_phys,
+    "heat": _stage_heat,
 }
+
+
+def _run_stage(name: str, cfg: RunConfig, outdir: Path, cache: dict) -> None:
+    """Run one stage and write ``manifest_<name>.json`` with its wall time."""
+    t0 = time.perf_counter()
+    extra = _STAGES[name](cfg, outdir, cache)
+    write_manifest(outdir / f"manifest_{name}.json", cfg.to_dict(),
+                   time.perf_counter() - t0, extra=extra)
 
 
 def run(config: RunConfig) -> int:
@@ -275,14 +242,14 @@ def run(config: RunConfig) -> int:
     outdir = Path(config.out)
     outdir.mkdir(parents=True, exist_ok=True)
     cache: dict = {}
-    for stage in _STAGES[config.command]:
+    for name in _STAGES if config.command == "all" else (config.command,):
         try:
-            stage(config, outdir, cache)
+            _run_stage(name, config, outdir, cache)
         except (DomainError, ConfigParseError) as exc:
-            print(f"ksdlab: {stage.__name__.lstrip('_')}: {exc}", file=sys.stderr)
+            print(f"ksdlab: stage_{name}: {exc}", file=sys.stderr)
             return 2
         except KSDLabError as exc:
-            err = StageFailure(f"{stage.__name__.lstrip('_')}: {exc}")
+            err = StageFailure(f"stage_{name}: {exc}")
             print(f"ksdlab: {err}", file=sys.stderr)
             return 3
     return 0
@@ -323,11 +290,7 @@ def parse_config(argv=None) -> RunConfig:
             raise ConfigParseError(f"cannot read config {ns.config}: {exc}") from exc
         if not isinstance(base, dict):
             raise ConfigParseError("config file must hold a JSON object")
-    base["command"] = ns.command
-    for key in ("mu", "j0", "qj0", "lambda0", "tol", "grid_n", "seed", "out", "quick"):
-        val = getattr(ns, key)
-        if val is not None:
-            base[key] = val
+    base.update({k: v for k, v in vars(ns).items() if k != "config" and v is not None})
     return RunConfig.from_dict(base)
 
 

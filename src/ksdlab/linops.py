@@ -243,7 +243,7 @@ def _dq_weighted_norm(profile: RadialProfile, r_lo: float = 0.0) -> float:
     u_lo = -30.0 if r_lo <= 0.0 else math.log(r_lo)
     n = 4001
     q = RadialQuad.make(u_min=u_lo, u_max=math.log(profile.r_max), n=n)
-    dq = ev.dq(q.r)
+    dq = ev.sample(q.r)[2]
     return math.sqrt(4.0 * math.pi * q.integrate(dq * dq, power=1))
 
 
@@ -392,22 +392,21 @@ class _WeightedL2:
         return (av * half) * (bv * half) + self.B * av * bv
 
     def pair(self, av: np.ndarray, pa: int, bv: np.ndarray, pb: int) -> float:
-        """``\\int a b (r^{-A} + B) r^power dr`` on the fine nodes."""
-        return self.integrate(self.integrand(av, pa, bv, pb))
-
-    def inner(self, av: np.ndarray, pa: int, bv: np.ndarray, pb: int) -> float:
-        """``4 pi \\int a b (r^{-A} + B) r^power dr``, the radial 3D inner product.
+        """``\\int a b (r^{-A} + B) r^power dr`` on the fine nodes.
 
         Panel halving estimates the quadrature error and raises NoConvergence
         above 1e-8 relative.
         """
         F = self.integrand(av, pa, bv, pb)
-        fine = 4.0 * math.pi * self.integrate(F)
-        coarse = 4.0 * math.pi * self.integrate(F, coarse=True)
-        err = abs(fine - coarse) / 15.0
+        fine = self.integrate(F)
+        err = abs(fine - self.integrate(F, coarse=True)) / 15.0
         if err > 1e-8 * abs(fine) + 1e-300:
             raise NoConvergence(f"quadrature error estimate {err:.3g} too large")
         return fine
+
+    def inner(self, av: np.ndarray, pa: int, bv: np.ndarray, pb: int) -> float:
+        """``4 pi \\int a b (r^{-A} + B) r^power dr``, the radial 3D inner product."""
+        return 4.0 * math.pi * self.pair(av, pa, bv, pb)
 
 
 def _rayleigh_quotient(num: float, den: float, bound: float) -> tuple[float, bool]:

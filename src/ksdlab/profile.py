@@ -302,30 +302,11 @@ class ProfileEvaluator:
     def f(self, r):
         return self._qf(r)[1]
 
-    def _dq_outer(self, r, q, f):
-        """dQ/dr from the ODE right-hand side, given Q and f at r."""
-        mu, beta = self.params.mu, self.params.beta
-        return ((1.0 - mu) * q * q - q) / ((beta - f) * r)
-
-    def dq(self, r):
-        """dQ/dr: series derivative inside, ODE right-hand side outside."""
-        r = self._check(r)
-        scalar = r.ndim == 0
-        r = np.atleast_1d(r)
-        out = np.empty_like(r)
-        inner = r <= self.r_h
-        out[inner] = self.series.eval_dq(r[inner])
-        outer = ~inner
-        if np.any(outer):
-            out[outer] = self._dq_outer(r[outer], *self._qf(r[outer]))
-        if scalar:
-            return out[0]
-        return out
-
     def sample(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(Q, f, dQ/dr)`` on the array ``r``, with one pass of ``_qf``.
 
-        The same values as ``q``, ``f`` and ``dq`` at every node.
+        ``Q`` and ``f`` are the values of ``q`` and ``f``; ``dQ/dr`` is the
+        series derivative inside and the ODE right-hand side outside.
         """
         r = np.atleast_1d(self._check(r))
         q, f = self._qf(r)
@@ -333,7 +314,9 @@ class ProfileEvaluator:
         inner = r <= self.r_h
         dq[inner] = self.series.eval_dq(r[inner])
         outer = ~inner
-        dq[outer] = self._dq_outer(r[outer], q[outer], f[outer])
+        mu, beta = self.params.mu, self.params.beta
+        qo, fo = q[outer], f[outer]
+        dq[outer] = ((1.0 - mu) * qo * qo - qo) / ((beta - fo) * r[outer])
         return q, f, dq
 
 

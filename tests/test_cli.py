@@ -117,6 +117,51 @@ class TestRun:
         manifest = json.loads((out / "manifest_profile.json").read_text())
         assert manifest["residual_max"] == 8.194491751822852e-10
 
+    def test_all_quick_artifacts_pinned(self, tmp_path):
+        # every stage through the one stage runner: the bytes of each artifact
+        # and the key list of each manifest, taken before the runner existed
+        out = tmp_path / "out"
+        argv = ["all", "--quick", "--mu", "0", "--j0", "4", "--seed", "12345", "--out", str(out)]
+        assert main(argv) == 0
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in out.iterdir() if not p.name.startswith("manifest_")}
+        assert digests == {
+            "blowup_fit.json": "b54279816785778da0b516c10611165933387cf3639d633bf818e1859056e39a",
+            "coercivity.csv": "2bb2ae977cdbd2e5a07bd3463e05d3ed7ce1916a325f232c0275618e5941c0a9",
+            "coercivity_certificate.json":
+                "40820c5cc3fc06f5cc5fc704a24409dd8e06fe900fc4a9281df972698f1dc06a",
+            "heat.csv": "543c7c31dccef4bf160c78de18f0de46d583d7ac68c82ed8941dce817be7d995",
+            "heat_certificate.json": "54b5230bf9e9e09458bd00591fdf27607ee3f53b88741aeab42277cf39ea1f5e",
+            "phys.csv": "bd305d4eb538414a792d2b7c0ac7c2bff12071ee915f13056ec7d00f18d6ae6e",
+            "portrait.csv": "9ae938e4050946aaf036207c70af0b9ad02eb1bb3704479dd444711cd24ac83d",
+            "profile.csv": "bbb488bf4e1e92629f7f4afe51bb8d90ab7962ec5d393639be031af19f82dd9f",
+            "renorm.csv": "c39c1edfb70e863bf37b9a6962c89a38f1f1ed5236d68cbb595cbe8e78ca750d",
+        }
+        base = ["schema_version", "library_version", "config", "config_hash",
+                "wall_time_s", "written_at"]
+        keys = {p.name: list(json.loads(p.read_text())) for p in out.glob("manifest_*.json")}
+        assert keys == {
+            "manifest_profile.json": base + ["tail_exponent", "residual_max", "handoff_radius"],
+            "manifest_portrait.json": base,
+            "manifest_coercivity.json": base,
+            "manifest_renorm.json": base + ["lam0", "n", "tau_end", "sigma_expected",
+                                            "steps", "dt_bound"],
+            "manifest_phys.json": base,
+            "manifest_heat.json": base,
+        }
+
+    @pytest.mark.parametrize("argv, code, prefix", [
+        (["phys", "--mu", "0", "--lambda0", "0.2", "--grid-n", "512"], 3,
+         "ksdlab: stage_phys: "),
+        (["coercivity", "--mu", "0.2", "--j0", "7"], 2,
+         "ksdlab: stage_coercivity: A must be a multiple of 4"),
+    ])
+    def test_stage_failure_exit_code(self, tmp_path, capsys, argv, code, prefix):
+        # a numerical failure exits 3 and a rejected parameter 2, each named
+        # by the stage that raised it
+        assert main(argv + ["--out", str(tmp_path / "o")]) == code
+        assert capsys.readouterr().err.startswith(prefix)
+
     def _quick_renorm(self, tmp_path, j0):
         """Run ``renorm --quick`` at mu=0; return the mode columns and the grid size n."""
         out = tmp_path / "out"

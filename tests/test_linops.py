@@ -11,9 +11,10 @@ from ksdlab.errors import (
     DomainError,
     GridMismatch,
     NoAdmissibleA,
+    NoConvergence,
     OrderUnsupported,
 )
-from ksdlab.heat import HeatParams, heat_apply_L
+from ksdlab.heat import HeatParams, heat_apply_L, heat_weighted_inner
 from ksdlab.linops import (
     PolyGauss,
     RadialQuad,
@@ -127,6 +128,17 @@ class TestWeightedInner:
         bad = SampledRadial(r=quad.r[:-1], vals=quad.r[:-1], vanish_order=20)
         with pytest.raises(GridMismatch):
             weighted_inner(bad, monomial(18, 1.0), w, quad)
+
+    def test_unresolved_pair_rejected(self, quad):
+        # grid noise has no smooth integral: panel halving must reject it on
+        # both the 3D and the heat pairing, which share one checked core
+        noise = np.random.default_rng(0).standard_normal(len(quad.r)) * quad.r**20
+        g = SampledRadial(r=quad.r, vals=noise, vanish_order=20)
+        w = WeightParams(A=36, B=1e-3, R1=50.0, cert_tailnorm=0.0, cert_wholenorm=0.0)
+        with pytest.raises(NoConvergence):
+            weighted_inner(g, g, w, quad)
+        with pytest.raises(NoConvergence):
+            heat_weighted_inner(HeatParams(m=2), g, g, 0.1, quad)
 
 
 class TestSelectWeight:
