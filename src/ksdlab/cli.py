@@ -178,7 +178,7 @@ def _stage_renorm(cfg: RunConfig, outdir: Path, cache: dict) -> dict:
     )
     return {"lam0": lam0, "n": n, "tau_end": tau_end,
             "sigma_expected": sigma_coupling(params),
-            "steps": traj["steps"], "dt_bound": traj["dt_bound"]}
+            "steps": traj["steps"]}
 
 
 def _stage_phys(cfg: RunConfig, outdir: Path, cache: dict) -> None:

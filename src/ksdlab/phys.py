@@ -19,16 +19,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import (
     DomainError,
+    IllConditionedFit,
     NoBlowupDetected,
     NonFiniteField,
     SnapshotMismatch,
 )
 from .profile import RadialProfile
-from .radial import cumulative_simpson_uniform, l2_norm
+from .radial import DELTA, Tridiagonal, ars222_step, cumulative_simpson_uniform, l2_norm
 from .renorm import chi_bump
 
 
@@ -57,11 +57,6 @@ def _fv_mass(rho: np.ndarray, grid: np.ndarray) -> float:
     )
 
 
-#: ARS(2,2,2) weights (Ascher, Ruuth & Spiteri 1997): the implicit stage weight
-#: gamma, and the explicit weight delta the second stage gives the first
-_GAMMA = 1.0 - 1.0 / math.sqrt(2.0)
-_DELTA = 1.0 - 1.0 / (2.0 * _GAMMA)
-
 #: records lie on the time lattice t = k * _RECORD_SPACING * h^2
 _RECORD_SPACING = 2.5
 
@@ -71,19 +66,17 @@ class _PhysGrid:
     """The grid-only arrays of one run, built once.
 
     ``r2`` is ``grid**2``; ``vol`` holds the cell volumes over 4 pi, the weights of ``_fv_mass``:
-    ``h r_i^2``, and ``h^3/24`` for the origin ball r < h/2.  ``lower``,
-    ``diag`` and ``upper`` are the bands of the finite-volume Laplacian
-    ``L``: the diffusive face flux ``r_f^2 (rho_{i+1} - rho_i) / h``, with no
-    flux through the origin or past the outer face, divided by ``vol``.
+    ``h r_i^2``, and ``h^3/24`` for the origin ball r < h/2.  ``lap`` is the
+    finite-volume Laplacian: the diffusive face flux ``r_f^2 (rho_{i+1} -
+    rho_i) / h``, with no flux through the origin or past the outer face,
+    divided by ``vol``.
     """
 
     grid: np.ndarray
     h: float
     r2: np.ndarray
     vol: np.ndarray
-    lower: np.ndarray
-    diag: np.ndarray
-    upper: np.ndarray
+    lap: Tridiagonal
 
     @classmethod
     def make(cls, grid: np.ndarray) -> "_PhysGrid":
@@ -96,22 +89,7 @@ class _PhysGrid:
         diag[:-1] -= c
         diag[1:] -= c
         diag /= vol
-        return cls(grid, h, grid * grid, vol, c / vol[1:], diag, c / vol[:-1])
-
-    def laplacian(self, rho: np.ndarray) -> np.ndarray:
-        out = self.diag * rho
-        out[:-1] += self.upper * rho[1:]
-        out[1:] += self.lower * rho[:-1]
-        return out
-
-    def factor(self, c: float) -> tuple:
-        """LU factors of ``I - c L`` for ``solve``; for c >= 0 the matrix is
-        strictly diagonally dominant, so no pivot vanishes."""
-        return dgttrf(-c * self.lower, 1.0 - c * self.diag, -c * self.upper)[:5]
-
-    @staticmethod
-    def solve(lu: tuple, b: np.ndarray) -> np.ndarray:
-        return dgttrs(*lu, b)[0]
+        return cls(grid, h, grid * grid, vol, Tridiagonal(c / vol[1:], diag, c / vol[:-1]))
 
 
 def _minmod(a, b):
@@ -156,19 +134,13 @@ def _imex_step(
 ) -> tuple[np.ndarray, float]:
     """One ARS(2,2,2) step: diffusion implicit, transport and damping explicit.
 
-    ``k0`` is ``_phys_rhs(rho)``.  Both stages solve with one factorization of
-    ``I - gamma dt L``; the scheme is stiffly accurate, so the second stage is
-    the new density.  Returns it and the mass the damping removed, which is
-    the explicit weights applied to ``-mu rho^2`` on the FV volumes, so the
-    discrete mass identity holds to round-off.
+    ``k0`` is ``_phys_rhs(rho)``.  Returns the new density and the mass the
+    damping removed, which is the explicit weights applied to ``-mu rho^2`` on
+    the FV volumes, so the discrete mass identity holds to round-off.
     """
-    lu = pg.factor(_GAMMA * dt)
-    u1 = pg.solve(lu, rho + (_GAMMA * dt) * k0)
-    k1, _ = _phys_rhs(u1, pg, mu)
-    rhs = rho + dt * (_DELTA * k0 + (1.0 - _DELTA) * k1 + (1.0 - _GAMMA) * pg.laplacian(u1))
-    new = pg.solve(lu, rhs)
+    new, u1 = ars222_step(rho, k0, lambda v: _phys_rhs(v, pg, mu)[0], pg.lap, 1.0, dt)
     sink = -mu * 4.0 * math.pi * dt * float(
-        np.dot(pg.vol, _DELTA * rho * rho + (1.0 - _DELTA) * u1 * u1)
+        np.dot(pg.vol, DELTA * rho * rho + (1.0 - DELTA) * u1 * u1)
     )
     return new, sink
 
@@ -251,7 +223,8 @@ def run_phys(
     stops when the sup-norm reaches 1e4 times its initial value or the
     half-maximum radius falls under 8 cells, and records that final state
     too; each record's ``dt`` is the step the bounds allowed there.
-    NoBlowupDetected is raised past ``t = 20 lam0^2`` without tenfold growth.
+    NoBlowupDetected is raised past ``t = 20 lam0^2`` without tenfold growth,
+    and IllConditionedFit when fewer than 10 records lie in the fit window.
     ``mu`` defaults to the profile's own damping; passing a different value
     probes off-profile data (e.g. the global-existence regime, which raises
     NoBlowupDetected once the sup-norm stalls within the step budget).
@@ -333,14 +306,11 @@ def run_phys(
         hi += 1
     sel = np.zeros(len(ts), dtype=bool)
     sel[k0 : hi + 1] = True
-    if np.count_nonzero(sel) < 10:  # fall back to the raw late-window fit
-        sel[:] = True
-        sel[: k0] = False
-        a, b = np.polyfit(ts[sel], inv[sel], 1)
-        T_est = float(-b / a)
-    else:
-        T_loc = ts[1:-1] + inv[1:-1] / sl
-        T_est = float(np.median(T_loc[k0 - 1 : hi]))
+    kept = np.count_nonzero(sel)
+    if kept < 10:
+        raise IllConditionedFit(f"{kept} records pass the 5% window test; the fit needs 10")
+    T_loc = ts[1:-1] + inv[1:-1] / sl
+    T_est = float(np.median(T_loc[k0 - 1 : hi]))
     if T_est <= ts[sel][-1]:
         T_est = float(ts[sel][-1] * (1.0 + 1e-6))
 
@@ -384,7 +354,7 @@ def pde_residual(
         raise SnapshotMismatch("snapshots not on a shared grid with tb > ta")
     mid = 0.5 * (ra + rb)
     pg = _PhysGrid.make(ga)
-    op = _phys_rhs(mid, pg, mu)[0] + pg.laplacian(mid)
+    op = _phys_rhs(mid, pg, mu)[0] + pg.lap.apply(mid)
     return l2_norm((rb - ra) / (tb - ta) - op, ga)
 
 

@@ -1,10 +1,18 @@
-"""Uniform-grid radial quadrature shared by the time loops and the operator probes."""
+"""Radial kernels shared by the time loops and the operator probes: uniform-grid
+quadrature, and the one IMEX time step both time loops take."""
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgttrf, dgttrs
+
+#: ARS(2,2,2) weights (Ascher, Ruuth & Spiteri 1997): the implicit stage weight
+#: gamma, and the explicit weight delta the second stage gives the first
+GAMMA = 1.0 - 1.0 / math.sqrt(2.0)
+DELTA = 1.0 - 1.0 / (2.0 * GAMMA)
 
 
 def cumulative_simpson_uniform(y: np.ndarray, h: float) -> np.ndarray:
@@ -30,3 +38,38 @@ def cumulative_simpson_uniform(y: np.ndarray, h: float) -> np.ndarray:
 def l2_norm(v: np.ndarray, grid: np.ndarray) -> float:
     """Radial L2 norm ``sqrt(4 pi int v^2 r^2 dr)`` by the trapezoid rule on ``grid``."""
     return math.sqrt(4.0 * math.pi * np.trapezoid(v * v * grid * grid, grid))
+
+
+@dataclass(frozen=True, eq=False)
+class Tridiagonal:
+    """A tridiagonal operator ``L`` by its bands: ``diag`` has one entry per node,
+    ``lower`` and ``upper`` one fewer (``lower[i]`` couples node ``i+1`` to ``i``)."""
+
+    lower: np.ndarray
+    diag: np.ndarray
+    upper: np.ndarray
+
+    def apply(self, u: np.ndarray) -> np.ndarray:
+        out = self.diag * u
+        out[:-1] += self.upper * u[1:]
+        out[1:] += self.lower * u[:-1]
+        return out
+
+    def solver(self, c: float):
+        """``b -> (I - c L)^{-1} b`` on one LU factorization (LAPACK ``gttrf``, pivoting)."""
+        lu = dgttrf(-c * self.lower, 1.0 - c * self.diag, -c * self.upper)[:5]
+        return lambda b: dgttrs(*lu, b)[0]
+
+
+def ars222_step(u, k0, explicit, L: Tridiagonal, d: float, dt: float):
+    """One ARS(2,2,2) step of ``u' = explicit(u) + d L u``: ``d L`` implicit, the rest explicit.
+
+    ``k0`` is ``explicit(u)``.  Both stages solve with one factorization of
+    ``I - gamma dt d L``; the scheme is stiffly accurate, so the second stage is
+    the new state.  Returns it and the first stage ``u1``.
+    """
+    solve = L.solver(GAMMA * dt * d)
+    u1 = solve(u + (GAMMA * dt) * k0)
+    k1 = explicit(u1)
+    rhs = u + dt * (DELTA * k0 + (1.0 - DELTA) * k1 + (1.0 - GAMMA) * d * L.apply(u1))
+    return solve(rhs), u1

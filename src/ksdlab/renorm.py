@@ -35,7 +35,7 @@ from .errors import (
     NonFiniteField,
 )
 from .profile import ProfileParams, RadialProfile
-from .radial import cumulative_simpson_uniform, l2_norm
+from .radial import Tridiagonal, ars222_step, cumulative_simpson_uniform, l2_norm
 
 ALL_TERMS = frozenset({"diffusion", "drift", "nonlocal", "reaction"})
 
@@ -57,8 +57,14 @@ _STRETCH = 3.0
 #: xi at the outer edge r = _R_DOM
 _XI_MAX = _STRETCH * math.asinh(_R_DOM / _STRETCH)
 
-#: fraction of the stability bound that run_renorm steps at
+#: fraction of the advective bound that run_renorm steps at
 _CFL_SAFETY = 0.4
+
+#: largest fraction of the advective bound step_renorm accepts: the explicit
+#: half of ARS(2,2,2) has amplification 1 + z + z^2/2, and on the symbol of the
+#: second-order upwind stencil it stays in the unit disc up to CFL 1/2, where
+#: the sawtooth mode's 1 - 4 nu + 8 nu^2 reaches 1
+_CFL_LIMIT = 0.5
 
 
 def _mapped_grid(nodes: int) -> np.ndarray:
@@ -85,20 +91,20 @@ class _RenormGrid:
     """The grid-only arrays of ``_rhs``, built once per grid.
 
     ``h`` is the uniform ``xi`` spacing; the metric ``J = dr/dxi = sqrt(1 +
-    (r/a)^2)`` turns the ``xi`` stencils into ``r`` derivatives.  ``ext`` holds
-    a slice plus its outflow ghost value; every ``_rhs`` call overwrites it, so
-    it is scratch space, not state.
+    (r/a)^2)`` turns the ``xi`` stencils into ``r`` derivatives.  ``lap`` is
+    the radial Laplacian: ``6 (psi_1 - psi_0)/r_1^2`` at the origin, the
+    second and central ``xi`` differences weighted by ``1/(J h)^2`` and
+    ``(2/(r J) - J'/J^3)/(2h)`` inside, and at the last node the linear
+    outflow ghost ``2 psi_{N-1} - psi_{N-2}``, which keeps the matrix
+    tridiagonal.
     """
 
     grid: np.ndarray
     h: float
     r3: np.ndarray  # grid[1:]**3
     r_j: np.ndarray  # r/J: the drift velocity r (beta - f) in xi units is r_j (beta - f)
-    lap2: np.ndarray  # 1/(J h)^2 on grid[1:], weight of the second xi difference
-    lap1: np.ndarray  # (2/(r J) - J'/J^3)/(2h) on grid[1:], weight of the central difference
     r2j: np.ndarray  # r^2 J, the Simpson weight of the partial mass in xi
-    r1sq: float  # grid[1]**2, for the origin Laplacian 6 (psi_1 - psi_0)/r_1^2
-    ext: np.ndarray
+    lap: Tridiagonal
 
     @classmethod
     def make(cls, grid: np.ndarray) -> "_RenormGrid":
@@ -108,10 +114,16 @@ class _RenormGrid:
         h = _XI_MAX / (nodes - 1)
         jac = np.sqrt(1.0 + (grid / _STRETCH) ** 2)
         r, j = grid[1:], jac[1:]
+        lap2 = 1.0 / (j * h) ** 2
         # J' = dJ/dxi = r/a^2
         lap1 = (2.0 / (r * j) - r / (_STRETCH**2 * j**3)) / (2.0 * h)
-        return cls(grid, h, r**3, grid / jac, 1.0 / (j * h) ** 2, lap1,
-                   grid * grid * jac, grid[1] ** 2, np.empty(nodes + 1))
+        c0 = 6.0 / grid[1] ** 2
+        lower = lap2 - lap1
+        lower[-1] = -2.0 * lap1[-1]
+        diag = np.concatenate(([-c0], -2.0 * lap2[:-1], [2.0 * lap1[-1]]))
+        upper = np.concatenate(([c0], (lap2 + lap1)[:-1]))
+        return cls(grid, h, r**3, grid / jac, grid * grid * jac,
+                   Tridiagonal(lower, diag, upper))
 
 
 @dataclass(frozen=True)
@@ -156,25 +168,8 @@ def _rhs(psi, ops, lam, params, terms=ALL_TERMS):
     h = ops.h
     out = np.zeros_like(psi)
 
-    # psi and its quadratic outflow ghost value one xi step past R_dom
-    pe = ops.ext
-    pe[:-1] = psi
-    pe[-1] = 3.0 * psi[-1] - 3.0 * psi[-2] + psi[-3]
-
     if "diffusion" in terms:
-        dif = lam ** (2.0 - 4.0 * beta)
-        lap = np.empty_like(psi)
-        lap[0] = 6.0 * (psi[1] - psi[0]) / ops.r1sq
-        inner = lap[1:]
-        np.multiply(pe[1:-1], -2.0, out=inner)
-        inner += pe[2:]
-        inner += pe[:-2]
-        inner *= ops.lap2
-        central = pe[2:] - pe[:-2]
-        central *= ops.lap1
-        inner += central
-        lap *= dif
-        out += lap
+        out += lam ** (2.0 - 4.0 * beta) * ops.lap.apply(psi)
 
     # advective velocity in xi: d xi/d tau = (r/J) (beta - f) >= 0, outgoing
     if "drift" in terms or "nonlocal" in terms:
@@ -196,11 +191,13 @@ def _rhs(psi, ops, lam, params, terms=ALL_TERMS):
         upwind -= 4.0 * psi[1:-1]
         upwind += psi[:-2]
         upwind /= 2.0 * h
-        # forward-biased fallback where the flow is incoming
+        # forward-biased fallback where the flow is incoming; the last node
+        # takes the Laplacian's linear outflow ghost
         if (a[2:] < 0.0).any():
             fwd = np.empty_like(psi)
             fwd[0] = 0.0
-            np.subtract(pe[2:], pe[:-2], out=fwd[1:])
+            np.subtract(psi[2:], psi[:-2], out=fwd[1:-1])
+            fwd[-1] = 2.0 * (psi[-1] - psi[-2])
             fwd[1:] /= 2.0 * h
             dpsi = np.where(a < 0.0, fwd, dpsi)
         dpsi *= a
@@ -220,21 +217,14 @@ def _residual_norm(psi, ops, lam, params, terms=ALL_TERMS):
     return l2_norm(_rhs(psi, ops, lam, params, terms), ops.grid)
 
 
-def _stability_bounds(h, lam, params, r_dom) -> tuple[float, float]:
-    """The advective CFL and explicit-diffusion limits on dt, at safety 1.
+def dt_policy(h, lam, params, r_dom, safety: float = _CFL_SAFETY) -> float:
+    """``safety`` times the advective CFL bound on the mapped grid.
 
     ``h`` is the xi spacing.  The drift speed in xi is ``beta r/J``, largest at
-    ``r_dom`` where ``r/J = r_dom/sqrt(1 + (r_dom/a)^2)``; the largest diffusion
-    weight ``1/J^2`` is 1, at the origin.
+    ``r_dom`` where ``r/J = r_dom/sqrt(1 + (r_dom/a)^2)``.  Diffusion is
+    implicit, so ``lam`` does not enter.
     """
-    dif = lam ** (2.0 - 4.0 * params.beta)
-    adv = h * math.sqrt(1.0 + (r_dom / _STRETCH) ** 2) / (params.beta * r_dom)
-    return adv, h * h / (2.0 * dif)
-
-
-def dt_policy(h, lam, params, r_dom, safety: float = _CFL_SAFETY) -> float:
-    """Stability bound on the mapped grid: advective CFL plus explicit-diffusion limit."""
-    return safety * min(_stability_bounds(h, lam, params, r_dom))
+    return safety * h * math.sqrt(1.0 + (r_dom / _STRETCH) ** 2) / (params.beta * r_dom)
 
 
 def make_state(
@@ -263,20 +253,19 @@ def step_renorm(
     dt: float,
     terms=ALL_TERMS,
 ) -> RenormState:
-    """One classical 4-stage explicit step; lambda evaluated exactly per stage."""
+    """One ARS(2,2,2) step (``radial.ars222_step``): diffusion implicit with its
+    coefficient ``lambda^{2-4beta}`` at mid-step; drift, nonlocal, reaction and
+    damping, which do not depend on lambda, explicit."""
     ops, psi = state.ops, state.psi
-    if dt > dt_policy(ops.h, state.lam, params, ops.grid[-1], safety=1.0):
+    if dt > dt_policy(ops.h, state.lam, params, ops.grid[-1], safety=_CFL_LIMIT):
         raise CFLViolation(f"dt={dt:.3g} exceeds the stability bound")
 
-    def F(p, dtau):
-        lam = state.lam0 * math.exp(-(state.tau + dtau) / 2.0)
-        return _rhs(p, ops, lam, params, terms)
-
-    k1 = F(psi, 0.0)
-    k2 = F(psi + 0.5 * dt * k1, 0.5 * dt)
-    k3 = F(psi + 0.5 * dt * k2, 0.5 * dt)
-    k4 = F(psi + dt * k3, dt)
-    new = psi + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    explicit = terms - {"diffusion"}
+    F = lambda p: _rhs(p, ops, state.lam, params, explicit)
+    dif = 0.0
+    if "diffusion" in terms:
+        dif = (state.lam0 * math.exp(-(state.tau + 0.5 * dt) / 2.0)) ** (2.0 - 4.0 * params.beta)
+    new, _ = ars222_step(psi, F(psi), F, ops.lap, dif, dt)
     if not np.all(np.isfinite(new)):
         raise NonFiniteField("non-finite value in evolved field")
     return replace(state, tau=state.tau + dt, psi=new)
@@ -324,11 +313,11 @@ def run_renorm(
     """Evolve to ``tau_end`` recording (tau, lambda, sup|eps|, modes, residual).
 
     Records every 0.05 in tau; the modes are ``c_0 .. c_{j0+2}``.  ``steps``
-    counts the RK4 steps and ``dt_bound`` names the stability limit,
-    ``"advective"`` or ``"diffusive"``, that was the smaller one at most steps.
+    counts the ARS(2,2,2) steps, each ``_CFL_SAFETY`` of the advective bound
+    unless clipped to a record time.
     """
     state = make_state(profile, lam0, n=n, perturbation=perturbation)
-    h, r_dom = state.h, state.grid[-1]
+    dt_adv = dt_policy(state.h, lam0, params, state.grid[-1])
     q_ref = profile.evaluator.q(state.grid)
     taus, lams, eps_sup, residuals, coefs = [], [], [], [], []
 
@@ -341,11 +330,9 @@ def run_renorm(
 
     record(state)
     next_rec = _RECORD_DTAU
-    steps = advective = 0
+    steps = 0
     while state.tau < tau_end - 1e-12:
-        adv, dif = _stability_bounds(h, state.lam, params, r_dom)
-        advective += adv <= dif
-        dt = min(_CFL_SAFETY * min(adv, dif), tau_end - state.tau, next_rec - state.tau + 1e-15)
+        dt = min(dt_adv, tau_end - state.tau, next_rec - state.tau + 1e-15)
         state = step_renorm(state, profile, params, dt, terms=terms)
         steps += 1
         if state.tau >= next_rec - 1e-12:
@@ -353,7 +340,6 @@ def run_renorm(
             next_rec = round(next_rec / _RECORD_DTAU + 1) * _RECORD_DTAU
     return {
         "steps": steps,
-        "dt_bound": "advective" if 2 * advective >= steps else "diffusive",
         "tau": np.array(taus),
         "lam": np.array(lams),
         "eps_sup": np.array(eps_sup),

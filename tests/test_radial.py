@@ -1,11 +1,13 @@
-"""Uniform-grid cumulative Simpson kernel against scipy and exact polynomials."""
+"""Uniform-grid cumulative Simpson kernel against scipy and exact polynomials, and
+the ARS(2,2,2) step against a matrix exponential."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import cumulative_simpson
+from scipy.linalg import expm
 
-from ksdlab.radial import cumulative_simpson_uniform
+from ksdlab.radial import Tridiagonal, ars222_step, cumulative_simpson_uniform
 
 
 @settings(max_examples=60, deadline=None)
@@ -29,3 +31,25 @@ def test_quadratic_exact():
         got = cumulative_simpson_uniform(x * x, x[1] - x[0])
         np.testing.assert_allclose(got, x**3 / 3.0, rtol=0.0, atol=1e-13)
 
+
+def test_ars222_second_order():
+    # u' = A u + d L u on 5 nodes, against the matrix exponential: halving dt
+    # divides the global error by 4
+    rng = np.random.default_rng(3)
+    n, d, t_end = 5, 0.7, 1.0
+    L = Tridiagonal(
+        rng.uniform(0.5, 1.0, n - 1), -rng.uniform(2.0, 3.0, n), rng.uniform(0.5, 1.0, n - 1)
+    )
+    A = 0.3 * rng.normal(size=(n, n))
+    u0 = rng.normal(size=n)
+    full = A + d * (np.diag(L.diag) + np.diag(L.lower, -1) + np.diag(L.upper, 1))
+    exact = expm(t_end * full) @ u0
+    explicit = lambda u: A @ u
+    errs = []
+    for steps in (20, 40, 80):
+        dt, u = t_end / steps, u0
+        for _ in range(steps):
+            u, _ = ars222_step(u, explicit(u), explicit, L, d, dt)
+        errs.append(np.max(np.abs(u - exact)))
+    for coarse, fine in zip(errs, errs[1:]):
+        assert 3.5 <= coarse / fine <= 4.5
