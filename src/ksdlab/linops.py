@@ -30,7 +30,7 @@ from .errors import (
     OrderUnsupported,
 )
 from .profile import ProfileParams, RadialProfile
-from .radial import cumulative_simpson_uniform
+from .radial import cumulative_simpson_uniform, horner
 
 
 # ---------------------------------------------------------------------------
@@ -52,9 +52,7 @@ class PolyGauss:
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
-        return np.polynomial.polynomial.polyval(r, self.coeffs) * np.exp(
-            -(r * r) / (self.s * self.s)
-        )
+        return horner(self.coeffs, r) * np.exp(-(r * r) / (self.s * self.s))
 
     @property
     def vanish_order(self) -> int:

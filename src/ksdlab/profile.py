@@ -15,20 +15,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from decimal import Decimal, localcontext
+from operator import mul
 
-import mpmath as mp
-from mpmath.libmp import (
-    dps_to_prec,
-    from_float,
-    from_int,
-    fzero,
-    mpf_add,
-    mpf_div,
-    mpf_mul,
-    mpf_mul_int,
-    mpf_rdiv_int,
-    mpf_sub,
-)
 import numpy as np
 from scipy.integrate import cumulative_simpson, solve_ivp
 
@@ -40,12 +29,13 @@ from .errors import (
     RegionExitScenario2,
     StepSizeUnderflow,
 )
+from .radial import horner
 
 #: hard cap on the number of stored Taylor coefficients
 N_MAX = 400
 
-#: working precision (decimal digits) for the coefficient recurrence
-SERIES_DPS = 40
+#: significant decimal digits of the coefficient recurrence
+SERIES_DIGITS = 50
 
 
 def compute_admissibility(mu: float) -> tuple[float, int]:
@@ -106,11 +96,11 @@ class ProfileParams:
 
 
 def series_recurrence(mu: float, beta: float, n: int, j0: int, q_j0: float = -1.0):
-    """Run the Taylor recurrence in extended precision; return mpmath Q_j list.
+    """Run the Taylor recurrence at SERIES_DIGITS decimal digits; return a Decimal Q_j list.
 
     For ``1 <= j != j0`` the coefficient is forced:
 
-        Q_j = S_j / (2j (1/(2 j0) - 1/(2j))),
+        Q_j = j0 S_j / (j - j0),
         S_j = sum_{i=1}^{j-1} (2i/(2(j-i)+3) + (1-mu)) Q_i Q_{j-i},
 
     using ``beta - f0 = 1/(2 j0)``, which ``ProfileParams`` checks for ``beta``.
@@ -119,38 +109,33 @@ def series_recurrence(mu: float, beta: float, n: int, j0: int, q_j0: float = -1.
     induction so is every ``Q_j`` with ``j0`` not dividing ``j``: a product
     ``Q_i Q_{j-i}`` of two lattice terms lies on the lattice.  So only
     ``j = 2 j0, 3 j0, ...`` are computed, summing ``i = j0, 2 j0, ..., j - j0``;
-    the other entries stay exactly 0.
+    the other entries stay exactly 0.  The sum is split so that it divides
+    nowhere, ``S_j = sum (2i Q_i) (Q_{j-i}/(2(j-i)+3)) + (1-mu) sum Q_i Q_{j-i}``,
+    with ``2i Q_i`` and ``Q_i/(2i+3)`` formed once per lattice index.
     """
     ProfileParams(mu, j0, beta, q_j0)
-    # The sums run on raw mpmath tuples, with the very libmp calls, precision
-    # and rounding that mp.mpf's operators make inside workdps(SERIES_DPS), so
-    # every value is bit-identical to the operator form at a fraction of the
-    # object overhead.
-    prec, rnd = dps_to_prec(SERIES_DPS), "n"
-    one = from_int(1)
-    one_m_mu = mpf_sub(one, from_float(mu), prec, rnd)
-    Q = [mpf_rdiv_int(1, one_m_mu, prec, rnd)] + [fzero] * n
-    if j0 <= n:
-        Q[j0] = from_float(q_j0)
-    for j in range(2 * j0, n + 1, j0):
-        S = fzero
-        for i in range(j0, j, j0):
-            c = mpf_add(mpf_div(from_int(2 * i), from_int(2 * (j - i) + 3), prec, rnd),
-                        one_m_mu, prec, rnd)
-            S = mpf_add(S, mpf_mul(mpf_mul(c, Q[i], prec, rnd), Q[j - i], prec, rnd), prec, rnd)
-        den_factor = mpf_sub(mpf_div(one, from_int(2 * j0), prec, rnd),
-                             mpf_div(one, from_int(2 * j), prec, rnd), prec, rnd)
-        Q[j] = mpf_div(S, mpf_mul_int(den_factor, 2 * j, prec, rnd), prec, rnd)
-    return [mp.make_mpf(q) for q in Q]
+    Q = [Decimal(0)] * (n + 1)
+    with localcontext() as ctx:
+        ctx.prec = SERIES_DIGITS
+        one_m_mu = 1 - Decimal(mu)
+        Q[0] = 1 / one_m_mu
+        # Q_i, 2i Q_i and Q_i/(2i+3) at i = k j0, by lattice index k (0 unused)
+        q, a, b = [None], [None], [None]
+        for k in range(1, n // j0 + 1):
+            # at j = k j0, j0 S_j / (j - j0) is S_j / (k - 1)
+            qk = Decimal(q_j0) if k == 1 else (
+                sum(map(mul, a[1:k], b[k - 1:0:-1]))
+                + one_m_mu * sum(map(mul, q[1:k], q[k - 1:0:-1]))) / (k - 1)
+            Q[k * j0] = qk
+            q.append(qk)
+            a.append(2 * k * j0 * qk)
+            b.append(qk / (2 * k * j0 + 3))
+    return Q
 
 
 def _even_series(coeffs: np.ndarray, r):
     """``sum_j coeffs[j] r^{2j}`` by Horner's rule in ``r^2``."""
-    x = np.square(np.asarray(r, dtype=float))
-    out = np.zeros_like(x)
-    for c in coeffs[::-1]:
-        out = out * x + c
-    return out
+    return horner(coeffs, np.square(np.asarray(r, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -208,15 +193,15 @@ def _growth_certificate(q: np.ndarray) -> tuple[float, float]:
 def build_series(params: ProfileParams, tol: float) -> PowerSeries:
     """Construct the origin Taylor series certified to tolerance ``tol``.
 
-    Coefficients are generated to N_MAX in extended precision; the stored
-    truncation N is the shortest prefix whose geometric remainder estimate at
-    the planned handoff radius (80% of the fitted convergence radius) is below
-    ``tol``.
+    Coefficients are generated to N_MAX at SERIES_DIGITS decimal digits and
+    rounded to float64; the stored truncation N is the shortest prefix whose
+    geometric remainder estimate at the planned handoff radius (80% of the
+    fitted convergence radius) is below ``tol``.
     """
     if tol <= 0:
         raise DomainError("tol must be positive")
-    Qmp = series_recurrence(params.mu, params.beta, N_MAX, j0=params.j0, q_j0=params.q_j0)
-    q = np.array([float(c) for c in Qmp])
+    Q = series_recurrence(params.mu, params.beta, N_MAX, j0=params.j0, q_j0=params.q_j0)
+    q = np.array([float(c) for c in Q])
 
     nz = np.nonzero(q[1:])[0] + 1
     if len(nz) >= 4:

@@ -1,5 +1,5 @@
-"""Radial kernels shared by the time loops and the operator probes: uniform-grid
-quadrature, and the one IMEX time step both time loops take."""
+"""Radial kernels shared by the time loops, the operator probes and the profile: uniform-grid
+quadrature, Horner evaluation, and the one IMEX time step both time loops take."""
 
 from __future__ import annotations
 
@@ -32,6 +32,18 @@ def cumulative_simpson_uniform(y: np.ndarray, h: float) -> np.ndarray:
     sub[-1] = 1.25 * y[-1] + 2.0 * y[-2] - 0.25 * y[-3]
     out = np.zeros(n)
     np.cumsum(sub * (h / 3.0), out=out[1:])
+    return out
+
+
+def horner(coeffs, x):
+    """``sum_k coeffs[k] x^k`` in place in one array: per coefficient, zeros included, the
+    multiply and add of ``polyval``, so the bits (signed zeros too) match it."""
+    x = np.asarray(x, dtype=float)
+    # [()] turns 0-d input into float64 scalars: in-place 0-d updates are 20x slower
+    x, out = x[()], np.zeros_like(x)[()]
+    for c in coeffs[::-1]:
+        out *= x
+        out += c
     return out
 
 

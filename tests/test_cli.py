@@ -151,6 +151,17 @@ class TestRun:
             "manifest_heat.json": base,
         }
 
+    def test_nested_profile_time(self, tmp_path):
+        # coercivity alone runs the profile stage inside itself: its wall time
+        # includes the profile's, and its manifest names that share
+        out = tmp_path / "out"
+        assert main(["coercivity", "--quick", "--mu", "0", "--j0", "4", "--out", str(out)]) == 0
+        prof = json.loads((out / "manifest_profile.json").read_text())
+        coer = json.loads((out / "manifest_coercivity.json").read_text())
+        assert coer["nested_wall_time_s"] == {"profile": prof["wall_time_s"]}
+        assert prof["wall_time_s"] <= coer["wall_time_s"]
+        assert "nested_wall_time_s" not in prof
+
     @pytest.mark.parametrize("argv, code, prefix", [
         (["phys", "--mu", "0", "--lambda0", "0.2", "--grid-n", "512"], 3,
          "ksdlab: stage_phys: "),
@@ -220,3 +231,12 @@ class TestThreads:
 
     def test_unset_leaves_pool_alone(self):
         assert self._pool_after_import() == "None"
+
+
+def test_cli_import_leaves_mpmath_out():
+    # mpmath is a test dependency only: the command line must not load it
+    env = {**os.environ, "PYTHONPATH": str(Path(ksdlab.__file__).parents[1])}
+    code = "import sys, ksdlab.cli; print('mpmath' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from ksdlab.errors import DomainError, OutOfRange
 from ksdlab.profile import (
     N_MAX,
-    SERIES_DPS,
     ProfileParams,
     build_series,
     classify_beta,
@@ -23,6 +22,10 @@ from ksdlab.profile import (
     series_recurrence,
     solve_profile,
 )
+
+
+#: working precision (decimal digits) of the ``mp.mpf`` operator oracle
+SERIES_DPS = 40
 
 
 def rational_recurrence(mu: Fraction, j0: int, q_j0: Fraction, n: int) -> list[Fraction]:
@@ -116,14 +119,32 @@ class TestRecurrence:
         for j in range(n + 1):
             assert float(Qmp[j]) == pytest.approx(float(Qfr[j]), rel=1e-13, abs=1e-300)
 
-    @pytest.mark.parametrize("mu, j0", [(0.0, 4), (0.2, 7), (0.3, 22)])
-    def test_bits_match_operator_form(self, mu, j0):
-        # the libmp-tuple loop must round exactly where mp.mpf's operators do
+    @pytest.mark.parametrize(
+        "mu, j0", [(0.0, 4), (0.1, 5), (0.2, 7), (0.25, 10), (0.3, 22), (0.32, 52)]
+    )
+    def test_floats_match_operator_form(self, mu, j0):
+        # build_series consumes the float64 roundings, so those must not move
         p = ProfileParams.make(mu, j0)
         got = series_recurrence(p.mu, p.beta, N_MAX, j0=j0, q_j0=-1.0)
         ref = operator_recurrence(mu, j0, -1.0, N_MAX)
-        assert all(isinstance(q, mp.mpf) for q in got)
-        assert [q._mpf_ for q in got] == [q._mpf_ for q in ref]
+        assert [float(q) for q in got] == [float(q) for q in ref]
+
+    @given(
+        mu=st.floats(min_value=0.0, max_value=0.3),
+        extra=st.integers(min_value=0, max_value=3),
+    )
+    @example(mu=0.0, extra=0)
+    @settings(max_examples=10, deadline=None)
+    def test_precision_against_rational_oracle(self, mu, extra):
+        # the full-precision values, not only their float64 roundings
+        j0 = compute_admissibility(mu)[1] + extra
+        n = 10 * j0 + j0 // 2
+        p = ProfileParams.make(mu, j0)
+        got = series_recurrence(p.mu, p.beta, n, j0=j0, q_j0=-1.0)
+        exact = rational_recurrence(Fraction(mu), j0, Fraction(-1), n)
+        for q, e in zip(got, exact, strict=True):
+            err = abs(Fraction(q) - e)
+            assert err <= Fraction(1, 10**45) * abs(e)
 
     def test_q8_value(self):
         Qmp = series_recurrence(0.0, 11.0 / 24.0, 8, j0=4, q_j0=-1.0)

@@ -1,13 +1,17 @@
-"""Uniform-grid cumulative Simpson kernel against scipy and exact polynomials, and
-the ARS(2,2,2) step against a matrix exponential."""
+"""Uniform-grid cumulative Simpson kernel against scipy and exact polynomials,
+Horner evaluation against numpy's polyval, and the ARS(2,2,2) step against a
+matrix exponential."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import cumulative_simpson
+from numpy.polynomial.polynomial import polyval
 from scipy.linalg import expm
 
-from ksdlab.radial import Tridiagonal, ars222_step, cumulative_simpson_uniform
+from ksdlab.heat import HeatParams, make_heat_suite
+from ksdlab.linops import RadialQuad, make_test_suite
+from ksdlab.radial import Tridiagonal, ars222_step, cumulative_simpson_uniform, horner
 
 
 @settings(max_examples=60, deadline=None)
@@ -53,3 +57,24 @@ def test_ars222_second_order():
         errs.append(np.max(np.abs(u - exact)))
     for coarse, fine in zip(errs, errs[1:]):
         assert 3.5 <= coarse / fine <= 4.5
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def test_horner_bits_match_polyval():
+    # compared as integers, so that +0 and -0 differ
+    r = RadialQuad.make().r
+    suites = [tf.to_polygauss() for tf in make_test_suite(36)]
+    suites += make_heat_suite(HeatParams(m=2))
+    for g in suites:
+        for c in (g.coeffs, g.deriv().coeffs):
+            assert np.array_equal(_bits(horner(c, r)), _bits(polyval(r, c)))
+    # a zero constant term at x = +-0, where the sign of the zero result shows
+    c = np.array([0.0, -2.0, 0.0, 3.0])
+    x = np.array([0.0, -0.0, 1e-300, -1.5])
+    assert np.array_equal(_bits(horner(c, x)), _bits(polyval(x, c)))
+    for xs in x:
+        got = horner(c, xs)
+        assert np.ndim(got) == 0 and _bits(got) == _bits(polyval(xs, c))
