@@ -15,7 +15,7 @@ import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .errors import ConfigParseError, DomainError, KSDLabError, StageFailure
+from .errors import ConfigParseError, DomainError, KSDLabError
 from .heat import HeatParams, heat_coercivity, make_heat_suite
 from .io import write_csv, write_json, write_manifest
 from .linops import coercivity_probe, make_test_suite, select_weight
@@ -253,8 +253,7 @@ def run(config: RunConfig) -> int:
             print(f"ksdlab: stage_{name}: {exc}", file=sys.stderr)
             return 2
         except KSDLabError as exc:
-            err = StageFailure(f"stage_{name}: {exc}")
-            print(f"ksdlab: {err}", file=sys.stderr)
+            print(f"ksdlab: stage_{name}: {exc}", file=sys.stderr)
             return 3
     return 0
 

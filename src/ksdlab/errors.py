@@ -76,6 +76,3 @@ class SnapshotMismatch(KSDLabError):
 class ConfigParseError(KSDLabError):
     """Run configuration could not be parsed or validated."""
 
-
-class StageFailure(KSDLabError):
-    """A pipeline stage failed; wraps the originating module error."""

@@ -37,8 +37,6 @@ from .errors import (
 from .profile import ProfileParams, RadialProfile
 from .radial import Tridiagonal, ars222_step, cumulative_simpson_uniform, l2_norm
 
-ALL_TERMS = frozenset({"diffusion", "drift", "nonlocal", "reaction"})
-
 #: modes are fitted on ``r <= _FIT_RADIUS``, inside the plateau of the seed cutoff
 _FIT_RADIUS = 0.5
 
@@ -162,59 +160,50 @@ def chi_bump(r):
     return 1.0 - t**3 * (10.0 - 15.0 * t + 6.0 * t * t)
 
 
-def _rhs(psi, ops, lam, params, terms=ALL_TERMS):
-    """Semi-discrete right-hand side (second-order stencils in xi throughout)."""
-    mu, beta = params.mu, params.beta
-    h = ops.h
-    out = np.zeros_like(psi)
+def _upwind(psi, h):
+    """``d psi/d xi``: second-order upwind for outgoing flow, central at node 1, 0 at the origin."""
+    dpsi = np.empty_like(psi)
+    dpsi[0] = 0.0
+    dpsi[1] = (psi[2] - psi[0]) / (2.0 * h)
+    upwind = dpsi[2:]
+    np.multiply(psi[2:], 3.0, out=upwind)
+    upwind -= 4.0 * psi[1:-1]
+    upwind += psi[:-2]
+    upwind /= 2.0 * h
+    return dpsi
 
-    if "diffusion" in terms:
-        out += lam ** (2.0 - 4.0 * beta) * ops.lap.apply(psi)
 
-    # advective velocity in xi: d xi/d tau = (r/J) (beta - f) >= 0, outgoing
-    if "drift" in terms or "nonlocal" in terms:
-        bcoef = beta if "drift" in terms else 0.0
-        if "nonlocal" in terms:
-            m = cumulative_simpson_uniform(psi * ops.r2j, h)
-            a = np.empty_like(psi)
-            a[0] = psi[0] / 3.0
-            np.divide(m[1:], ops.r3, out=a[1:])
-            np.subtract(bcoef, a, out=a)
-            a *= ops.r_j
-        else:
-            a = ops.r_j * bcoef
-        dpsi = np.empty_like(psi)
-        dpsi[0] = 0.0
-        dpsi[1] = (psi[2] - psi[0]) / (2.0 * h)
-        upwind = dpsi[2:]
-        np.multiply(psi[2:], 3.0, out=upwind)
-        upwind -= 4.0 * psi[1:-1]
-        upwind += psi[:-2]
-        upwind /= 2.0 * h
-        # forward-biased fallback where the flow is incoming; the last node
-        # takes the Laplacian's linear outflow ghost
-        if (a[2:] < 0.0).any():
-            fwd = np.empty_like(psi)
-            fwd[0] = 0.0
-            np.subtract(psi[2:], psi[:-2], out=fwd[1:-1])
-            fwd[-1] = 2.0 * (psi[-1] - psi[-2])
-            fwd[1:] /= 2.0 * h
-            dpsi = np.where(a < 0.0, fwd, dpsi)
-        dpsi *= a
-        out -= dpsi
+def _rhs(psi, ops, params, out):
+    """Add the explicit operator (drift, nonlocal, reaction, damping) into ``out``; return it.
 
-    # the -Psi damping is part of the linear rescaling and is always on (the
-    # advection-only subcheck has exact solution e^{-tau} Psi0(r e^{-beta tau}))
+    None of it depends on lambda.  The velocity in xi is ``a = (r/J)(beta -
+    f)`` with ``f <= max psi/3``, so the flow is outgoing wherever ``psi <
+    3 beta = Q0 + 3/(2 j0)``, and the upwind stencil assumes it: incoming flow
+    raises CFLViolation.
+    """
+    m = cumulative_simpson_uniform(psi * ops.r2j, ops.h)
+    a = np.empty_like(psi)
+    a[0] = psi[0] / 3.0
+    np.divide(m[1:], ops.r3, out=a[1:])
+    np.subtract(params.beta, a, out=a)
+    a *= ops.r_j
+    if (a[2:] < 0.0).any():
+        raise CFLViolation("incoming flow (f > beta): the upwind stencil needs outgoing flow")
+    dpsi = _upwind(psi, ops.h)
+    dpsi *= a
+    out -= dpsi
+    # the -Psi damping is part of the linear rescaling
     out -= psi
-    if "reaction" in terms:
-        react = (1.0 - mu) * psi
-        react *= psi
-        out += react
+    react = (1.0 - params.mu) * psi
+    react *= psi
+    out += react
     return out
 
 
-def _residual_norm(psi, ops, lam, params, terms=ALL_TERMS):
-    return l2_norm(_rhs(psi, ops, lam, params, terms), ops.grid)
+def _residual_norm(psi, ops, lam, params):
+    """Radial L2 norm of the full right-hand side, diffusion ``lambda^{2-4beta} Lap`` included."""
+    diffusion = lam ** (2.0 - 4.0 * params.beta) * ops.lap.apply(psi)
+    return l2_norm(_rhs(psi, ops, params, diffusion), ops.grid)
 
 
 def dt_policy(h, lam, params, r_dom, safety: float = _CFL_SAFETY) -> float:
@@ -251,20 +240,17 @@ def step_renorm(
     profile: RadialProfile,
     params: ProfileParams,
     dt: float,
-    terms=ALL_TERMS,
 ) -> RenormState:
     """One ARS(2,2,2) step (``radial.ars222_step``): diffusion implicit with its
-    coefficient ``lambda^{2-4beta}`` at mid-step; drift, nonlocal, reaction and
-    damping, which do not depend on lambda, explicit."""
+    coefficient ``lambda^{2-4beta}`` at mid-step, the only place lambda enters;
+    the ``_rhs`` operator explicit.  Raises CFLViolation for a ``dt`` above
+    ``_CFL_LIMIT`` of the advective bound and for incoming flow."""
     ops, psi = state.ops, state.psi
     if dt > dt_policy(ops.h, state.lam, params, ops.grid[-1], safety=_CFL_LIMIT):
         raise CFLViolation(f"dt={dt:.3g} exceeds the stability bound")
 
-    explicit = terms - {"diffusion"}
-    F = lambda p: _rhs(p, ops, state.lam, params, explicit)
-    dif = 0.0
-    if "diffusion" in terms:
-        dif = (state.lam0 * math.exp(-(state.tau + 0.5 * dt) / 2.0)) ** (2.0 - 4.0 * params.beta)
+    F = lambda p: _rhs(p, ops, params, np.zeros_like(p))
+    dif = (state.lam0 * math.exp(-(state.tau + 0.5 * dt) / 2.0)) ** (2.0 - 4.0 * params.beta)
     new, _ = ars222_step(psi, F(psi), F, ops.lap, dif, dt)
     if not np.all(np.isfinite(new)):
         raise NonFiniteField("non-finite value in evolved field")
@@ -274,16 +260,17 @@ def step_renorm(
 def extract_modes(
     state: RenormState,
     profile: RadialProfile,
-    Kfit: int = 6,
     q_ref: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Least-squares coefficients of ``Psi - Q`` against ``{r^{2j}}``, ``r <= 1/2``.
+    """Least-squares coefficients ``c_0 .. c_{j0+2}`` of ``Psi - Q`` against
+    ``{r^{2j}}`` on ``r <= 1/2``, with ``j0`` from the profile's parameters.
 
     Columns are scaled by ``(1/2)^{2j}`` before conditioning is checked; the
     fit window sits inside the region where the mode cutoff is 1.  A window
-    with no more nodes than the ``Kfit + 1`` unknowns raises IllConditionedFit:
+    with no more nodes than the ``j0 + 3`` unknowns raises IllConditionedFit:
     its minimum-norm solution is not a fit.
     """
+    Kfit = profile.evaluator.params.j0 + 2
     grid = state.grid
     sel = grid <= _FIT_RADIUS
     r = grid[sel]
@@ -308,13 +295,13 @@ def run_renorm(
     tau_end: float,
     n: int = 4096,
     perturbation=None,
-    terms=ALL_TERMS,
 ) -> dict:
     """Evolve to ``tau_end`` recording (tau, lambda, sup|eps|, modes, residual).
 
-    Records every 0.05 in tau; the modes are ``c_0 .. c_{j0+2}``.  ``steps``
-    counts the ARS(2,2,2) steps, each ``_CFL_SAFETY`` of the advective bound
-    unless clipped to a record time.
+    Records every 0.05 in tau; the modes are ``extract_modes``' ``c_0 ..
+    c_{j0+2}``, and the residual is that of the full flow, diffusion included.
+    ``steps`` counts the ARS(2,2,2) steps, each ``_CFL_SAFETY`` of the
+    advective bound unless clipped to a record time.
     """
     state = make_state(profile, lam0, n=n, perturbation=perturbation)
     dt_adv = dt_policy(state.h, lam0, params, state.grid[-1])
@@ -325,15 +312,15 @@ def run_renorm(
         taus.append(st.tau)
         lams.append(st.lam)
         eps_sup.append(float(np.max(np.abs(st.psi - q_ref))))
-        residuals.append(_residual_norm(st.psi, st.ops, st.lam, params, terms))
-        coefs.append(extract_modes(st, profile, params.j0 + 2, q_ref=q_ref))
+        residuals.append(_residual_norm(st.psi, st.ops, st.lam, params))
+        coefs.append(extract_modes(st, profile, q_ref=q_ref))
 
     record(state)
     next_rec = _RECORD_DTAU
     steps = 0
     while state.tau < tau_end - 1e-12:
         dt = min(dt_adv, tau_end - state.tau, next_rec - state.tau + 1e-15)
-        state = step_renorm(state, profile, params, dt, terms=terms)
+        state = step_renorm(state, profile, params, dt)
         steps += 1
         if state.tau >= next_rec - 1e-12:
             record(state)

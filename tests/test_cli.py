@@ -9,11 +9,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ksdlab
 from ksdlab.cli import RunConfig, _quick_renorm_n, main, parse_config, portrait_scan
 from ksdlab.errors import ConfigParseError
+from ksdlab.io import fmt_float, write_csv
 from ksdlab.renorm import fit_nodes
 
 
@@ -151,6 +155,14 @@ class TestRun:
             "manifest_heat.json": base,
         }
 
+    def test_mu02_quick_renorm_pinned(self, tmp_path):
+        # the reaction coefficient 1 - mu and the j0 + 3 = 10 mode fit at mu != 0
+        out = tmp_path / "out"
+        argv = ["renorm", "--quick", "--mu", "0.2", "--j0", "7", "--seed", "12345", "--out", str(out)]
+        assert main(argv) == 0
+        digest = hashlib.sha256((out / "renorm.csv").read_bytes()).hexdigest()
+        assert digest == "6fed2b9fae478b362b8eef2dd4a9a1e0867d530474f7b85db054e185c5644f3c"
+
     def test_nested_profile_time(self, tmp_path):
         # coercivity alone runs the profile stage inside itself: its wall time
         # includes the profile's, and its manifest names that share
@@ -202,6 +214,34 @@ class TestRun:
         assert fit_nodes(n) >= j0 + 3
         if n > 1024:
             assert fit_nodes(n // 2) < j0 + 3
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestCsvDeterminism:
+    @given(x=_finite)
+    @example(x=0.0)
+    @example(x=-0.0)
+    @example(x=5e-324)
+    @example(x=-2.2250738585072009e-308)
+    def test_float_round_trip(self, x):
+        # 17 significant digits give back every binary64, the sign of zero included
+        bits = lambda v: np.float64(v).view(np.int64)
+        assert bits(float(fmt_float(x))) == bits(x)
+        assert bits(float(fmt_float(np.float64(x)))) == bits(x)
+
+    @given(rows=st.lists(st.lists(_finite, min_size=1, max_size=4), min_size=1, max_size=5))
+    @example(rows=[[-0.0, 0.0, 5e-324]])
+    @settings(max_examples=50)
+    def test_same_rows_same_bytes(self, tmp_path_factory, rows):
+        out = tmp_path_factory.getbasetemp()
+        bodies = []
+        for name in ("a.csv", "b.csv"):
+            write_csv(out / name, ["x"] * max(map(len, rows)), rows)
+            bodies.append((out / name).read_bytes())
+        assert bodies[0] == bodies[1]
+        assert bodies[0].count(b"\n") == bodies[0].count(b"\r\n") == len(rows) + 1
 
 
 class TestThreads:

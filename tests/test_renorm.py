@@ -1,6 +1,7 @@
 """Renormalized flow: fixed point, exact subchecks, modal rates and coupling."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,11 +9,11 @@ from scipy.special import erf
 
 import ksdlab.renorm as renorm
 from ksdlab.errors import CFLViolation, DomainError, GridMismatch, IllConditionedFit
-from ksdlab.radial import cumulative_simpson_uniform
+from ksdlab.radial import ars222_step, cumulative_simpson_uniform
 from ksdlab.renorm import (
     RenormState,
     _residual_norm,
-    _rhs,
+    _upwind,
     chi_bump,
     dt_policy,
     extract_modes,
@@ -73,15 +74,14 @@ class TestMappedGrid:
         exact = math.sqrt(math.pi) / 4.0 * erf(r) - r * np.exp(-r * r) / 2.0
         assert np.max(np.abs(m - exact)) < 1e-8
 
-    def test_laplacian_second_order(self, mu0_profile, mu0_params):
-        # Lap e^{-r^2} = (4 r^2 - 6) e^{-r^2}; at lam = 1 the diffusion
-        # coefficient is 1 and _rhs adds the -psi damping
+    def test_laplacian_second_order(self, mu0_profile):
+        # Lap e^{-r^2} = (4 r^2 - 6) e^{-r^2}
         errs, hs = [], []
         for n in (512, 1024):
             st = make_state(mu0_profile, 1.0, n=n)
             r = st.grid
             psi = np.exp(-r * r)
-            lap = _rhs(psi, st.ops, 1.0, mu0_params, frozenset({"diffusion"})) + psi
+            lap = st.ops.lap.apply(psi)
             errs.append(np.max(np.abs(lap - (4.0 * r * r - 6.0) * psi)))
             hs.append(st.ops.h)
         assert hs[0] == pytest.approx(2.0 * hs[1], rel=1e-12)
@@ -110,17 +110,28 @@ class TestFlow:
         assert ratios[1] == pytest.approx(ratios[2], rel=0.02)
 
     def test_advection_only_exact(self, mu0_profile, mu0_params):
-        # with only the drift and damping terms the solution is the dilation
+        # the drift and damping alone, stepped with the upwind stencil of
+        # _rhs on the explicit half of ARS(2,2,2), have the exact solution
         # e^{-tau} Psi0(r e^{-beta tau})
-        terms = frozenset({"drift"})
-        traj = run_renorm(
-            mu0_profile, mu0_params, 1e-3, 0.5, n=2048, terms=terms
-        )
-        st = traj["state"]
-        ev = mu0_profile.evaluator
-        beta = mu0_params.beta
-        exact = math.exp(-st.tau) * ev.q(st.grid * math.exp(-beta * st.tau))
-        assert np.max(np.abs(st.psi - exact)) < 1e-3
+        st = make_state(mu0_profile, 1e-3, n=2048)
+        ops, beta = st.ops, mu0_params.beta
+        F = lambda p: -(ops.r_j * beta) * _upwind(p, ops.h) - p
+        dt_adv = dt_policy(st.h, 1e-3, mu0_params, st.grid[-1])
+        psi, tau = st.psi, 0.0
+        while tau < 0.5 - 1e-12:
+            dt = min(dt_adv, 0.5 - tau)
+            psi, _ = ars222_step(psi, F(psi), F, ops.lap, 0.0, dt)
+            tau += dt
+        exact = math.exp(-tau) * mu0_profile.evaluator.q(st.grid * math.exp(-beta * tau))
+        assert np.max(np.abs(psi - exact)) < 1e-3
+
+    def test_incoming_flow_refused(self, mu0_profile, mu0_params):
+        # psi = 2 gives f = 2/3 > beta = 11/24: the flow is incoming, where
+        # the upwind stencil does not hold
+        st = make_state(mu0_profile, 1e-3, n=1024)
+        two = replace(st, psi=np.full_like(st.psi, 2.0))
+        with pytest.raises(CFLViolation, match="incoming"):
+            step_renorm(two, mu0_profile, mu0_params, dt_policy(st.h, 1e-3, mu0_params, st.grid[-1]))
 
     def test_zero_data_stays_zero(self, mu0_profile, mu0_params):
         st = make_state(mu0_profile, 1e-3, n=512, perturbation=None)
@@ -146,11 +157,10 @@ class TestFlow:
         # one explicit evaluation per ARS(2,2,2) stage; diffusion is solved, not evaluated
         calls = []
         rhs = renorm._rhs
-        monkeypatch.setattr(renorm, "_rhs", lambda *a, **k: calls.append(a[4]) or rhs(*a, **k))
+        monkeypatch.setattr(renorm, "_rhs", lambda *a, **k: calls.append(a) or rhs(*a, **k))
         st = make_state(mu0_profile, 1e-3, n=512)
         step_renorm(st, mu0_profile, mu0_params, dt_policy(st.h, 1e-3, mu0_params, st.grid[-1]))
         assert len(calls) == 2
-        assert all("diffusion" not in terms for terms in calls)
 
     def test_recorded_residual_is_state_residual(self, mu0_profile, mu0_params, monkeypatch):
         # the residual is taken at record time from the recorded slice, with
@@ -169,16 +179,17 @@ class TestFlow:
 class TestModes:
     def test_extraction_exact(self, mu0_profile):
         st0 = make_state(mu0_profile, 1e-3, n=4096)
+        # the fit takes j0 + 3 = 7 modes: the 5 seeded ones and two zeros
         coeffs = np.array([2e-4, -1e-4, 5e-5, 0.0, 3e-5])
         psi = mu0_profile.evaluator.q(st0.grid) + sum(
             c * st0.grid ** (2 * j) for j, c in enumerate(coeffs)
         )
         st = RenormState(tau=0.0, lam0=1e-3, grid=st0.grid, psi=psi)
-        got = extract_modes(st, mu0_profile, Kfit=4)
-        assert np.allclose(got, coeffs, atol=1e-10)
+        got = extract_modes(st, mu0_profile)
+        assert np.allclose(got, np.concatenate((coeffs, [0.0, 0.0])), atol=1e-10)
 
     def test_window_without_enough_nodes_rejected(self, mu0_profile):
-        # n=512 leaves 6 nodes in r <= 1/2 for the 7 unknowns at Kfit=6; the
+        # n=512 leaves 6 nodes in r <= 1/2 for the j0 + 3 = 7 unknowns; the
         # wide Vandermonde matrix is well conditioned, but the fit is not unique
         st = make_state(mu0_profile, 1e-3, n=512)
         with pytest.raises(IllConditionedFit):
