@@ -121,7 +121,7 @@ def _ensure_profile(cfg: RunConfig, outdir: Path, cache: dict):
 
 def _stage_coercivity(cfg: RunConfig, outdir: Path, cache: dict) -> None:
     params, profile = _ensure_profile(cfg, outdir, cache)
-    w = select_weight(profile, params.j0, A=36)
+    w = select_weight(profile, params.j0)
     count = 10 if cfg.quick else 50
     suite = make_test_suite(w.A, count=count, seed=cfg.seed)
     rows = coercivity_probe(profile, params, w, suite)

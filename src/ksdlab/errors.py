@@ -29,10 +29,6 @@ class OutOfRange(KSDLabError):
     """Query point outside the sampled grid."""
 
 
-class NoAdmissibleA(KSDLabError):
-    """Weight exponent scan exceeded its cap without passing certificates."""
-
-
 class GridMismatch(KSDLabError):
     """Sampled functions live on different grids."""
 

@@ -121,9 +121,9 @@ def heat_multiplier_route(
     """
     core = _WeightedL2(quad, p.theta_exponent, kappa, 0)
     y = quad.r
-    ev = eps(y)
+    ev, p_ord = _sample(eps, quad)
     U = heat_profile(p, y)
-    e2s = (ev * core.half) ** 2
+    e2s = core.singular(ev, p_ord, ev, p_ord)
     e2 = ev * ev
     integrand = (
         (-1.0 + 2.0 * U) * (e2s + kappa * e2)

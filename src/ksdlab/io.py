@@ -55,7 +55,7 @@ def write_manifest(path, config: dict, wall_time: float, extra: dict | None = No
     }
     if extra:
         doc.update(extra)
-    Path(path).write_text(json.dumps(doc, indent=2, default=_jsonable) + "\n")
+    write_json(path, doc)
 
 
 def _jsonable(obj):

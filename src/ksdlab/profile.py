@@ -454,7 +454,7 @@ def solve_profile(
     inner = (grid > 0) & (grid <= r_h)
     outer = grid > r_h
     ri = grid[inner]
-    dq_i = series.eval_dq(ri)
+    dq_i = dq_vals[inner]
     res_i = (
         q_vals[inner]
         + beta * ri * dq_i

@@ -177,14 +177,26 @@ class TestRun:
     @pytest.mark.parametrize("argv, code, prefix", [
         (["phys", "--mu", "0", "--lambda0", "0.2", "--grid-n", "512"], 3,
          "ksdlab: stage_phys: "),
-        (["coercivity", "--mu", "0.2", "--j0", "7"], 2,
-         "ksdlab: stage_coercivity: A must be a multiple of 4"),
+        (["coercivity", "--mu", "0.2", "--j0", "6"], 2,
+         "ksdlab: stage_coercivity: j0=6 below admissibility threshold"),
     ])
     def test_stage_failure_exit_code(self, tmp_path, capsys, argv, code, prefix):
         # a numerical failure exits 3 and a rejected parameter 2, each named
         # by the stage that raised it
         assert main(argv + ["--out", str(tmp_path / "o")]) == code
         assert capsys.readouterr().err.startswith(prefix)
+
+    def test_coercivity_weight_follows_j0(self, tmp_path):
+        # the weight exponent is the least admissible one, 8 j0 + 4 = 44 at j0=5
+        out = tmp_path / "out"
+        assert main(["coercivity", "--quick", "--mu", "0.1", "--j0", "5", "--out", str(out)]) == 0
+        cert = json.loads((out / "coercivity_certificate.json").read_text())
+        assert cert["A"] == 44
+        with open(out / "coercivity.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 10
+        assert all(math.isfinite(float(row["quotient"])) for row in rows)
+        assert all(row["pass"] == "True" for row in rows)
 
     def _quick_renorm(self, tmp_path, j0):
         """Run ``renorm --quick`` at mu=0; return the mode columns and the grid size n."""

@@ -10,7 +10,6 @@ from ksdlab.errors import (
     DivergentIntegrand,
     DomainError,
     GridMismatch,
-    NoAdmissibleA,
     NoConvergence,
     OrderUnsupported,
 )
@@ -164,11 +163,17 @@ class TestSelectWeight:
         assert weight36.cert_tailnorm == _dq_weighted_norm(mu0_profile, r_lo=weight36.R1)
         assert weight36.q_at_R1 == mu0_profile.evaluator.q(weight36.R1)
 
-    def test_scan_exhausts(self, mu0_profile):
-        # the profile-gradient norm is O(1), so the whole-norm certificate
-        # needs A far beyond any reasonable cap
-        with pytest.raises(NoAdmissibleA):
-            select_weight(mu0_profile, 4)
+    def test_default_A_is_least_admissible(self, mu0_profile):
+        # the least multiple of 4 with A >= 8 j0 + 3
+        assert select_weight(mu0_profile, 4).A == 36
+
+    def test_wholenorm_needs_A_8484(self, weight36, mu0_params):
+        # the profile-gradient norm is O(1) (3.2653 at mu=0), so the whole-norm
+        # certificate first passes at the multiple of 4 A = 8484
+        def passes(A):
+            return replace(weight36, A=A).invariant_checks(mu0_params.j0)["wholenorm_smallness"]
+
+        assert passes(8484) and not passes(8480)
 
     def test_B_is_maximal(self, mu0_profile, mu0_params, weight36):
         w10 = WeightParams(
@@ -235,6 +240,13 @@ class TestCoercivity:
 
     def test_min_vanish_order(self):
         assert min_vanish_order(36) == 18
+
+    def test_suite_starts_at_min_vanish_order(self, mu0_profile, mu0_params, weight36):
+        # at A=38 the least even integrable order is 20, not A // 2 = 19
+        suite = make_test_suite(38, count=4)
+        assert [tf.p for tf in suite] == [20, 22, 20, 22]
+        rows = coercivity_probe(mu0_profile, mu0_params, replace(weight36, A=38), suite)
+        assert all(math.isfinite(r["quotient"]) for r in rows)
 
     def test_quotients_negative(self, mu0_profile, mu0_params, weight36):
         suite = make_test_suite(36, count=12)
