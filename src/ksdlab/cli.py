@@ -56,6 +56,8 @@ class RunConfig:
             raise ConfigParseError("lambda0 must be positive")
         if self.grid_n is not None and self.grid_n < 64:
             raise ConfigParseError("grid-n must be >= 64")
+        if self.seed < 0:
+            raise ConfigParseError("seed must be non-negative")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -66,6 +68,14 @@ class RunConfig:
         unknown = set(d) - allowed
         if unknown:
             raise ConfigParseError(f"unknown config keys: {sorted(unknown)}")
+        # a float key takes any JSON number, an int key an integer, never a bool
+        for key, val in d.items():
+            kind, _, optional = cls.__dataclass_fields__[key].type.partition(" | ")
+            if val is None and optional:
+                continue
+            wanted = {"float": (int, float), "int": int, "bool": bool, "str": str}[kind]
+            if isinstance(val, bool) != (kind == "bool") or not isinstance(val, wanted):
+                raise ConfigParseError(f"config key {key!r} must be {kind}, not {val!r}")
         return cls(**d)
 
 

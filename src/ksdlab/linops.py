@@ -238,11 +238,10 @@ class WeightParams:
 
 def _dq_weighted_norm(profile: RadialProfile, r_lo: float = 0.0) -> float:
     """``||r^{-1/2} dQ/dr||_{L^2(r >= r_lo)}`` by Simpson in u = ln r."""
-    ev = profile.evaluator
     u_lo = -30.0 if r_lo <= 0.0 else math.log(r_lo)
     n = 4001
     q = RadialQuad.make(u_min=u_lo, u_max=math.log(profile.r_max), n=n)
-    dq = ev.sample(q.r)[2]
+    dq = profile.sample(q.r)[2]
     return math.sqrt(4.0 * math.pi * q.integrate(dq * dq, power=1))
 
 
@@ -266,7 +265,6 @@ def select_weight(
         A = least_A
     elif A % 4 or A < least_A:
         raise DomainError("A must be a multiple of 4 with A >= 8 j0 + 3")
-    ev = profile.evaluator
     wholenorm = _dq_weighted_norm(profile)
 
     # R1: smallest profile grid radius passing (3/2) Q <= 1/1000 and the
@@ -288,8 +286,8 @@ def select_weight(
     tailnorm = _dq_weighted_norm(profile, r_lo=R1)
 
     # B: largest 10^{-k} passing the flat-part smallness condition
-    mu = ev.params.mu
-    q0 = ev.params.q0
+    mu = profile.params.mu
+    q0 = profile.params.q0
     coef = (1.5 - 2.0 * mu) * q0 + 50.0 * wholenorm**2
     log10_bound = -2.0 - A * math.log10(R1) - math.log10(coef)
     k = max(1, math.ceil(-log10_bound))
@@ -437,7 +435,7 @@ def apply_L(
     Simpson prefix sums of ``g s^2``.
     """
     gv, dg, p = _sample_slope(g, quad)
-    coeffs = _operator_coeffs(params, quad.r, *profile.evaluator.sample(quad.r))
+    coeffs = _operator_coeffs(params, quad.r, *profile.sample(quad.r))
     vals = _L_vals(_WeightedL2(quad, 0, 0.0, 2), coeffs, gv, dg)
     return SampledRadial(r=quad.r, vals=vals, vanish_order=p)
 
@@ -476,7 +474,7 @@ def coercivity_probe(
         quad = RadialQuad.make()
     pmin = min_vanish_order(w.A)
     core = _WeightedL2(quad, w.A, w.B, 2)
-    coeffs = _operator_coeffs(params, quad.r, *profile.evaluator.sample(quad.r))
+    coeffs = _operator_coeffs(params, quad.r, *profile.sample(quad.r))
 
     results = []
     for idx, tf in enumerate(suite):
@@ -519,7 +517,7 @@ def nonlocal_ibp_routes(
     if quad is None:
         quad = RadialQuad.make()
     core = _WeightedL2(quad, w.A, w.B, 2)
-    Q, fq, _ = profile.evaluator.sample(quad.r)
+    Q, fq, _ = profile.sample(quad.r)
     gv, dg, p = _sample_slope(g, quad)
     # r f_Q g' vanishes to the order p of g
     route1 = 4.0 * math.pi * core.integrate(core.integrand(quad.r * fq * dg, p, gv, p))
@@ -548,7 +546,7 @@ def quadratic_form_split(
         quad = RadialQuad.make()
     mu, beta = params.mu, params.beta
     core = _WeightedL2(quad, w.A, w.B, 2)
-    Q, fq, dQ = profile.evaluator.sample(quad.r)
+    Q, fq, dQ = profile.sample(quad.r)
     r = quad.r
     gv, dg, p = _sample_slope(g, quad)
     g2s = core.singular(gv, p, gv, p)  # g^2 r^{-A}

@@ -28,8 +28,7 @@ from .errors import (
     SnapshotMismatch,
 )
 from .profile import RadialProfile
-from .radial import DELTA, Tridiagonal, ars222_step, cumulative_simpson_uniform, l2_norm
-from .renorm import chi_bump
+from .radial import DELTA, Tridiagonal, ars222_step, chi_bump, cumulative_simpson_uniform, l2_norm
 
 
 @dataclass(frozen=True)
@@ -158,9 +157,8 @@ def build_initial(profile: RadialProfile, lam0: float, n: int = 8192) -> PhysSta
     ``R2`` is the radius where Q drops below 1e-4 of its center value; the
     domain extends to ``1.1 * 2 R2`` in self-similar units.
     """
-    ev = profile.evaluator
-    beta = ev.params.beta
-    q0 = ev.params.q0
+    beta = profile.params.beta
+    q0 = profile.params.q0
     idx = np.searchsorted(-profile.q_vals, -1e-4 * q0)
     R2 = float(profile.grid[idx])
     L = lam0 ** (2.0 * beta)
@@ -168,7 +166,7 @@ def build_initial(profile: RadialProfile, lam0: float, n: int = 8192) -> PhysSta
     grid = np.linspace(0.0, R_phys, n)
     y = np.minimum(grid / L, profile.r_max)
     cut = chi_bump(y / R2)
-    rho = ev.q(y) * cut / lam0**2
+    rho = profile.q(y) * cut / lam0**2
     return PhysState(
         t=0.0, grid=grid, rho=rho, mass=_fv_mass(rho, grid), sup_norm=float(np.max(rho))
     )
@@ -230,9 +228,8 @@ def run_phys(
     NoBlowupDetected once the sup-norm stalls within the step budget).
     Returns the recorded time series and the fit.
     """
-    ev = profile.evaluator
     if mu is None:
-        mu = ev.params.mu
+        mu = profile.params.mu
     state = build_initial(profile, lam0, n=n)
     pg = _PhysGrid.make(state.grid)
     grid, h = pg.grid, pg.h

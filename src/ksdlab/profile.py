@@ -14,7 +14,7 @@ integration in ``s = ln r``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from operator import mul
 
@@ -243,76 +243,46 @@ def build_series(params: ProfileParams, tol: float) -> PowerSeries:
     )
 
 
-class ProfileEvaluator:
-    """Piecewise spectral evaluator: Taylor series inside, dense ODE output outside."""
-
-    def __init__(self, params: ProfileParams, series: PowerSeries, r_h: float, sol, r_max: float):
-        self.params = params
-        self.series = series
-        self.r_h = r_h
-        self.sol = sol  # scipy OdeSolution in s = ln r, or None (constant case)
-        self.r_max = r_max
-
-    def _check(self, r):
-        r = np.asarray(r, dtype=float)
-        if np.any(r < 0) or np.any(r > self.r_max * (1 + 1e-12)):
-            raise OutOfRange(f"radius outside [0, {self.r_max}]")
-        return r
-
-    def _qf(self, r):
-        r = self._check(r)
-        scalar = r.ndim == 0
-        r = np.atleast_1d(r)
-        q = np.empty_like(r)
-        f = np.empty_like(r)
-        inner = r <= self.r_h
-        q[inner] = self.series.eval_q(r[inner])
-        f[inner] = self.series.eval_f(r[inner])
-        outer = ~inner
-        if np.any(outer):
-            if self.sol is None:
-                q[outer] = self.params.q0
-                f[outer] = self.params.f0
-            else:
-                y = self.sol(np.log(r[outer]))
-                q[outer] = y[0]
-                f[outer] = y[1]
-        if scalar:
-            return q[0], f[0]
-        return q, f
-
-    def q(self, r):
-        return self._qf(r)[0]
-
-    def f(self, r):
-        return self._qf(r)[1]
-
-    def sample(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(Q, f, dQ/dr)`` on the array ``r``, with one pass of ``_qf``.
-
-        ``Q`` and ``f`` are the values of ``q`` and ``f``; ``dQ/dr`` is the
-        series derivative inside and the ODE right-hand side outside.
-        """
-        r = np.atleast_1d(self._check(r))
-        q, f = self._qf(r)
-        dq = np.empty_like(r)
-        inner = r <= self.r_h
-        dq[inner] = self.series.eval_dq(r[inner])
-        outer = ~inner
-        mu, beta = self.params.mu, self.params.beta
+def _evaluate(r, params: ProfileParams, series: PowerSeries, r_h: float, sol, r_max: float):
+    """``(Q, f, dQ/dr)`` at ``r`` in ``[0, r_max]``: the series on ``r <= r_h``, the
+    dense output ``sol`` (or the constant ``(Q0, f0)`` when it is None) outside,
+    with ``dQ/dr`` from the ODE right-hand side there.  Scalars in, scalars out."""
+    r = np.asarray(r, dtype=float)
+    if np.any(r < 0) or np.any(r > r_max * (1 + 1e-12)):
+        raise OutOfRange(f"radius outside [0, {r_max}]")
+    rs = np.atleast_1d(r)
+    q, f, dq = np.empty_like(rs), np.empty_like(rs), np.empty_like(rs)
+    inner = rs <= r_h
+    ri = rs[inner]
+    q[inner], f[inner], dq[inner] = series.eval_q(ri), series.eval_f(ri), series.eval_dq(ri)
+    outer = ~inner
+    if np.any(outer):
+        ro = rs[outer]
+        if sol is None:
+            q[outer], f[outer] = params.q0, params.f0
+        else:
+            q[outer], f[outer] = sol(np.log(ro))
         qo, fo = q[outer], f[outer]
-        dq[outer] = ((1.0 - mu) * qo * qo - qo) / ((beta - fo) * r[outer])
-        return q, f, dq
+        dq[outer] = ((1.0 - params.mu) * qo * qo - qo) / ((params.beta - fo) * ro)
+    if r.ndim == 0:
+        return q[0], f[0], dq[0]
+    return q, f, dq
 
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """Sampled profile on a graded grid (node r=0, then 64 log nodes/decade).
+    """The profile: its spectral representation, sampled on a graded grid (node
+    r=0, then 64 log nodes/decade).
 
-    ``evaluator`` carries the spectral representation used to build the samples;
-    it is excluded from equality/serialization.
+    Inside ``handoff_radius`` Q and f are the Taylor ``series``; outside they
+    are ``sol``, the dense ODE output in ``s = ln r`` (None for the constant
+    profile).  ``q``, ``f`` and ``sample`` evaluate that representation on
+    ``[0, r_max]``; ``(q_vals, f_vals, dq_vals)`` is ``sample(grid)``.
     """
 
+    params: ProfileParams
+    series: PowerSeries
+    sol: object
     grid: np.ndarray
     q_vals: np.ndarray
     f_vals: np.ndarray
@@ -320,11 +290,21 @@ class RadialProfile:
     handoff_radius: float
     tail_exponent: float
     residual_max: float
-    evaluator: ProfileEvaluator | None = field(default=None, compare=False, repr=False)
 
     @property
     def r_max(self) -> float:
         return float(self.grid[-1])
+
+    def q(self, r):
+        return self.sample(r)[0]
+
+    def f(self, r):
+        return self.sample(r)[1]
+
+    def sample(self, r):
+        """``(Q, f, dQ/dr)`` at ``r``: ``dQ/dr`` is the series derivative inside
+        ``handoff_radius`` and the ODE right-hand side outside."""
+        return _evaluate(r, self.params, self.series, self.handoff_radius, self.sol, self.r_max)
 
 
 def _fd_stencil(offsets: np.ndarray, order: int) -> np.ndarray:
@@ -445,10 +425,8 @@ def solve_profile(
             raise NoConvergence(f"integrator failed: {res.message}")
         sol = res.sol
 
-    ev = ProfileEvaluator(params, series, r_h, sol, r_max)
-
     grid = make_grid(r_max)
-    q_vals, f_vals, dq_vals = ev.sample(grid)
+    q_vals, f_vals, dq_vals = _evaluate(grid, params, series, r_h, sol, r_max)
 
     # --- sampled ODE residual, independent derivative routes ---
     inner = (grid > 0) & (grid <= r_h)
@@ -489,6 +467,9 @@ def solve_profile(
         tail_exp = float(np.polyfit(np.log(grid[tail]), np.log(q_vals[tail]), 1)[0])
 
     return RadialProfile(
+        params=params,
+        series=series,
+        sol=sol,
         grid=grid,
         q_vals=q_vals,
         f_vals=f_vals,
@@ -496,7 +477,6 @@ def solve_profile(
         handoff_radius=r_h,
         tail_exponent=tail_exp,
         residual_max=residual,
-        evaluator=ev,
     )
 
 
@@ -515,12 +495,12 @@ def partial_mass(profile: RadialProfile, r: float) -> float:
     cum = cumulative_simpson(y=integrand, x=g, initial=0.0)
     k = int(np.searchsorted(g, r, side="right")) - 1
     val = cum[k]
-    if r > g[k] and profile.evaluator is not None:
+    if r > g[k]:
         # local Simpson correction on the partial segment [g_k, r]
         m = 0.5 * (g[k] + r)
         fa = integrand[k]
-        fm = profile.evaluator.q(m) * m * m
-        fb = profile.evaluator.q(r) * r * r
+        fm = profile.q(m) * m * m
+        fb = profile.q(r) * r * r
         val += (r - g[k]) / 6.0 * (fa + 4.0 * fm + fb)
     return float(4.0 * math.pi * val)
 

@@ -1,5 +1,5 @@
 """Radial kernels shared by the time loops, the operator probes and the profile: uniform-grid
-quadrature, Horner evaluation, and the one IMEX time step both time loops take."""
+quadrature, Horner evaluation, the cutoff bump, and the one IMEX time step both time loops take."""
 
 from __future__ import annotations
 
@@ -45,6 +45,13 @@ def horner(coeffs, x):
         out *= x
         out += c
     return out
+
+
+def chi_bump(r):
+    """C^2 polynomial bump: 1 on r<=1, 0 on r>=2, quintic smoothstep between."""
+    r = np.asarray(r, dtype=float)
+    t = np.clip(r - 1.0, 0.0, 1.0)
+    return 1.0 - t**3 * (10.0 - 15.0 * t + 6.0 * t * t)
 
 
 def l2_norm(v: np.ndarray, grid: np.ndarray) -> float:

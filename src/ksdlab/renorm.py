@@ -35,7 +35,7 @@ from .errors import (
     NonFiniteField,
 )
 from .profile import ProfileParams, RadialProfile
-from .radial import Tridiagonal, ars222_step, cumulative_simpson_uniform, l2_norm
+from .radial import Tridiagonal, ars222_step, chi_bump, cumulative_simpson_uniform, l2_norm
 
 #: modes are fitted on ``r <= _FIT_RADIUS``, inside the plateau of the seed cutoff
 _FIT_RADIUS = 0.5
@@ -153,13 +153,6 @@ class RenormState:
         return self.ops.h
 
 
-def chi_bump(r):
-    """C^2 polynomial bump: 1 on r<=1, 0 on r>=2, quintic smoothstep between."""
-    r = np.asarray(r, dtype=float)
-    t = np.clip(r - 1.0, 0.0, 1.0)
-    return 1.0 - t**3 * (10.0 - 15.0 * t + 6.0 * t * t)
-
-
 def _upwind(psi, h):
     """``d psi/d xi``: second-order upwind for outgoing flow, central at node 1, 0 at the origin."""
     dpsi = np.empty_like(psi)
@@ -229,7 +222,7 @@ def make_state(
     grid has about ``n/4.7`` nodes (217 at n=1024, 863 at n=4096).
     """
     grid = _grid(n)
-    psi = profile.evaluator.q(grid)
+    psi = profile.q(grid)
     if perturbation is not None:
         psi = psi + perturbation(grid)
     return RenormState(tau=0.0, lam0=lam0, grid=grid, psi=psi)
@@ -270,14 +263,14 @@ def extract_modes(
     with no more nodes than the ``j0 + 3`` unknowns raises IllConditionedFit:
     its minimum-norm solution is not a fit.
     """
-    Kfit = profile.evaluator.params.j0 + 2
+    Kfit = profile.params.j0 + 2
     grid = state.grid
     sel = grid <= _FIT_RADIUS
     r = grid[sel]
     if len(r) <= Kfit:
         raise IllConditionedFit(f"{len(r)} nodes in the fit window for {Kfit + 1} modes")
     if q_ref is None:
-        q_ref = profile.evaluator.q(grid)
+        q_ref = profile.q(grid)
     eps = state.psi[sel] - q_ref[sel]
     x = (r / _FIT_RADIUS) ** 2
     M = np.vander(x, Kfit + 1, increasing=True)
@@ -305,7 +298,7 @@ def run_renorm(
     """
     state = make_state(profile, lam0, n=n, perturbation=perturbation)
     dt_adv = dt_policy(state.h, lam0, params, state.grid[-1])
-    q_ref = profile.evaluator.q(state.grid)
+    q_ref = profile.q(state.grid)
     taus, lams, eps_sup, residuals, coefs = [], [], [], [], []
 
     def record(st):

@@ -40,6 +40,31 @@ class TestConfig:
         with pytest.raises(ConfigParseError):
             RunConfig(command="profile", grid_n=8)
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        with pytest.raises(ConfigParseError):
+            RunConfig(command="heat", seed=-1)
+        assert main(["heat", "--quick", "--seed", "-1", "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "ksdlab: seed must be non-negative\n"
+
+    @pytest.mark.parametrize("key, val", [
+        ("mu", "0.1"), ("tol", None), ("j0", 4.0), ("j0", True), ("seed", 1.5),
+        ("quick", 1), ("out", 3), ("command", 3),
+    ])
+    def test_mistyped_value_rejected(self, key, val):
+        with pytest.raises(ConfigParseError, match=repr(key)):
+            RunConfig.from_dict({"command": "profile", key: val})
+
+    def test_json_types_accepted(self):
+        # an integer is a JSON number for a float key; null keeps an optional default
+        cfg = RunConfig.from_dict({"command": "profile", "mu": 0, "j0": None, "quick": True})
+        assert (cfg.mu, cfg.j0, cfg.quick) == (0, None, True)
+
+    def test_mistyped_config_file_exits_2(self, tmp_path, capsys):
+        cfile = tmp_path / "run.json"
+        cfile.write_text(json.dumps({"mu": "0.1"}))
+        assert main(["profile", "--config", str(cfile), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "ksdlab: config key 'mu' must be float, not '0.1'\n"
+
     def test_file_then_flag_override(self, tmp_path):
         cfile = tmp_path / "run.json"
         cfile.write_text(json.dumps({"command": "profile", "mu": 0.2, "seed": 7}))

@@ -156,12 +156,12 @@ class TestSelectWeight:
 
         def passes(i):
             r = grid[i]
-            return (1.5 * mu0_profile.evaluator.q(r) <= 1e-3
+            return (1.5 * mu0_profile.q(r) <= 1e-3
                     and _dq_weighted_norm(mu0_profile, r_lo=r) <= 1.0 / 5000.0)
 
         assert passes(k) and not passes(k - 1)
         assert weight36.cert_tailnorm == _dq_weighted_norm(mu0_profile, r_lo=weight36.R1)
-        assert weight36.q_at_R1 == mu0_profile.evaluator.q(weight36.R1)
+        assert weight36.q_at_R1 == mu0_profile.q(weight36.R1)
 
     def test_default_A_is_least_admissible(self, mu0_profile):
         # the least multiple of 4 with A >= 8 j0 + 3

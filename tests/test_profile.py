@@ -232,7 +232,7 @@ class TestSolve:
     def test_partial_mass_consistency(self, mu0_profile):
         for r in (0.5, 2.0, 10.0, 100.0):
             m = partial_mass(mu0_profile, r)
-            pred = 4.0 * math.pi * r**3 * float(mu0_profile.evaluator.f(r))
+            pred = 4.0 * math.pi * r**3 * float(mu0_profile.f(r))
             assert m == pytest.approx(pred, rel=1e-5)
 
     def test_constant_branch(self):
@@ -262,11 +262,26 @@ class TestSolve:
         assert prof.residual_max <= 10.0 * tol
         assert prof.tail_exponent == pytest.approx(-1.0 / p.beta, rel=0.01)
 
-    def test_evaluator_range_guard(self, mu0_profile):
+    def test_range_guard(self, mu0_profile):
         with pytest.raises(OutOfRange):
-            mu0_profile.evaluator.q(2.0e4)
+            mu0_profile.q(2.0e4)
         with pytest.raises(OutOfRange):
-            mu0_profile.evaluator.q(-1.0)
+            mu0_profile.q(-1.0)
+        with pytest.raises(OutOfRange):
+            mu0_profile.sample(np.array([0.0, 1.0, 2.0e4]))
+
+    @pytest.mark.parametrize("q_j0", [-1.0, 0.0])
+    def test_samples_are_the_evaluation(self, q_j0):
+        # the stored samples are the profile's own evaluation of its grid, bit
+        # for bit, on the ODE branch and on the constant one (no dense output)
+        p = ProfileParams.make(0.0, 4, q_j0=q_j0)
+        prof = solve_profile(p, build_series(p, 1e-12), 1.0e4, 1e-10)
+        assert (prof.sol is None) == (q_j0 == 0.0)
+        assert prof.params == p
+        for stored, fresh in zip((prof.q_vals, prof.f_vals, prof.dq_vals), prof.sample(prof.grid)):
+            assert np.array_equal(stored.view(np.int64), fresh.view(np.int64))
+        r = float(prof.grid[100])
+        assert (prof.q(r), prof.f(r)) == (prof.q_vals[100], prof.f_vals[100])
 
 
 class TestGridAndClassify:

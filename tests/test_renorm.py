@@ -9,12 +9,11 @@ from scipy.special import erf
 
 import ksdlab.renorm as renorm
 from ksdlab.errors import CFLViolation, DomainError, GridMismatch, IllConditionedFit
-from ksdlab.radial import ars222_step, cumulative_simpson_uniform
+from ksdlab.radial import ars222_step, chi_bump, cumulative_simpson_uniform
 from ksdlab.renorm import (
     RenormState,
     _residual_norm,
     _upwind,
-    chi_bump,
     dt_policy,
     extract_modes,
     fit_nodes,
@@ -122,7 +121,7 @@ class TestFlow:
             dt = min(dt_adv, 0.5 - tau)
             psi, _ = ars222_step(psi, F(psi), F, ops.lap, 0.0, dt)
             tau += dt
-        exact = math.exp(-tau) * mu0_profile.evaluator.q(st.grid * math.exp(-beta * tau))
+        exact = math.exp(-tau) * mu0_profile.q(st.grid * math.exp(-beta * tau))
         assert np.max(np.abs(psi - exact)) < 1e-3
 
     def test_incoming_flow_refused(self, mu0_profile, mu0_params):
@@ -181,7 +180,7 @@ class TestModes:
         st0 = make_state(mu0_profile, 1e-3, n=4096)
         # the fit takes j0 + 3 = 7 modes: the 5 seeded ones and two zeros
         coeffs = np.array([2e-4, -1e-4, 5e-5, 0.0, 3e-5])
-        psi = mu0_profile.evaluator.q(st0.grid) + sum(
+        psi = mu0_profile.q(st0.grid) + sum(
             c * st0.grid ** (2 * j) for j, c in enumerate(coeffs)
         )
         st = RenormState(tau=0.0, lam0=1e-3, grid=st0.grid, psi=psi)
