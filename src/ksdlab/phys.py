@@ -91,8 +91,15 @@ class _PhysGrid:
         return cls(grid, h, grid * grid, vol, Tridiagonal(c / vol[1:], diag, c / vol[:-1]))
 
 
-def _minmod(a, b):
-    return np.where(a * b > 0.0, np.where(np.abs(a) < np.abs(b), a, b), 0.0)
+def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``minmod(a, b)`` as ``max(min(a, b), 0) + min(max(a, b), 0)``, of which at most one
+    term is nonzero."""
+    lo = np.minimum(a, b)
+    hi = np.maximum(a, b)
+    np.maximum(lo, 0.0, out=lo)
+    np.minimum(hi, 0.0, out=hi)
+    lo += hi
+    return lo
 
 
 def _phys_rhs(rho: np.ndarray, pg: _PhysGrid, mu: float) -> tuple[np.ndarray, np.ndarray]:
@@ -106,13 +113,20 @@ def _phys_rhs(rho: np.ndarray, pg: _PhysGrid, mu: float) -> tuple[np.ndarray, np
     g = rho * pg.r2
     m = cumulative_simpson_uniform(g, h)
     # face mass to cubic accuracy: midpoint = average - (h^2/8) m'' with m' = g
-    m_face = 0.5 * (m[:-1] + m[1:]) - 0.125 * h * (g[1:] - g[:-1])
+    m_face = m[:-1] + m[1:]
+    m_face *= 0.5
+    dg = g[1:] - g[:-1]
+    dg *= 0.125 * h
+    m_face -= dg
 
-    # limited upwind reconstruction from the outer cell (flow direction -r)
-    d = np.diff(rho)
-    slope = np.zeros_like(rho)
-    slope[1:-1] = _minmod(d[:-1], d[1:])
-    rho_face = rho[1:] - 0.5 * slope[1:]
+    # limited upwind reconstruction from the outer cell (flow direction -r); the
+    # outermost face has no outer slope, so it takes the outer cell's value
+    d = rho[1:] - rho[:-1]
+    slope = _minmod(d[:-1], d[1:])
+    slope *= 0.5
+    rho_face = np.empty_like(d)
+    np.subtract(rho[1:-1], slope, out=rho_face[:-1])
+    rho_face[-1] = rho[-1]
 
     # r_f^2 rho_f u_f = rho_f m_f; the divergence over the cell volumes
     # telescopes, so transport conserves the discrete mass sum exactly.  The
@@ -124,7 +138,9 @@ def _phys_rhs(rho: np.ndarray, pg: _PhysGrid, mu: float) -> tuple[np.ndarray, np
     np.subtract(F[1:], F[:-1], out=out[1:-1])
     out[-1] = -F[-1]
     out /= pg.vol
-    out -= mu * rho * rho
+    damping = mu * rho
+    damping *= rho
+    out -= damping
     return out, m
 
 
