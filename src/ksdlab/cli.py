@@ -68,7 +68,9 @@ class RunConfig:
         unknown = set(d) - allowed
         if unknown:
             raise ConfigParseError(f"unknown config keys: {sorted(unknown)}")
-        # a float key takes any JSON number, an int key an integer, never a bool
+        # a float key takes any JSON number, an int key an integer, never a bool;
+        # a float key stores float(val), so 0 and 0.0 give one config_hash
+        fields = dict(d)
         for key, val in d.items():
             kind, _, optional = cls.__dataclass_fields__[key].type.partition(" | ")
             if val is None and optional:
@@ -76,7 +78,9 @@ class RunConfig:
             wanted = {"float": (int, float), "int": int, "bool": bool, "str": str}[kind]
             if isinstance(val, bool) != (kind == "bool") or not isinstance(val, wanted):
                 raise ConfigParseError(f"config key {key!r} must be {kind}, not {val!r}")
-        return cls(**d)
+            if kind == "float":
+                fields[key] = float(val)
+        return cls(**fields)
 
 
 def portrait_scan(mu: float, beta_grid) -> list[dict]:

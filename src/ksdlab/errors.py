@@ -45,6 +45,10 @@ class CFLViolation(KSDLabError):
     """Requested time step violates the stability bound."""
 
 
+class NotPositiveDefinite(KSDLabError):
+    """A symmetric solve met a non-positive pivot (LAPACK ``pttrf`` info != 0)."""
+
+
 class NonFiniteField(KSDLabError):
     """NaN or Inf appeared in an evolved field."""
 

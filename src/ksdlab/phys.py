@@ -28,7 +28,14 @@ from .errors import (
     SnapshotMismatch,
 )
 from .profile import RadialProfile
-from .radial import DELTA, Tridiagonal, ars222_step, chi_bump, cumulative_simpson_uniform, l2_norm
+from .radial import (
+    DELTA,
+    SymmetricTridiagonal,
+    ars222_step,
+    chi_bump,
+    cumulative_simpson_uniform,
+    l2_norm,
+)
 
 
 @dataclass(frozen=True)
@@ -66,16 +73,17 @@ class _PhysGrid:
 
     ``r2`` is ``grid**2``; ``vol`` holds the cell volumes over 4 pi, the weights of ``_fv_mass``:
     ``h r_i^2``, and ``h^3/24`` for the origin ball r < h/2.  ``lap`` is the
-    finite-volume Laplacian: the diffusive face flux ``r_f^2 (rho_{i+1} -
-    rho_i) / h``, with no flux through the origin or past the outer face,
-    divided by ``vol``.
+    finite-volume Laplacian ``vol^{-1} K``: ``K`` sums the diffusive face fluxes
+    ``r_f^2 (rho_{i+1} - rho_i) / h``, with no flux through the origin or past the
+    outer face, so it is symmetric with zero row sums, and its implicit solves are
+    positive definite.
     """
 
     grid: np.ndarray
     h: float
     r2: np.ndarray
     vol: np.ndarray
-    lap: Tridiagonal
+    lap: SymmetricTridiagonal
 
     @classmethod
     def make(cls, grid: np.ndarray) -> "_PhysGrid":
@@ -87,8 +95,7 @@ class _PhysGrid:
         diag = np.zeros_like(grid)
         diag[:-1] -= c
         diag[1:] -= c
-        diag /= vol
-        return cls(grid, h, grid * grid, vol, Tridiagonal(c / vol[1:], diag, c / vol[:-1]))
+        return cls(grid, h, grid * grid, vol, SymmetricTridiagonal(c, diag, vol))
 
 
 def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -171,18 +178,27 @@ def build_initial(profile: RadialProfile, lam0: float, n: int = 8192) -> PhysSta
     """Rescaled cut-off profile data ``rho0 = lam0^{-2} (chi_R2 Q)(r / lam0^{2 beta})``.
 
     ``R2`` is the radius where Q drops below 1e-4 of its center value; the
-    domain extends to ``1.1 * 2 R2`` in self-similar units.
+    domain extends to ``1.1 * 2 R2`` in self-similar units.  DomainError when
+    ``lam0^2`` or ``lam0^{2 beta}`` underflows to 0 or overflows in float64.
     """
     beta = profile.params.beta
+    try:
+        amp, L = lam0**2, lam0 ** (2.0 * beta)
+    except OverflowError as exc:
+        raise DomainError(f"lam0 = {lam0:.6g}: lam0^2 overflows float64") from exc
+    if not (0.0 < amp < math.inf and 0.0 < L < math.inf):
+        raise DomainError(
+            f"lam0 = {lam0:.6g}: lam0^2 = {amp:.3g} or lam0^(2 beta) = {L:.3g} "
+            "underflows to 0 or is not finite in float64"
+        )
     q0 = profile.params.q0
     idx = np.searchsorted(-profile.q_vals, -1e-4 * q0)
     R2 = float(profile.grid[idx])
-    L = lam0 ** (2.0 * beta)
     R_phys = 1.1 * 2.0 * R2 * L
     grid = np.linspace(0.0, R_phys, n)
     y = np.minimum(grid / L, profile.r_max)
     cut = chi_bump(y / R2)
-    rho = profile.q(y) * cut / lam0**2
+    rho = profile.q(y) * cut / amp
     return PhysState(
         t=0.0, grid=grid, rho=rho, mass=_fv_mass(rho, grid), sup_norm=float(np.max(rho))
     )

@@ -1,5 +1,6 @@
 """Radial kernels shared by the time loops, the operator probes and the profile: uniform-grid
-quadrature, Horner evaluation, the cutoff bump, and the one IMEX time step both time loops take."""
+quadrature, Horner evaluation, the cutoff bump, the two tridiagonal operator types, and the one
+IMEX time step both time loops take."""
 
 from __future__ import annotations
 
@@ -7,7 +8,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs
+
+from .errors import NotPositiveDefinite
 
 #: ARS(2,2,2) weights (Ascher, Ruuth & Spiteri 1997): the implicit stage weight
 #: gamma, and the explicit weight delta the second stage gives the first
@@ -61,8 +64,10 @@ def l2_norm(v: np.ndarray, grid: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Tridiagonal:
-    """A tridiagonal operator ``L`` by its bands: ``diag`` has one entry per node,
-    ``lower`` and ``upper`` one fewer (``lower[i]`` couples node ``i+1`` to ``i``)."""
+    """A general tridiagonal operator ``L`` by its bands: ``diag`` has one entry per node,
+    ``lower`` and ``upper`` one fewer (``lower[i]`` couples node ``i+1`` to ``i``).  It serves
+    operators that no diagonal scaling makes symmetric, such as one with a negative
+    ``lower[i] upper[i]``; ``SymmetricTridiagonal`` solves the symmetrizable ones."""
 
     lower: np.ndarray
     diag: np.ndarray
@@ -80,7 +85,41 @@ class Tridiagonal:
         return lambda b: dgttrs(*lu, b)[0]
 
 
-def ars222_step(u, k0, explicit, L: Tridiagonal, d: float, dt: float):
+@dataclass(frozen=True, eq=False)
+class SymmetricTridiagonal:
+    """The operator ``L = W^{-1} S``: ``S`` symmetric tridiagonal by its bands, ``diag`` with
+    one entry per node and ``off`` with one fewer (``off[i]`` couples nodes ``i`` and
+    ``i+1``), and ``W`` the positive diagonal ``weight``."""
+
+    off: np.ndarray
+    diag: np.ndarray
+    weight: np.ndarray
+
+    def apply(self, u: np.ndarray) -> np.ndarray:
+        out = self.diag * u
+        out[:-1] += self.off * u[1:]
+        out[1:] += self.off * u[:-1]
+        out /= self.weight
+        return out
+
+    def solver(self, c: float):
+        """``b -> (I - c L)^{-1} b``, solved as ``(W - c S) x = W b`` on one LDL^T
+        factorization (LAPACK ``pttrf``, no pivoting).
+
+        For ``c >= 0``, ``W - c S`` is strictly diagonally dominant with a positive diagonal,
+        hence positive definite, when ``off >= 0`` and each row of ``S`` sums to at most
+        zero, as the rows of a flux-form Laplacian do.  A factorization that meets a
+        non-positive pivot raises NotPositiveDefinite.
+        """
+        d, e, info = dpttrf(self.weight - c * self.diag, -c * self.off,
+                            overwrite_d=1, overwrite_e=1)
+        if info != 0:
+            raise NotPositiveDefinite(f"pttrf info {info}: W - c S is not positive definite "
+                                      f"at c = {c:.6g}")
+        return lambda b: dpttrs(d, e, self.weight * b, overwrite_b=1)[0]
+
+
+def ars222_step(u, k0, explicit, L: Tridiagonal | SymmetricTridiagonal, d: float, dt: float):
     """One ARS(2,2,2) step of ``u' = explicit(u) + d L u``: ``d L`` implicit, the rest explicit.
 
     ``k0`` is ``explicit(u)``.  Both stages solve with one factorization of

@@ -59,6 +59,18 @@ class TestConfig:
         cfg = RunConfig.from_dict({"command": "profile", "mu": 0, "j0": None, "quick": True})
         assert (cfg.mu, cfg.j0, cfg.quick) == (0, None, True)
 
+    def test_config_hash_ignores_number_spelling(self, tmp_path):
+        # a JSON integer in a float key is the same run as the flag's float
+        out = tmp_path / "o"
+        cfile = tmp_path / "run.json"
+        cfile.write_text(json.dumps({"mu": 0, "j0": 4}))
+        written = []
+        for argv in (["--config", str(cfile)], ["--mu", "0", "--j0", "4"]):
+            assert main(["portrait", *argv, "--out", str(out)]) == 0
+            manifest = json.loads((out / "manifest_portrait.json").read_text())
+            written.append((repr(manifest["config"]["mu"]), manifest["config_hash"]))
+        assert written[0] == written[1]
+
     def test_mistyped_config_file_exits_2(self, tmp_path, capsys):
         cfile = tmp_path / "run.json"
         cfile.write_text(json.dumps({"mu": "0.1"}))
@@ -149,20 +161,21 @@ class TestRun:
     def test_all_quick_artifacts_pinned(self, tmp_path):
         # every stage through the one stage runner: the bytes of each artifact
         # and the key list of each manifest, taken before the runner existed;
-        # renorm.csv and its manifest keys since renorm steps ARS(2,2,2)
+        # renorm.csv and its manifest keys since renorm steps ARS(2,2,2);
+        # phys.csv and blowup_fit.json since phys solves on pttrf
         out = tmp_path / "out"
         argv = ["all", "--quick", "--mu", "0", "--j0", "4", "--seed", "12345", "--out", str(out)]
         assert main(argv) == 0
         digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                    for p in out.iterdir() if not p.name.startswith("manifest_")}
         assert digests == {
-            "blowup_fit.json": "b54279816785778da0b516c10611165933387cf3639d633bf818e1859056e39a",
+            "blowup_fit.json": "4f071cbaf57a81c246bb6e14372c5d2648acd935e1ea635390e16a10f3e2e334",
             "coercivity.csv": "2bb2ae977cdbd2e5a07bd3463e05d3ed7ce1916a325f232c0275618e5941c0a9",
             "coercivity_certificate.json":
                 "40820c5cc3fc06f5cc5fc704a24409dd8e06fe900fc4a9281df972698f1dc06a",
             "heat.csv": "543c7c31dccef4bf160c78de18f0de46d583d7ac68c82ed8941dce817be7d995",
             "heat_certificate.json": "54b5230bf9e9e09458bd00591fdf27607ee3f53b88741aeab42277cf39ea1f5e",
-            "phys.csv": "bd305d4eb538414a792d2b7c0ac7c2bff12071ee915f13056ec7d00f18d6ae6e",
+            "phys.csv": "8257afd8039cc9d1e9ca0f246ea326691a8f2658a95c2d9f390bfa2193c375b2",
             "portrait.csv": "9ae938e4050946aaf036207c70af0b9ad02eb1bb3704479dd444711cd24ac83d",
             "profile.csv": "bbb488bf4e1e92629f7f4afe51bb8d90ab7962ec5d393639be031af19f82dd9f",
             "renorm.csv": "e501580d42072169589fb33335d3c18bd70cd8856b9d0241f4545c005f4cf414",
@@ -204,12 +217,16 @@ class TestRun:
          "ksdlab: stage_phys: "),
         (["coercivity", "--mu", "0.2", "--j0", "6"], 2,
          "ksdlab: stage_coercivity: j0=6 below admissibility threshold"),
+        # the default lam0 = 10^(-369.6) at mu=0.3 is 0.0 in float64
+        (["phys", "--mu", "0.3", "--quick"], 2,
+         "ksdlab: stage_phys: lam0 = 0: lam0^2 = 0 or lam0^(2 beta) = 0 underflows to 0"),
     ])
-    def test_stage_failure_exit_code(self, tmp_path, capsys, argv, code, prefix):
+    def test_stage_failure_exit_code(self, tmp_path, capsys, recwarn, argv, code, prefix):
         # a numerical failure exits 3 and a rejected parameter 2, each named
-        # by the stage that raised it
+        # by the stage that raised it before numpy warns of it
         assert main(argv + ["--out", str(tmp_path / "o")]) == code
         assert capsys.readouterr().err.startswith(prefix)
+        assert [w for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
 
     def test_coercivity_weight_follows_j0(self, tmp_path):
         # the weight exponent is the least admissible one, 8 j0 + 4 = 44 at j0=5

@@ -22,6 +22,7 @@ from ksdlab.phys import (
     run_phys,
 )
 from ksdlab.profile import ProfileParams, build_series, solve_profile
+from ksdlab.radial import GAMMA, Tridiagonal
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +67,15 @@ class TestDiscretization:
         assert st.rho[-1] == 0.0  # cut off before the boundary
         assert st.mass > 0.0
 
+    @pytest.mark.parametrize("lam0, named", [
+        (0.0, "underflows"), (1e-200, "underflows"), (float("nan"), "not finite"),
+        (1e200, "overflows"),
+    ])
+    def test_initial_scaling_leaves_float64(self, mu0_profile, lam0, named):
+        # refused before any array is formed: lam0^2 = 0 once gave NaN from 0/0
+        with pytest.raises(DomainError, match=named):
+            build_initial(mu0_profile, lam0, n=64)
+
     def test_laplacian_bands_are_flux_form(self, mu0_profile):
         # the diffusive part of the FV flux form, written out face by face
         st = build_initial(mu0_profile, 1e-4, n=1024)
@@ -78,10 +88,28 @@ class TestDiscretization:
         flux_form[1:-1] = (F[1:] - F[:-1]) / (h * grid[1:-1] ** 2)
         flux_form[-1] = -F[-1] / (h * grid[-1] ** 2)
         pg = _PhysGrid.make(grid)
-        L = diags([pg.lap.lower, pg.lap.diag, pg.lap.upper], [-1, 0, 1])
+        lap = pg.lap
+        L = diags(1.0 / lap.weight) @ diags([lap.off, lap.diag, lap.off], [-1, 0, 1])
         scale = np.max(np.abs(flux_form))
         assert np.max(np.abs(L @ rho - flux_form)) < 1e-12 * scale
         assert np.max(np.abs(pg.lap.apply(rho) - flux_form)) < 1e-12 * scale
+
+    @pytest.mark.parametrize("n", [64, 1024, 8192])
+    @pytest.mark.parametrize("k", [0.1, 1.0, 2.5])
+    def test_symmetric_solve_matches_general(self, n, k):
+        # the volume-weighted symmetric solve against the pivoting LU of the
+        # same operator's bands K / vol, at the implicit stage's c = gamma dt
+        pg = _PhysGrid.make(np.linspace(0.0, 1.0, n))
+        lap = pg.lap
+        general = Tridiagonal(lap.off / lap.weight[1:], lap.diag / lap.weight,
+                              lap.off / lap.weight[:-1])
+        b = np.random.default_rng(n).uniform(0.5, 1.5, n)
+        c = GAMMA * k * pg.h**2
+        x = lap.solver(c)(b)
+        np.testing.assert_allclose(x, general.solver(c)(b), rtol=1e-14, atol=0.0)
+        # K's columns sum to zero, so diffusion conserves the FV mass
+        mass = np.dot(pg.vol, b)
+        assert abs(np.dot(pg.vol, x) - mass) <= 1e-14 * mass
 
     def test_transport_conserves_discrete_mass(self, mu0_profile):
         st = build_initial(mu0_profile, 1e-4, n=512)

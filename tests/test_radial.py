@@ -1,17 +1,25 @@
 """Uniform-grid cumulative Simpson kernel against scipy and exact polynomials,
-Horner evaluation against numpy's polyval, and the ARS(2,2,2) step against a
-matrix exponential."""
+Horner evaluation against numpy's polyval, and the ARS(2,2,2) step on both
+tridiagonal operator types against a matrix exponential."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import cumulative_simpson
 from numpy.polynomial.polynomial import polyval
 from scipy.linalg import expm
 
+from ksdlab.errors import NotPositiveDefinite
 from ksdlab.heat import HeatParams, make_heat_suite
 from ksdlab.linops import RadialQuad, make_test_suite
-from ksdlab.radial import Tridiagonal, ars222_step, cumulative_simpson_uniform, horner
+from ksdlab.radial import (
+    SymmetricTridiagonal,
+    Tridiagonal,
+    ars222_step,
+    cumulative_simpson_uniform,
+    horner,
+)
 
 
 @settings(max_examples=60, deadline=None)
@@ -36,17 +44,33 @@ def test_quadratic_exact():
         np.testing.assert_allclose(got, x**3 / 3.0, rtol=0.0, atol=1e-13)
 
 
-def test_ars222_second_order():
+def _general(rng, n):
+    """A ``Tridiagonal`` and its dense matrix."""
+    L = Tridiagonal(
+        rng.uniform(0.5, 1.0, n - 1), -rng.uniform(2.0, 3.0, n), rng.uniform(0.5, 1.0, n - 1)
+    )
+    return L, np.diag(L.diag) + np.diag(L.lower, -1) + np.diag(L.upper, 1)
+
+
+def _symmetric(rng, n):
+    """A ``SymmetricTridiagonal`` with rows summing to at most zero, and its dense matrix."""
+    L = SymmetricTridiagonal(
+        rng.uniform(0.5, 1.0, n - 1), -rng.uniform(2.0, 3.0, n), rng.uniform(0.5, 2.0, n)
+    )
+    return L, (np.diag(L.diag) + np.diag(L.off, -1) + np.diag(L.off, 1)) / L.weight[:, None]
+
+
+@pytest.mark.parametrize("make", [_general, _symmetric],
+                         ids=["Tridiagonal", "SymmetricTridiagonal"])
+def test_ars222_second_order(make):
     # u' = A u + d L u on 5 nodes, against the matrix exponential: halving dt
     # divides the global error by 4
     rng = np.random.default_rng(3)
     n, d, t_end = 5, 0.7, 1.0
-    L = Tridiagonal(
-        rng.uniform(0.5, 1.0, n - 1), -rng.uniform(2.0, 3.0, n), rng.uniform(0.5, 1.0, n - 1)
-    )
+    L, dense = make(rng, n)
     A = 0.3 * rng.normal(size=(n, n))
     u0 = rng.normal(size=n)
-    full = A + d * (np.diag(L.diag) + np.diag(L.lower, -1) + np.diag(L.upper, 1))
+    full = A + d * dense
     exact = expm(t_end * full) @ u0
     explicit = lambda u: A @ u
     errs = []
@@ -57,6 +81,13 @@ def test_ars222_second_order():
         errs.append(np.max(np.abs(u - exact)))
     for coarse, fine in zip(errs, errs[1:]):
         assert 3.5 <= coarse / fine <= 4.5
+
+
+def test_symmetric_solve_refuses_indefinite():
+    # W - c S has diagonal (0, -1, 0) at c = -1: the first pivot is not positive
+    L = SymmetricTridiagonal(np.ones(2), np.array([-1.0, -2.0, -1.0]), np.ones(3))
+    with pytest.raises(NotPositiveDefinite, match="info 1"):
+        L.solver(-1.0)
 
 
 def _bits(x):
