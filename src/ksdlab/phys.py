@@ -145,9 +145,10 @@ def _phys_rhs(rho: np.ndarray, pg: _PhysGrid, mu: float) -> tuple[np.ndarray, np
     np.subtract(F[1:], F[:-1], out=out[1:-1])
     out[-1] = -F[-1]
     out /= pg.vol
-    damping = mu * rho
-    damping *= rho
-    out -= damping
+    if mu:  # at mu = 0 the damping is +0, and out - (+0) is out
+        damping = mu * rho
+        damping *= rho
+        out -= damping
     return out, m
 
 
@@ -161,6 +162,8 @@ def _imex_step(
     the FV volumes, so the discrete mass identity holds to round-off.
     """
     new, u1 = ars222_step(rho, k0, lambda v: _phys_rhs(v, pg, mu)[0], pg.lap, 1.0, dt)
+    if not mu:
+        return new, 0.0
     sink = -mu * 4.0 * math.pi * dt * float(
         np.dot(pg.vol, DELTA * rho * rho + (1.0 - DELTA) * u1 * u1)
     )

@@ -122,12 +122,21 @@ class SymmetricTridiagonal:
 def ars222_step(u, k0, explicit, L: Tridiagonal | SymmetricTridiagonal, d: float, dt: float):
     """One ARS(2,2,2) step of ``u' = explicit(u) + d L u``: ``d L`` implicit, the rest explicit.
 
-    ``k0`` is ``explicit(u)``.  Both stages solve with one factorization of
-    ``I - gamma dt d L``; the scheme is stiffly accurate, so the second stage is
-    the new state.  Returns it and the first stage ``u1``.
+    ``k0`` is ``explicit(u)``, and ``explicit`` returns a fresh array.  Both stages
+    solve with one factorization of ``I - gamma dt d L``; the scheme is stiffly
+    accurate, so the second stage is the new state.  Returns it and the first stage
+    ``u1``.  The second stage's right side
+    ``u + dt (delta k0 + (1 - delta) k1 + (1 - gamma) d L u1)`` is built in place,
+    in that order of evaluation, so its bits are those of the expression.
     """
     solve = L.solver(GAMMA * dt * d)
     u1 = solve(u + (GAMMA * dt) * k0)
     k1 = explicit(u1)
-    rhs = u + dt * (DELTA * k0 + (1.0 - DELTA) * k1 + (1.0 - GAMMA) * d * L.apply(u1))
+    k1 *= 1.0 - DELTA
+    k1 += DELTA * k0
+    rhs = L.apply(u1)
+    rhs *= (1.0 - GAMMA) * d
+    rhs += k1
+    rhs *= dt
+    rhs += u
     return solve(rhs), u1
