@@ -229,7 +229,12 @@ def _loglog_fit(x: np.ndarray, v: np.ndarray) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class BlowupFit:
-    """Blowup-time estimate and fitted scaling exponents."""
+    """Blowup-time estimate and fitted scaling exponents.
+
+    ``mass_change_rel`` is ``(M_end - M_0)/M_0`` over the recorded run;
+    ``mass_identity_err`` is that change less the accumulated damping sink,
+    relative to ``M_0``.
+    """
 
     T_est: float
     p_amp: float
@@ -237,7 +242,7 @@ class BlowupFit:
     fit_window: tuple[float, float]
     r2_amp: float
     r2_len: float
-    mass_drift_rate: float
+    mass_change_rel: float
     mass_identity_err: float
 
 
@@ -351,7 +356,7 @@ def run_phys(
     p_len, r2_len = _loglog_fit(x, np.array(series["half_max_radius"])[sel])
 
     masses = np.array(series["mass"])
-    drift = float((masses[-1] - masses[0]) / (masses[0] * max(ts[-1], 1e-300)))
+    change = float((masses[-1] - masses[0]) / masses[0])
     mass_id_err = abs((masses[-1] - mass0) - sink_accum) / mass0
     fit = BlowupFit(
         T_est=T_est,
@@ -360,7 +365,7 @@ def run_phys(
         fit_window=(float(ts[sel][0]), float(ts[sel][-1])),
         r2_amp=r2_amp,
         r2_len=r2_len,
-        mass_drift_rate=drift,
+        mass_change_rel=change,
         mass_identity_err=float(mass_id_err),
     )
     for key in series:

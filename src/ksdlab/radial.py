@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs
 
-from .errors import NotPositiveDefinite
+from .errors import NotPositiveDefinite, SingularOperator
 
 #: ARS(2,2,2) weights (Ascher, Ruuth & Spiteri 1997): the implicit stage weight
 #: gamma, and the explicit weight delta the second stage gives the first
@@ -80,8 +80,11 @@ class Tridiagonal:
         return out
 
     def solver(self, c: float):
-        """``b -> (I - c L)^{-1} b`` on one LU factorization (LAPACK ``gttrf``, pivoting)."""
-        lu = dgttrf(-c * self.lower, 1.0 - c * self.diag, -c * self.upper)[:5]
+        """``b -> (I - c L)^{-1} b`` on one LU factorization (LAPACK ``gttrf``, pivoting).
+        A factorization that meets an exactly zero pivot raises SingularOperator."""
+        *lu, info = dgttrf(-c * self.lower, 1.0 - c * self.diag, -c * self.upper)
+        if info != 0:
+            raise SingularOperator(f"gttrf info {info}: I - c L is singular at c = {c:.6g}")
         return lambda b: dgttrs(*lu, b)[0]
 
 

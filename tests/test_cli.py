@@ -162,14 +162,15 @@ class TestRun:
         # every stage through the one stage runner: the bytes of each artifact
         # and the key list of each manifest, taken before the runner existed;
         # renorm.csv and its manifest keys since renorm steps ARS(2,2,2);
-        # phys.csv and blowup_fit.json since phys solves on pttrf
+        # phys.csv since phys solves on pttrf; blowup_fit.json since it reports
+        # mass_change_rel
         out = tmp_path / "out"
         argv = ["all", "--quick", "--mu", "0", "--j0", "4", "--seed", "12345", "--out", str(out)]
         assert main(argv) == 0
         digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                    for p in out.iterdir() if not p.name.startswith("manifest_")}
         assert digests == {
-            "blowup_fit.json": "4f071cbaf57a81c246bb6e14372c5d2648acd935e1ea635390e16a10f3e2e334",
+            "blowup_fit.json": "ff45530323b9e071a34480851f894055e3957fe62bb06a28002917eb19c65b11",
             "coercivity.csv": "2bb2ae977cdbd2e5a07bd3463e05d3ed7ce1916a325f232c0275618e5941c0a9",
             "coercivity_certificate.json":
                 "40820c5cc3fc06f5cc5fc704a24409dd8e06fe900fc4a9281df972698f1dc06a",

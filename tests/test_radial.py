@@ -10,7 +10,7 @@ from scipy.integrate import cumulative_simpson
 from numpy.polynomial.polynomial import polyval
 from scipy.linalg import expm
 
-from ksdlab.errors import NotPositiveDefinite
+from ksdlab.errors import NotPositiveDefinite, SingularOperator
 from ksdlab.heat import HeatParams, make_heat_suite
 from ksdlab.linops import RadialQuad, make_test_suite
 from ksdlab.radial import (
@@ -88,6 +88,14 @@ def test_symmetric_solve_refuses_indefinite():
     L = SymmetricTridiagonal(np.ones(2), np.array([-1.0, -2.0, -1.0]), np.ones(3))
     with pytest.raises(NotPositiveDefinite, match="info 1"):
         L.solver(-1.0)
+
+
+def test_general_solve_refuses_singular():
+    # I - c L vanishes at L = I, c = 1: gttrf reports the zero pivot instead
+    # of solving into [nan nan inf]
+    L = Tridiagonal(np.zeros(2), np.ones(3), np.zeros(2))
+    with pytest.raises(SingularOperator, match="info 1"):
+        L.solver(1.0)(np.ones(3))
 
 
 def _bits(x):
