@@ -69,10 +69,6 @@ class NoBlowupDetected(KSDLabError):
     """Sup-norm plateaued before reaching the stopping threshold."""
 
 
-class ResolutionExhausted(KSDLabError):
-    """Half-maximum radius fell below the resolvable cell count."""
-
-
 class SnapshotMismatch(KSDLabError):
     """Snapshots incompatible for the rescaling check."""
 

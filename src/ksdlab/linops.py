@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from .errors import (
     DivergentIntegrand,
@@ -29,7 +28,7 @@ from .errors import (
     OrderUnsupported,
 )
 from .profile import ProfileParams, RadialProfile
-from .radial import cumulative_simpson_uniform, horner
+from .radial import cumulative_simpson_nonuniform, cumulative_simpson_uniform, horner
 
 
 # ---------------------------------------------------------------------------
@@ -270,12 +269,12 @@ def select_weight(
     # R1: smallest profile grid radius passing (3/2) Q <= 1/1000 and the
     # tail-norm bound.  The tail norms at every node come from one reverse
     # cumulative Simpson integral of dQ^2 r^2 in u = ln r; the last grid
-    # interval is shorter than the others, hence scipy's non-uniform rule.
+    # interval is shorter than the others, hence the non-uniform rule.
     grid = profile.grid[1:]
     q_vals = profile.q_vals[1:]
     u = np.log(grid)
     y = profile.dq_vals[1:] ** 2 * grid**2
-    tail_sq = cumulative_simpson(y[::-1], x=-u[::-1], initial=0.0)[::-1]
+    tail_sq = cumulative_simpson_nonuniform(y[::-1], -u[::-1])[::-1]
     passing = np.flatnonzero(
         (1.5 * q_vals <= 1e-3) & (np.sqrt(4.0 * math.pi * tail_sq) <= 1.0 / 5000.0)
     )

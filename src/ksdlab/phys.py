@@ -229,12 +229,8 @@ def _loglog_fit(x: np.ndarray, v: np.ndarray) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class BlowupFit:
-    """Blowup-time estimate and fitted scaling exponents.
-
-    ``mass_change_rel`` is ``(M_end - M_0)/M_0`` over the recorded run;
-    ``mass_identity_err`` is that change less the accumulated damping sink,
-    relative to ``M_0``.
-    """
+    """Blowup-time estimate, fitted scaling exponents, and the mass change over the run:
+    ``(M_end - M_0)/M_0``, and that less the accumulated damping sink over ``M_0``."""
 
     T_est: float
     p_amp: float

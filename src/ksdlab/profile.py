@@ -7,8 +7,8 @@ The radial profile ``Q`` solves, with ``f(r) = r^{-3} \\int_0^r Q s^2 ds``,
 
 starting at the stagnation point ``P0 = (Q0, f0) = (1/(1-mu), 1/(3(1-mu)))``.
 The solution is seeded by an even Taylor series at the origin (the leading
-correction enters at order ``r^{2 j0}``) and continued outward by adaptive
-integration in ``s = ln r``.
+correction enters at order ``r^{2 j0}``) and continued outward by Taylor steps
+in ``s = ln r``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from decimal import Decimal, localcontext
 from operator import mul
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, solve_ivp
 
 from .errors import (
     DomainError,
@@ -245,7 +244,7 @@ def build_series(params: ProfileParams, tol: float) -> PowerSeries:
 
 def _evaluate(r, params: ProfileParams, series: PowerSeries, r_h: float, sol, r_max: float):
     """``(Q, f, dQ/dr)`` at ``r`` in ``[0, r_max]``: the series on ``r <= r_h``, the
-    dense output ``sol`` (or the constant ``(Q0, f0)`` when it is None) outside,
+    continuation ``sol`` (or the constant ``(Q0, f0)`` when it is None) outside,
     with ``dQ/dr`` from the ODE right-hand side there.  Scalars in, scalars out."""
     r = np.asarray(r, dtype=float)
     if np.any(r < 0) or np.any(r > r_max * (1 + 1e-12)):
@@ -275,7 +274,7 @@ class RadialProfile:
     r=0, then 64 log nodes/decade).
 
     Inside ``handoff_radius`` Q and f are the Taylor ``series``; outside they
-    are ``sol``, the dense ODE output in ``s = ln r`` (None for the constant
+    are ``sol``, the ``TaylorTail`` in ``s = ln r`` (None for the constant
     profile).  ``q``, ``f`` and ``sample`` evaluate that representation on
     ``[0, r_max]``; ``(q_vals, f_vals, dq_vals)`` is ``sample(grid)``.
     """
@@ -307,40 +306,71 @@ class RadialProfile:
         return _evaluate(r, self.params, self.series, self.handoff_radius, self.sol, self.r_max)
 
 
-def _fd_stencil(offsets: np.ndarray, order: int) -> np.ndarray:
-    """Finite-difference weights for d^order/ds^order on the given offsets."""
-    n = len(offsets)
-    A = np.vander(offsets, n, increasing=True).T
-    b = np.zeros(n)
-    b[order] = math.factorial(order)
-    return np.linalg.solve(A, b)
+#: order of the Taylor continuation past the handoff radius
+TAYLOR_ORDER = 24
 
 
-def _dense_ds(sol, s: np.ndarray, s_lo: float, s_hi: float, j0: int) -> np.ndarray:
-    """8th-order finite difference, step 0.04/j0 in s = ln r, of both dense-output components.
+@dataclass(frozen=True, eq=False)
+class TaylorTail:
+    """The continuation past the handoff radius, one Taylor polynomial in ``s = ln r`` per
+    step: ``coeffs[c, k, i]`` is the ``k``-th coefficient of component ``c`` (Q, then f) in
+    powers of ``s - knots[i]`` on step ``i``.  Called on ``s`` it gives ``(Q, f)``, or with
+    ``deriv`` their ``s``-derivatives, from the same polynomials.  ``remainder`` is the
+    largest per-step truncation estimate."""
 
-    Returns shape ``(2, len(s))``: d/ds of Q and of f.  Used as a derivative
-    route independent of the ODE right-hand side so the sampled residual
-    measures genuine integration error.  Q varies on a scale of about
-    ``1/(2 j0)`` in s past the handoff, so the step follows j0 (0.01 at j0=4).
+    knots: np.ndarray
+    coeffs: np.ndarray
+    remainder: float
+
+    def __call__(self, s, deriv: bool = False):
+        i = np.clip(np.searchsorted(self.knots, s, side="right") - 1, 0, len(self.knots) - 1)
+        c, h = self.coeffs[:, :, i], s - self.knots[i]
+        if deriv:
+            c = np.arange(1, c.shape[1])[:, None] * c[:, 1:]
+        return horner(c[0], h), horner(c[1], h)
+
+
+def _continue(mu: float, beta: float, s_lo: float, s_hi: float, q_h: float, f_h: float):
+    """Taylor continuation from ``(Q, f) = (q_h, f_h)`` at ``s_lo`` to ``s_hi`` of
+    ``dQ/ds = ((1-mu) Q^2 - Q)/(beta - f)``, ``df/ds = Q - 3 f``.
+
+    Each step runs the recurrence to TAYLOR_ORDER by Cauchy products, ``P = dQ/ds``
+    solving ``P (beta - f) = (1-mu) Q^2 - Q`` term by term, and takes ``e^{-2}`` times
+    the least radius the last two coefficients give relative to each component's value
+    (Jorba & Zou, Experimental Math. 14, 2005), clipped at ``s_hi``.  After each step
+    ``f < Q/3`` raises RegionExitScenario1 and ``Q <= 0`` RegionExitScenario2; ``beta - f``
+    below 5% of its start, or a step below 1e-9, raises StepSizeUnderflow.
     """
-    h = 0.04 / j0
-    base = np.arange(-4, 5, dtype=float)
-    # shift the stencil inward near the ends of the integration interval
-    lo_shift = np.maximum(0.0, np.ceil(4 - (s - s_lo) / h))
-    hi_shift = np.maximum(0.0, np.ceil(4 - (s_hi - s) / h))
-    shifts = lo_shift - hi_shift
-    # every stencil point of every node in one dense-output call
-    q, f = sol((s[:, None] + (base + shifts[:, None]) * h).ravel())
-    q, f = q.reshape(len(s), 9), f.reshape(len(s), 9)
-    weights = {}  # stencil shift -> weights; only a few distinct shifts occur
-    out = np.empty((2, len(s)))
-    for k, shift in enumerate(shifts):
-        if shift not in weights:
-            weights[shift] = _fd_stencil(base + shift, 1)
-        w = weights[shift]
-        out[:, k] = np.dot(w, q[k]), np.dot(w, f[k])
-    return out / h
+    p = TAYLOR_ORDER
+    knots, coeffs, remainder = [], [], 0.0
+    s, q_s, f_s = s_lo, q_h, f_h
+    while s < s_hi:
+        if beta - f_s < 0.05 * (beta - f_h):
+            raise StepSizeUnderflow(f"beta - f collapsed at r={math.exp(s):.4g}")
+        q, f, dq = [q_s], [f_s], []
+        for k in range(p):
+            n_k = (1.0 - mu) * sum(map(mul, q, reversed(q))) - q[k]
+            dq.append((n_k + sum(map(mul, dq, f[k:0:-1]))) / (beta - f_s))
+            q.append(dq[k] / (k + 1))
+            f.append((q[k] - 3.0 * f[k]) / (k + 1))
+        radii = [[(abs(c[0]) / abs(c[j])) ** (1.0 / j) if c[j] else math.inf
+                  for j in (p - 1, p)] for c in (q, f)]
+        h = math.exp(-2.0) * min(map(min, radii))
+        if not h > 1e-9:
+            raise StepSizeUnderflow(f"Taylor step {h:.3g} at r={math.exp(s):.4g}")
+        h = min(h, s_hi - s)
+        # geometric estimate of the omitted terms: |c_0| u^(p+1)/(1 - u), u = h/radius_p
+        for c, (_, r_p) in zip((q, f), radii):
+            remainder = max(remainder, abs(c[0]) * (h / r_p) ** (p + 1) / (1.0 - h / r_p))
+        knots.append(s)
+        coeffs.append((q, f))
+        s = s_hi if h == s_hi - s else s + h
+        q_s, f_s = float(horner(q, h)), float(horner(f, h))
+        if f_s - q_s / 3.0 < 0.0:
+            raise RegionExitScenario1(f"trajectory crossed f = Q/3 at r={math.exp(s):.4g}")
+        if q_s <= 0.0:
+            raise RegionExitScenario2(f"Q crossed 0 at r={math.exp(s):.4g}")
+    return TaylorTail(np.array(knots), np.transpose(coeffs, (1, 2, 0)), remainder)
 
 
 def make_grid(r_max: float) -> np.ndarray:
@@ -362,73 +392,30 @@ def solve_profile(
 
     The handoff radius is the largest scanned radius where the series remainder
     estimate is below ``tol`` and ``beta - f`` retains at least half its origin
-    value (keeps the ODE right-hand side well conditioned).  Integration runs in
-    ``s = ln r`` with a high-order adaptive embedded pair at tolerance 1e-12,
-    tighter than the contract so the sampled residual meets ``10*tol``.
+    value (keeps the ODE right-hand side well conditioned).  ``_continue`` takes
+    it on in ``s = ln r``.  ``residual_max``, which must stay within ``10*tol``, is
+    the largest of the series residual inside, the polynomials' defect against
+    the ODE outside, and the continuation's truncation estimate.
     """
     if r_max < 1.0e3:
         raise DomainError("r_max must be >= 1e3")
     mu, beta = params.mu, params.beta
-    gap0 = beta - params.f0
 
     # --- handoff radius ---
     scan = np.linspace(0.95 * series.radius_estimate, 0.05, 400)
-    r_h = None
-    for r in scan:
-        if series.remainder_bound(r) < tol and (beta - series.eval_f(r)) > 0.5 * gap0:
-            r_h = float(r)
-            break
+    r_h = next((float(r) for r in scan if series.remainder_bound(r) < tol
+                and (beta - series.eval_f(r)) > 0.5 * (beta - params.f0)), None)
     if r_h is None:
         raise NoConvergence("no handoff radius certifies the series remainder")
 
-    # --- ODE continuation in s = ln r ---
-    def rhs(s, y):
-        Q, f = y
-        return (((1.0 - mu) * Q * Q - Q) / (beta - f), Q - 3.0 * f)
-
-    def exit_f(s, y):  # f - Q/3 hits 0 => scenario 1
-        return y[1] - y[0] / 3.0
-
-    def exit_q(s, y):  # Q hits 0 first => scenario 2
-        return y[0]
-
-    exit_f.terminal = True
-    exit_q.terminal = True
-
-    s_lo, s_hi = math.log(r_h), math.log(r_max)
-    q_h = float(series.eval_q(r_h))
-    f_h = float(series.eval_f(r_h))
     constant = params.q_j0 == 0.0
-    sol = None
-    if not constant:
-        res = solve_ivp(
-            rhs,
-            (s_lo, s_hi),
-            (q_h, f_h),
-            method="DOP853",
-            rtol=1e-12,
-            atol=1e-14,
-            dense_output=True,
-            events=(exit_f, exit_q),
-        )
-        if res.status == 1:  # a terminal event fired
-            if len(res.t_events[0]):
-                raise RegionExitScenario1(
-                    f"trajectory crossed f = Q/3 at r={math.exp(res.t_events[0][0]):.4g}"
-                )
-            raise RegionExitScenario2(
-                f"Q crossed 0 at r={math.exp(res.t_events[1][0]):.4g}"
-            )
-        if not res.success:
-            if beta - res.y[1, -1] < 0.05 * gap0:
-                raise StepSizeUnderflow("beta - f collapsed near the handoff")
-            raise NoConvergence(f"integrator failed: {res.message}")
-        sol = res.sol
+    sol = None if constant else _continue(mu, beta, math.log(r_h), math.log(r_max),
+                                          float(series.eval_q(r_h)), float(series.eval_f(r_h)))
 
     grid = make_grid(r_max)
     q_vals, f_vals, dq_vals = _evaluate(grid, params, series, r_h, sol, r_max)
 
-    # --- sampled ODE residual, independent derivative routes ---
+    # --- residuals: the series on the inner grid, the polynomials' defect outside ---
     inner = (grid > 0) & (grid <= r_h)
     outer = grid > r_h
     ri = grid[inner]
@@ -441,13 +428,12 @@ def solve_profile(
     )
     residual = float(np.max(np.abs(res_i))) if len(ri) else 0.0
     if np.any(outer) and sol is not None:
-        ro = grid[outer]
-        so = np.log(ro)
-        dqds, dfds = _dense_ds(sol, so, s_lo, s_hi, params.j0)
+        dqds, dfds = sol(np.log(grid[outer]), deriv=True)
         qo, fo = q_vals[outer], f_vals[outer]
         res_q = qo + (beta - fo) * dqds - (1.0 - mu) * qo * qo
         res_f = dfds - (qo - 3.0 * fo)
-        residual = max(residual, float(np.max(np.abs(res_q))), float(np.max(np.abs(res_f))))
+        residual = max(residual, float(np.max(np.abs(res_q))), float(np.max(np.abs(res_f))),
+                       sol.remainder)
 
     if residual > 10.0 * tol:
         raise NoConvergence(f"sampled residual {residual:.3g} exceeds 10*tol")
@@ -478,31 +464,6 @@ def solve_profile(
         tail_exponent=tail_exp,
         residual_max=residual,
     )
-
-
-def partial_mass(profile: RadialProfile, r: float) -> float:
-    """Mass of the ball of radius r, ``4 pi \\int_0^r Q s^2 ds``, by cumulative Simpson.
-
-    Independent quadrature route; consistent with ``4 pi r^3 f(r)`` to the
-    quadrature tolerance of the graded grid.
-    """
-    if r < 0 or r > profile.r_max * (1 + 1e-12):
-        raise OutOfRange(f"r={r} outside [0, {profile.r_max}]")
-    if r == 0.0:
-        return 0.0
-    g = profile.grid
-    integrand = profile.q_vals * g * g
-    cum = cumulative_simpson(y=integrand, x=g, initial=0.0)
-    k = int(np.searchsorted(g, r, side="right")) - 1
-    val = cum[k]
-    if r > g[k]:
-        # local Simpson correction on the partial segment [g_k, r]
-        m = 0.5 * (g[k] + r)
-        fa = integrand[k]
-        fm = profile.q(m) * m * m
-        fb = profile.q(r) * r * r
-        val += (r - g[k]) / 6.0 * (fa + 4.0 * fm + fb)
-    return float(4.0 * math.pi * val)
 
 
 def classify_beta(mu: float, beta: float) -> tuple[str, int | None]:

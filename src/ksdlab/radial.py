@@ -1,6 +1,6 @@
-"""Radial kernels shared by the time loops, the operator probes and the profile: uniform-grid
-quadrature, Horner evaluation, the cutoff bump, the two tridiagonal operator types, and the one
-IMEX time step both time loops take."""
+"""Radial kernels shared by the time loops, the operator probes and the profile: uniform- and
+graded-grid quadrature, Horner evaluation, the cutoff bump, the two tridiagonal operator types,
+and the one IMEX time step both time loops take."""
 
 from __future__ import annotations
 
@@ -36,6 +36,30 @@ def cumulative_simpson_uniform(y: np.ndarray, h: float) -> np.ndarray:
     out = np.zeros(n)
     np.cumsum(sub * (h / 3.0), out=out[1:])
     return out
+
+
+def _simpson_first_intervals(y: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """Simpson integral over the first interval of each node triple, on the spacings ``dx``."""
+    a = dx[:-1] / (dx[:-1] + dx[1:])
+    ab = a * (dx[:-1] / dx[1:])
+    return dx[:-1] / 6 * ((3 - a) * y[:-2] + (3 + ab + a) * y[1:-1] - ab * y[2:])
+
+
+def cumulative_simpson_nonuniform(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Cumulative Simpson integral of ``y`` on the strictly increasing nodes ``x``, from 0.
+
+    The rule of ``scipy.integrate.cumulative_simpson(y, x=x, initial=0.0)`` in its
+    arithmetic, so the two agree bit for bit: an interval takes the quadratic through the
+    triple it starts on even intervals, through the triple it ends on odd intervals and on
+    the last.  Needs at least 3 nodes.
+    """
+    y, dx = np.asarray(y, dtype=float), np.diff(x)
+    backward = _simpson_first_intervals(y[::-1], dx[::-1])[::-1]
+    sub = np.zeros(len(y))
+    sub[1:-1:2] = _simpson_first_intervals(y, dx)[::2]
+    sub[2::2] = backward[::2]
+    sub[-1] = backward[-1]
+    return np.cumsum(sub)
 
 
 def horner(coeffs, x):
@@ -125,12 +149,11 @@ class SymmetricTridiagonal:
 def ars222_step(u, k0, explicit, L: Tridiagonal | SymmetricTridiagonal, d: float, dt: float):
     """One ARS(2,2,2) step of ``u' = explicit(u) + d L u``: ``d L`` implicit, the rest explicit.
 
-    ``k0`` is ``explicit(u)``, and ``explicit`` returns a fresh array.  Both stages
-    solve with one factorization of ``I - gamma dt d L``; the scheme is stiffly
-    accurate, so the second stage is the new state.  Returns it and the first stage
-    ``u1``.  The second stage's right side
-    ``u + dt (delta k0 + (1 - delta) k1 + (1 - gamma) d L u1)`` is built in place,
-    in that order of evaluation, so its bits are those of the expression.
+    ``k0`` is ``explicit(u)``; ``explicit`` returns a fresh array, which the second
+    stage's right side ``u + dt (delta k0 + (1 - delta) k1 + (1 - gamma) d L u1)`` is
+    built in, to the bits of that expression.  Both stages solve with one factorization
+    of ``I - gamma dt d L``; the scheme is stiffly accurate, so the second stage is the
+    new state.  Returns it and the first stage ``u1``.
     """
     solve = L.solver(GAMMA * dt * d)
     u1 = solve(u + (GAMMA * dt) * k0)

@@ -129,25 +129,26 @@ class TestRun:
         assert outs[0] == outs[1]
 
     def test_profile_outputs_pinned(self, tmp_path):
-        # seed-day values: the dense-output finite-difference residual route
-        # must keep its arithmetic, not only its tolerance
+        # the profile bytes since the Taylor continuation; residual_max, which the
+        # inner series sets, is the seed-day value
         out = tmp_path / "out"
         assert main(["profile", "--mu", "0", "--j0", "4", "--out", str(out)]) == 0
         digest = hashlib.sha256((out / "profile.csv").read_bytes()).hexdigest()
-        assert digest == "bbb488bf4e1e92629f7f4afe51bb8d90ab7962ec5d393639be031af19f82dd9f"
+        assert digest == "a2e8078c6c513a5751d5b59fd02f3e1bbcd3d42bbf7b46c4046d3e66d3b3c948"
         manifest = json.loads((out / "manifest_profile.json").read_text())
         assert manifest["residual_max"] == 1.1535229327286345e-08
 
     def test_probe_csvs_pinned(self, tmp_path):
-        # seed-day bytes of both probe tables at a fixed seed: a faster probe
-        # loop must keep every quotient's arithmetic
+        # bytes of both probe tables at a fixed seed: a faster probe loop must
+        # keep every quotient's arithmetic; coercivity.csv since the Taylor
+        # continuation moved the profile tail
         out = tmp_path / "out"
         for cmd in ("coercivity", "heat"):
             assert main([cmd, "--mu", "0", "--j0", "4", "--seed", "12345", "--out", str(out)]) == 0
         digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                    for name in ("coercivity.csv", "heat.csv")}
         assert digests == {
-            "coercivity.csv": "d8958ed26891a7f0921bbdd995f15c8f36bec3b063cc08f2fc1c1e0b0e696fc8",
+            "coercivity.csv": "c4fd72f9b4457fbd955b9f319652f7c4f2ef5763e65729bb3ae3bb51574ed1cd",
             "heat.csv": "63660e4d0d136d27c422715abc041302f010fdfa79c5af678ad8d4e4617e58dc",
         }
 
@@ -163,23 +164,24 @@ class TestRun:
         # and the key list of each manifest, taken before the runner existed;
         # renorm.csv and its manifest keys since renorm steps ARS(2,2,2);
         # phys.csv since phys solves on pttrf; blowup_fit.json since it reports
-        # mass_change_rel
+        # mass_change_rel; every profile-derived artifact since the Taylor
+        # continuation moved the profile tail
         out = tmp_path / "out"
         argv = ["all", "--quick", "--mu", "0", "--j0", "4", "--seed", "12345", "--out", str(out)]
         assert main(argv) == 0
         digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                    for p in out.iterdir() if not p.name.startswith("manifest_")}
         assert digests == {
-            "blowup_fit.json": "ff45530323b9e071a34480851f894055e3957fe62bb06a28002917eb19c65b11",
-            "coercivity.csv": "2bb2ae977cdbd2e5a07bd3463e05d3ed7ce1916a325f232c0275618e5941c0a9",
+            "blowup_fit.json": "07eba7b979372e40eb5ef38a70112b2b2bb1fc04c3c35ad3a0ab127a735259e3",
+            "coercivity.csv": "989ab7db283e03e8c3263a5b51287933faa4dd51c69c9aa1c867594ae2298928",
             "coercivity_certificate.json":
-                "40820c5cc3fc06f5cc5fc704a24409dd8e06fe900fc4a9281df972698f1dc06a",
+                "27d6a622b36f333f26eae09f5b9ee9f5666fe91bdbf2bf701cdaa669a55d28d5",
             "heat.csv": "543c7c31dccef4bf160c78de18f0de46d583d7ac68c82ed8941dce817be7d995",
             "heat_certificate.json": "54b5230bf9e9e09458bd00591fdf27607ee3f53b88741aeab42277cf39ea1f5e",
-            "phys.csv": "8257afd8039cc9d1e9ca0f246ea326691a8f2658a95c2d9f390bfa2193c375b2",
+            "phys.csv": "feb4159524957a9115c1a3c1f5e36f717280bb54fc6d1212a0a0777be79c569d",
             "portrait.csv": "9ae938e4050946aaf036207c70af0b9ad02eb1bb3704479dd444711cd24ac83d",
-            "profile.csv": "bbb488bf4e1e92629f7f4afe51bb8d90ab7962ec5d393639be031af19f82dd9f",
-            "renorm.csv": "e501580d42072169589fb33335d3c18bd70cd8856b9d0241f4545c005f4cf414",
+            "profile.csv": "a2e8078c6c513a5751d5b59fd02f3e1bbcd3d42bbf7b46c4046d3e66d3b3c948",
+            "renorm.csv": "61c9fc32cbcb36f175ccd839d3825171f5a77a7c6313a837998bc63166396d34",
         }
         base = ["schema_version", "library_version", "config", "config_hash",
                 "wall_time_s", "written_at"]
@@ -200,7 +202,7 @@ class TestRun:
         argv = ["renorm", "--quick", "--mu", "0.2", "--j0", "7", "--seed", "12345", "--out", str(out)]
         assert main(argv) == 0
         digest = hashlib.sha256((out / "renorm.csv").read_bytes()).hexdigest()
-        assert digest == "6fed2b9fae478b362b8eef2dd4a9a1e0867d530474f7b85db054e185c5644f3c"
+        assert digest == "5bcf46f3cd8cdf6d95e2f807067b6aad95185714c7bfcdd9097a9ae106ff3f66"
 
     def test_nested_profile_time(self, tmp_path):
         # coercivity alone runs the profile stage inside itself: its wall time
@@ -328,10 +330,21 @@ class TestThreads:
         assert self._pool_after_import() == "None"
 
 
-def test_cli_import_leaves_mpmath_out():
-    # mpmath is a test dependency only: the command line must not load it
+def _loaded_by_cli_import(names):
+    """The modules among ``names`` that ``import ksdlab.cli`` loads in a fresh interpreter."""
     env = {**os.environ, "PYTHONPATH": str(Path(ksdlab.__file__).parents[1])}
-    code = "import sys, ksdlab.cli; print('mpmath' in sys.modules)"
+    code = f"import sys, ksdlab.cli; print([m for m in {list(names)!r} if m in sys.modules])"
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_cli_import_leaves_mpmath_out():
+    # mpmath is a test dependency only: the command line must not load it
+    assert _loaded_by_cli_import(["mpmath"]) == "[]"
+
+
+def test_cli_import_leaves_scipy_integrate_out():
+    # the profile continues its own Taylor series and radial holds the graded
+    # Simpson rule, so no process pays for scipy.integrate and what it pulls in
+    assert _loaded_by_cli_import(["scipy.integrate", "scipy.optimize", "scipy.special"]) == "[]"

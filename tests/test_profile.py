@@ -1,4 +1,4 @@
-"""Profile construction: recurrence oracle, series certificates, ODE continuation."""
+"""Profile construction: recurrence oracle, series certificates, Taylor continuation."""
 
 import math
 import time
@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import cumulative_simpson
 
-from ksdlab.errors import DomainError, OutOfRange
+from ksdlab import profile as profile_mod
+from ksdlab.errors import DomainError, OutOfRange, RegionExitScenario1, RegionExitScenario2
 from ksdlab.profile import (
     N_MAX,
     ProfileParams,
@@ -18,7 +20,6 @@ from ksdlab.profile import (
     classify_beta,
     compute_admissibility,
     make_grid,
-    partial_mass,
     series_recurrence,
     solve_profile,
 )
@@ -58,6 +59,28 @@ def operator_recurrence(mu: float, j0: int, q_j0: float, n: int) -> list:
                 S += (mp.mpf(2 * i) / (2 * (j - i) + 3) + one_m_mu) * Q[i] * Q[j - i]
             Q[j] = S / (2 * j * (mp.mpf(1) / (2 * j0) - mp.mpf(1) / (2 * j)))
         return Q
+
+def partial_mass(profile, r: float) -> float:
+    """Mass of the ball of radius r, ``4 pi \\int_0^r Q s^2 ds``, by scipy's cumulative
+    Simpson on the profile grid and a local Simpson correction on ``[g_k, r]``:
+    a quadrature route independent of ``4 pi r^3 f(r)``."""
+    if r < 0 or r > profile.r_max * (1 + 1e-12):
+        raise OutOfRange(f"r={r} outside [0, {profile.r_max}]")
+    if r == 0.0:
+        return 0.0
+    g = profile.grid
+    integrand = profile.q_vals * g * g
+    cum = cumulative_simpson(y=integrand, x=g, initial=0.0)
+    k = int(np.searchsorted(g, r, side="right")) - 1
+    val = cum[k]
+    if r > g[k]:
+        m = 0.5 * (g[k] + r)
+        fa = integrand[k]
+        fm = profile.q(m) * m * m
+        fb = profile.q(r) * r * r
+        val += (r - g[k]) / 6.0 * (fa + 4.0 * fm + fb)
+    return float(4.0 * math.pi * val)
+
 
 class TestAdmissibility:
     def test_mu0_threshold(self):
@@ -261,6 +284,27 @@ class TestSolve:
         prof = solve_profile(p, build_series(p, 1e-12), 1.0e4, tol)
         assert prof.residual_max <= 10.0 * tol
         assert prof.tail_exponent == pytest.approx(-1.0 / p.beta, rel=0.01)
+
+    @pytest.mark.parametrize("mu", [0.0, 0.2, 0.3])
+    def test_tail_against_doubled_order(self, mu, monkeypatch):
+        # the order-24 continuation against an order-48 one, on the whole grid
+        p = ProfileParams.make(mu, compute_admissibility(mu)[1])
+        series = build_series(p, 1e-12)
+        prof = solve_profile(p, series, 1.0e4, 1e-10)
+        monkeypatch.setattr(profile_mod, "TAYLOR_ORDER", 2 * profile_mod.TAYLOR_ORDER)
+        ref = solve_profile(p, series, 1.0e4, 1e-10)
+        for got, want in ((prof.q_vals, ref.q_vals), (prof.f_vals, ref.f_vals)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        assert prof.sol.remainder < 1e-20
+
+    def test_continuation_exits(self, mu0_params):
+        beta = mu0_params.beta
+        # f < Q/3: started outside the trapping region
+        with pytest.raises(RegionExitScenario1, match="f = Q/3"):
+            profile_mod._continue(0.0, beta, 0.0, 9.0, 1.0, 0.3)
+        # Q < 0 and rising towards Q = 0 (dQ/ds = Q (Q - 1)/(beta - f) > 0 there)
+        with pytest.raises(RegionExitScenario2, match="Q crossed 0"):
+            profile_mod._continue(0.0, beta, 0.0, 9.0, -0.01, 0.3)
 
     def test_range_guard(self, mu0_profile):
         with pytest.raises(OutOfRange):
