@@ -60,6 +60,7 @@ def operator_recurrence(mu: float, j0: int, q_j0: float, n: int) -> list:
             Q[j] = S / (2 * j * (mp.mpf(1) / (2 * j0) - mp.mpf(1) / (2 * j)))
         return Q
 
+
 def partial_mass(profile, r: float) -> float:
     """Mass of the ball of radius r, ``4 pi \\int_0^r Q s^2 ds``, by scipy's cumulative
     Simpson on the profile grid and a local Simpson correction on ``[g_k, r]``:
