@@ -12,6 +12,7 @@ integral identities used by the full nonlocal operator probes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +22,9 @@ from .linops import (
     PolyGauss,
     RadialQuad,
     SampledRadial,
+    TestFunction,
+    _probe_quotients,
     _probe_suite,
-    _rayleigh_quotient,
     _sample,
     _sample_slope,
     _WeightedL2,
@@ -133,14 +135,14 @@ def heat_multiplier_route(
     return core.integrate(integrand)
 
 
-def make_heat_suite(p: HeatParams, count: int = 50, seed: int = 777) -> list[PolyGauss]:
+def make_heat_suite(p: HeatParams, count: int = 50, seed: int = 777) -> list[TestFunction]:
     """Randomized admissible 1D probe functions (same family as the 3D suite)."""
-    return [tf.to_polygauss() for tf in _probe_suite(p.min_vanish_order, count, seed)]
+    return _probe_suite(p.min_vanish_order, count, seed)
 
 
 def heat_coercivity(
     p: HeatParams,
-    suite: list[PolyGauss],
+    suite: list[TestFunction],
     quad: RadialQuad | None = None,
 ) -> dict:
     """Rayleigh quotients under Theta+kappa; keeps the largest admissible kappa
@@ -148,23 +150,21 @@ def heat_coercivity(
 
     Returns the chosen kappa and per-function records; every quotient at the
     accepted kappa is finite and <= -1/(4m) + 1e-3.  When no kappa passes, the
-    smallest one is reported with its flagged records.
+    smallest one is reported with its flagged records.  Each ``(p, s)`` family
+    of the suite is sampled once per call, whatever the number of kappas tried.
     """
     if quad is None:
         quad = RadialQuad.make()
     bound = -1.0 / (4.0 * p.m) + 1e-3
     y = quad.r
-    u2 = 2.0 * heat_profile(p, y)
-    for kappa in (10.0**-k for k in range(1, 7)):
-        core = _WeightedL2(quad, p.theta_exponent, kappa, 0)
-        records = []
-        for idx, g in enumerate(suite):
-            ev, dv, p_ord = _sample_slope(g, quad)
-            Lv = _heat_L_vals(p, y, u2, ev, dv)
-            quot, flagged = _rayleigh_quotient(
-                core.pair(Lv, p_ord, ev, p_ord), core.pair(ev, p_ord, ev, p_ord), bound
-            )
-            records.append({"index": idx, "s": g.s, "quotient": quot, "flagged": flagged})
+    L = functools.partial(_heat_L_vals, p, y, 2.0 * heat_profile(p, y))
+    core = _WeightedL2(quad, p.theta_exponent, 0.0, 0)
+    kappas = [10.0**-k for k in range(1, 7)]
+    for kappa, quotients in zip(kappas, _probe_quotients(suite, core, L, kappas, bound)):
+        records = [
+            {"index": idx, "s": tf.s, "quotient": quot, "flagged": flagged}
+            for idx, (tf, (quot, flagged)) in enumerate(zip(suite, quotients))
+        ]
         all_pass = not any(r["flagged"] for r in records)
         if all_pass:
             break

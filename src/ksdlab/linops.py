@@ -331,9 +331,9 @@ class _WeightedL2:
 
     Built once per ``(quad, A, B, power)``, it holds the arrays every pairing
     on the grid reuses: the split-weight factor ``r^{-A/2}`` (formed on first
-    use, as the operator needs only the cumulative integral; only the guarded
-    ``singular`` reads it), ``r^{power+1}`` on the fine and the coarse (every
-    other) nodes, and both Simpson weight vectors.  It pairs grid samples with their vanishing orders, so a probe
+    use; only the guarded ``singular`` and ``grams`` read it), ``r^{power+1}``
+    on the fine and the coarse (every other) nodes, and both Simpson weight
+    vectors.  It pairs grid samples with their vanishing orders, so a function
     is sampled once however many pairings it enters.  ``A = B = 0`` (weight
     1) is the plain quadrature behind ``RadialQuad.integrate``.
     """
@@ -370,12 +370,29 @@ class _WeightedL2:
         partial product under/overflows.  Raises DivergentIntegrand unless the
         combined vanishing order makes ``r^{pa+pb-A+power}`` integrable at 0.
         """
+        self._guard(pa, pb)
+        half = self.half
+        return (av * half) * (bv * half)
+
+    def _guard(self, pa: int, pb: int) -> None:
         if not pa + pb + self.power > self.A - 1:
             raise DivergentIntegrand(
                 f"vanishing order {pa}+{pb} with r^{self.power} dr not above A-1={self.A - 1}"
             )
-        half = self.half
-        return (av * half) * (bv * half)
+
+    def grams(self, X: np.ndarray, px: int, Y: np.ndarray, py: int) -> np.ndarray:
+        """``\\int x_i y_j r^{-A} r^power dr`` and ``\\int x_i y_j r^power dr`` over the rows of
+        ``X`` and ``Y`` (vanishing orders ``px``, ``py``; guarded and split as in ``singular``),
+        shape ``(2, 2, len(X), len(Y))``: (fine, coarse) nodes, then (singular, flat)."""
+        self._guard(px, py)
+        out = np.empty((2, 2, len(X), len(Y)))
+        levels = ((1, self.w, self.rp), (2, self.w_coarse, self.rp_coarse))
+        for level, (step, w, rp) in enumerate(levels):
+            x, y = X[:, ::step] * (w * rp), Y[:, ::step]
+            out[level, 1] = x @ y.T
+            x *= self.half[::step]
+            out[level, 0] = x @ (y * self.half[::step]).T
+        return out
 
     def integrand(self, av: np.ndarray, pa: int, bv: np.ndarray, pb: int) -> np.ndarray:
         """``a b (r^{-A} + B)`` on the grid, under the guard of ``singular``."""
@@ -388,15 +405,59 @@ class _WeightedL2:
         above 1e-8 relative.
         """
         F = self.integrand(av, pa, bv, pb)
-        fine = self.integrate(F)
-        err = abs(fine - self.integrate(F, coarse=True)) / 15.0
-        if err > 1e-8 * abs(fine) + 1e-300:
-            raise NoConvergence(f"quadrature error estimate {err:.3g} too large")
-        return fine
+        return _halving_checked(self.integrate(F), self.integrate(F, coarse=True))
 
     def inner(self, av: np.ndarray, pa: int, bv: np.ndarray, pb: int) -> float:
         """``4 pi \\int a b (r^{-A} + B) r^power dr``, the radial 3D inner product."""
         return 4.0 * math.pi * self.pair(av, pa, bv, pb)
+
+
+def _halving_checked(fine, coarse):
+    """``fine``, after the panel-halving check against the ``coarse`` quadrature (scalars or
+    arrays): raises NoConvergence where the error estimate exceeds 1e-8 relative."""
+    err = np.abs(fine - coarse) / 15.0
+    if np.any(err > 1e-8 * np.abs(fine) + 1e-300):
+        raise NoConvergence(f"quadrature error estimate {np.nanmax(err):.3g} too large")
+    return fine
+
+
+def _family_rows(p: int, s: float, K: int, quad: RadialQuad, L_vals) -> np.ndarray:
+    """The rows ``phi_k = r^{p+2k} e^{-r^2/s^2}``, ``k < K``, each the last times ``r^2``,
+    then the rows ``L_vals(phi_k, phi_k')``, each over the slope ``phi_k ((p+2k)/r - 2r/s^2)``."""
+    r = quad.r
+    r2 = r * r
+    rows = np.empty((2 * K, len(r)))
+    rows[0] = r**p * np.exp(-r2 / (s * s))
+    for k in range(1, K):
+        np.multiply(rows[k - 1], r2, out=rows[k])
+    phi, L_rows = rows[:K], rows[K:]
+    np.multiply(phi, (p + 2.0 * np.arange(K))[:, None] / r - (2.0 / (s * s)) * r, out=L_rows)
+    for row, slope in zip(phi, L_rows):
+        slope[:] = L_vals(row, slope)
+    return rows
+
+
+def _probe_quotients(suite: list[TestFunction], core: _WeightedL2, L_vals, Bs, bound: float):
+    """Yield, for each flat part ``B`` in ``Bs``, the Rayleigh quotient ``(Lg, g)_w / (g, g)_w``
+    under ``w = r^{-A} + B`` of every suite member, with its ``_rayleigh_quotient`` flag.
+
+    ``L`` is linear, so a member ``g = sum_k a_k phi_k`` of the family ``(p, s, K)`` with
+    rows ``phi_k = r^{p+2k} e^{-r^2/s^2}`` has ``(Lg, g)_w = a^T M a`` and ``(g, g)_w =
+    a^T G a``, ``M`` and ``G`` from ``core.grams``.  Each family's rows are built once,
+    whatever the number of ``B``; each quadratic form passes ``pair``'s panel-halving check.
+    """
+    families: dict[tuple[int, float, int], list[int]] = {}
+    for idx, tf in enumerate(suite):
+        families.setdefault((tf.p, tf.s, len(tf.poly_coeffs)), []).append(idx)
+    forms = np.empty((2, 2, 2, len(suite)))  # (den, num), (fine, coarse), (singular, flat)
+    for (p, s, K), members in families.items():
+        a = np.array([suite[i].poly_coeffs for i in members])
+        rows = _family_rows(p, s, K, core.quad, L_vals)
+        grams = core.grams(rows, p, rows[:K], p).reshape(2, 2, 2, K, K)  # phi: G, L phi: M
+        forms[..., members] = np.einsum("lwfij,ni,nj->flwn", grams, a, a)
+    for B in Bs:
+        den, num = (_halving_checked(*(f[:, 0] + B * f[:, 1])).tolist() for f in forms)
+        yield [_rayleigh_quotient(n, d, bound) for n, d in zip(num, den)]
 
 
 def _rayleigh_quotient(num: float, den: float, bound: float) -> tuple[float, bool]:
@@ -466,35 +527,23 @@ def coercivity_probe(
 
     Flags any quotient above the coercivity bound -1/8 + 1e-3, and any
     non-finite one (an overflowing weight gives NaN, which must not pass).
-    Results are order-stable by suite index.  Each probe is sampled once,
-    as ``g`` and ``g'``, and paired on one weighted-L^2 core.
+    Results are order-stable by suite index.  The quotients come from the
+    Gram matrices of each ``(p, s)`` family (``_probe_quotients``).
     """
     if quad is None:
         quad = RadialQuad.make()
     pmin = min_vanish_order(w.A)
-    core = _WeightedL2(quad, w.A, w.B, 2)
-    coeffs = _operator_coeffs(params, quad.r, *profile.sample(quad.r))
-
-    results = []
     for idx, tf in enumerate(suite):
         if tf.p < pmin:
             raise DivergentIntegrand(f"suite member {idx} has p={tf.p} < {pmin}")
-        gv, dg, p = _sample_slope(tf.to_polygauss(), quad)
-        Lv = _L_vals(core, coeffs, gv, dg)
-        quot, flagged = _rayleigh_quotient(
-            core.inner(Lv, p, gv, p), core.inner(gv, p, gv, p), -0.125 + 1e-3
-        )
-        results.append(
-            {
-                "index": idx,
-                "seed_label": tf.seed_label,
-                "p": tf.p,
-                "s": tf.s,
-                "quotient": quot,
-                "flagged": flagged,
-            }
-        )
-    return results
+    core = _WeightedL2(quad, w.A, w.B, 2)
+    L = functools.partial(_L_vals, core, _operator_coeffs(params, quad.r, *profile.sample(quad.r)))
+    [quotients] = _probe_quotients(suite, core, L, (w.B,), -0.125 + 1e-3)
+    return [
+        {"index": idx, "seed_label": tf.seed_label, "p": tf.p, "s": tf.s,
+         "quotient": quot, "flagged": flagged}
+        for idx, (tf, (quot, flagged)) in enumerate(zip(suite, quotients))
+    ]
 
 
 def nonlocal_ibp_routes(

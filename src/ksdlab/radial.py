@@ -4,11 +4,11 @@ and the one IMEX time step both time loops take."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs
 
 from .errors import NotPositiveDefinite, SingularOperator
 
@@ -16,6 +16,14 @@ from .errors import NotPositiveDefinite, SingularOperator
 #: gamma, and the explicit weight delta the second stage gives the first
 GAMMA = 1.0 - 1.0 / math.sqrt(2.0)
 DELTA = 1.0 - 1.0 / (2.0 * GAMMA)
+
+
+@functools.cache
+def _lapack():
+    """``scipy.linalg.lapack``, imported on the first solve: it is most of a process's start-up."""
+    from scipy.linalg import lapack
+
+    return lapack
 
 
 def cumulative_simpson_uniform(y: np.ndarray, h: float) -> np.ndarray:
@@ -106,10 +114,11 @@ class Tridiagonal:
     def solver(self, c: float):
         """``b -> (I - c L)^{-1} b`` on one LU factorization (LAPACK ``gttrf``, pivoting).
         A factorization that meets an exactly zero pivot raises SingularOperator."""
-        *lu, info = dgttrf(-c * self.lower, 1.0 - c * self.diag, -c * self.upper)
+        lapack = _lapack()
+        *lu, info = lapack.dgttrf(-c * self.lower, 1.0 - c * self.diag, -c * self.upper)
         if info != 0:
             raise SingularOperator(f"gttrf info {info}: I - c L is singular at c = {c:.6g}")
-        return lambda b: dgttrs(*lu, b)[0]
+        return lambda b: lapack.dgttrs(*lu, b)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,12 +147,13 @@ class SymmetricTridiagonal:
         zero, as the rows of a flux-form Laplacian do.  A factorization that meets a
         non-positive pivot raises NotPositiveDefinite.
         """
-        d, e, info = dpttrf(self.weight - c * self.diag, -c * self.off,
-                            overwrite_d=1, overwrite_e=1)
+        lapack = _lapack()
+        d, e, info = lapack.dpttrf(self.weight - c * self.diag, -c * self.off,
+                                   overwrite_d=1, overwrite_e=1)
         if info != 0:
             raise NotPositiveDefinite(f"pttrf info {info}: W - c S is not positive definite "
                                       f"at c = {c:.6g}")
-        return lambda b: dpttrs(d, e, self.weight * b, overwrite_b=1)[0]
+        return lambda b: lapack.dpttrs(d, e, self.weight * b, overwrite_b=1)[0]
 
 
 def ars222_step(u, k0, explicit, L: Tridiagonal | SymmetricTridiagonal, d: float, dt: float):

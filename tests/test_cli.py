@@ -139,17 +139,17 @@ class TestRun:
         assert manifest["residual_max"] == 1.1535229327286345e-08
 
     def test_probe_csvs_pinned(self, tmp_path):
-        # bytes of both probe tables at a fixed seed: a faster probe loop must
-        # keep every quotient's arithmetic; coercivity.csv since the Taylor
-        # continuation moved the profile tail
+        # bytes of both probe tables at a fixed seed; both since the quotients
+        # come from per-family Gram matrices, a new quadrature order that the
+        # per-probe oracle tests hold to 1e-13
         out = tmp_path / "out"
         for cmd in ("coercivity", "heat"):
             assert main([cmd, "--mu", "0", "--j0", "4", "--seed", "12345", "--out", str(out)]) == 0
         digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                    for name in ("coercivity.csv", "heat.csv")}
         assert digests == {
-            "coercivity.csv": "c4fd72f9b4457fbd955b9f319652f7c4f2ef5763e65729bb3ae3bb51574ed1cd",
-            "heat.csv": "63660e4d0d136d27c422715abc041302f010fdfa79c5af678ad8d4e4617e58dc",
+            "coercivity.csv": "d375c1138e5d2b11238e7fdaf5b5b7ee0e69baf9290753a5707250b4ac56f86c",
+            "heat.csv": "a914b6d727138c88ae384debd26efd6dd90d45fb076752bfa84247f2c556502a",
         }
 
     def test_mu02_residual_pinned(self, tmp_path):
@@ -165,7 +165,8 @@ class TestRun:
         # renorm.csv and its manifest keys since renorm steps ARS(2,2,2);
         # phys.csv since phys solves on pttrf; blowup_fit.json since it reports
         # mass_change_rel; every profile-derived artifact since the Taylor
-        # continuation moved the profile tail
+        # continuation moved the profile tail; coercivity.csv and heat.csv
+        # since the quotients come from per-family Gram matrices
         out = tmp_path / "out"
         argv = ["all", "--quick", "--mu", "0", "--j0", "4", "--seed", "12345", "--out", str(out)]
         assert main(argv) == 0
@@ -173,10 +174,10 @@ class TestRun:
                    for p in out.iterdir() if not p.name.startswith("manifest_")}
         assert digests == {
             "blowup_fit.json": "07eba7b979372e40eb5ef38a70112b2b2bb1fc04c3c35ad3a0ab127a735259e3",
-            "coercivity.csv": "989ab7db283e03e8c3263a5b51287933faa4dd51c69c9aa1c867594ae2298928",
+            "coercivity.csv": "5f2372efcdbbe88f7716d57ab72fc6422b92e34de2a792fa7c1878dcf4d6d762",
             "coercivity_certificate.json":
                 "27d6a622b36f333f26eae09f5b9ee9f5666fe91bdbf2bf701cdaa669a55d28d5",
-            "heat.csv": "543c7c31dccef4bf160c78de18f0de46d583d7ac68c82ed8941dce817be7d995",
+            "heat.csv": "8bc1c8d0f014961ae358c01ec704df176ca17b9242a50543f8a348589bd96d5d",
             "heat_certificate.json": "54b5230bf9e9e09458bd00591fdf27607ee3f53b88741aeab42277cf39ea1f5e",
             "phys.csv": "feb4159524957a9115c1a3c1f5e36f717280bb54fc6d1212a0a0777be79c569d",
             "portrait.csv": "9ae938e4050946aaf036207c70af0b9ad02eb1bb3704479dd444711cd24ac83d",
@@ -344,7 +345,9 @@ def test_cli_import_leaves_mpmath_out():
     assert _loaded_by_cli_import(["mpmath"]) == "[]"
 
 
-def test_cli_import_leaves_scipy_integrate_out():
+def test_cli_import_leaves_scipy_integrate_and_linalg_out():
     # the profile continues its own Taylor series and radial holds the graded
-    # Simpson rule, so no process pays for scipy.integrate and what it pulls in
-    assert _loaded_by_cli_import(["scipy.integrate", "scipy.optimize", "scipy.special"]) == "[]"
+    # Simpson rule, so no process pays for scipy.integrate and what it pulls in;
+    # radial loads LAPACK on the first solve, which only the time loops make
+    names = ["scipy.integrate", "scipy.linalg", "scipy.optimize", "scipy.special"]
+    assert _loaded_by_cli_import(names) == "[]"

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from ksdlab.errors import DivergentIntegrand, DomainError, GridMismatch
+from ksdlab import linops
+from ksdlab.errors import DivergentIntegrand, DomainError, GridMismatch, NoConvergence
 from ksdlab.heat import (
     HeatParams,
     heat_apply_L,
@@ -137,19 +138,52 @@ class TestCoercivity:
         assert not report["all_pass"]
 
     @pytest.mark.parametrize("m, count", [(2, 50), (40, 4)])
-    def test_each_probe_sampled_once_per_kappa(self, m, count, monkeypatch):
-        # one e(y) and one e'(y) per probe for each kappa tried; at m=40 every
-        # quotient is NaN, so all six kappas are tried
-        calls = []
-        call = PolyGauss.__call__
-        monkeypatch.setattr(PolyGauss, "__call__", lambda g, r: calls.append(1) or call(g, r))
+    def test_each_family_built_once_per_call(self, m, count, monkeypatch):
+        # the suite falls into at most 4 (p, s) families, each sampled once
+        # however many kappas are tried; at m=40 every quotient is NaN, so all
+        # six kappas are tried
+        builds = []
+        family_rows = linops._family_rows
+        monkeypatch.setattr(linops, "_family_rows",
+                            lambda *a: builds.append(a[:2]) or family_rows(*a))
         hp = HeatParams(m=m)
-        suite = make_heat_suite(hp, count=count)
         with np.errstate(over="ignore", invalid="ignore"):
-            report = heat_coercivity(hp, suite)
+            report = heat_coercivity(hp, make_heat_suite(hp, count=count))
         tried = round(-np.log10(report["kappa"]))
         assert tried == (1 if m == 2 else 6)
-        assert len(calls) <= 2 * len(suite) * tried
+        assert len(builds) <= 4 and len(set(builds)) == len(builds)
+
+    @pytest.mark.parametrize("seed", [777, 12345])
+    def test_family_quotients_match_per_probe_route(self, hp, quad, seed):
+        # the Gram-matrix quotients and the accepted kappa against the public
+        # route, one probe at a time
+        suite = make_heat_suite(hp, seed=seed)
+        report = heat_coercivity(hp, suite, quad)
+        bound = -1.0 / (4.0 * hp.m) + 1e-3
+        for kappa in (10.0**-k for k in range(1, 7)):
+            refs = []
+            for tf in suite:
+                g = tf.to_polygauss()
+                num = heat_weighted_inner(hp, heat_apply_L(hp, g, quad), g, kappa, quad)
+                refs.append(num / heat_weighted_inner(hp, g, g, kappa, quad))
+            flags = [not (np.isfinite(q) and q <= bound) for q in refs]
+            if not any(flags):
+                break
+        assert report["kappa"] == kappa
+        for rec, ref, flagged in zip(report["records"], refs, flags):
+            assert rec["quotient"] == pytest.approx(ref, rel=1e-13, abs=0.0)
+            assert rec["flagged"] is flagged
+
+    def test_unresolved_grid_rejected(self, hp):
+        # 401 nodes leave the quadratic forms' panel-halving estimate above 1e-8
+        with pytest.raises(NoConvergence):
+            heat_coercivity(hp, make_heat_suite(hp), RadialQuad.make(n=401))
+
+    def test_low_order_member_rejected(self, hp):
+        # e^2 y^{-12} with e ~ y^4 is not integrable at the origin
+        bad = linops.TestFunction(p=4, s=1.0, poly_coeffs=np.ones(7))
+        with pytest.raises(DivergentIntegrand):
+            heat_coercivity(hp, [bad])
 
     def test_near_origin_cluster(self, hp):
         # tightly localized probes see the full multiplier: quotients near -3/8

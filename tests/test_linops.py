@@ -13,6 +13,7 @@ from ksdlab.errors import (
     NoConvergence,
     OrderUnsupported,
 )
+from ksdlab import linops
 from ksdlab.heat import HeatParams, heat_apply_L, heat_weighted_inner
 from ksdlab.linops import (
     PolyGauss,
@@ -266,16 +267,40 @@ class TestCoercivity:
         assert all(math.isnan(r["quotient"]) for r in rows)
         assert all(r["flagged"] for r in rows)
 
-    def test_each_probe_sampled_once(self, mu0_profile, mu0_params, weight36, monkeypatch):
-        # one g(r) and one g'(r) per probe: the operator and both pairings
-        # share the samples
-        calls = []
-        call = PolyGauss.__call__
+    def test_each_family_built_once(self, mu0_profile, mu0_params, weight36, monkeypatch):
+        # the 50 probes fall into 4 (p, s) families: each family's rows are
+        # sampled and put through L once, and no probe is sampled on its own
+        builds, calls = [], []
+        family_rows, call = linops._family_rows, PolyGauss.__call__
+        monkeypatch.setattr(linops, "_family_rows",
+                            lambda *a: builds.append(a[:2]) or family_rows(*a))
         monkeypatch.setattr(PolyGauss, "__call__", lambda g, r: calls.append(1) or call(g, r))
         suite = make_test_suite(36, count=50)
         rows = coercivity_probe(mu0_profile, mu0_params, weight36, suite)
         assert len(rows) == 50
-        assert len(calls) <= 2 * len(suite)
+        assert len(builds) <= 4 and len(set(builds)) == len(builds)
+        assert not calls
+
+    @pytest.mark.parametrize("A", [36, 38])
+    @pytest.mark.parametrize("seed", [7, 12345])
+    def test_family_quotients_match_per_probe_route(self, A, seed, mu0_profile, mu0_params,
+                                                    weight36, quad):
+        # the Gram-matrix quotients against the public route, one probe at a time
+        w = replace(weight36, A=A)
+        suite = make_test_suite(A, count=50, seed=seed)
+        rows = coercivity_probe(mu0_profile, mu0_params, w, suite, quad)
+        for tf, row in zip(suite, rows):
+            g = tf.to_polygauss()
+            Lg = apply_L(mu0_profile, mu0_params, g, quad)
+            ref = weighted_inner(Lg, g, w, quad) / weighted_inner(g, g, w, quad)
+            assert row["quotient"] == pytest.approx(ref, rel=1e-13, abs=0.0)
+            assert row["flagged"] is not (math.isfinite(ref) and ref <= -0.125 + 1e-3)
+
+    def test_unresolved_grid_rejected(self, mu0_profile, mu0_params, weight36):
+        # 401 nodes leave the quadratic forms' panel-halving estimate above 1e-8
+        with pytest.raises(NoConvergence):
+            coercivity_probe(mu0_profile, mu0_params, weight36, make_test_suite(36),
+                             RadialQuad.make(n=401))
 
     def test_low_order_rejected(self, mu0_profile, mu0_params, weight36):
         from ksdlab.linops import TestFunction

@@ -137,7 +137,7 @@ def test_horner_bits_match_polyval():
     # compared as integers, so that +0 and -0 differ
     r = RadialQuad.make().r
     suites = [tf.to_polygauss() for tf in make_test_suite(36)]
-    suites += make_heat_suite(HeatParams(m=2))
+    suites += [tf.to_polygauss() for tf in make_heat_suite(HeatParams(m=2))]
     for g in suites:
         for c in (g.coeffs, g.deriv().coeffs):
             assert np.array_equal(_bits(horner(c, r)), _bits(polyval(r, c)))
