@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ksdlab import linops
 from ksdlab.errors import (
     DivergentIntegrand,
     DomainError,
@@ -13,7 +14,6 @@ from ksdlab.errors import (
     NoConvergence,
     OrderUnsupported,
 )
-from ksdlab import linops
 from ksdlab.heat import HeatParams, heat_apply_L, heat_weighted_inner
 from ksdlab.linops import (
     PolyGauss,
