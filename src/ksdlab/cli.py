@@ -195,15 +195,17 @@ def _stage_renorm(cfg: RunConfig, outdir: Path, cache: dict) -> dict:
             "steps": traj["steps"]}
 
 
-def _stage_phys(cfg: RunConfig, outdir: Path, cache: dict) -> None:
+def _stage_phys(cfg: RunConfig, outdir: Path, cache: dict) -> dict:
     params, profile = _ensure_profile(cfg, outdir, cache)
     # default lam0 keeps the physical diffusion coefficient lam0^{2-4beta}
     # well under the aggregation scale so the run actually blows up
     lam0 = cfg.lambda0 if cfg.lambda0 is not None else 10.0 ** (-1.6 / (2.0 - 4.0 * params.beta))
-    # the half-maximum radius starts at ~n/167 cells, so n must stay large for
-    # the 8-cell resolution floor to leave a usable growth window; diffusion
-    # is implicit, so dt follows the advective and reaction bounds, capped by
-    # the 2.5 h^2 record spacing, instead of the explicit 0.125 h^2
+    # n is the resolution: the sinh-graded grid keeps the origin spacing of n
+    # uniform nodes on about n/8 nodes.  The half-maximum radius starts at about
+    # n/91 origin cells, so n must stay large for the 8-cell resolution floor to
+    # leave a usable growth window; diffusion is implicit, so dt follows the
+    # advective and reaction bounds, capped by the 2.5 h^2 record spacing,
+    # instead of the explicit 0.125 h^2
     n = cfg.grid_n if cfg.grid_n is not None else 8192
     series, fit = run_phys(profile, lam0=lam0, n=n)
     write_csv(
@@ -213,6 +215,7 @@ def _stage_phys(cfg: RunConfig, outdir: Path, cache: dict) -> None:
             series["half_max_radius"], series["dt"]),
     )
     write_json(outdir / "blowup_fit.json", {**asdict(fit), "lam0": lam0})
+    return {"steps": series["steps"], "nodes": len(series["grid"])}
 
 
 def _stage_heat(cfg: RunConfig, outdir: Path, cache: dict) -> None:

@@ -7,10 +7,11 @@ Solves the radial form of
 i.e. ``(1/r^2) d_r [ r^2 ( d_r rho + rho u ) ] - mu rho^2`` with the partial-
 mass drift ``u(r) = r^{-2} \\int_0^r rho s^2 ds``, using a finite-volume flux
 form (mass-conservative up to the damping sink) with a minmod-limited face
-reconstruction.  Time steps are IMEX ARS(2,2,2): diffusion implicit,
-transport and damping explicit.  Blowup runs start from a rescaled, cut-off copy of the
-self-similar profile and fit the amplitude and length-scale exponents against
-the estimated blowup time.
+reconstruction, on a sinh-graded grid (``radial.sinh_grid``) whose spacing is
+finest at the origin, where the blowup concentrates.  Time steps are IMEX
+ARS(2,2,2): diffusion implicit, transport and damping explicit.  Blowup runs
+start from a rescaled, cut-off copy of the self-similar profile and fit the
+amplitude and length-scale exponents against the estimated blowup time.
 """
 
 from __future__ import annotations
@@ -35,12 +36,13 @@ from .radial import (
     chi_bump,
     cumulative_simpson_uniform,
     l2_norm,
+    sinh_grid,
 )
 
 
 @dataclass(frozen=True)
 class PhysState:
-    """One time slice of the physical solver on a uniform grid [0, R_phys]."""
+    """One time slice of the physical solver on a sinh-graded grid [0, R_phys]."""
 
     t: float
     grid: np.ndarray
@@ -49,53 +51,69 @@ class PhysState:
     sup_norm: float
 
 
-def _fv_mass(rho: np.ndarray, grid: np.ndarray) -> float:
-    """Discretely conserved mass: 4 pi h [ sum_{i>=1} rho_i r_i^2 + rho_0 h^2/24 ].
+def _cell_volumes(grid: np.ndarray) -> np.ndarray:
+    """The FV cell volumes over 4 pi: ``r_i^2 D_i`` for i >= 1, and ``r_1^3/24`` at the origin.
 
-    The origin weight h^2/24 is the volume of the r < h/2 ball divided by
-    4 pi h; the transport flux form and the FV Laplacian both telescope to
-    the (zero) exterior flux over these volumes, so this sum is conserved to
-    roundoff.
+    The faces sit midway between nodes.  ``D_i`` is the cell's width from face to face,
+    ``(r_{i+1} - r_{i-1})/2``, and the last cell is symmetric about its node, ``D =
+    r_{N-1} - r_{N-2}``; on the sinh grid ``D_i = r_1 J_i``.  The origin cell is the ball
+    inside the first face, r < r_1/2.
     """
-    h = grid[1] - grid[0]
-    return float(
-        4.0 * math.pi * h * (np.sum(rho[1:] * grid[1:] ** 2) + rho[0] * h * h / 24.0)
-    )
+    vol = np.gradient(grid)
+    vol *= grid * grid
+    vol[0] = grid[1] ** 3 / 24.0
+    return vol
 
 
-#: records lie on the time lattice t = k * _RECORD_SPACING * h^2
+def _fv_mass(rho: np.ndarray, grid: np.ndarray) -> float:
+    """Discretely conserved mass ``4 pi sum_i vol_i rho_i`` over ``_cell_volumes``.
+
+    The transport flux form and the FV Laplacian both telescope to the (zero)
+    exterior flux over these volumes, so this sum is conserved to roundoff.
+    """
+    return float(4.0 * math.pi * np.dot(_cell_volumes(grid), rho))
+
+
+#: records lie on the time lattice t = k * _RECORD_SPACING * h^2, h the origin spacing
 _RECORD_SPACING = 2.5
+
+#: stretch scale of the grid map in self-similar units, renorm's: the spacing
+#: grows by sqrt(1 + (y/3)^2) at the self-similar radius y = r / lam0^{2 beta}
+_STRETCH = 3.0
 
 
 @dataclass(frozen=True, eq=False)
 class _PhysGrid:
-    """The grid-only arrays of one run, built once.
+    """The grid-only arrays of one run, built once, for any increasing grid from 0.
 
-    ``r2`` is ``grid**2``; ``vol`` holds the cell volumes over 4 pi, the weights of ``_fv_mass``:
-    ``h r_i^2``, and ``h^3/24`` for the origin ball r < h/2.  ``lap`` is the
+    ``h`` is the origin spacing ``r_1``.  ``vol`` holds the cell volumes over 4 pi,
+    the weights of ``_fv_mass`` (``_cell_volumes``); ``r2d`` is ``r^2 D``, ``vol``
+    with a 0 at the origin: the partial mass is integrated in the node index i, and
+    ``dm/di = rho r^2 D``.  ``lap`` is the
     finite-volume Laplacian ``vol^{-1} K``: ``K`` sums the diffusive face fluxes
-    ``r_f^2 (rho_{i+1} - rho_i) / h``, with no flux through the origin or past the
-    outer face, so it is symmetric with zero row sums, and its implicit solves are
-    positive definite.
+    ``r_f^2 (rho_{i+1} - rho_i) / (r_{i+1} - r_i)``, with no flux through the origin
+    or past the outer face, so it is symmetric with zero row sums, and its implicit
+    solves are positive definite.
     """
 
     grid: np.ndarray
     h: float
-    r2: np.ndarray
+    r2d: np.ndarray
     vol: np.ndarray
     lap: SymmetricTridiagonal
 
     @classmethod
     def make(cls, grid: np.ndarray) -> "_PhysGrid":
-        h = grid[1] - grid[0]
-        r_face = grid[:-1] + 0.5 * h
-        vol = h * grid * grid
-        vol[0] = h**3 / 24.0
-        c = r_face * r_face / h
+        vol = _cell_volumes(grid)
+        r2d = vol.copy()
+        r2d[0] = 0.0
+        r_face = grid[:-1] + grid[1:]
+        r_face *= 0.5
+        c = r_face * r_face / np.diff(grid)
         diag = np.zeros_like(grid)
         diag[:-1] -= c
         diag[1:] -= c
-        return cls(grid, h, grid * grid, vol, SymmetricTridiagonal(c, diag, vol))
+        return cls(grid, grid[1] - grid[0], r2d, vol, SymmetricTridiagonal(c, diag, vol))
 
 
 def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -115,15 +133,15 @@ def _phys_rhs(rho: np.ndarray, pg: _PhysGrid, mu: float) -> tuple[np.ndarray, np
 
     Returns the operator and the partial mass ``\\int_0^r rho s^2 ds`` it used.
     """
-    h = pg.h
-    # drift velocity u = m / r^2 >= 0 at faces (the advective flux is -rho*u, inward)
-    g = rho * pg.r2
-    m = cumulative_simpson_uniform(g, h)
-    # face mass to cubic accuracy: midpoint = average - (h^2/8) m'' with m' = g
+    # drift velocity u = m / r^2 >= 0 at faces (the advective flux is -rho*u, inward);
+    # m is integrated in the node index i, where dm/di = rho r^2 D
+    g = rho * pg.r2d
+    m = cumulative_simpson_uniform(g, 1.0)
+    # face mass to cubic accuracy: midpoint = average - (1/8) d^2m/di^2 with dm/di = g
     m_face = m[:-1] + m[1:]
     m_face *= 0.5
     dg = g[1:] - g[:-1]
-    dg *= 0.125 * h
+    dg *= 0.125
     m_face -= dg
 
     # limited upwind reconstruction from the outer cell (flow direction -r); the
@@ -171,18 +189,21 @@ def _imex_step(
 
 
 def _stable_dt(m: np.ndarray, sup: float, pg: _PhysGrid, mu: float) -> float:
-    """CFL number 0.25 on the advective bound ``h/u_max`` and the reaction
-    bound ``0.5/((1-mu) sup)``; ``m`` is the partial mass of ``_phys_rhs``."""
-    umax = float(np.max(m[1:] / pg.r2[1:])) + 1e-300
-    return 0.25 * min(pg.h / umax, 0.5 / ((1.0 - mu) * sup + 1e-300))
+    """CFL number 0.25 on the advective bound ``min D/u`` over the nodes and the
+    reaction bound ``0.5/((1-mu) sup)``; ``m`` is the partial mass of ``_phys_rhs``."""
+    rate = float(np.max(m[1:] / pg.r2d[1:])) + 1e-300
+    return 0.25 * min(1.0 / rate, 0.5 / ((1.0 - mu) * sup + 1e-300))
 
 
 def build_initial(profile: RadialProfile, lam0: float, n: int = 8192) -> PhysState:
     """Rescaled cut-off profile data ``rho0 = lam0^{-2} (chi_R2 Q)(r / lam0^{2 beta})``.
 
     ``R2`` is the radius where Q drops below 1e-4 of its center value; the
-    domain extends to ``1.1 * 2 R2`` in self-similar units.  DomainError when
-    ``lam0^2`` or ``lam0^{2 beta}`` underflows to 0 or overflows in float64.
+    domain extends to ``1.1 * 2 R2`` in self-similar units.  The grid is
+    ``sinh_grid`` of resolution ``n`` with stretch scale ``3 lam0^{2 beta}``: the
+    origin spacing of ``linspace`` with ``n`` nodes, on 1044 nodes at n=8192 and
+    mu=0.  DomainError when ``lam0^2`` or ``lam0^{2 beta}`` underflows to 0
+    or overflows in float64.
     """
     beta = profile.params.beta
     try:
@@ -198,7 +219,7 @@ def build_initial(profile: RadialProfile, lam0: float, n: int = 8192) -> PhysSta
     idx = np.searchsorted(-profile.q_vals, -1e-4 * q0)
     R2 = float(profile.grid[idx])
     R_phys = 1.1 * 2.0 * R2 * L
-    grid = np.linspace(0.0, R_phys, n)
+    grid = sinh_grid(R_phys, n, _STRETCH * L)
     y = np.minimum(grid / L, profile.r_max)
     cut = chi_bump(y / R2)
     rho = profile.q(y) * cut / amp
@@ -229,8 +250,11 @@ def _loglog_fit(x: np.ndarray, v: np.ndarray) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class BlowupFit:
-    """Blowup-time estimate, fitted scaling exponents, and the mass change over the run:
-    ``(M_end - M_0)/M_0``, and that less the accumulated damping sink over ``M_0``."""
+    """Blowup-time estimate, fitted scaling exponents, the mass change over the run:
+    ``(M_end - M_0)/M_0``, and that less the accumulated damping sink over ``M_0``,
+    and why the run stopped: ``"threshold"`` when the sup-norm reached 1e4 times its
+    initial value, ``"resolution"`` when the half-maximum radius fell under 8 origin
+    cells."""
 
     T_est: float
     p_amp: float
@@ -240,6 +264,7 @@ class BlowupFit:
     r2_len: float
     mass_change_rel: float
     mass_identity_err: float
+    stop_reason: str
 
 
 def run_phys(
@@ -253,16 +278,17 @@ def run_phys(
 
     ARS(2,2,2) steps (``_imex_step``) treat diffusion implicitly, so ``dt`` is
     set by the advective and reaction bounds at CFL number 0.25 and clipped
-    so that records land on the time lattice ``t = k * 2.5 h^2``.  The run
-    stops when the sup-norm reaches 1e4 times its initial value or the
-    half-maximum radius falls under 8 cells, and records that final state
-    too; each record's ``dt`` is the step the bounds allowed there.
+    so that records land on the time lattice ``t = k * 2.5 h^2``, ``h`` the
+    origin spacing of the grid ``build_initial`` makes at resolution ``n``.  The
+    run stops when the sup-norm reaches 1e4 times its initial value or the
+    half-maximum radius falls under 8 origin cells, and records that final
+    state too; each record's ``dt`` is the step the bounds allowed there.
     NoBlowupDetected is raised past ``t = 20 lam0^2`` without tenfold growth,
     and IllConditionedFit when fewer than 10 records lie in the fit window.
     ``mu`` defaults to the profile's own damping; passing a different value
     probes off-profile data (e.g. the global-existence regime, which raises
     NoBlowupDetected once the sup-norm stalls within the step budget).
-    Returns the recorded time series and the fit.
+    Returns the recorded time series, with the step count as ``steps``, and the fit.
     """
     if mu is None:
         mu = profile.params.mu
@@ -286,12 +312,14 @@ def run_phys(
         series["dt"].append(dt)
 
     record(0.0)
-    for _ in range(max_steps):
+    for steps in range(max_steps):
         sup = float(np.max(rho))
         if sup >= 1.0e4 * sup0:
+            stop_reason = "threshold"
             break
         hm = _half_max_radius(rho, grid)
         if hm < 8.0 * h:
+            stop_reason = "resolution"
             break
         # nominal blowup time is ~lam0^2; well past it with no growth means
         # diffusion/damping won (the global-existence regime)
@@ -363,11 +391,13 @@ def run_phys(
         r2_len=r2_len,
         mass_change_rel=change,
         mass_identity_err=float(mass_id_err),
+        stop_reason=stop_reason,
     )
     for key in series:
         series[key] = np.array(series[key])
     series["rho_final"] = rho
     series["grid"] = grid
+    series["steps"] = steps
     return series, fit
 
 

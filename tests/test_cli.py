@@ -166,20 +166,22 @@ class TestRun:
         # phys.csv since phys solves on pttrf; blowup_fit.json since it reports
         # mass_change_rel; every profile-derived artifact since the Taylor
         # continuation moved the profile tail; coercivity.csv and heat.csv
-        # since the quotients come from per-family Gram matrices
+        # since the quotients come from per-family Gram matrices; phys.csv and
+        # blowup_fit.json (now with stop_reason) and the phys manifest keys since
+        # phys runs on the sinh-graded grid
         out = tmp_path / "out"
         argv = ["all", "--quick", "--mu", "0", "--j0", "4", "--seed", "12345", "--out", str(out)]
         assert main(argv) == 0
         digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                    for p in out.iterdir() if not p.name.startswith("manifest_")}
         assert digests == {
-            "blowup_fit.json": "07eba7b979372e40eb5ef38a70112b2b2bb1fc04c3c35ad3a0ab127a735259e3",
+            "blowup_fit.json": "a7afdc26d7466dda6db123ef4e2aae4a2c47680aec1252f8cdf8855111b420d8",
             "coercivity.csv": "5f2372efcdbbe88f7716d57ab72fc6422b92e34de2a792fa7c1878dcf4d6d762",
             "coercivity_certificate.json":
                 "27d6a622b36f333f26eae09f5b9ee9f5666fe91bdbf2bf701cdaa669a55d28d5",
             "heat.csv": "8bc1c8d0f014961ae358c01ec704df176ca17b9242a50543f8a348589bd96d5d",
             "heat_certificate.json": "54b5230bf9e9e09458bd00591fdf27607ee3f53b88741aeab42277cf39ea1f5e",
-            "phys.csv": "feb4159524957a9115c1a3c1f5e36f717280bb54fc6d1212a0a0777be79c569d",
+            "phys.csv": "d244873cda7dc6c35b79026044446dbd5883a4a4dcbe97c88ceda71ff0394d76",
             "portrait.csv": "9ae938e4050946aaf036207c70af0b9ad02eb1bb3704479dd444711cd24ac83d",
             "profile.csv": "a2e8078c6c513a5751d5b59fd02f3e1bbcd3d42bbf7b46c4046d3e66d3b3c948",
             "renorm.csv": "61c9fc32cbcb36f175ccd839d3825171f5a77a7c6313a837998bc63166396d34",
@@ -193,9 +195,12 @@ class TestRun:
             "manifest_coercivity.json": base,
             "manifest_renorm.json": base + ["lam0", "n", "tau_end", "sigma_expected",
                                             "steps"],
-            "manifest_phys.json": base,
+            "manifest_phys.json": base + ["steps", "nodes"],
             "manifest_heat.json": base,
         }
+        assert json.loads((out / "blowup_fit.json").read_text())["stop_reason"] == "resolution"
+        phys_manifest = json.loads((out / "manifest_phys.json").read_text())
+        assert phys_manifest["nodes"] == 1044 and phys_manifest["steps"] > 0
 
     def test_mu02_quick_renorm_pinned(self, tmp_path):
         # the reaction coefficient 1 - mu and the j0 + 3 = 10 mode fit at mu != 0

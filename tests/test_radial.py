@@ -1,6 +1,8 @@
 """Uniform- and graded-grid cumulative Simpson kernels against scipy and exact
-polynomials, Horner evaluation against numpy's polyval, and the ARS(2,2,2) step on
-both tridiagonal operator types against a matrix exponential."""
+polynomials, the sinh-mapped grid, Horner evaluation against numpy's polyval, and the
+ARS(2,2,2) step on both tridiagonal operator types against a matrix exponential."""
+
+import math
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from ksdlab.radial import (
     cumulative_simpson_nonuniform,
     cumulative_simpson_uniform,
     horner,
+    sinh_grid,
 )
 
 
@@ -73,6 +76,26 @@ def test_nonuniform_quadratic_exact():
     x = np.sort(np.random.default_rng(7).uniform(0.0, 2.0, 41))
     got = cumulative_simpson_nonuniform(x * x, x)
     np.testing.assert_allclose(got, (x**3 - x[0] ** 3) / 3.0, rtol=0.0, atol=1e-13)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=16, max_value=20000),
+    r_max=st.floats(min_value=1e-6, max_value=1e6),
+    ratio=st.floats(min_value=1e-3, max_value=1.0),
+)
+def test_sinh_grid(n, r_max, ratio):
+    # 0 to r_max, uniform in xi = a asinh(r/a) up to the pinned last node, and
+    # the origin spacing within a sinh(h/a) of linspace's h
+    a = ratio * r_max
+    grid = sinh_grid(r_max, n, a)
+    xi_max = a * np.arcsinh(r_max / a)
+    assert len(grid) == math.ceil(xi_max * (n - 1) / r_max) + 1
+    assert grid[0] == 0.0 and grid[-1] == r_max and np.all(np.diff(grid) > 0.0)
+    xi = a * np.arcsinh(grid / a)
+    np.testing.assert_allclose(np.diff(xi), xi_max / (len(grid) - 1), rtol=1e-8)
+    h = r_max / (n - 1)
+    assert grid[1] <= a * math.sinh(h / a) * (1.0 + 1e-12)
 
 
 def _general(rng, n):

@@ -56,6 +56,12 @@ class TestMappedGrid:
             assert grid[0] == 0.0 and grid[-1] == 50.0
             assert grid[1] <= 50.0 / (n - 1)
 
+    def test_every_resolution_accepted(self):
+        # the grid check recovers the resolution from the node count and compares
+        # the grid to sinh_grid's bit for bit
+        for n in range(8, 4000):
+            renorm._RenormGrid.make(renorm._grid(n))
+
     def test_h_is_xi_spacing(self, mu0_profile):
         # r = a sinh(xi/a), so the first r spacing exceeds the xi step that
         # dt_policy and the step guard take
