@@ -13,9 +13,9 @@ rates ``(j0-j)/j0``.
 
 The flow lives on a sinh-mapped grid ``r = a sinh(xi/a)`` (``radial.sinh_grid``)
 with ``xi`` uniform on ``[0, a asinh(50/a)]`` (Budd, Huang & Russell, SIAM J.
-Sci. Comput. 17, 1996, for stretched meshes in blowup problems).  It is nearly uniform on the
-mode-fit window ``r <= 1/2`` and logarithmic beyond ``r ~ a``, so the
-advective CFL no longer scales with the domain radius.  Every stencil is the
+Sci. Comput. 17, 1996, for stretched meshes in blowup problems).  It is nearly
+uniform on the mode-fit window ``r <= 1/2`` and logarithmic beyond ``r ~ a``,
+so the advective CFL no longer scales with the domain radius.  Every stencil is the
 uniform one in ``xi``, carried back to ``r`` by the metric ``J = dr/dxi``.
 """
 
