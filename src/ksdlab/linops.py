@@ -28,7 +28,7 @@ from .errors import (
     OrderUnsupported,
 )
 from .profile import ProfileParams, RadialProfile
-from .radial import cumulative_simpson_nonuniform, cumulative_simpson_uniform, horner
+from .radial import cumulative_simpson_uniform, horner
 
 
 # ---------------------------------------------------------------------------
@@ -268,13 +268,12 @@ def select_weight(
 
     # R1: smallest profile grid radius passing (3/2) Q <= 1/1000 and the
     # tail-norm bound.  The tail norms at every node come from one reverse
-    # cumulative Simpson integral of dQ^2 r^2 in u = ln r; the last grid
-    # interval is shorter than the others, hence the non-uniform rule.
+    # cumulative Simpson integral of dQ^2 r^2 du in the node index, in which
+    # the grid is built uniform (its last interval is clamped short in u = ln r).
     grid = profile.grid[1:]
     q_vals = profile.q_vals[1:]
-    u = np.log(grid)
-    y = profile.dq_vals[1:] ** 2 * grid**2
-    tail_sq = cumulative_simpson_nonuniform(y[::-1], -u[::-1])[::-1]
+    y = profile.dq_vals[1:] ** 2 * grid**2 * np.gradient(np.log(grid))
+    tail_sq = cumulative_simpson_uniform(y[::-1], 1.0)[::-1]
     passing = np.flatnonzero(
         (1.5 * q_vals <= 1e-3) & (np.sqrt(4.0 * math.pi * tail_sq) <= 1.0 / 5000.0)
     )

@@ -31,6 +31,7 @@ from .errors import (
 from .profile import RadialProfile
 from .radial import (
     DELTA,
+    SINH_STRETCH,
     SymmetricTridiagonal,
     ars222_step,
     chi_bump,
@@ -76,10 +77,6 @@ def _fv_mass(rho: np.ndarray, grid: np.ndarray) -> float:
 
 #: records lie on the time lattice t = k * _RECORD_SPACING * h^2, h the origin spacing
 _RECORD_SPACING = 2.5
-
-#: stretch scale of the grid map in self-similar units, renorm's: the spacing
-#: grows by sqrt(1 + (y/3)^2) at the self-similar radius y = r / lam0^{2 beta}
-_STRETCH = 3.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,7 +200,7 @@ def build_initial(profile: RadialProfile, lam0: float, n: int = 8192) -> PhysSta
     ``sinh_grid`` of resolution ``n`` with stretch scale ``3 lam0^{2 beta}``: the
     origin spacing of ``linspace`` with ``n`` nodes, on 1044 nodes at n=8192 and
     mu=0.  DomainError when ``lam0^2`` or ``lam0^{2 beta}`` underflows to 0
-    or overflows in float64.
+    or overflows in float64, or when Q never drops below 1e-4 Q0.
     """
     beta = profile.params.beta
     try:
@@ -217,9 +214,11 @@ def build_initial(profile: RadialProfile, lam0: float, n: int = 8192) -> PhysSta
         )
     q0 = profile.params.q0
     idx = np.searchsorted(-profile.q_vals, -1e-4 * q0)
+    if idx == len(profile.grid):
+        raise DomainError(f"profile does not decay below 1e-4 Q0 by r = {profile.r_max:.6g}")
     R2 = float(profile.grid[idx])
     R_phys = 1.1 * 2.0 * R2 * L
-    grid = sinh_grid(R_phys, n, _STRETCH * L)
+    grid = sinh_grid(R_phys, n, SINH_STRETCH * L)
     y = np.minimum(grid / L, profile.r_max)
     cut = chi_bump(y / R2)
     rho = profile.q(y) * cut / amp

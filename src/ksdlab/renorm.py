@@ -30,12 +30,12 @@ from .errors import (
     CFLViolation,
     DomainError,
     ForcingDominates,
-    GridMismatch,
     IllConditionedFit,
     NonFiniteField,
 )
 from .profile import ProfileParams, RadialProfile
 from .radial import (
+    SINH_STRETCH,
     Tridiagonal,
     ars222_step,
     chi_bump,
@@ -53,14 +53,8 @@ _RECORD_DTAU = 0.05
 #: outer radius of the renorm domain
 _R_DOM = 50.0
 
-#: stretch scale a of the grid map r = a sinh(xi/a).  The spacing grows by the
-#: factor J = sqrt(1 + (r/a)^2), 1.2 at r = 2; the seed and the drift need
-#: near-origin spacing out there (a = 1, with J = 2.2 at r = 2, took the
-#: advection-only error from 8.7e-4 to 1.5e-3)
-_STRETCH = 3.0
-
 #: xi at the outer edge r = _R_DOM
-_XI_MAX = _STRETCH * math.asinh(_R_DOM / _STRETCH)
+_XI_MAX = SINH_STRETCH * math.asinh(_R_DOM / SINH_STRETCH)
 
 #: fraction of the advective bound that run_renorm steps at
 _CFL_SAFETY = 0.4
@@ -76,7 +70,7 @@ def _grid(n: int) -> np.ndarray:
     """The mapped grid of resolution ``n``: its origin spacing is that of ``linspace(0,
     50, n)``, ``50/(n-1)``, or less, up to a relative 5e-5 at n >= 1024, on about ``n/4.7``
     nodes."""
-    return sinh_grid(_R_DOM, n, _STRETCH)
+    return sinh_grid(_R_DOM, n, SINH_STRETCH)
 
 
 def fit_nodes(n: int) -> int:
@@ -87,7 +81,7 @@ def fit_nodes(n: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class _RenormGrid:
-    """The grid-only arrays of ``_rhs``, built once per grid.
+    """The grid-only arrays of ``_rhs``, built once per resolution.
 
     ``h`` is the uniform ``xi`` spacing; the metric ``J = dr/dxi = sqrt(1 +
     (r/a)^2)`` turns the ``xi`` stencils into ``r`` derivatives.  ``lap`` is
@@ -106,18 +100,14 @@ class _RenormGrid:
     lap: Tridiagonal
 
     @classmethod
-    def make(cls, grid: np.ndarray) -> "_RenormGrid":
-        nodes = len(grid)
-        # the resolution whose grid has this many nodes, ceil(_XI_MAX (n-1)/_R_DOM) + 1
-        n = math.floor((nodes - 1) * _R_DOM / _XI_MAX) + 1
-        if nodes < 3 or not np.array_equal(grid, _grid(n)):
-            raise GridMismatch("renorm runs only on the sinh-mapped grid that make_state builds")
-        h = _XI_MAX / (nodes - 1)
-        jac = np.sqrt(1.0 + (grid / _STRETCH) ** 2)
+    def make(cls, n: int) -> "_RenormGrid":
+        grid = _grid(n)
+        h = _XI_MAX / (len(grid) - 1)
+        jac = np.sqrt(1.0 + (grid / SINH_STRETCH) ** 2)
         r, j = grid[1:], jac[1:]
         lap2 = 1.0 / (j * h) ** 2
         # J' = dJ/dxi = r/a^2
-        lap1 = (2.0 / (r * j) - r / (_STRETCH**2 * j**3)) / (2.0 * h)
+        lap1 = (2.0 / (r * j) - r / (SINH_STRETCH**2 * j**3)) / (2.0 * h)
         c0 = 6.0 / grid[1] ** 2
         lower = lap2 - lap1
         lower[-1] = -2.0 * lap1[-1]
@@ -131,19 +121,18 @@ class _RenormGrid:
 class RenormState:
     """One time slice of the renormalized flow on the sinh-mapped radial grid.
 
-    ``ops`` is built from ``grid`` when not given, and ``replace()`` carries
-    it to the next slice.  Any other grid raises GridMismatch.
+    ``ops`` holds the grid ``make_state`` built from its resolution, and
+    ``replace()`` carries it to the next slice.
     """
 
     tau: float
     lam0: float
-    grid: np.ndarray
+    ops: _RenormGrid = field(repr=False, compare=False)
     psi: np.ndarray
-    ops: _RenormGrid | None = field(default=None, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.ops is None or self.ops.grid is not self.grid:
-            object.__setattr__(self, "ops", _RenormGrid.make(self.grid))
+    @property
+    def grid(self) -> np.ndarray:
+        return self.ops.grid
 
     @property
     def lam(self) -> float:
@@ -209,7 +198,7 @@ def dt_policy(h, lam, params, r_dom, safety: float = _CFL_SAFETY) -> float:
     ``r_dom`` where ``r/J = r_dom/sqrt(1 + (r_dom/a)^2)``.  Diffusion is
     implicit, so ``lam`` does not enter.
     """
-    return safety * h * math.sqrt(1.0 + (r_dom / _STRETCH) ** 2) / (params.beta * r_dom)
+    return safety * h * math.sqrt(1.0 + (r_dom / SINH_STRETCH) ** 2) / (params.beta * r_dom)
 
 
 def make_state(
@@ -224,11 +213,11 @@ def make_state(
     spacing is at most ``50/(n-1)`` as on ``linspace(0, 50, n)``, and the
     grid has about ``n/4.7`` nodes (217 at n=1024, 863 at n=4096).
     """
-    grid = _grid(n)
-    psi = profile.q(grid)
+    ops = _RenormGrid.make(n)
+    psi = profile.q(ops.grid)
     if perturbation is not None:
-        psi = psi + perturbation(grid)
-    return RenormState(tau=0.0, lam0=lam0, grid=grid, psi=psi)
+        psi = psi + perturbation(ops.grid)
+    return RenormState(tau=0.0, lam0=lam0, ops=ops, psi=psi)
 
 
 def step_renorm(

@@ -229,6 +229,9 @@ class TestRun:
         # the default lam0 = 10^(-369.6) at mu=0.3 is 0.0 in float64
         (["phys", "--mu", "0.3", "--quick"], 2,
          "ksdlab: stage_phys: lam0 = 0: lam0^2 = 0 or lam0^(2 beta) = 0 underflows to 0"),
+        # the constant profile Q = Q0 never falls below 1e-4 Q0, so no cut-off radius
+        (["phys", "--qj0", "0", "--quick"], 2,
+         "ksdlab: stage_phys: profile does not decay below 1e-4 Q0"),
     ])
     def test_stage_failure_exit_code(self, tmp_path, capsys, recwarn, argv, code, prefix):
         # a numerical failure exits 3 and a rejected parameter 2, each named

@@ -149,20 +149,26 @@ class TestSelectWeight:
         assert checks["tail_smallness"]
         assert checks["flat_part_smallness"]
 
-    def test_R1_is_first_passing_grid_radius(self, mu0_profile, weight36):
-        # checked with the per-radius quadrature route, independent of the
-        # cumulative integral select_weight scans with
-        grid = mu0_profile.grid
-        k = int(np.flatnonzero(grid == weight36.R1)[0])
+    @pytest.mark.parametrize("mu, j0", [(0.0, 4), (0.1, 5), (0.2, 7), (0.25, 10)])
+    def test_R1_is_first_passing_grid_radius(self, mu, j0):
+        # at each CLI weight (A = 36, 44, 60, 84), checked with the per-radius
+        # quadrature route, independent of the cumulative integral in the node
+        # index that select_weight scans with
+        params = ProfileParams.make(mu, j0)
+        profile = solve_profile(params, build_series(params, 1e-12), 1.0e4, 1e-10)
+        w = select_weight(profile, j0)
+        assert w.A == 8 * j0 + 4
+        grid = profile.grid
+        k = int(np.flatnonzero(grid == w.R1)[0])
 
         def passes(i):
             r = grid[i]
-            return (1.5 * mu0_profile.q(r) <= 1e-3
-                    and _dq_weighted_norm(mu0_profile, r_lo=r) <= 1.0 / 5000.0)
+            return (1.5 * profile.q(r) <= 1e-3
+                    and _dq_weighted_norm(profile, r_lo=r) <= 1.0 / 5000.0)
 
         assert passes(k) and not passes(k - 1)
-        assert weight36.cert_tailnorm == _dq_weighted_norm(mu0_profile, r_lo=weight36.R1)
-        assert weight36.q_at_R1 == mu0_profile.q(weight36.R1)
+        assert w.cert_tailnorm == _dq_weighted_norm(profile, r_lo=w.R1)
+        assert w.q_at_R1 == profile.q(w.R1)
 
     def test_default_A_is_least_admissible(self, mu0_profile):
         # the least multiple of 4 with A >= 8 j0 + 3

@@ -1,6 +1,6 @@
-"""Uniform- and graded-grid cumulative Simpson kernels against scipy and exact
-polynomials, the sinh-mapped grid, Horner evaluation against numpy's polyval, and the
-ARS(2,2,2) step on both tridiagonal operator types against a matrix exponential."""
+"""The uniform-grid cumulative Simpson kernel against scipy and exact polynomials, the
+sinh-mapped grid, Horner evaluation against numpy's polyval, and the ARS(2,2,2) step on
+both tridiagonal operator types against a matrix exponential."""
 
 import math
 
@@ -19,7 +19,6 @@ from ksdlab.radial import (
     SymmetricTridiagonal,
     Tridiagonal,
     ars222_step,
-    cumulative_simpson_nonuniform,
     cumulative_simpson_uniform,
     horner,
     sinh_grid,
@@ -46,36 +45,6 @@ def test_quadratic_exact():
         x = np.linspace(0.0, 2.0, n)
         got = cumulative_simpson_uniform(x * x, x[1] - x[0])
         np.testing.assert_allclose(got, x**3 / 3.0, rtol=0.0, atol=1e-13)
-
-
-def test_nonuniform_bits_on_weight_grid(mu0_profile):
-    # the reversed graded u = ln r grid and integrand of select_weight's tail norms
-    grid = mu0_profile.grid[1:]
-    x = -np.log(grid)[::-1]
-    y = (mu0_profile.dq_vals[1:] ** 2 * grid**2)[::-1]
-    got = cumulative_simpson_nonuniform(y, x)
-    assert np.array_equal(_bits(got), _bits(cumulative_simpson(y, x=x, initial=0.0)))
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    n=st.integers(min_value=3, max_value=600),
-    seed=st.integers(min_value=0, max_value=2**32 - 1),
-    spread=st.floats(min_value=0.0, max_value=6.0),
-)
-def test_nonuniform_bits_match_scipy(n, seed, spread):
-    # spacings spanning up to exp(spread) in ratio, signed data
-    rng = np.random.default_rng(seed)
-    x = np.cumsum(np.exp(spread * rng.uniform(size=n))) - 5.0
-    y = rng.normal(size=n)
-    got = cumulative_simpson_nonuniform(y, x)
-    assert np.array_equal(_bits(got), _bits(cumulative_simpson(y, x=x, initial=0.0)))
-
-
-def test_nonuniform_quadratic_exact():
-    x = np.sort(np.random.default_rng(7).uniform(0.0, 2.0, 41))
-    got = cumulative_simpson_nonuniform(x * x, x)
-    np.testing.assert_allclose(got, (x**3 - x[0] ** 3) / 3.0, rtol=0.0, atol=1e-13)
 
 
 @settings(max_examples=60, deadline=None)

@@ -8,10 +8,9 @@ import pytest
 from scipy.special import erf
 
 import ksdlab.renorm as renorm
-from ksdlab.errors import CFLViolation, DomainError, GridMismatch, IllConditionedFit
+from ksdlab.errors import CFLViolation, DomainError, IllConditionedFit
 from ksdlab.radial import ars222_step, chi_bump, cumulative_simpson_uniform
 from ksdlab.renorm import (
-    RenormState,
     _residual_norm,
     _upwind,
     dt_policy,
@@ -56,11 +55,11 @@ class TestMappedGrid:
             assert grid[0] == 0.0 and grid[-1] == 50.0
             assert grid[1] <= 50.0 / (n - 1)
 
-    def test_every_resolution_accepted(self):
-        # the grid check recovers the resolution from the node count and compares
-        # the grid to sinh_grid's bit for bit
-        for n in range(8, 4000):
-            renorm._RenormGrid.make(renorm._grid(n))
+    def test_state_carries_its_grid(self, mu0_profile):
+        # the grid make_state builds from n, carried to the next slice by replace()
+        st = make_state(mu0_profile, 1e-3, n=512)
+        assert np.array_equal(st.grid, renorm._grid(512))
+        assert replace(st, psi=np.zeros_like(st.psi)).grid is st.grid
 
     def test_h_is_xi_spacing(self, mu0_profile):
         # r = a sinh(xi/a), so the first r spacing exceeds the xi step that
@@ -91,13 +90,6 @@ class TestMappedGrid:
             hs.append(st.ops.h)
         assert hs[0] == pytest.approx(2.0 * hs[1], rel=1e-12)
         assert 3.5 <= errs[0] / errs[1] <= 4.5
-
-    def test_other_grid_rejected(self, mu0_profile):
-        st = make_state(mu0_profile, 1e-3, n=512)
-        uniform = np.linspace(0.0, 50.0, 512)
-        for grid in (uniform, st.grid * (1.0 + 1e-9)):
-            with pytest.raises(GridMismatch):
-                RenormState(tau=0.0, lam0=1e-3, grid=grid, psi=np.ones_like(grid))
 
 
 class TestFlow:
@@ -140,7 +132,7 @@ class TestFlow:
 
     def test_zero_data_stays_zero(self, mu0_profile, mu0_params):
         st = make_state(mu0_profile, 1e-3, n=512, perturbation=None)
-        zero = RenormState(tau=0.0, lam0=1e-3, grid=st.grid, psi=np.zeros_like(st.psi))
+        zero = replace(st, psi=np.zeros_like(st.psi))
         out = step_renorm(zero, mu0_profile, mu0_params, dt_policy(st.h, 1e-3, mu0_params, st.grid[-1]))
         assert np.all(out.psi == 0.0)
 
@@ -189,7 +181,7 @@ class TestModes:
         psi = mu0_profile.q(st0.grid) + sum(
             c * st0.grid ** (2 * j) for j, c in enumerate(coeffs)
         )
-        st = RenormState(tau=0.0, lam0=1e-3, grid=st0.grid, psi=psi)
+        st = replace(st0, psi=psi)
         got = extract_modes(st, mu0_profile)
         assert np.allclose(got, np.concatenate((coeffs, [0.0, 0.0])), atol=1e-10)
 
