@@ -49,10 +49,6 @@ class NotPositiveDefinite(KSDLabError):
     """A symmetric solve met a non-positive pivot (LAPACK ``pttrf`` info != 0)."""
 
 
-class SingularOperator(KSDLabError):
-    """A general tridiagonal solve met an exactly zero pivot (LAPACK ``gttrf`` info > 0)."""
-
-
 class NonFiniteField(KSDLabError):
     """NaN or Inf appeared in an evolved field."""
 

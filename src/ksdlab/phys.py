@@ -36,6 +36,7 @@ from .radial import (
     ars222_step,
     chi_bump,
     cumulative_simpson_uniform,
+    flux_laplacian,
     l2_norm,
     sinh_grid,
 )
@@ -52,27 +53,13 @@ class PhysState:
     sup_norm: float
 
 
-def _cell_volumes(grid: np.ndarray) -> np.ndarray:
-    """The FV cell volumes over 4 pi: ``r_i^2 D_i`` for i >= 1, and ``r_1^3/24`` at the origin.
-
-    The faces sit midway between nodes.  ``D_i`` is the cell's width from face to face,
-    ``(r_{i+1} - r_{i-1})/2``, and the last cell is symmetric about its node, ``D =
-    r_{N-1} - r_{N-2}``; on the sinh grid ``D_i = r_1 J_i``.  The origin cell is the ball
-    inside the first face, r < r_1/2.
-    """
-    vol = np.gradient(grid)
-    vol *= grid * grid
-    vol[0] = grid[1] ** 3 / 24.0
-    return vol
-
-
-def _fv_mass(rho: np.ndarray, grid: np.ndarray) -> float:
-    """Discretely conserved mass ``4 pi sum_i vol_i rho_i`` over ``_cell_volumes``.
+def _fv_mass(rho: np.ndarray, vol: np.ndarray) -> float:
+    """Discretely conserved mass ``4 pi sum_i vol_i rho_i`` over the FV cell volumes ``vol``.
 
     The transport flux form and the FV Laplacian both telescope to the (zero)
     exterior flux over these volumes, so this sum is conserved to roundoff.
     """
-    return float(4.0 * math.pi * np.dot(_cell_volumes(grid), rho))
+    return float(4.0 * math.pi * np.dot(vol, rho))
 
 
 #: records lie on the time lattice t = k * _RECORD_SPACING * h^2, h the origin spacing
@@ -83,34 +70,27 @@ _RECORD_SPACING = 2.5
 class _PhysGrid:
     """The grid-only arrays of one run, built once, for any increasing grid from 0.
 
-    ``h`` is the origin spacing ``r_1``.  ``vol`` holds the cell volumes over 4 pi,
-    the weights of ``_fv_mass`` (``_cell_volumes``); ``r2d`` is ``r^2 D``, ``vol``
-    with a 0 at the origin: the partial mass is integrated in the node index i, and
-    ``dm/di = rho r^2 D``.  ``lap`` is the
-    finite-volume Laplacian ``vol^{-1} K``: ``K`` sums the diffusive face fluxes
-    ``r_f^2 (rho_{i+1} - rho_i) / (r_{i+1} - r_i)``, with no flux through the origin
-    or past the outer face, so it is symmetric with zero row sums, and its implicit
-    solves are positive definite.
+    ``h`` is the origin spacing ``r_1``.  ``lap`` is the finite-volume Laplacian
+    ``radial.flux_laplacian``, and its weights ``vol``, the exact shell volumes over 4 pi,
+    are the cells of the transport flux form and of ``_fv_mass``.  ``r2d`` is ``r^2 D``,
+    ``D`` the node spacing ``np.gradient(grid)``: the partial mass is integrated in the
+    node index i, and ``dm/di = rho r^2 D``.
     """
 
     grid: np.ndarray
     h: float
     r2d: np.ndarray
-    vol: np.ndarray
     lap: SymmetricTridiagonal
+
+    @property
+    def vol(self) -> np.ndarray:
+        return self.lap.weight
 
     @classmethod
     def make(cls, grid: np.ndarray) -> "_PhysGrid":
-        vol = _cell_volumes(grid)
-        r2d = vol.copy()
-        r2d[0] = 0.0
-        r_face = grid[:-1] + grid[1:]
-        r_face *= 0.5
-        c = r_face * r_face / np.diff(grid)
-        diag = np.zeros_like(grid)
-        diag[:-1] -= c
-        diag[1:] -= c
-        return cls(grid, grid[1] - grid[0], r2d, vol, SymmetricTridiagonal(c, diag, vol))
+        r2d = np.gradient(grid)
+        r2d *= grid * grid
+        return cls(grid, grid[1] - grid[0], r2d, flux_laplacian(grid))
 
 
 def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -223,7 +203,8 @@ def build_initial(profile: RadialProfile, lam0: float, n: int = 8192) -> PhysSta
     cut = chi_bump(y / R2)
     rho = profile.q(y) * cut / amp
     return PhysState(
-        t=0.0, grid=grid, rho=rho, mass=_fv_mass(rho, grid), sup_norm=float(np.max(rho))
+        t=0.0, grid=grid, rho=rho, mass=_fv_mass(rho, flux_laplacian(grid).weight),
+        sup_norm=float(np.max(rho)),
     )
 
 
@@ -306,7 +287,7 @@ def run_phys(
     def record(dt):
         series["t"].append(t)
         series["sup_norm"].append(float(np.max(rho)))
-        series["mass"].append(_fv_mass(rho, grid))
+        series["mass"].append(_fv_mass(rho, pg.vol))
         series["half_max_radius"].append(_half_max_radius(rho, grid))
         series["dt"].append(dt)
 

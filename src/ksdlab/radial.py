@@ -1,6 +1,7 @@
 """Radial kernels shared by the time loops, the operator probes and the profile: uniform-grid
 quadrature, the sinh-mapped grid both time loops run on, Horner evaluation, the cutoff bump,
-the two tridiagonal operator types, and the one IMEX time step both time loops take."""
+the one finite-volume Laplacian and its tridiagonal type, and the one IMEX time step both
+time loops take."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPositiveDefinite, SingularOperator
+from .errors import NotPositiveDefinite
 
 #: ARS(2,2,2) weights (Ascher, Ruuth & Spiteri 1997): the implicit stage weight
 #: gamma, and the explicit weight delta the second stage gives the first
@@ -96,33 +97,6 @@ def l2_norm(v: np.ndarray, grid: np.ndarray) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class Tridiagonal:
-    """A general tridiagonal operator ``L`` by its bands: ``diag`` has one entry per node,
-    ``lower`` and ``upper`` one fewer (``lower[i]`` couples node ``i+1`` to ``i``).  It serves
-    operators that no diagonal scaling makes symmetric, such as one with a negative
-    ``lower[i] upper[i]``; ``SymmetricTridiagonal`` solves the symmetrizable ones."""
-
-    lower: np.ndarray
-    diag: np.ndarray
-    upper: np.ndarray
-
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        out = self.diag * u
-        out[:-1] += self.upper * u[1:]
-        out[1:] += self.lower * u[:-1]
-        return out
-
-    def solver(self, c: float):
-        """``b -> (I - c L)^{-1} b`` on one LU factorization (LAPACK ``gttrf``, pivoting).
-        A factorization that meets an exactly zero pivot raises SingularOperator."""
-        lapack = _lapack()
-        *lu, info = lapack.dgttrf(-c * self.lower, 1.0 - c * self.diag, -c * self.upper)
-        if info != 0:
-            raise SingularOperator(f"gttrf info {info}: I - c L is singular at c = {c:.6g}")
-        return lambda b: lapack.dgttrs(*lu, b)[0]
-
-
-@dataclass(frozen=True, eq=False)
 class SymmetricTridiagonal:
     """The operator ``L = W^{-1} S``: ``S`` symmetric tridiagonal by its bands, ``diag`` with
     one entry per node and ``off`` with one fewer (``off[i]`` couples nodes ``i`` and
@@ -157,7 +131,31 @@ class SymmetricTridiagonal:
         return lambda b: lapack.dpttrs(d, e, self.weight * b, overwrite_b=1)[0]
 
 
-def ars222_step(u, k0, explicit, L: Tridiagonal | SymmetricTridiagonal, d: float, dt: float):
+def flux_laplacian(grid: np.ndarray) -> SymmetricTridiagonal:
+    """The finite-volume radial Laplacian ``W^{-1} K`` on any increasing grid from 0.
+
+    Faces sit midway between nodes.  ``K`` sums the face fluxes ``r_f^2 (u_{i+1} - u_i) /
+    (r_{i+1} - r_i)``, with no flux through the origin or past the outer face, so it is
+    symmetric with zero row sums.  ``W`` holds the exact shell volumes over 4 pi,
+    ``(r_{i+1/2}^3 - r_{i-1/2}^3)/3``: the ball inside the first face at the origin, and the
+    last cell symmetric about its node.  The flux of ``r^2`` through a face is ``2 r_f^3``,
+    so the operator is exact on 1 and ``r^2`` at every node but the last, which has no
+    outer flux.
+    """
+    r_face = grid[:-1] + grid[1:]
+    r_face *= 0.5
+    off = r_face * r_face / np.diff(grid)
+    diag = np.zeros_like(grid)
+    diag[:-1] -= off
+    diag[1:] -= off
+    # (b^3 - a^3)/3 as (b - a)(a^2 + ab + b^2)/3, free of cancellation in thin outer shells
+    a = np.concatenate(([0.0], r_face))
+    b = np.append(r_face, 2.0 * grid[-1] - r_face[-1])
+    vol = (b - a) * (a * a + a * b + b * b) / 3.0
+    return SymmetricTridiagonal(off, diag, vol)
+
+
+def ars222_step(u, k0, explicit, L: SymmetricTridiagonal, d: float, dt: float):
     """One ARS(2,2,2) step of ``u' = explicit(u) + d L u``: ``d L`` implicit, the rest explicit.
 
     ``k0`` is ``explicit(u)``; ``explicit`` returns a fresh array, which the second

@@ -15,8 +15,10 @@ The flow lives on a sinh-mapped grid ``r = a sinh(xi/a)`` (``radial.sinh_grid``)
 with ``xi`` uniform on ``[0, a asinh(50/a)]`` (Budd, Huang & Russell, SIAM J.
 Sci. Comput. 17, 1996, for stretched meshes in blowup problems).  It is nearly
 uniform on the mode-fit window ``r <= 1/2`` and logarithmic beyond ``r ~ a``,
-so the advective CFL no longer scales with the domain radius.  Every stencil is the
-uniform one in ``xi``, carried back to ``r`` by the metric ``J = dr/dxi``.
+so the advective CFL no longer scales with the domain radius.  The drift and the
+partial mass use the uniform stencils in ``xi``, carried back to ``r`` by the metric
+``J = dr/dxi``; diffusion is ``radial.flux_laplacian``, the finite-volume Laplacian
+``phys`` uses.
 """
 
 from __future__ import annotations
@@ -36,10 +38,11 @@ from .errors import (
 from .profile import ProfileParams, RadialProfile
 from .radial import (
     SINH_STRETCH,
-    Tridiagonal,
+    SymmetricTridiagonal,
     ars222_step,
     chi_bump,
     cumulative_simpson_uniform,
+    flux_laplacian,
     l2_norm,
     sinh_grid,
 )
@@ -85,11 +88,8 @@ class _RenormGrid:
 
     ``h`` is the uniform ``xi`` spacing; the metric ``J = dr/dxi = sqrt(1 +
     (r/a)^2)`` turns the ``xi`` stencils into ``r`` derivatives.  ``lap`` is
-    the radial Laplacian: ``6 (psi_1 - psi_0)/r_1^2`` at the origin, the
-    second and central ``xi`` differences weighted by ``1/(J h)^2`` and
-    ``(2/(r J) - J'/J^3)/(2h)`` inside, and at the last node the linear
-    outflow ghost ``2 psi_{N-1} - psi_{N-2}``, which keeps the matrix
-    tridiagonal.
+    the radial Laplacian ``radial.flux_laplacian``, with no diffusive flux past
+    the outer face.
     """
 
     grid: np.ndarray
@@ -97,24 +97,14 @@ class _RenormGrid:
     r3: np.ndarray  # grid[1:]**3
     r_j: np.ndarray  # r/J: the drift velocity r (beta - f) in xi units is r_j (beta - f)
     r2j: np.ndarray  # r^2 J, the Simpson weight of the partial mass in xi
-    lap: Tridiagonal
+    lap: SymmetricTridiagonal
 
     @classmethod
     def make(cls, n: int) -> "_RenormGrid":
         grid = _grid(n)
-        h = _XI_MAX / (len(grid) - 1)
         jac = np.sqrt(1.0 + (grid / SINH_STRETCH) ** 2)
-        r, j = grid[1:], jac[1:]
-        lap2 = 1.0 / (j * h) ** 2
-        # J' = dJ/dxi = r/a^2
-        lap1 = (2.0 / (r * j) - r / (SINH_STRETCH**2 * j**3)) / (2.0 * h)
-        c0 = 6.0 / grid[1] ** 2
-        lower = lap2 - lap1
-        lower[-1] = -2.0 * lap1[-1]
-        diag = np.concatenate(([-c0], -2.0 * lap2[:-1], [2.0 * lap1[-1]]))
-        upper = np.concatenate(([c0], (lap2 + lap1)[:-1]))
-        return cls(grid, h, r**3, grid / jac, grid * grid * jac,
-                   Tridiagonal(lower, diag, upper))
+        return cls(grid, _XI_MAX / (len(grid) - 1), grid[1:] ** 3, grid / jac,
+                   grid * grid * jac, flux_laplacian(grid))
 
 
 @dataclass(frozen=True)

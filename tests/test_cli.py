@@ -168,23 +168,24 @@ class TestRun:
         # continuation moved the profile tail; coercivity.csv and heat.csv
         # since the quotients come from per-family Gram matrices; phys.csv and
         # blowup_fit.json (now with stop_reason) and the phys manifest keys since
-        # phys runs on the sinh-graded grid
+        # phys runs on the sinh-graded grid; renorm.csv, phys.csv and blowup_fit.json
+        # since both loops diffuse with radial.flux_laplacian over shell volumes
         out = tmp_path / "out"
         argv = ["all", "--quick", "--mu", "0", "--j0", "4", "--seed", "12345", "--out", str(out)]
         assert main(argv) == 0
         digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                    for p in out.iterdir() if not p.name.startswith("manifest_")}
         assert digests == {
-            "blowup_fit.json": "a7afdc26d7466dda6db123ef4e2aae4a2c47680aec1252f8cdf8855111b420d8",
+            "blowup_fit.json": "7b17bf8c0d7fe9df3056ce9e2cbf654b8966b8ffc6e614db25c4b1a41bd5484c",
             "coercivity.csv": "5f2372efcdbbe88f7716d57ab72fc6422b92e34de2a792fa7c1878dcf4d6d762",
             "coercivity_certificate.json":
                 "27d6a622b36f333f26eae09f5b9ee9f5666fe91bdbf2bf701cdaa669a55d28d5",
             "heat.csv": "8bc1c8d0f014961ae358c01ec704df176ca17b9242a50543f8a348589bd96d5d",
             "heat_certificate.json": "54b5230bf9e9e09458bd00591fdf27607ee3f53b88741aeab42277cf39ea1f5e",
-            "phys.csv": "d244873cda7dc6c35b79026044446dbd5883a4a4dcbe97c88ceda71ff0394d76",
+            "phys.csv": "8aeca21749793a67d0a585da7afa8a971a5896c185d521254c9adf7ef641631e",
             "portrait.csv": "9ae938e4050946aaf036207c70af0b9ad02eb1bb3704479dd444711cd24ac83d",
             "profile.csv": "a2e8078c6c513a5751d5b59fd02f3e1bbcd3d42bbf7b46c4046d3e66d3b3c948",
-            "renorm.csv": "61c9fc32cbcb36f175ccd839d3825171f5a77a7c6313a837998bc63166396d34",
+            "renorm.csv": "679d4c894739c8f666848663738269f47488301da2f397d9745c4ea306eaed5d",
         }
         base = ["schema_version", "library_version", "config", "config_hash",
                 "wall_time_s", "written_at"]
@@ -203,12 +204,13 @@ class TestRun:
         assert phys_manifest["nodes"] == 1044 and phys_manifest["steps"] > 0
 
     def test_mu02_quick_renorm_pinned(self, tmp_path):
-        # the reaction coefficient 1 - mu and the j0 + 3 = 10 mode fit at mu != 0
+        # the reaction coefficient 1 - mu and the j0 + 3 = 10 mode fit at mu != 0;
+        # renorm.csv since renorm diffuses with radial.flux_laplacian
         out = tmp_path / "out"
         argv = ["renorm", "--quick", "--mu", "0.2", "--j0", "7", "--seed", "12345", "--out", str(out)]
         assert main(argv) == 0
         digest = hashlib.sha256((out / "renorm.csv").read_bytes()).hexdigest()
-        assert digest == "5bcf46f3cd8cdf6d95e2f807067b6aad95185714c7bfcdd9097a9ae106ff3f66"
+        assert digest == "1704e9320eb501164dfb00c980b526dbb22ad825b852c75338abe0b5874edfa6"
 
     def test_nested_profile_time(self, tmp_path):
         # coercivity alone runs the profile stage inside itself: its wall time

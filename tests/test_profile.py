@@ -12,7 +12,13 @@ from hypothesis import strategies as st
 from scipy.integrate import cumulative_simpson
 
 from ksdlab import profile as profile_mod
-from ksdlab.errors import DomainError, OutOfRange, RegionExitScenario1, RegionExitScenario2
+from ksdlab.errors import (
+    DomainError,
+    OutOfRange,
+    RegionExitScenario1,
+    RegionExitScenario2,
+    StepSizeUnderflow,
+)
 from ksdlab.profile import (
     N_MAX,
     ProfileParams,
@@ -306,6 +312,16 @@ class TestSolve:
         # Q < 0 and rising towards Q = 0 (dQ/ds = Q (Q - 1)/(beta - f) > 0 there)
         with pytest.raises(RegionExitScenario2, match="Q crossed 0"):
             profile_mod._continue(0.0, beta, 0.0, 9.0, -0.01, 0.3)
+
+    def test_continuation_step_collapse(self, mu0_params):
+        beta = mu0_params.beta
+        # Q = 2 > 3 f, so df/ds = Q - 3 f > 0 carries f to beta, where dQ/ds =
+        # Q (Q - 1)/(beta - f) has its pole: the first Taylor step is below 1e-11
+        with pytest.raises(StepSizeUnderflow, match="Taylor step"):
+            profile_mod._continue(0.0, beta, 0.0, 9.0, 2.0, beta - 1e-10)
+        # started past the pole, beta - f is already below 5% of its start
+        with pytest.raises(StepSizeUnderflow, match="collapsed"):
+            profile_mod._continue(0.0, beta, 0.0, 9.0, 1.6, beta + 0.01)
 
     def test_range_guard(self, mu0_profile):
         with pytest.raises(OutOfRange):

@@ -8,8 +8,15 @@ import pytest
 from scipy.special import erf
 
 import ksdlab.renorm as renorm
-from ksdlab.errors import CFLViolation, DomainError, IllConditionedFit
-from ksdlab.radial import ars222_step, chi_bump, cumulative_simpson_uniform
+from ksdlab.errors import (
+    CFLViolation,
+    DomainError,
+    ForcingDominates,
+    IllConditionedFit,
+    NonFiniteField,
+)
+from ksdlab.phys import build_initial
+from ksdlab.radial import ars222_step, chi_bump, cumulative_simpson_uniform, flux_laplacian
 from ksdlab.renorm import (
     _residual_norm,
     _upwind,
@@ -79,17 +86,19 @@ class TestMappedGrid:
         assert np.max(np.abs(m - exact)) < 1e-8
 
     def test_laplacian_second_order(self, mu0_profile):
-        # Lap e^{-r^2} = (4 r^2 - 6) e^{-r^2}
-        errs, hs = [], []
-        for n in (512, 1024):
-            st = make_state(mu0_profile, 1.0, n=n)
-            r = st.grid
-            psi = np.exp(-r * r)
-            lap = st.ops.lap.apply(psi)
-            errs.append(np.max(np.abs(lap - (4.0 * r * r - 6.0) * psi)))
-            hs.append(st.ops.h)
+        # Lap e^{-r^2} = (4 r^2 - 6) e^{-r^2}, on renorm's grid and on phys's (at
+        # lam0 = 1 it is in self-similar units); both loops use radial.flux_laplacian
+        hs = [make_state(mu0_profile, 1.0, n=n).ops.h for n in (512, 1024)]
         assert hs[0] == pytest.approx(2.0 * hs[1], rel=1e-12)
-        assert 3.5 <= errs[0] / errs[1] <= 4.5
+        for grid_of in (lambda n: make_state(mu0_profile, 1.0, n=n).grid,
+                        lambda n: build_initial(mu0_profile, 1.0, n=n).grid):
+            errs = []
+            for n in (512, 1024):
+                r = grid_of(n)
+                psi = np.exp(-r * r)
+                lap = flux_laplacian(r).apply(psi)
+                errs.append(np.max(np.abs(lap - (4.0 * r * r - 6.0) * psi)))
+            assert 3.5 <= errs[0] / errs[1] <= 4.5
 
 
 class TestFlow:
@@ -135,6 +144,15 @@ class TestFlow:
         zero = replace(st, psi=np.zeros_like(st.psi))
         out = step_renorm(zero, mu0_profile, mu0_params, dt_policy(st.h, 1e-3, mu0_params, st.grid[-1]))
         assert np.all(out.psi == 0.0)
+
+    def test_non_finite_state_refused(self, mu0_profile, mu0_params):
+        # one NaN node spreads through the partial mass and the implicit solve
+        st = make_state(mu0_profile, 1e-3, n=512)
+        psi = st.psi.copy()
+        psi[10] = np.nan
+        with pytest.raises(NonFiniteField):
+            step_renorm(replace(st, psi=psi), mu0_profile, mu0_params,
+                        dt_policy(st.h, 1e-3, mu0_params, st.grid[-1]))
 
     def test_cfl_guard(self, mu0_profile, mu0_params):
         st = make_state(mu0_profile, 1e-3, n=512)
@@ -217,7 +235,7 @@ class TestRates:
             assert fit.expected == pytest.approx((4 - j) / 4.0, abs=1e-15)
             assert fit.rate == pytest.approx(fit.expected, rel=tol)
         # pinned output of the last fit (j=1): the run constants must keep the arithmetic
-        assert fit.rate == pytest.approx(0.7500569962944398, rel=1e-12)
+        assert fit.rate == pytest.approx(0.7500486229416136, rel=1e-12)
 
     def test_slow_mode_rate_at_higher_resolution(self, mu0_profile, mu0_params):
         # the j=3 rate (slope 1/4) needs the smaller O(h^2) drift floor of a
@@ -234,11 +252,23 @@ class TestRates:
             baseline=perturbative_baseline,
         )
         assert sig == pytest.approx(-14.0 / 3.0, rel=0.30)
-        assert sig == pytest.approx(-4.575941008645274, rel=1e-12)  # pinned output
+        assert sig == pytest.approx(-4.576014050789637, rel=1e-12)  # pinned output
 
     def test_amplitude_guard(self, mu0_profile, mu0_params):
         with pytest.raises(DomainError):
             measure_rates(mu0_params, mu0_profile, 0, amplitude=0.1, n=256)
+
+    def test_vanished_seed_refused(self, mu0_profile, mu0_params):
+        # a 1e-20 seed is below the round-off of Q ~ 1.5: the seeded and the
+        # baseline runs keep identical modes
+        with pytest.raises(ForcingDominates, match="vanished"):
+            measure_rates(mu0_params, mu0_profile, 1, amplitude=1e-20, lam0=1e-24, n=1024)
+
+    def test_forcing_dominated_fit_refused(self, mu0_profile, mu0_params):
+        # at lam0=1e-3 the diffusive forcing of the slow j=3 mode exceeds a tenth
+        # of its modal derivative at every record of a 1e-10 seed
+        with pytest.raises(ForcingDominates, match="throughout"):
+            measure_rates(mu0_params, mu0_profile, 3, amplitude=1e-10, lam0=1e-3, n=1024)
 
     def test_mode_guard(self, mu0_profile, mu0_params):
         with pytest.raises(DomainError):
