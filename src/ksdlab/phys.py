@@ -179,8 +179,8 @@ def build_initial(profile: RadialProfile, lam0: float, n: int = 8192) -> PhysSta
     domain extends to ``1.1 * 2 R2`` in self-similar units.  The grid is
     ``sinh_grid`` of resolution ``n`` with stretch scale ``3 lam0^{2 beta}``: the
     origin spacing of ``linspace`` with ``n`` nodes, on 1044 nodes at n=8192 and
-    mu=0.  DomainError when ``lam0^2`` or ``lam0^{2 beta}`` underflows to 0
-    or overflows in float64, or when Q never drops below 1e-4 Q0.
+    mu=0.  DomainError when ``lam0^2``, ``lam0^{2 beta}`` or the peak ``Q0/lam0^2``
+    leaves float64 (0 or not finite), or when Q never drops below 1e-4 Q0.
     """
     beta = profile.params.beta
     try:
@@ -193,6 +193,8 @@ def build_initial(profile: RadialProfile, lam0: float, n: int = 8192) -> PhysSta
             "underflows to 0 or is not finite in float64"
         )
     q0 = profile.params.q0
+    if not q0 / amp < math.inf:
+        raise DomainError(f"lam0 = {lam0:.6g}: the initial peak Q0/lam0^2 overflows float64")
     idx = np.searchsorted(-profile.q_vals, -1e-4 * q0)
     if idx == len(profile.grid):
         raise DomainError(f"profile does not decay below 1e-4 Q0 by r = {profile.r_max:.6g}")

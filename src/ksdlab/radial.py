@@ -1,7 +1,8 @@
 """Radial kernels shared by the time loops, the operator probes and the profile: uniform-grid
 quadrature, the sinh-mapped grid both time loops run on, Horner evaluation, the cutoff bump,
 the one finite-volume Laplacian and its tridiagonal type, and the one IMEX time step both
-time loops take."""
+time loops take.  The field kernels act along the last axis, on each row of a stack as on
+one field."""
 
 from __future__ import annotations
 
@@ -37,14 +38,13 @@ def cumulative_simpson_uniform(y: np.ndarray, h: float) -> np.ndarray:
     it is built on: ``y dx/dk`` in that coordinate ``k``.
     """
     y = np.asarray(y, dtype=float)
-    n = len(y)
-    e0, o, e2 = y[:-2:2], y[1:-1:2], y[2::2]
-    sub = np.empty(n - 1)
-    sub[:-1:2] = 1.25 * e0 + 2.0 * o - 0.25 * e2
-    sub[1::2] = 1.25 * e2 + 2.0 * o - 0.25 * e0
-    sub[-1] = 1.25 * y[-1] + 2.0 * y[-2] - 0.25 * y[-3]
-    out = np.zeros(n)
-    np.cumsum(sub * (h / 3.0), out=out[1:])
+    e0, o, e2 = y[..., :-2:2], y[..., 1:-1:2], y[..., 2::2]
+    sub = np.empty(y.shape[:-1] + (y.shape[-1] - 1,))
+    sub[..., :-1:2] = 1.25 * e0 + 2.0 * o - 0.25 * e2
+    sub[..., 1::2] = 1.25 * e2 + 2.0 * o - 0.25 * e0
+    sub[..., -1] = 1.25 * y[..., -1] + 2.0 * y[..., -2] - 0.25 * y[..., -3]
+    out = np.zeros(y.shape)
+    np.cumsum(sub * (h / 3.0), axis=-1, out=out[..., 1:])
     return out
 
 
@@ -91,9 +91,9 @@ def sinh_grid(r_max: float, n: int, a: float) -> np.ndarray:
     return grid
 
 
-def l2_norm(v: np.ndarray, grid: np.ndarray) -> float:
-    """Radial L2 norm ``sqrt(4 pi int v^2 r^2 dr)`` by the trapezoid rule on ``grid``."""
-    return math.sqrt(4.0 * math.pi * np.trapezoid(v * v * grid * grid, grid))
+def l2_norm(v: np.ndarray, grid: np.ndarray) -> float | np.ndarray:
+    """Radial L2 norm ``sqrt(4 pi int v^2 r^2 dr)`` of each row, trapezoid rule on ``grid``."""
+    return np.sqrt(4.0 * math.pi * np.trapezoid(v * v * grid * grid, grid))
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,8 +108,8 @@ class SymmetricTridiagonal:
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         out = self.diag * u
-        out[:-1] += self.off * u[1:]
-        out[1:] += self.off * u[:-1]
+        out[..., :-1] += self.off * u[..., 1:]
+        out[..., 1:] += self.off * u[..., :-1]
         out /= self.weight
         return out
 
@@ -128,7 +128,8 @@ class SymmetricTridiagonal:
         if info != 0:
             raise NotPositiveDefinite(f"pttrf info {info}: W - c S is not positive definite "
                                       f"at c = {c:.6g}")
-        return lambda b: lapack.dpttrs(d, e, self.weight * b, overwrite_b=1)[0]
+        # pttrs solves for columns: each row of b is one
+        return lambda b: lapack.dpttrs(d, e, (self.weight * b).T, overwrite_b=1)[0].T
 
 
 def flux_laplacian(grid: np.ndarray) -> SymmetricTridiagonal:

@@ -112,7 +112,7 @@ class RenormState:
     """One time slice of the renormalized flow on the sinh-mapped radial grid.
 
     ``ops`` holds the grid ``make_state`` built from its resolution, and
-    ``replace()`` carries it to the next slice.
+    ``replace()`` carries it to the next slice.  ``psi`` is a field, or rows of them.
     """
 
     tau: float
@@ -136,14 +136,15 @@ class RenormState:
 
 
 def _upwind(psi, h):
-    """``d psi/d xi``: second-order upwind for outgoing flow, central at node 1, 0 at the origin."""
+    """``d psi/d xi`` of each row: second-order upwind for outgoing flow, central at node 1,
+    0 at the origin."""
     dpsi = np.empty_like(psi)
-    dpsi[0] = 0.0
-    dpsi[1] = (psi[2] - psi[0]) / (2.0 * h)
-    upwind = dpsi[2:]
-    np.multiply(psi[2:], 3.0, out=upwind)
-    upwind -= 4.0 * psi[1:-1]
-    upwind += psi[:-2]
+    dpsi[..., 0] = 0.0
+    dpsi[..., 1] = (psi[..., 2] - psi[..., 0]) / (2.0 * h)
+    upwind = dpsi[..., 2:]
+    np.multiply(psi[..., 2:], 3.0, out=upwind)
+    upwind -= 4.0 * psi[..., 1:-1]
+    upwind += psi[..., :-2]
     upwind /= 2.0 * h
     return dpsi
 
@@ -151,18 +152,18 @@ def _upwind(psi, h):
 def _rhs(psi, ops, params, out):
     """Add the explicit operator (drift, nonlocal, reaction, damping) into ``out``; return it.
 
-    None of it depends on lambda.  The velocity in xi is ``a = (r/J)(beta -
-    f)`` with ``f <= max psi/3``, so the flow is outgoing wherever ``psi <
-    3 beta = Q0 + 3/(2 j0)``, and the upwind stencil assumes it: incoming flow
-    raises CFLViolation.
+    Each row of ``psi`` is a field; none of it depends on lambda.  The velocity in
+    xi is ``a = (r/J)(beta - f)`` with ``f <= max psi/3``, so the flow is outgoing
+    wherever ``psi < 3 beta = Q0 + 3/(2 j0)``, and the upwind stencil assumes it:
+    incoming flow in any row raises CFLViolation.
     """
     m = cumulative_simpson_uniform(psi * ops.r2j, ops.h)
     a = np.empty_like(psi)
-    a[0] = psi[0] / 3.0
-    np.divide(m[1:], ops.r3, out=a[1:])
+    a[..., 0] = psi[..., 0] / 3.0
+    np.divide(m[..., 1:], ops.r3, out=a[..., 1:])
     np.subtract(params.beta, a, out=a)
     a *= ops.r_j
-    if (a[2:] < 0.0).any():
+    if (a[..., 2:] < 0.0).any():
         raise CFLViolation("incoming flow (f > beta): the upwind stencil needs outgoing flow")
     dpsi = _upwind(psi, ops.h)
     dpsi *= a
@@ -176,7 +177,7 @@ def _rhs(psi, ops, params, out):
 
 
 def _residual_norm(psi, ops, lam, params):
-    """Radial L2 norm of the full right-hand side, diffusion ``lambda^{2-4beta} Lap`` included."""
+    """Radial L2 norm of each row's right-hand side, diffusion ``lambda^{2-4beta} Lap`` included."""
     diffusion = lam ** (2.0 - 4.0 * params.beta) * ops.lap.apply(psi)
     return l2_norm(_rhs(psi, ops, params, diffusion), ops.grid)
 
@@ -199,9 +200,10 @@ def make_state(
 ) -> RenormState:
     """Initial slice Psi(0) = Q (+ optional perturbation callable) on [0, 50].
 
-    The grid is the sinh-mapped one: ``n`` sets the resolution, so the origin
-    spacing is at most ``50/(n-1)`` as on ``linspace(0, 50, n)``, and the
-    grid has about ``n/4.7`` nodes (217 at n=1024, 863 at n=4096).
+    A perturbation that returns ``k`` rows makes ``k`` rows of one flow.  The grid is the
+    sinh-mapped one: ``n`` sets the resolution, so the origin spacing is at most
+    ``50/(n-1)`` as on ``linspace(0, 50, n)``, and the grid has about ``n/4.7``
+    nodes (217 at n=1024, 863 at n=4096).
     """
     ops = _RenormGrid.make(n)
     psi = profile.q(ops.grid)
@@ -238,7 +240,7 @@ def extract_modes(
     q_ref: np.ndarray | None = None,
 ) -> np.ndarray:
     """Least-squares coefficients ``c_0 .. c_{j0+2}`` of ``Psi - Q`` against
-    ``{r^{2j}}`` on ``r <= 1/2``, with ``j0`` from the profile's parameters.
+    ``{r^{2j}}`` on ``r <= 1/2`` for each row, with ``j0`` from the profile's parameters.
 
     Columns are scaled by ``(1/2)^{2j}`` before conditioning is checked; the
     fit window sits inside the region where the mode cutoff is 1.  A window
@@ -253,13 +255,14 @@ def extract_modes(
         raise IllConditionedFit(f"{len(r)} nodes in the fit window for {Kfit + 1} modes")
     if q_ref is None:
         q_ref = profile.q(grid)
-    eps = state.psi[sel] - q_ref[sel]
+    eps = state.psi[..., sel] - q_ref[sel]
     x = (r / _FIT_RADIUS) ** 2
     M = np.vander(x, Kfit + 1, increasing=True)
     cond = np.linalg.cond(M)
     if cond > 1e12:
         raise IllConditionedFit(f"Vandermonde condition number {cond:.3g}")
-    coef, *_ = np.linalg.lstsq(M, eps, rcond=None)
+    # one lstsq per row: a multi-column one rounds the modes differently
+    coef = np.apply_along_axis(lambda e: np.linalg.lstsq(M, e, rcond=None)[0], -1, eps)
     return coef / _FIT_RADIUS ** (2 * np.arange(Kfit + 1))
 
 
@@ -274,21 +277,20 @@ def run_renorm(
     """Evolve to ``tau_end`` recording (tau, lambda, sup|eps|, modes, residual).
 
     Records every 0.05 in tau; the modes are ``extract_modes``' ``c_0 ..
-    c_{j0+2}``, and the residual is that of the full flow, diffusion included.
-    ``steps`` counts the ARS(2,2,2) steps, each ``_CFL_SAFETY`` of the
+    c_{j0+2}``, and the residual is that of the full flow, diffusion included.  The
+    rows of a perturbation share each step, and ``eps_sup``, ``residual`` and ``c``
+    are per row.  ``steps`` counts the ARS(2,2,2) steps, each ``_CFL_SAFETY`` of the
     advective bound unless clipped to a record time.
     """
     state = make_state(profile, lam0, n=n, perturbation=perturbation)
     dt_adv = dt_policy(state.h, lam0, params, state.grid[-1])
     q_ref = profile.q(state.grid)
-    taus, lams, eps_sup, residuals, coefs = [], [], [], [], []
+    records = []
 
     def record(st):
-        taus.append(st.tau)
-        lams.append(st.lam)
-        eps_sup.append(float(np.max(np.abs(st.psi - q_ref))))
-        residuals.append(_residual_norm(st.psi, st.ops, st.lam, params))
-        coefs.append(extract_modes(st, profile, q_ref=q_ref))
+        records.append((st.tau, st.lam, np.max(np.abs(st.psi - q_ref), axis=-1),
+                        _residual_norm(st.psi, st.ops, st.lam, params),
+                        extract_modes(st, profile, q_ref=q_ref)))
 
     record(state)
     next_rec = _RECORD_DTAU
@@ -300,15 +302,8 @@ def run_renorm(
         if state.tau >= next_rec - 1e-12:
             record(state)
             next_rec = round(next_rec / _RECORD_DTAU + 1) * _RECORD_DTAU
-    return {
-        "steps": steps,
-        "tau": np.array(taus),
-        "lam": np.array(lams),
-        "eps_sup": np.array(eps_sup),
-        "residual": np.array(residuals),
-        "c": np.array(coefs),
-        "state": state,
-    }
+    columns = zip(("tau", "lam", "eps_sup", "residual", "c"), zip(*records))
+    return {"steps": steps, **{k: np.array(v) for k, v in columns}, "state": state}
 
 
 @dataclass(frozen=True)
@@ -323,13 +318,12 @@ class RateFit:
     dc: np.ndarray
 
 
-def _seeded_difference(profile, params, lam0, tau_end, n, baseline, perturbation):
-    """The seeded run, and its modes minus those of the unseeded ``baseline``
-    run (made here when not given)."""
-    if baseline is None:
-        baseline = run_renorm(profile, params, lam0, tau_end, n=n)
-    seeded = run_renorm(profile, params, lam0, tau_end, n=n, perturbation=perturbation)
-    return seeded, seeded["c"] - baseline["c"]
+def _seeded_difference(profile, params, lam0, tau_end, n, perturbation):
+    """One flow with the rows ``(Q, Q + perturbation)``, and the seeded row's modes
+    minus the unseeded row's."""
+    flow = run_renorm(profile, params, lam0, tau_end, n=n,
+                      perturbation=lambda r: np.stack((np.zeros_like(r), perturbation(r))))
+    return flow, flow["c"][:, 1] - flow["c"][:, 0]
 
 
 def measure_rates(
@@ -340,13 +334,12 @@ def measure_rates(
     tau_end: float = 2.0,
     lam0: float = 1e-3,
     n: int = 4096,
-    baseline: dict | None = None,
 ) -> RateFit:
     """Fit the growth rate of a seeded near-origin mode ``amplitude chi r^{2j}``.
 
     The unseeded flow drifts by O(lam0^{2-4beta}) under diffusive forcing, so
-    the rate is fitted on the difference between a seeded and an identically
-    stepped baseline run; this cancels the static forcing to leading order.
+    the rate is fitted on the difference between the seeded and the unseeded
+    row of one flow; this cancels the static forcing to leading order.
     Returns the log-linear slope of |delta c_j| over the full window.
     """
     if j > params.j0:
@@ -354,8 +347,8 @@ def measure_rates(
     if amplitude > 1e-3 * params.q0:
         raise DomainError("amplitude too large for the linear regime")
     pert = lambda r: amplitude * chi_bump(r) * r ** (2 * j)
-    seeded, dc = _seeded_difference(profile, params, lam0, tau_end, n, baseline, pert)
-    tau = seeded["tau"]
+    flow, dc = _seeded_difference(profile, params, lam0, tau_end, n, pert)
+    tau = flow["tau"]
     dcj = dc[:, j]
     if np.any(dcj == 0.0):
         raise ForcingDominates("seeded mode vanished; amplitude below drift noise")
@@ -363,7 +356,7 @@ def measure_rates(
 
     # forcing diagnostic on the differenced field: lam^{2-4b} [Lap delta]_j
     # against the modal derivative
-    lam_pow = seeded["lam"] ** (2.0 - 4.0 * params.beta)
+    lam_pow = flow["lam"] ** (2.0 - 4.0 * params.beta)
     forcing = lam_pow * (2 * j + 2) * (2 * j + 3) * np.abs(dc[:, j + 1])
     dcdt = np.abs(np.gradient(dcj, tau))
     ratio = float(np.max(forcing / np.maximum(dcdt, 1e-300)))
@@ -380,14 +373,13 @@ def measure_coupling(
     tau_end: float = 2.0,
     lam0: float = 1e-3,
     n: int = 4096,
-    baseline: dict | None = None,
 ) -> float:
     """Slope of ``d(delta c_{j0})/d tau`` against ``delta c_0`` for a seeded
     constant mode ``1e-4 chi``; the linear prediction is ``-(2 j0/3 + 2(1-mu))``."""
     pert = lambda r: 1e-4 * chi_bump(r)
-    seeded, dc = _seeded_difference(profile, params, lam0, tau_end, n, baseline, pert)
+    flow, dc = _seeded_difference(profile, params, lam0, tau_end, n, pert)
     dc0 = dc[:, 0]
-    ddt = np.gradient(dc[:, params.j0], seeded["tau"])
+    ddt = np.gradient(dc[:, params.j0], flow["tau"])
     return float(np.dot(ddt, dc0) / np.dot(dc0, dc0))
 
 

@@ -132,17 +132,13 @@ def test_criterion_05_coercivity_probe(mu0_profile, mu0_params):
 def test_criterion_06_modulation_rates(mu0_profile, mu0_params):
     t0 = time.perf_counter()
     try:
-        baseline = run_renorm(mu0_profile, mu0_params, 1e-3, 2.0, n=4096)
         rates = {}
         for j in range(4):
             fit = measure_rates(
-                mu0_params, mu0_profile, j, lam0=1e-3, amplitude=1e-4,
-                n=4096, baseline=baseline,
+                mu0_params, mu0_profile, j, lam0=1e-3, amplitude=1e-4, n=4096
             )
             rates[j] = fit.rate
-        sigma = measure_coupling(
-            mu0_params, mu0_profile, lam0=1e-3, n=4096, baseline=baseline
-        )
+        sigma = measure_coupling(mu0_params, mu0_profile, lam0=1e-3, n=4096)
         elapsed = time.perf_counter() - t0
         rate_ok = all(
             abs(rates[j] - (4 - j) / 4.0) <= 0.10 * (4 - j) / 4.0 for j in rates
@@ -155,8 +151,8 @@ def test_criterion_06_modulation_rates(mu0_profile, mu0_params):
         if not ok:
             detail += (
                 " — at lam0=1e-3 the diffusive forcing scales as lam0^{1/6} "
-                "~ 0.32, four orders above the 1e-4 seed, so baseline "
-                "subtraction cannot recover the linear modal dynamics "
+                "~ 0.32, four orders above the 1e-4 seed, so subtracting "
+                "the unseeded row cannot recover the linear modal dynamics "
                 "(the same measurement at lam0=1e-24 recovers every rate "
                 "within 5% and sigma within 30%)"
             )

@@ -234,6 +234,9 @@ class TestRun:
         # the constant profile Q = Q0 never falls below 1e-4 Q0, so no cut-off radius
         (["phys", "--qj0", "0", "--quick"], 2,
          "ksdlab: stage_phys: profile does not decay below 1e-4 Q0"),
+        # lam0^2 = 1e-320 is subnormal, not 0, but the peak Q0/lam0^2 overflows
+        (["phys", "--mu", "0", "--lambda0", "1e-160", "--grid-n", "512"], 2,
+         "ksdlab: stage_phys: lam0 = 1e-160: the initial peak Q0/lam0^2 overflows"),
     ])
     def test_stage_failure_exit_code(self, tmp_path, capsys, recwarn, argv, code, prefix):
         # a numerical failure exits 3 and a rejected parameter 2, each named

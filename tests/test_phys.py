@@ -77,6 +77,8 @@ class TestDiscretization:
     @pytest.mark.parametrize("lam0, named", [
         (0.0, "underflows"), (1e-200, "underflows"), (float("nan"), "not finite"),
         (1e200, "overflows"),
+        # lam0^2 = 1e-320 is subnormal, not 0, but Q0/lam0^2 overflows
+        (1e-160, "peak Q0/lam0\\^2 overflows"),
     ])
     def test_initial_scaling_leaves_float64(self, mu0_profile, lam0, named):
         # refused before any array is formed: lam0^2 = 0 once gave NaN from 0/0

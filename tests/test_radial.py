@@ -1,6 +1,7 @@
 """The uniform-grid cumulative Simpson kernel against scipy and exact polynomials, the
 sinh-mapped grid, the finite-volume Laplacian both time loops build, Horner evaluation
-against numpy's polyval, and the ARS(2,2,2) step against a matrix exponential."""
+against numpy's polyval, and the ARS(2,2,2) step against a matrix exponential.  The
+kernels act along the last axis: each row of a stack gets the bits of its own 1-D call."""
 
 import math
 
@@ -22,8 +23,16 @@ from ksdlab.radial import (
     cumulative_simpson_uniform,
     flux_laplacian,
     horner,
+    l2_norm,
     sinh_grid,
 )
+
+
+def _rows_match(kernel, rows):
+    """``kernel`` on a stack equals, row for row and bit for bit, ``kernel`` on each row."""
+    stacked = kernel(rows)
+    assert stacked.shape[0] == len(rows)
+    return all(np.array_equal(got, kernel(row)) for got, row in zip(stacked, rows))
 
 
 @settings(max_examples=60, deadline=None)
@@ -46,6 +55,9 @@ def test_quadratic_exact():
         x = np.linspace(0.0, 2.0, n)
         got = cumulative_simpson_uniform(x * x, x[1] - x[0])
         np.testing.assert_allclose(got, x**3 / 3.0, rtol=0.0, atol=1e-13)
+        # rows (1, x, x^2) of one stack
+        rows = np.stack([np.ones_like(x), x, x * x])
+        assert _rows_match(lambda y: cumulative_simpson_uniform(y, x[1] - x[0]), rows)
 
 
 @settings(max_examples=60, deadline=None)
@@ -89,6 +101,7 @@ def test_flux_laplacian_exact_on_1_and_r2(mu0_profile, loop, n):
                             (grid * grid, 6.0, slice(None, -1))):
         err = np.abs(lap.apply(u) - exact)[nodes]
         assert np.all(err <= 1e-12 * size.apply(u)[nodes])
+    assert _rows_match(lap.apply, np.stack([np.ones_like(grid), grid * grid, np.exp(-grid)]))
 
 
 class _General:
@@ -141,6 +154,21 @@ def test_ars222_second_order(make):
         errs.append(np.max(np.abs(u - exact)))
     for coarse, fine in zip(errs, errs[1:]):
         assert 3.5 <= coarse / fine <= 4.5
+
+
+@pytest.mark.parametrize("n", [16, 1024, 8192])
+def test_row_axis(n):
+    # a (3, N) stack of mixed-sign rows on a sinh grid: the solve and the norm give
+    # each row the bits of its 1-D call
+    grid = sinh_grid(50.0, n, 3.0)
+    rows = np.random.default_rng(n).normal(size=(3, len(grid)))
+    solve = flux_laplacian(grid).solver(0.37)
+    assert _rows_match(solve, rows)
+    assert _rows_match(lambda y: l2_norm(y, grid), rows)
+    # the solve reads its right side without writing to it
+    kept = rows.copy()
+    solve(rows)
+    assert np.array_equal(rows, kept)
 
 
 def test_symmetric_solve_refuses_indefinite():
