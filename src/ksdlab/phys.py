@@ -6,10 +6,12 @@ Solves the radial form of
 
 i.e. ``(1/r^2) d_r [ r^2 ( d_r rho + rho u ) ] - mu rho^2`` with the partial-
 mass drift ``u(r) = r^{-2} \\int_0^r rho s^2 ds``, using a finite-volume flux
-form (mass-conservative up to the damping sink) with a minmod-limited face
-reconstruction, on a sinh-graded grid (``radial.sinh_grid``) whose spacing is
-finest at the origin, where the blowup concentrates.  Time steps are IMEX
-ARS(2,2,2): diffusion implicit, transport and damping explicit.  Blowup runs
+form (mass-conservative up to the damping sink) over the exact shell volumes of
+``radial.flux_laplacian``, with a minmod-limited face reconstruction, on a
+sinh-graded grid (``radial.sinh_grid``) whose spacing is finest at the origin,
+where the blowup concentrates.  The mass inside each face is the running FV
+mass sum, the quantity the scheme conserves.  Time steps are IMEX ARS(2,2,2):
+diffusion implicit, transport and damping explicit.  Blowup runs
 start from a rescaled, cut-off copy of the self-similar profile and fit the
 amplitude and length-scale exponents against the estimated blowup time.
 """
@@ -35,7 +37,6 @@ from .radial import (
     SymmetricTridiagonal,
     ars222_step,
     chi_bump,
-    cumulative_simpson_uniform,
     flux_laplacian,
     l2_norm,
     sinh_grid,
@@ -44,13 +45,10 @@ from .radial import (
 
 @dataclass(frozen=True)
 class PhysState:
-    """One time slice of the physical solver on a sinh-graded grid [0, R_phys]."""
+    """Initial data of the physical solver on a sinh-graded grid [0, R_phys]."""
 
-    t: float
     grid: np.ndarray
     rho: np.ndarray
-    mass: float
-    sup_norm: float
 
 
 def _fv_mass(rho: np.ndarray, vol: np.ndarray) -> float:
@@ -66,33 +64,6 @@ def _fv_mass(rho: np.ndarray, vol: np.ndarray) -> float:
 _RECORD_SPACING = 2.5
 
 
-@dataclass(frozen=True, eq=False)
-class _PhysGrid:
-    """The grid-only arrays of one run, built once, for any increasing grid from 0.
-
-    ``h`` is the origin spacing ``r_1``.  ``lap`` is the finite-volume Laplacian
-    ``radial.flux_laplacian``, and its weights ``vol``, the exact shell volumes over 4 pi,
-    are the cells of the transport flux form and of ``_fv_mass``.  ``r2d`` is ``r^2 D``,
-    ``D`` the node spacing ``np.gradient(grid)``: the partial mass is integrated in the
-    node index i, and ``dm/di = rho r^2 D``.
-    """
-
-    grid: np.ndarray
-    h: float
-    r2d: np.ndarray
-    lap: SymmetricTridiagonal
-
-    @property
-    def vol(self) -> np.ndarray:
-        return self.lap.weight
-
-    @classmethod
-    def make(cls, grid: np.ndarray) -> "_PhysGrid":
-        r2d = np.gradient(grid)
-        r2d *= grid * grid
-        return cls(grid, grid[1] - grid[0], r2d, flux_laplacian(grid))
-
-
 def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``minmod(a, b)`` as ``max(min(a, b), 0) + min(max(a, b), 0)``, of which at most one
     term is nonzero."""
@@ -104,22 +75,15 @@ def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return lo
 
 
-def _phys_rhs(rho: np.ndarray, pg: _PhysGrid, mu: float) -> tuple[np.ndarray, np.ndarray]:
-    """Transport and damping, the explicit part of the operator; the inward
-    drift is upwinded from the outer cell.
+def _phys_rhs(rho: np.ndarray, vol: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray]:
+    """Transport and damping, the explicit part of the operator, over the FV cell
+    volumes ``vol``; the inward drift is upwinded from the outer cell.
 
-    Returns the operator and the partial mass ``\\int_0^r rho s^2 ds`` it used.
+    Returns the operator and the face masses it used: the FV mass inside each face,
+    ``sum_{k<=i} vol_k rho_k`` at face ``i+1/2``, the running sum of ``_fv_mass``.
     """
-    # drift velocity u = m / r^2 >= 0 at faces (the advective flux is -rho*u, inward);
-    # m is integrated in the node index i, where dm/di = rho r^2 D
-    g = rho * pg.r2d
-    m = cumulative_simpson_uniform(g, 1.0)
-    # face mass to cubic accuracy: midpoint = average - (1/8) d^2m/di^2 with dm/di = g
-    m_face = m[:-1] + m[1:]
-    m_face *= 0.5
-    dg = g[1:] - g[:-1]
-    dg *= 0.125
-    m_face -= dg
+    # drift velocity u = m / r^2 >= 0 at faces (the advective flux is -rho*u, inward)
+    m_face = np.cumsum(vol[:-1] * rho[:-1])
 
     # limited upwind reconstruction from the outer cell (flow direction -r); the
     # outermost face has no outer slope, so it takes the outer cell's value
@@ -139,36 +103,39 @@ def _phys_rhs(rho: np.ndarray, pg: _PhysGrid, mu: float) -> tuple[np.ndarray, np
     out[0] = F[0]
     np.subtract(F[1:], F[:-1], out=out[1:-1])
     out[-1] = -F[-1]
-    out /= pg.vol
+    out /= vol
     if mu:  # at mu = 0 the damping is +0, and out - (+0) is out
         damping = mu * rho
         damping *= rho
         out -= damping
-    return out, m
+    return out, m_face
 
 
 def _imex_step(
-    rho: np.ndarray, k0: np.ndarray, pg: _PhysGrid, mu: float, dt: float
+    rho: np.ndarray, k0: np.ndarray, lap: SymmetricTridiagonal, mu: float, dt: float
 ) -> tuple[np.ndarray, float]:
     """One ARS(2,2,2) step: diffusion implicit, transport and damping explicit.
 
-    ``k0`` is ``_phys_rhs(rho)``.  Returns the new density and the mass the
-    damping removed, which is the explicit weights applied to ``-mu rho^2`` on
-    the FV volumes, so the discrete mass identity holds to round-off.
+    ``k0`` is ``_phys_rhs(rho)`` and ``lap`` the FV Laplacian, whose weights are the
+    cell volumes.  Returns the new density and the mass the damping removed, which
+    is the explicit weights applied to ``-mu rho^2`` on the FV volumes, so the
+    discrete mass identity holds to round-off.
     """
-    new, u1 = ars222_step(rho, k0, lambda v: _phys_rhs(v, pg, mu)[0], pg.lap, 1.0, dt)
+    vol = lap.weight
+    new, u1 = ars222_step(rho, k0, lambda v: _phys_rhs(v, vol, mu)[0], lap, 1.0, dt)
     if not mu:
         return new, 0.0
     sink = -mu * 4.0 * math.pi * dt * float(
-        np.dot(pg.vol, DELTA * rho * rho + (1.0 - DELTA) * u1 * u1)
+        np.dot(vol, DELTA * rho * rho + (1.0 - DELTA) * u1 * u1)
     )
     return new, sink
 
 
-def _stable_dt(m: np.ndarray, sup: float, pg: _PhysGrid, mu: float) -> float:
-    """CFL number 0.25 on the advective bound ``min D/u`` over the nodes and the
-    reaction bound ``0.5/((1-mu) sup)``; ``m`` is the partial mass of ``_phys_rhs``."""
-    rate = float(np.max(m[1:] / pg.r2d[1:])) + 1e-300
+def _stable_dt(m_face: np.ndarray, sup: float, vol: np.ndarray, mu: float) -> float:
+    """CFL number 0.25 on the advective bound ``min vol/m`` and the reaction bound
+    ``0.5/((1-mu) sup)``.  ``m_face`` are the face masses of ``_phys_rhs``; the flux
+    through each face empties its outer (upwind) cell at the rate ``m_face/vol``."""
+    rate = float(np.max(m_face / vol[1:])) + 1e-300
     return 0.25 * min(1.0 / rate, 0.5 / ((1.0 - mu) * sup + 1e-300))
 
 
@@ -204,10 +171,7 @@ def build_initial(profile: RadialProfile, lam0: float, n: int = 8192) -> PhysSta
     y = np.minimum(grid / L, profile.r_max)
     cut = chi_bump(y / R2)
     rho = profile.q(y) * cut / amp
-    return PhysState(
-        t=0.0, grid=grid, rho=rho, mass=_fv_mass(rho, flux_laplacian(grid).weight),
-        sup_norm=float(np.max(rho)),
-    )
+    return PhysState(grid=grid, rho=rho)
 
 
 def _half_max_radius(rho: np.ndarray, grid: np.ndarray) -> float:
@@ -259,7 +223,8 @@ def run_phys(
     """Integrate to the stopping threshold and fit the blowup exponents.
 
     ARS(2,2,2) steps (``_imex_step``) treat diffusion implicitly, so ``dt`` is
-    set by the advective and reaction bounds at CFL number 0.25 and clipped
+    set by the advective bound ``min vol/m`` on the face masses and the reaction
+    bound, at CFL number 0.25 (``_stable_dt``), and clipped
     so that records land on the time lattice ``t = k * 2.5 h^2``, ``h`` the
     origin spacing of the grid ``build_initial`` makes at resolution ``n``.  The
     run stops when the sup-norm reaches 1e4 times its initial value or the
@@ -275,21 +240,21 @@ def run_phys(
     if mu is None:
         mu = profile.params.mu
     state = build_initial(profile, lam0, n=n)
-    pg = _PhysGrid.make(state.grid)
-    grid, h = pg.grid, pg.h
-    rho = state.rho
+    grid, rho = state.grid, state.rho
+    h = grid[1] - grid[0]
+    lap = flux_laplacian(grid)
     t = 0.0
     t_rec = _RECORD_SPACING * h * h
     k_rec = 1
-    sup0 = state.sup_norm
+    sup0 = float(np.max(rho))
     series = {"t": [], "sup_norm": [], "mass": [], "half_max_radius": [], "dt": []}
-    mass0 = state.mass
+    mass0 = _fv_mass(rho, lap.weight)
     sink_accum = 0.0
 
     def record(dt):
         series["t"].append(t)
         series["sup_norm"].append(float(np.max(rho)))
-        series["mass"].append(_fv_mass(rho, pg.vol))
+        series["mass"].append(_fv_mass(rho, lap.weight))
         series["half_max_radius"].append(_half_max_radius(rho, grid))
         series["dt"].append(dt)
 
@@ -309,12 +274,12 @@ def run_phys(
             raise NoBlowupDetected(
                 f"sup-norm at {sup / sup0:.3g}x initial after t = {t:.3g}"
             )
-        k0, m = _phys_rhs(rho, pg, mu)
-        dt_stable = _stable_dt(m, sup, pg, mu)
+        k0, m_face = _phys_rhs(rho, lap.weight, mu)
+        dt_stable = _stable_dt(m_face, sup, lap.weight, mu)
         t_next = k_rec * t_rec
         on_lattice = dt_stable >= t_next - t
         dt = t_next - t if on_lattice else dt_stable
-        new, sink = _imex_step(rho, k0, pg, mu, dt)
+        new, sink = _imex_step(rho, k0, lap, mu, dt)
         if not np.all(np.isfinite(new)):
             raise NonFiniteField("non-finite density")
         # discrete mass identity, accumulated: mass(t) - mass(0) = sum of sinks
@@ -398,8 +363,8 @@ def pde_residual(
     if ga.shape != gb.shape or not np.allclose(ga, gb) or tb <= ta:
         raise SnapshotMismatch("snapshots not on a shared grid with tb > ta")
     mid = 0.5 * (ra + rb)
-    pg = _PhysGrid.make(ga)
-    op = _phys_rhs(mid, pg, mu)[0] + pg.lap.apply(mid)
+    lap = flux_laplacian(ga)
+    op = _phys_rhs(mid, lap.weight, mu)[0] + lap.apply(mid)
     return l2_norm((rb - ra) / (tb - ta) - op, ga)
 
 

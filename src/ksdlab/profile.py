@@ -53,25 +53,21 @@ def compute_admissibility(mu: float) -> tuple[float, int]:
 
 @dataclass(frozen=True)
 class ProfileParams:
-    """Parameter tuple (mu, j0, beta, q_j0) fixing one profile problem.
+    """Parameter tuple (mu, j0, q_j0) fixing one profile problem.
 
-    ``beta`` is stored but not free: it must equal ``1/(3(1-mu)) + 1/(2 j0)``.
+    The similarity exponent ``beta = 1/(3(1-mu)) + 1/(2 j0)`` is derived from it.
     ``q_j0`` is the leading Taylor coefficient of ``Q - Q0`` (negative for the
     decreasing profile; 0 is accepted and yields the constant solution).
     """
 
     mu: float
     j0: int
-    beta: float
     q_j0: float = -1.0
 
     def __post_init__(self):
         J, j0_min = compute_admissibility(self.mu)
         if self.j0 < max(2, j0_min):
             raise DomainError(f"j0={self.j0} below admissibility threshold J={J}")
-        expected = self.f0 + 1.0 / (2.0 * self.j0)
-        if abs(self.beta - expected) > 1e-12:
-            raise DomainError(f"beta={self.beta} != 1/(3(1-mu)) + 1/(2 j0) = {expected}")
         if not (self.f0 < self.beta < 0.5):
             raise DomainError(f"beta={self.beta} outside ({self.f0}, 1/2)")
         if self.q_j0 > 0:
@@ -87,11 +83,15 @@ class ProfileParams:
         """Averaged-mass value at the origin, ``f0 = Q0/3``."""
         return 1.0 / (3.0 * (1.0 - self.mu))
 
+    @property
+    def beta(self) -> float:
+        """Similarity exponent ``1/(3(1-mu)) + 1/(2 j0)``."""
+        return self.f0 + 1.0 / (2.0 * self.j0)
+
     @classmethod
     def make(cls, mu: float, j0: int, q_j0: float = -1.0) -> "ProfileParams":
-        """Build params with the similarity exponent derived from (mu, j0)."""
-        beta = 1.0 / (3.0 * (1.0 - mu)) + 1.0 / (2.0 * j0)
-        return cls(mu=mu, j0=j0, beta=beta, q_j0=q_j0)
+        """Build params for (mu, j0, q_j0); ``beta`` is derived from (mu, j0)."""
+        return cls(mu=mu, j0=j0, q_j0=q_j0)
 
 
 def series_recurrence(mu: float, beta: float, n: int, j0: int, q_j0: float = -1.0):
@@ -102,7 +102,8 @@ def series_recurrence(mu: float, beta: float, n: int, j0: int, q_j0: float = -1.
         Q_j = j0 S_j / (j - j0),
         S_j = sum_{i=1}^{j-1} (2i/(2(j-i)+3) + (1-mu)) Q_i Q_{j-i},
 
-    using ``beta - f0 = 1/(2 j0)``, which ``ProfileParams`` checks for ``beta``.
+    using ``beta - f0 = 1/(2 j0)``; DomainError when ``beta`` is off
+    ``ProfileParams(mu, j0).beta`` by more than 1e-12.
     At the resonant index ``j == j0`` the denominator vanishes and ``q_j0`` is
     injected as the free datum.  Below ``j0`` every ``S_j`` is 0, and by
     induction so is every ``Q_j`` with ``j0`` not dividing ``j``: a product
@@ -112,7 +113,9 @@ def series_recurrence(mu: float, beta: float, n: int, j0: int, q_j0: float = -1.
     nowhere, ``S_j = sum (2i Q_i) (Q_{j-i}/(2(j-i)+3)) + (1-mu) sum Q_i Q_{j-i}``,
     with ``2i Q_i`` and ``Q_i/(2i+3)`` formed once per lattice index.
     """
-    ProfileParams(mu, j0, beta, q_j0)
+    expected = ProfileParams(mu, j0, q_j0).beta
+    if abs(beta - expected) > 1e-12:
+        raise DomainError(f"beta={beta} != 1/(3(1-mu)) + 1/(2 j0) = {expected}")
     Q = [Decimal(0)] * (n + 1)
     with localcontext() as ctx:
         ctx.prec = SERIES_DIGITS

@@ -1,14 +1,16 @@
 """The benchmark in ``perfbench/`` keeps working against the package's API.
 
 Every call the benchmark makes into ``ksdlab`` must still bind to the callee's
-signature, and every function its per-layer tracer patches must still exist;
-otherwise a parameter cut silently breaks a workload or ``--trace 1``.
+signature, every function its per-layer tracer patches must still exist, and
+its kernel timings must still run on what those calls return; otherwise a
+parameter cut silently breaks a workload or ``--trace 1``.
 """
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import math
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,15 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # patched by the tracer but removed from the package with the profile cache
 GONE = {"io.save_profile_cache"}
+
+
+def _load(fname: str):
+    """A ``perfbench`` module, loaded from its file."""
+    name = f"perfbench_{Path(fname).stem}"
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / fname)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _ksdlab_imports(tree: ast.Module) -> dict[str, object]:
@@ -94,9 +105,7 @@ def test_modal_and_kernel_calls_found():
 
 
 def test_traced_layers_exist():
-    spec = importlib.util.spec_from_file_location("perfbench_layers", PERFBENCH / "layers.py")
-    layers = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(layers)
+    layers = _load("layers.py")
     missing = [
         f"{module}.{func}"
         for module, funcs in layers.LAYERS.items()
@@ -104,3 +113,20 @@ def test_traced_layers_exist():
         if not hasattr(importlib.import_module(f"ksdlab.{module}"), func)
     ]
     assert sorted(missing) == sorted(GONE)
+
+
+def test_kernel_metrics_run(mu0_params, mu0_profile, monkeypatch):
+    # each kernel called once, so the attributes the timings read off the results
+    # (st.grid, st.rho, state.lam, state.grid) are checked, not only the call shapes
+    kernels = _load("kernels.py")
+
+    def once(fn, calls, repeats=5):
+        fn()
+        return 0.0
+
+    monkeypatch.setattr(kernels, "per_call_us", once)
+    metrics = kernels.kernel_metrics(mu0_params, mu0_profile)
+    assert {"kernel.renorm.step_renorm.n4096.us", "kernel.phys.pde_residual.n8192.us",
+            "kernel.linops.apply_L.n8001.us",
+            "kernel.profile.series_recurrence.N400.madds"} <= set(metrics)
+    assert all(math.isfinite(v) for v in metrics.values())

@@ -169,20 +169,21 @@ class TestRun:
         # since the quotients come from per-family Gram matrices; phys.csv and
         # blowup_fit.json (now with stop_reason) and the phys manifest keys since
         # phys runs on the sinh-graded grid; renorm.csv, phys.csv and blowup_fit.json
-        # since both loops diffuse with radial.flux_laplacian over shell volumes
+        # since both loops diffuse with radial.flux_laplacian over shell volumes;
+        # phys.csv and blowup_fit.json since the phys drift reads the FV face masses
         out = tmp_path / "out"
         argv = ["all", "--quick", "--mu", "0", "--j0", "4", "--seed", "12345", "--out", str(out)]
         assert main(argv) == 0
         digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                    for p in out.iterdir() if not p.name.startswith("manifest_")}
         assert digests == {
-            "blowup_fit.json": "7b17bf8c0d7fe9df3056ce9e2cbf654b8966b8ffc6e614db25c4b1a41bd5484c",
+            "blowup_fit.json": "150b8c6211ad3b26d992376dc4fcad03c977bcfa5dd0ffb895ec372e7b8eb9cc",
             "coercivity.csv": "5f2372efcdbbe88f7716d57ab72fc6422b92e34de2a792fa7c1878dcf4d6d762",
             "coercivity_certificate.json":
                 "27d6a622b36f333f26eae09f5b9ee9f5666fe91bdbf2bf701cdaa669a55d28d5",
             "heat.csv": "8bc1c8d0f014961ae358c01ec704df176ca17b9242a50543f8a348589bd96d5d",
             "heat_certificate.json": "54b5230bf9e9e09458bd00591fdf27607ee3f53b88741aeab42277cf39ea1f5e",
-            "phys.csv": "8aeca21749793a67d0a585da7afa8a971a5896c185d521254c9adf7ef641631e",
+            "phys.csv": "b6c28fc367e751a1a28a9e39f54300dfe262ce85d3770c2df2d9b99802be1560",
             "portrait.csv": "9ae938e4050946aaf036207c70af0b9ad02eb1bb3704479dd444711cd24ac83d",
             "profile.csv": "a2e8078c6c513a5751d5b59fd02f3e1bbcd3d42bbf7b46c4046d3e66d3b3c948",
             "renorm.csv": "679d4c894739c8f666848663738269f47488301da2f397d9745c4ea306eaed5d",

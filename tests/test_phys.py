@@ -15,7 +15,6 @@ from ksdlab.phys import (
     _half_max_radius,
     _imex_step,
     _phys_rhs,
-    _PhysGrid,
     _stable_dt,
     build_initial,
     check_scaling_invariance,
@@ -23,7 +22,7 @@ from ksdlab.phys import (
     run_phys,
 )
 from ksdlab.profile import ProfileParams, build_series, solve_profile
-from ksdlab.radial import GAMMA, sinh_grid
+from ksdlab.radial import GAMMA, flux_laplacian, sinh_grid
 
 
 @pytest.fixture(scope="module")
@@ -44,14 +43,14 @@ def _fv_cases(draw):
         grid = np.linspace(0.0, r_max, n)
     elements = st.floats(min_value=0.0, max_value=1e6)
     rho = draw(hnp.arrays(np.float64, len(grid), elements=elements))
-    return _PhysGrid.make(grid), rho
+    return grid, rho
 
 
-def _step(rho, pg, mu, dt=None):
-    k0, m = _phys_rhs(rho, pg, mu)
+def _step(rho, lap, mu, dt=None):
+    k0, m_face = _phys_rhs(rho, lap.weight, mu)
     if dt is None:
-        dt = _stable_dt(m, rho.max(), pg, mu)
-    return _imex_step(rho, k0, pg, mu, dt)[0], dt
+        dt = _stable_dt(m_face, rho.max(), lap.weight, mu)
+    return _imex_step(rho, k0, lap, mu, dt)[0], dt
 
 
 def _record_minima(monkeypatch):
@@ -68,11 +67,10 @@ def _record_minima(monkeypatch):
 class TestDiscretization:
     def test_initial_data(self, mu0_profile):
         st = build_initial(mu0_profile, 1e-4, n=1024)
-        assert st.t == 0.0
-        assert st.sup_norm == pytest.approx(1e8, rel=1e-12)
-        assert st.rho[0] == st.sup_norm  # peak at the origin
+        assert st.rho.max() == pytest.approx(1e8, rel=1e-12)
+        assert st.rho[0] == st.rho.max()  # peak at the origin
         assert st.rho[-1] == 0.0  # cut off before the boundary
-        assert st.mass > 0.0
+        assert _fv_mass(st.rho, flux_laplacian(st.grid).weight) > 0.0
 
     @pytest.mark.parametrize("lam0, named", [
         (0.0, "underflows"), (1e-200, "underflows"), (float("nan"), "not finite"),
@@ -100,12 +98,11 @@ class TestDiscretization:
         flux_form[0] = F[0] / (r_face[0] ** 3 / 3.0)
         flux_form[1:-1] = (F[1:] - F[:-1]) / ((r_face[1:] ** 3 - r_face[:-1] ** 3) / 3.0)
         flux_form[-1] = -F[-1] / ((outer**3 - r_face[-1] ** 3) / 3.0)
-        pg = _PhysGrid.make(grid)
-        lap = pg.lap
+        lap = flux_laplacian(grid)
         L = diags(1.0 / lap.weight) @ diags([lap.off, lap.diag, lap.off], [-1, 0, 1])
         scale = np.max(np.abs(flux_form))
         assert np.max(np.abs(L @ rho - flux_form)) < 1e-12 * scale
-        assert np.max(np.abs(pg.lap.apply(rho) - flux_form)) < 1e-12 * scale
+        assert np.max(np.abs(lap.apply(rho) - flux_form)) < 1e-12 * scale
 
     @pytest.mark.parametrize("n", [64, 1024, 8192])
     @pytest.mark.parametrize("k", [0.1, 1.0, 2.5])
@@ -113,10 +110,10 @@ class TestDiscretization:
         # the volume-weighted symmetric solve against a pivoting banded LU (LAPACK
         # gbsv) of I - c K / vol, the same operator's bands, at the implicit stage's
         # c = gamma dt; a dense solve at n=8192 would need a 537 MB matrix
-        pg = _PhysGrid.make(np.linspace(0.0, 1.0, n))
-        lap = pg.lap
+        grid = np.linspace(0.0, 1.0, n)
+        lap = flux_laplacian(grid)
         b = np.random.default_rng(n).uniform(0.5, 1.5, n)
-        c = GAMMA * k * pg.h**2
+        c = GAMMA * k * grid[1] ** 2
         bands = np.zeros((3, n))
         bands[0, 1:] = -c * lap.off / lap.weight[:-1]
         bands[1] = 1.0 - c * lap.diag / lap.weight
@@ -124,28 +121,26 @@ class TestDiscretization:
         x = lap.solver(c)(b)
         np.testing.assert_allclose(x, solve_banded((1, 1), bands, b), rtol=1e-14, atol=0.0)
         # K's columns sum to zero, so diffusion conserves the FV mass
-        mass = np.dot(pg.vol, b)
-        assert abs(np.dot(pg.vol, x) - mass) <= 1e-14 * mass
+        mass = np.dot(lap.weight, b)
+        assert abs(np.dot(lap.weight, x) - mass) <= 1e-14 * mass
 
     def test_transport_conserves_discrete_mass(self, mu0_profile):
         st = build_initial(mu0_profile, 1e-4, n=512)
-        rho, grid = st.rho, st.grid
-        pg = _PhysGrid.make(grid)
-        m0 = _fv_mass(rho, pg.vol)
-        rho, _dt = _step(rho, pg, mu=0.0)
-        assert _fv_mass(rho, pg.vol) == pytest.approx(m0, rel=1e-14)
+        rho, lap = st.rho, flux_laplacian(st.grid)
+        m0 = _fv_mass(rho, lap.weight)
+        rho, _dt = _step(rho, lap, mu=0.0)
+        assert _fv_mass(rho, lap.weight) == pytest.approx(m0, rel=1e-14)
         for _ in range(49):
-            rho, _dt = _step(rho, pg, mu=0.0)
-        assert _fv_mass(rho, pg.vol) == pytest.approx(m0, rel=1e-13)
+            rho, _dt = _step(rho, lap, mu=0.0)
+        assert _fv_mass(rho, lap.weight) == pytest.approx(m0, rel=1e-13)
 
     def test_damping_only_removes(self, mu0_profile):
         st = build_initial(mu0_profile, 1e-4, n=512)
-        rho, grid = st.rho, st.grid
-        pg = _PhysGrid.make(grid)
-        masses = [_fv_mass(rho, pg.vol)]
+        rho, lap = st.rho, flux_laplacian(st.grid)
+        masses = [_fv_mass(rho, lap.weight)]
         for _ in range(50):
-            rho, _dt = _step(rho, pg, mu=0.2)
-            masses.append(_fv_mass(rho, pg.vol))
+            rho, _dt = _step(rho, lap, mu=0.2)
+            masses.append(_fv_mass(rho, lap.weight))
         assert np.all(np.diff(masses) < 0)
 
     def test_half_max_interpolates(self):
@@ -160,10 +155,10 @@ class TestScaling:
         # so the steps stay at the explicit-diffusion scale 0.125 h^2
         st = build_initial(profile, 1e-4, n=n)
         rho, grid = st.rho.copy(), st.grid
-        pg = _PhysGrid.make(grid)
+        lap = flux_laplacian(grid)
         t = 0.0
         for _ in range(steps):
-            rho, dt = _step(rho, pg, mu=0.0, dt=0.125 * pg.h**2)
+            rho, dt = _step(rho, lap, mu=0.0, dt=0.125 * grid[1] ** 2)
             t += dt
         a = (0.0, grid, st.rho)
         b = (t, grid, rho)
@@ -173,8 +168,8 @@ class TestScaling:
         a, b = self._snapshots(mu0_profile)
         res = pde_residual(a, b, mu=0.0)
         # normalize by the scale of d rho/dt
-        pg = _PhysGrid.make(b[1])
-        op = _phys_rhs(b[2], pg, 0.0)[0] + pg.lap.apply(b[2])
+        lap = flux_laplacian(b[1])
+        op = _phys_rhs(b[2], lap.weight, 0.0)[0] + lap.apply(b[2])
         scale = np.sqrt(4 * np.pi * np.trapezoid(op ** 2 * b[1] ** 2, b[1]))
         assert res < 0.05 * scale
 
@@ -219,8 +214,8 @@ class TestBlowup:
         assert rel_drift < 1e-10
         assert fit.T_est == pytest.approx(1e-16, rel=0.05)
         # pinned outputs: the run constants must keep the arithmetic
-        assert fit.p_amp == pytest.approx(-0.9932504810723682, rel=1e-12)
-        assert fit.p_len == pytest.approx(0.5158768301506413, rel=1e-12)
+        assert fit.p_amp == pytest.approx(-0.9932696612474293, rel=1e-12)
+        assert fit.p_len == pytest.approx(0.515849824059974, rel=1e-12)
         # every record but the final (stopping) one sits on the 2.5 h^2 lattice
         grid = series["grid"]
         t_rec = 2.5 * (grid[1] - grid[0]) ** 2
@@ -249,27 +244,28 @@ class TestBlowup:
         assert np.all(np.diff(series["mass"]) < 0)
         assert min(minima) >= 0.0
 
+    @staticmethod
+    def _count_rhs(monkeypatch):
+        """The list that each later ``_phys_rhs`` call appends to."""
+        calls = []
+        rhs = phys._phys_rhs
+        monkeypatch.setattr(
+            phys, "_phys_rhs", lambda rho, vol, mu: calls.append(1) or rhs(rho, vol, mu)
+        )
+        return calls
+
     def test_implicit_diffusion_step_count(self, mu0_profile, monkeypatch):
         # diffusion no longer bounds dt: the n=8192 run took ~2950 explicit steps
-        calls = []
-        kernel = phys.cumulative_simpson_uniform
-        monkeypatch.setattr(
-            phys, "cumulative_simpson_uniform", lambda y, h: calls.append(1) or kernel(y, h)
-        )
+        calls = self._count_rhs(monkeypatch)
         series, _ = run_phys(mu0_profile, lam0=1e-8, n=8192)
-        assert len(calls) // 2 <= 300
+        assert 0 < series["steps"] <= 300
+        assert len(calls) == 2 * series["steps"]
         assert len(series["t"]) >= 140
 
     def test_two_partial_mass_kernels_per_step(self, mu0_profile, monkeypatch):
-        # k0's partial mass also sets dt, so each IMEX step runs the kernel twice
-        calls = []
-        kernel = phys.cumulative_simpson_uniform
-
-        def counted(y, h):
-            calls.append(len(y))
-            return kernel(y, h)
-
-        monkeypatch.setattr(phys, "cumulative_simpson_uniform", counted)
+        # k0's face masses also set dt, so each IMEX step evaluates the explicit
+        # operator, and with it the face-mass sum, twice
+        calls = self._count_rhs(monkeypatch)
         steps = 5
         with pytest.raises(NoBlowupDetected, match="step budget"):
             run_phys(mu0_profile, lam0=1e-8, n=2048, max_steps=steps)
@@ -298,13 +294,19 @@ class TestMassTelescoping:
     def test_fv_mass_telescopes(self, case, mu):
         # the transport fluxes cancel face by face in the FV mass sum, and the
         # damping removes exactly mu * sum vol rho^2
-        pg, rho = case
-        k0 = _phys_rhs(rho, pg, 0.0)[0]
-        scale = np.dot(pg.vol, np.abs(k0))
-        assert abs(np.dot(pg.vol, k0)) <= 1e-13 * scale
-        damping = -mu * np.dot(pg.vol, rho * rho)
-        km = _phys_rhs(rho, pg, mu)[0]
-        assert abs(np.dot(pg.vol, km - k0) - damping) <= 1e-13 * (scale + abs(damping))
+        grid, rho = case
+        vol = flux_laplacian(grid).weight
+        k0, m_face = _phys_rhs(rho, vol, 0.0)
+        scale = np.dot(vol, np.abs(k0))
+        assert abs(np.dot(vol, k0)) <= 1e-13 * scale
+        damping = -mu * np.dot(vol, rho * rho)
+        km = _phys_rhs(rho, vol, mu)[0]
+        assert abs(np.dot(vol, km - k0) - damping) <= 1e-13 * (scale + abs(damping))
+        # the face masses are the running FV mass sum: the last face and the outer
+        # cell hold the whole conserved mass, and no face holds less than the one inside
+        total = _fv_mass(rho, vol)
+        assert abs(4.0 * np.pi * (m_face[-1] + vol[-1] * rho[-1]) - total) <= 1e-13 * total
+        assert np.all(np.diff(m_face) >= 0.0)
 
     @given(case=_fv_cases(), seed=st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=60, deadline=None)
@@ -312,18 +314,18 @@ class TestMassTelescoping:
         # vol L = K is symmetric: L is self-adjoint in the vol-weighted inner
         # product; K's rows sum to zero, so L kills constants; and the implicit
         # stage's W - c K factors without pivoting
-        pg, _ = case
-        lap = pg.lap
-        assert np.all(lap.off > 0.0) and np.all(pg.vol > 0.0)
+        grid, _ = case
+        lap = flux_laplacian(grid)
+        assert np.all(lap.off > 0.0) and np.all(lap.weight > 0.0)
         rows = lap.diag.copy()
         rows[:-1] += lap.off
         rows[1:] += lap.off
         assert np.all(np.abs(rows) <= 1e-14 * np.abs(lap.diag))
-        x, y = np.random.default_rng(seed).uniform(-1.0, 1.0, (2, len(pg.grid)))
-        xLy, yLx = np.dot(pg.vol * x, lap.apply(y)), np.dot(pg.vol * y, lap.apply(x))
+        x, y = np.random.default_rng(seed).uniform(-1.0, 1.0, (2, len(grid)))
+        xLy, yLx = np.dot(lap.weight * x, lap.apply(y)), np.dot(lap.weight * y, lap.apply(x))
         assert abs(xLy - yLx) <= 1e-13 * np.dot(np.abs(x), np.abs(lap.diag * y))
-        b = np.ones_like(pg.grid)
-        np.testing.assert_allclose(lap.solver(GAMMA * 2.5 * pg.h**2)(b), b, rtol=1e-12)
+        b = np.ones_like(grid)
+        np.testing.assert_allclose(lap.solver(GAMMA * 2.5 * grid[1] ** 2)(b), b, rtol=1e-12)
 
     @given(
         case=_fv_cases(),
@@ -334,9 +336,8 @@ class TestMassTelescoping:
     def test_scaling_invariance_any_grid(self, case, log_lam, mu):
         # the residual density scales as lam^-4 and the volume element as lam^3
         # on the uniform and the graded grid alike
-        pg, rho = case
-        grid = pg.grid
-        a, b = (0.0, grid, rho), (0.125 * pg.h**2, grid, rho[::-1].copy())
+        grid, rho = case
+        a, b = (0.0, grid, rho), (0.125 * grid[1] ** 2, grid, rho[::-1].copy())
         lam = 10.0**log_lam
         base = pde_residual(a, b, mu)
         assert check_scaling_invariance(a, b, lam, mu) == pytest.approx(

@@ -119,10 +119,6 @@ class TestParams:
         assert p.q0 == 1.0
         assert p.f0 == pytest.approx(1.0 / 3.0, abs=1e-15)
 
-    def test_beta_must_match(self):
-        with pytest.raises(DomainError):
-            ProfileParams(mu=0.0, j0=4, beta=0.47)
-
     def test_positive_seed_rejected(self):
         with pytest.raises(DomainError):
             ProfileParams.make(0.0, 4, q_j0=0.5)
