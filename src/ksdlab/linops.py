@@ -128,7 +128,8 @@ def min_vanish_order(A: int) -> int:
 
 
 def _probe_suite(p0: int, count: int, seed: int) -> list[TestFunction]:
-    """Seeded probe suite: vanishing orders alternate p0, p0+2; scales cycle 0.5..4."""
+    """Seeded probe suite: p alternates p0, p0+2 in step with s cycling 0.5, 1, 2, 4, so the
+    members form the four ``(p, s)`` families (p0, 0.5), (p0+2, 1), (p0, 2), (p0+2, 4)."""
     rng = np.random.default_rng(seed)
     scales = (0.5, 1.0, 2.0, 4.0)
     suite = []
@@ -531,10 +532,6 @@ def coercivity_probe(
     """
     if quad is None:
         quad = RadialQuad.make()
-    pmin = min_vanish_order(w.A)
-    for idx, tf in enumerate(suite):
-        if tf.p < pmin:
-            raise DivergentIntegrand(f"suite member {idx} has p={tf.p} < {pmin}")
     core = _WeightedL2(quad, w.A, w.B, 2)
     L = functools.partial(_L_vals, core, _operator_coeffs(params, quad.r, *profile.sample(quad.r)))
     [quotients] = _probe_quotients(suite, core, L, (w.B,), -0.125 + 1e-3)
@@ -543,36 +540,6 @@ def coercivity_probe(
          "quotient": quot, "flagged": flagged}
         for idx, (tf, (quot, flagged)) in enumerate(zip(suite, quotients))
     ]
-
-
-def nonlocal_ibp_routes(
-    profile: RadialProfile,
-    w: WeightParams,
-    g: PolyGauss,
-    quad: RadialQuad | None = None,
-) -> tuple[float, float]:
-    """Two quadrature routes to ``(r f_Q g', g)_w`` (the aggregation drift term).
-
-    Route 1 integrates directly; route 2 uses the integration-by-parts identity
-
-        \\int (r f_Q g') g w dy = -1/2 \\int Q g^2 w dy
-                                 + (A/2) \\int g^2 f_Q r^{-A} dy,
-
-    valid because ``(f_Q r^3)' = Q r^2`` and the B-part of the boundary terms
-    vanishes for decaying g.
-    """
-    if quad is None:
-        quad = RadialQuad.make()
-    core = _WeightedL2(quad, w.A, w.B, 2)
-    Q, fq, _ = profile.sample(quad.r)
-    gv, dg, p = _sample_slope(g, quad)
-    # r f_Q g' vanishes to the order p of g
-    route1 = 4.0 * math.pi * core.integrate(core.integrand(quad.r * fq * dg, p, gv, p))
-    route2 = 4.0 * math.pi * (
-        -0.5 * core.integrate(core.integrand(Q * gv, p, gv, p))
-        + 0.5 * w.A * core.integrate(fq * core.singular(gv, p, gv, p))
-    )
-    return route1, route2
 
 
 def quadratic_form_split(
@@ -616,7 +583,7 @@ def quadratic_form_split(
 
 
 # ---------------------------------------------------------------------------
-# low-order Sobolev probe
+# low-order Sobolev drift identity
 # ---------------------------------------------------------------------------
 
 
@@ -633,38 +600,20 @@ def _sobolev_inner_analytic(a: PolyGauss, b: PolyGauss, m: int, quad: RadialQuad
     return 4.0 * math.pi * quad.integrate(va * vb, power=2)
 
 
-def _du_matrix(vals: np.ndarray, u: np.ndarray, order: int) -> np.ndarray:
-    """4th-order finite difference d^order/du^order on a uniform grid."""
-    h = u[1] - u[0]
-    n = len(vals)
-    if order == 1:
-        c = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * h)
-    else:
-        c = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * h * h)
-    out = np.empty(n)
-    out[2:-2] = sum(c[j] * vals[j : n - 4 + j] for j in range(5))
-    out[:2], out[-2:] = out[2], out[-3]  # crude edge copy; integrands vanish there
-    return out
-
-
 def sobolev_probe_low_order(
-    profile: RadialProfile,
     params: ProfileParams,
     g: PolyGauss,
     m: int,
     quad: RadialQuad | None = None,
 ) -> dict[str, float]:
-    """``(Lg, g)`` in homogeneous H^m for m in {0, 1, 2}, with a scaling check.
-
-    The drift part obeys the dilation identity
+    """The drift dilation identity in homogeneous H^m, m in {0, 1, 2} (others raise
+    OrderUnsupported):
 
         -(D^m (g + beta y.grad g), D^m g) = -(1 + beta (2m-3)/2) ||g||_{H^m}^2,
 
-    verified here both by direct quadrature and by finite-differencing the
-    norm of the dilated family ``lam g(lam^beta y)`` in lam.
+    its left side both by direct quadrature and by finite-differencing the norm
+    of the dilated family ``lam g(lam^beta y)`` in lam.
     """
-    if m not in (0, 1, 2):
-        raise OrderUnsupported(f"m={m} not in {{0,1,2}}")
     if quad is None:
         quad = RadialQuad.make()
     beta = params.beta
@@ -680,26 +629,9 @@ def sobolev_probe_low_order(
     minus = _sobolev_inner_analytic(g.dilate(1.0 - dlam, beta), g.dilate(1.0 - dlam, beta), m, quad)
     dilation_route = -0.5 * (plus - minus) / (2.0 * dlam)
 
-    # full (Lg, g)_{H^m} with the operator sampled on the grid
-    Lg = apply_L(profile, params, g, quad)
-    r, u = quad.r, quad.u
-    if m == 0:
-        va, vb = Lg.vals, g(r)
-    elif m == 1:
-        va = _du_matrix(Lg.vals, u, 1) / r
-        vb = g.deriv()(r)
-    else:
-        d1 = _du_matrix(Lg.vals, u, 1)
-        d2 = _du_matrix(Lg.vals, u, 2)
-        va = (d2 + d1) / (r * r)
-        vb = g.laplacian()(r)
-    value = 4.0 * math.pi * quad.integrate(va * vb, power=2)
-
     return {
-        "value": value,
         "drift_direct": direct,
         "drift_predicted": predicted,
         "drift_dilation": dilation_route,
         "coefficient": coefficient,
-        "norm2": norm2,
     }

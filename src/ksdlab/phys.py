@@ -342,7 +342,6 @@ def run_phys(
     )
     for key in series:
         series[key] = np.array(series[key])
-    series["rho_final"] = rho
     series["grid"] = grid
     series["steps"] = steps
     return series, fit

@@ -308,12 +308,11 @@ def run_renorm(
 
 @dataclass(frozen=True)
 class RateFit:
-    """Fitted modal growth rate (and forcing diagnostics) for one seeded mode."""
+    """Fitted modal growth rate for one seeded mode."""
 
     j: int
     rate: float
     expected: float
-    forcing_ratio: float
     tau: np.ndarray
     dc: np.ndarray
 
@@ -354,17 +353,16 @@ def measure_rates(
         raise ForcingDominates("seeded mode vanished; amplitude below drift noise")
     rate = float(np.polyfit(tau, np.log(np.abs(dcj)), 1)[0])
 
-    # forcing diagnostic on the differenced field: lam^{2-4b} [Lap delta]_j
+    # forcing check on the differenced field: lam^{2-4b} [Lap delta]_j
     # against the modal derivative
     lam_pow = flow["lam"] ** (2.0 - 4.0 * params.beta)
     forcing = lam_pow * (2 * j + 2) * (2 * j + 3) * np.abs(dc[:, j + 1])
     dcdt = np.abs(np.gradient(dcj, tau))
-    ratio = float(np.max(forcing / np.maximum(dcdt, 1e-300)))
     if np.all(forcing > 0.1 * dcdt):
         raise ForcingDominates("diffusive forcing exceeds modal derivative throughout")
 
     expected = (params.j0 - j) / params.j0
-    return RateFit(j=j, rate=rate, expected=expected, forcing_ratio=ratio, tau=tau, dc=dcj)
+    return RateFit(j=j, rate=rate, expected=expected, tau=tau, dc=dcj)
 
 
 def measure_coupling(

@@ -24,12 +24,10 @@ from ksdlab.linops import (
     coercivity_probe,
     make_test_suite,
     min_vanish_order,
-    nonlocal_ibp_routes,
     quadratic_form_split,
     select_weight,
     sobolev_probe_low_order,
     _dq_weighted_norm,
-    _du_matrix,
     weighted_inner,
 )
 from ksdlab.profile import ProfileParams, build_series, solve_profile
@@ -223,13 +221,10 @@ class TestOperator:
         scale = np.max(np.abs(Lg.vals))
         assert np.allclose(Lg.vals, Lg_heat.vals, atol=1e-12 * scale)
 
-    def test_ibp_routes_agree(self, mu0_profile, weight36, quad):
-        for p, s in ((18, 1.0), (20, 2.0)):
-            r1, r2 = nonlocal_ibp_routes(mu0_profile, weight36, monomial(p, s), quad)
-            assert r1 == pytest.approx(r2, rel=1e-10)
-
     def test_quadratic_form_split(self, mu0_profile, mu0_params, weight36, quad):
-        for p, s in ((18, 0.5), (20, 1.0)):
+        # I_SI and I_LO carry the drift's integration by parts, int (r f_Q g') g w =
+        # -1/2 int Q g^2 w + (A/2) int g^2 f_Q r^{-A}, so a wrong split fails the sum
+        for p, s in ((18, 0.5), (20, 1.0), (18, 1.0), (20, 2.0)):
             parts = quadratic_form_split(
                 mu0_profile, mu0_params, weight36, monomial(p, s), quad
             )
@@ -317,27 +312,16 @@ class TestCoercivity:
 
 
 class TestSobolev:
-    def test_dilation_identity_routes(self, mu0_profile, mu0_params, quad):
+    def test_dilation_identity_routes(self, mu0_params, quad):
         g = monomial(4, 1.0)
         beta = mu0_params.beta
         for m in (0, 1, 2):
-            out = sobolev_probe_low_order(mu0_profile, mu0_params, g, m, quad)
+            out = sobolev_probe_low_order(mu0_params, g, m, quad)
             pred = -(1.0 + beta * (2 * m - 3) / 2.0)
             assert out["coefficient"] == pytest.approx(pred, abs=1e-15)
             assert out["drift_direct"] == pytest.approx(out["drift_predicted"], rel=1e-10)
             assert out["drift_dilation"] == pytest.approx(out["drift_direct"], rel=1e-6)
 
-    def test_du_matrix_exact_on_quartic(self):
-        # the 5-point stencils are exact on quartics; the two edge nodes at
-        # each end copy their nearest interior neighbour
-        u = np.linspace(0.0, 1.0, 41)
-        vals = 1.0 + u + u**2 + u**3 + u**4
-        exact = {1: 1.0 + 2 * u + 3 * u**2 + 4 * u**3, 2: 2.0 + 6 * u + 12 * u**2}
-        for order, ref in exact.items():
-            out = _du_matrix(vals, u, order)
-            np.testing.assert_allclose(out[2:-2], ref[2:-2], rtol=1e-10)
-            assert np.all(out[:2] == out[2]) and np.all(out[-2:] == out[-3])
-
-    def test_order_guard(self, mu0_profile, mu0_params, quad):
+    def test_order_guard(self, mu0_params, quad):
         with pytest.raises(OrderUnsupported):
-            sobolev_probe_low_order(mu0_profile, mu0_params, monomial(4, 1.0), 3, quad)
+            sobolev_probe_low_order(mu0_params, monomial(4, 1.0), 3, quad)
