@@ -10,7 +10,7 @@ class DomainError(KSDLabError):
 
 
 class NoConvergence(KSDLabError):
-    """Series ratio test failed to certify the target tolerance."""
+    """An error estimate (series, quadrature) or a residual stayed above its tolerance."""
 
 
 class RegionExitScenario1(KSDLabError):
@@ -35,10 +35,6 @@ class GridMismatch(KSDLabError):
 
 class DivergentIntegrand(KSDLabError):
     """Vanishing order too low for the singular weight."""
-
-
-class OrderUnsupported(KSDLabError):
-    """Sobolev probe order outside the implemented range."""
 
 
 class CFLViolation(KSDLabError):

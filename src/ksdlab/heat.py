@@ -60,20 +60,6 @@ def heat_profile(p: HeatParams, y):
     return 1.0 / (1.0 + p.c * y ** (2 * p.m))
 
 
-def heat_profile_dy(p: HeatParams, y):
-    """Exact derivative ``U_*'(y) = -2 m c y^{2m-1} U_*^2``."""
-    y = np.asarray(y, dtype=float)
-    U = heat_profile(p, y)
-    return -2.0 * p.m * p.c * y ** (2 * p.m - 1) * U * U
-
-
-def heat_profile_residual(p: HeatParams, y):
-    """Residual of the profile ODE ``-U - y U'/(2m) + U^2`` (zero analytically)."""
-    y = np.asarray(y, dtype=float)
-    U = heat_profile(p, y)
-    return -U - y * heat_profile_dy(p, y) / (2.0 * p.m) + U * U
-
-
 def _heat_L_vals(p: HeatParams, y: np.ndarray, u2: np.ndarray, ev: np.ndarray, dv: np.ndarray):
     """``L e`` on the grid from the samples of ``e`` and ``e'``; ``u2`` is ``2 U_*(y)``."""
     return -ev - y * dv / (2.0 * p.m) + u2 * ev

@@ -20,13 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DivergentIntegrand,
-    DomainError,
-    GridMismatch,
-    NoConvergence,
-    OrderUnsupported,
-)
+from .errors import DivergentIntegrand, DomainError, GridMismatch, NoConvergence
 from .profile import ProfileParams, RadialProfile
 from .radial import cumulative_simpson_uniform, horner
 
@@ -40,9 +34,8 @@ from .radial import cumulative_simpson_uniform, horner
 class PolyGauss:
     """Radial function ``P(r) * exp(-r^2/s^2)`` with polynomial ``P``.
 
-    Closed under differentiation, multiplication by powers of r, and dilation,
-    which gives exact derivatives for all probe quantities.  ``coeffs[k]`` is
-    the coefficient of ``r^k``.
+    Closed under differentiation, which gives exact slopes for the probe
+    quantities.  ``coeffs[k]`` is the coefficient of ``r^k``.
     """
 
     coeffs: np.ndarray
@@ -67,47 +60,14 @@ class PolyGauss:
         out[: len(shifted)] += shifted
         return PolyGauss(out, self.s)
 
-    def times_r(self, k: int = 1) -> "PolyGauss":
-        return PolyGauss(np.concatenate((np.zeros(k), self.coeffs)), self.s)
-
-    def div_r(self, k: int = 1) -> "PolyGauss":
-        if np.any(self.coeffs[:k] != 0.0):
-            raise DomainError("polynomial part not divisible by r^k")
-        return PolyGauss(self.coeffs[k:].copy(), self.s)
-
-    def __add__(self, other: "PolyGauss") -> "PolyGauss":
-        if other.s != self.s:
-            raise DomainError("mismatched gaussian scales")
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = np.zeros(n)
-        out[: len(self.coeffs)] += self.coeffs
-        out[: len(other.coeffs)] += other.coeffs
-        return PolyGauss(out, self.s)
-
-    def scale(self, a: float) -> "PolyGauss":
-        return PolyGauss(a * self.coeffs, self.s)
-
-    def laplacian(self) -> "PolyGauss":
-        """Radial 3D Laplacian g'' + (2/r) g' (exact; needs smooth even input)."""
-        d = self.deriv()
-        return d.deriv() + d.div_r().scale(2.0)
-
-    def dilate(self, lam: float, beta: float) -> "PolyGauss":
-        """Return ``lam * g(lam^beta r)``."""
-        k = np.arange(len(self.coeffs), dtype=float)
-        return PolyGauss(lam * self.coeffs * lam ** (beta * k), self.s * lam ** (-beta))
-
-    def dilation_generator(self, beta: float) -> "PolyGauss":
-        """Return ``g + beta * r * g'`` (derivative of dilate at lam=1)."""
-        return self + self.deriv().times_r().scale(beta)
-
 
 @dataclass(frozen=True)
 class TestFunction:
     """Probe function ``r^p * P(r) * exp(-r^2/s^2)`` with even polynomial P.
 
-    ``poly_coeffs[k]`` multiplies ``r^{2k}``; ``p`` must make ``g`` integrable
-    against ``r^{-A+2} dr`` near the origin (p >= (A-1)/2 rounded up to even).
+    ``poly_coeffs[k]`` multiplies ``r^{2k}``; ``p`` must make ``g^2`` integrable
+    against ``r^{-A+2} dr`` near the origin, ``2p + 2 > A - 1``; the least such
+    even ``p`` is ``min_vanish_order(A)``.
     """
 
     p: int
@@ -122,8 +82,9 @@ class TestFunction:
 
 
 def min_vanish_order(A: int) -> int:
-    """Least even p with r^{2p} integrable against r^{-A+2} dr near 0."""
-    p = math.ceil((A - 1) / 2)
+    """Least even p with r^{2p} integrable against r^{-A+2} dr near 0, the order the
+    weighted core's guard admits for a function paired with itself: ``2p + 2 > A - 1``."""
+    p = (A - 3) // 2 + 1
     return p + (p % 2)
 
 
@@ -178,11 +139,6 @@ class RadialQuad:
     def integrate(self, F: np.ndarray, power: int = 2, coarse: bool = False):
         """Quadrature of ``F(r) r^power dr`` = ``F e^{(power+1)u} du``."""
         return _WeightedL2(self, 0, 0.0, power).integrate(F, coarse)
-
-    def cumulative(self, F: np.ndarray, power: int = 2) -> np.ndarray:
-        """Cumulative ``\\int_0^{r_i} F s^power ds`` (below-grid part negligible
-        for integrands vanishing at the origin)."""
-        return _WeightedL2(self, 0, 0.0, power).cumulative(F)
 
 
 @dataclass(frozen=True)
@@ -540,98 +496,3 @@ def coercivity_probe(
          "quotient": quot, "flagged": flagged}
         for idx, (tf, (quot, flagged)) in enumerate(zip(suite, quotients))
     ]
-
-
-def quadratic_form_split(
-    profile: RadialProfile,
-    params: ProfileParams,
-    w: WeightParams,
-    g: PolyGauss,
-    quad: RadialQuad | None = None,
-) -> dict[str, float]:
-    """Three-term decomposition of ``(Lg, g)_w``.
-
-    ``I_SI`` collects the singular-weight local terms (after integrating the
-    advective and drift terms by parts), ``I_LO`` the flat-weight local terms,
-    ``I_NLO`` the remaining nonlocal term; their sum matches the direct
-    evaluation ``(Lg, g)_w``.
-    """
-    if quad is None:
-        quad = RadialQuad.make()
-    mu, beta = params.mu, params.beta
-    core = _WeightedL2(quad, w.A, w.B, 2)
-    Q, fq, dQ = profile.sample(quad.r)
-    r = quad.r
-    gv, dg, p = _sample_slope(g, quad)
-    g2s = core.singular(gv, p, gv, p)  # g^2 r^{-A}
-    g2 = gv * gv
-
-    def I(vals):
-        return 4.0 * math.pi * core.integrate(vals)
-
-    I_SI = (
-        (-1.0 + beta * (3.0 - w.A) / 2.0) * I(g2s)
-        + 0.5 * w.A * I(fq * g2s)
-        + (1.5 - 2.0 * mu) * I(Q * g2s)
-    )
-    I_LO = w.B * ((-1.0 + 1.5 * beta) * I(g2) + (1.5 - 2.0 * mu) * I(Q * g2))
-    J = core.cumulative(gv) / (r * r)
-    I_NLO = I(dQ * core.integrand(J, p + 1, gv, p))  # J vanishes to order p + 1
-    Lv = _L_vals(core, _operator_coeffs(params, r, Q, fq, dQ), gv, dg)
-    direct = core.inner(Lv, p, gv, p)
-    return {"I_SI": I_SI, "I_LO": I_LO, "I_NLO": I_NLO, "direct": direct}
-
-
-# ---------------------------------------------------------------------------
-# low-order Sobolev drift identity
-# ---------------------------------------------------------------------------
-
-
-def _sobolev_inner_analytic(a: PolyGauss, b: PolyGauss, m: int, quad: RadialQuad) -> float:
-    """Homogeneous H^m inner product of analytic radial functions."""
-    if m == 0:
-        va, vb = a(quad.r), b(quad.r)
-    elif m == 1:
-        va, vb = a.deriv()(quad.r), b.deriv()(quad.r)
-    elif m == 2:
-        va, vb = a.laplacian()(quad.r), b.laplacian()(quad.r)
-    else:
-        raise OrderUnsupported(f"m={m} not in {{0,1,2}}")
-    return 4.0 * math.pi * quad.integrate(va * vb, power=2)
-
-
-def sobolev_probe_low_order(
-    params: ProfileParams,
-    g: PolyGauss,
-    m: int,
-    quad: RadialQuad | None = None,
-) -> dict[str, float]:
-    """The drift dilation identity in homogeneous H^m, m in {0, 1, 2} (others raise
-    OrderUnsupported):
-
-        -(D^m (g + beta y.grad g), D^m g) = -(1 + beta (2m-3)/2) ||g||_{H^m}^2,
-
-    its left side both by direct quadrature and by finite-differencing the norm
-    of the dilated family ``lam g(lam^beta y)`` in lam.
-    """
-    if quad is None:
-        quad = RadialQuad.make()
-    beta = params.beta
-
-    norm2 = _sobolev_inner_analytic(g, g, m, quad)
-    gen = g.dilation_generator(beta)
-    direct = -_sobolev_inner_analytic(gen, g, m, quad)
-    coefficient = -(1.0 + beta * (2.0 * m - 3.0) / 2.0)
-    predicted = coefficient * norm2
-
-    dlam = 1e-5
-    plus = _sobolev_inner_analytic(g.dilate(1.0 + dlam, beta), g.dilate(1.0 + dlam, beta), m, quad)
-    minus = _sobolev_inner_analytic(g.dilate(1.0 - dlam, beta), g.dilate(1.0 - dlam, beta), m, quad)
-    dilation_route = -0.5 * (plus - minus) / (2.0 * dlam)
-
-    return {
-        "drift_direct": direct,
-        "drift_predicted": predicted,
-        "drift_dilation": dilation_route,
-        "coefficient": coefficient,
-    }

@@ -365,25 +365,3 @@ def pde_residual(
     lap = flux_laplacian(ga)
     op = _phys_rhs(mid, lap.weight, mu)[0] + lap.apply(mid)
     return l2_norm((rb - ra) / (tb - ta) - op, ga)
-
-
-def check_scaling_invariance(
-    snap_a: tuple[float, np.ndarray, np.ndarray],
-    snap_b: tuple[float, np.ndarray, np.ndarray],
-    lam: float,
-    mu: float,
-) -> float:
-    """PDE residual of the rescaled pair ``(lam^2 t, lam r, rho/lam^2)``.
-
-    The equation is invariant under this map, so the residual stays at the
-    discretization level O(h^2); lam=1 reproduces the unrescaled residual
-    exactly.
-    """
-    if lam <= 0:
-        raise DomainError("lam must be positive")
-
-    def remap(snap):
-        t, g, r = snap
-        return (lam * lam * t, lam * g, r / (lam * lam))
-
-    return pde_residual(remap(snap_a), remap(snap_b), mu)

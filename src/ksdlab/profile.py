@@ -142,11 +142,12 @@ def _even_series(coeffs: np.ndarray, r):
 
 @dataclass(frozen=True)
 class PowerSeries:
-    """Even Taylor coefficients of (Q, f) at the origin, with a growth certificate.
+    """Even Taylor coefficients of (Q, f) at the origin, with fitted growth estimates.
 
     ``Q(r) = sum_j q_coeffs[j] r^{2j}``; ``f_coeffs[j] = q_coeffs[j]/(2j+3)``.
-    The certificate asserts ``|Q_j| <= bound_K^(j-bound_alpha)/j^2`` for every
-    stored ``j >= 1``.
+    ``radius_estimate`` is a geometric-ratio fit of the convergence radius.
+    ``bound_K`` and ``bound_alpha`` fit ``|Q_j| <= bound_K^(j-bound_alpha)/j^2``
+    over the stored ``j >= 1`` only, so they say nothing of the omitted ones.
     """
 
     q_coeffs: np.ndarray
@@ -168,7 +169,7 @@ class PowerSeries:
         j = np.arange(1, len(self.q_coeffs))
         return _even_series(2 * j * self.q_coeffs[1:], r) * np.asarray(r, dtype=float)
 
-    def remainder_bound(self, r: float) -> float:
+    def remainder_estimate(self, r: float) -> float:
         """Geometric estimate of the truncation remainder |sum_{j>N} Q_j r^{2j}|."""
         t = (r / self.radius_estimate) ** 2
         if t >= 1.0:
@@ -180,7 +181,7 @@ class PowerSeries:
         return lead * u / (1.0 - u)
 
 
-def _growth_certificate(q: np.ndarray) -> tuple[float, float]:
+def _growth_fit(q: np.ndarray) -> tuple[float, float]:
     """Smallest K (at alpha=1) with |Q_j| <= K^(j-alpha)/j^2 over stored j>=1."""
     alpha = 1.0
     K = 1.0
@@ -193,7 +194,7 @@ def _growth_certificate(q: np.ndarray) -> tuple[float, float]:
 
 
 def build_series(params: ProfileParams, tol: float) -> PowerSeries:
-    """Construct the origin Taylor series certified to tolerance ``tol``.
+    """Construct the origin Taylor series to the remainder estimate ``tol``.
 
     Coefficients are generated to N_MAX at SERIES_DIGITS decimal digits and
     rounded to float64; the stored truncation N is the shortest prefix whose
@@ -233,7 +234,7 @@ def build_series(params: ProfileParams, tol: float) -> PowerSeries:
 
     qk = q[: n_trunc + 1].copy()
     fk = qk / (2 * np.arange(n_trunc + 1) + 3)
-    K, alpha = _growth_certificate(qk)
+    K, alpha = _growth_fit(qk)
     return PowerSeries(
         q_coeffs=qk,
         f_coeffs=fk,
@@ -278,7 +279,7 @@ class RadialProfile:
 
     Inside ``handoff_radius`` Q and f are the Taylor ``series``; outside they
     are ``sol``, the ``TaylorTail`` in ``s = ln r`` (None for the constant
-    profile).  ``q``, ``f`` and ``sample`` evaluate that representation on
+    profile).  ``q`` and ``sample`` evaluate that representation on
     ``[0, r_max]``; ``(q_vals, f_vals, dq_vals)`` is ``sample(grid)``.
     """
 
@@ -299,9 +300,6 @@ class RadialProfile:
 
     def q(self, r):
         return self.sample(r)[0]
-
-    def f(self, r):
-        return self.sample(r)[1]
 
     def sample(self, r):
         """``(Q, f, dQ/dr)`` at ``r``: ``dQ/dr`` is the series derivative inside
@@ -406,10 +404,10 @@ def solve_profile(
 
     # --- handoff radius ---
     scan = np.linspace(0.95 * series.radius_estimate, 0.05, 400)
-    r_h = next((float(r) for r in scan if series.remainder_bound(r) < tol
+    r_h = next((float(r) for r in scan if series.remainder_estimate(r) < tol
                 and (beta - series.eval_f(r)) > 0.5 * (beta - params.f0)), None)
     if r_h is None:
-        raise NoConvergence("no handoff radius certifies the series remainder")
+        raise NoConvergence("no handoff radius brings the series remainder estimate below tol")
 
     constant = params.q_j0 == 0.0
     sol = None if constant else _continue(mu, beta, math.log(r_h), math.log(r_max),

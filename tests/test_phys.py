@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.linalg import solve_banded
@@ -17,7 +17,6 @@ from ksdlab.phys import (
     _phys_rhs,
     _stable_dt,
     build_initial,
-    check_scaling_invariance,
     pde_residual,
     run_phys,
 )
@@ -44,6 +43,13 @@ def _fv_cases(draw):
     elements = st.floats(min_value=0.0, max_value=1e6)
     rho = draw(hnp.arrays(np.float64, len(grid), elements=elements))
     return grid, rho
+
+
+def _rescaled(snap, lam):
+    """The snapshot ``(t, r, rho)`` under the PDE's scaling symmetry
+    ``(lam^2 t, lam r, rho/lam^2)``."""
+    t, grid, rho = snap
+    return lam * lam * t, lam * grid, rho / (lam * lam)
 
 
 def _step(rho, lap, mu, dt=None):
@@ -173,12 +179,6 @@ class TestScaling:
         scale = np.sqrt(4 * np.pi * np.trapezoid(op ** 2 * b[1] ** 2, b[1]))
         assert res < 0.05 * scale
 
-    def test_identity_rescaling(self, mu0_profile):
-        a, b = self._snapshots(mu0_profile)
-        assert check_scaling_invariance(a, b, 1.0, 0.0) == pytest.approx(
-            pde_residual(a, b, 0.0), rel=1e-12
-        )
-
     @given(
         log_lam=st.floats(min_value=-3.0, max_value=3.0),
         mu=st.floats(min_value=0.0, max_value=1.0 / 3.0, exclude_max=True),
@@ -192,15 +192,13 @@ class TestScaling:
         a, b = self._snapshots(mu0_profile)
         lam = 10.0**log_lam
         base = pde_residual(a, b, mu)
-        scaled = check_scaling_invariance(a, b, lam, mu)
+        scaled = pde_residual(_rescaled(a, lam), _rescaled(b, lam), mu)
         assert scaled == pytest.approx(base * lam ** (-2.5), rel=1e-10)
 
     def test_snapshot_guard(self, mu0_profile):
         a, b = self._snapshots(mu0_profile)
         with pytest.raises(SnapshotMismatch):
             pde_residual(b, a, 0.0)
-        with pytest.raises(DomainError):
-            check_scaling_invariance(a, b, -1.0, 0.0)
 
 
 class TestBlowup:
@@ -291,14 +289,18 @@ class TestBlowup:
 class TestMassTelescoping:
     @given(case=_fv_cases(), mu=st.floats(min_value=0.0, max_value=1.0 / 3.0, exclude_max=True))
     @settings(max_examples=60, deadline=None)
+    # one peak over a subnormal floor: |sum vol k0| is 5e-324 against a scale of 1.5e-323
+    @example(case=(np.linspace(0.0, 3.0, 16), np.where(np.arange(16) == 4, 4.0, 5e-324)), mu=0.0)
     def test_fv_mass_telescopes(self, case, mu):
         # the transport fluxes cancel face by face in the FV mass sum, and the
-        # damping removes exactly mu * sum vol rho^2
+        # damping removes exactly mu * sum vol rho^2; subnormal round-off is
+        # absolute, so the cancellation gets a few subnormal units per cell
         grid, rho = case
         vol = flux_laplacian(grid).weight
         k0, m_face = _phys_rhs(rho, vol, 0.0)
         scale = np.dot(vol, np.abs(k0))
-        assert abs(np.dot(vol, k0)) <= 1e-13 * scale
+        subnormal = len(grid) * np.finfo(float).smallest_subnormal
+        assert abs(np.dot(vol, k0)) <= 1e-13 * scale + subnormal
         damping = -mu * np.dot(vol, rho * rho)
         km = _phys_rhs(rho, vol, mu)[0]
         assert abs(np.dot(vol, km - k0) - damping) <= 1e-13 * (scale + abs(damping))
@@ -340,6 +342,6 @@ class TestMassTelescoping:
         a, b = (0.0, grid, rho), (0.125 * grid[1] ** 2, grid, rho[::-1].copy())
         lam = 10.0**log_lam
         base = pde_residual(a, b, mu)
-        assert check_scaling_invariance(a, b, lam, mu) == pytest.approx(
+        assert pde_residual(_rescaled(a, lam), _rescaled(b, lam), mu) == pytest.approx(
             base * lam ** (-2.5), rel=1e-10
         )

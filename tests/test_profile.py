@@ -209,8 +209,8 @@ class TestSeries:
                 assert abs(q[j]) <= K ** (j - alpha) / (j * j) * (1 + 1e-12)
 
     def test_remainder_bound_monotone(self, mu0_series):
-        r1 = mu0_series.remainder_bound(0.3)
-        r2 = mu0_series.remainder_bound(0.6)
+        r1 = mu0_series.remainder_estimate(0.3)
+        r2 = mu0_series.remainder_estimate(0.6)
         assert 0 <= r1 < r2
 
     def test_f_coeffs_relation(self, mu0_series):
@@ -258,7 +258,7 @@ class TestSolve:
     def test_partial_mass_consistency(self, mu0_profile):
         for r in (0.5, 2.0, 10.0, 100.0):
             m = partial_mass(mu0_profile, r)
-            pred = 4.0 * math.pi * r**3 * float(mu0_profile.f(r))
+            pred = 4.0 * math.pi * r**3 * float(mu0_profile.sample(r)[1])
             assert m == pytest.approx(pred, rel=1e-5)
 
     def test_constant_branch(self):
@@ -338,7 +338,7 @@ class TestSolve:
         for stored, fresh in zip((prof.q_vals, prof.f_vals, prof.dq_vals), prof.sample(prof.grid)):
             assert np.array_equal(stored.view(np.int64), fresh.view(np.int64))
         r = float(prof.grid[100])
-        assert (prof.q(r), prof.f(r)) == (prof.q_vals[100], prof.f_vals[100])
+        assert (prof.q(r), prof.sample(r)[1]) == (prof.q_vals[100], prof.f_vals[100])
 
 
 class TestGridAndClassify:
