@@ -50,6 +50,9 @@ class RunConfig:
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise ConfigParseError(f"unknown command {self.command!r}")
+        for key in ("mu", "qj0", "tol", "lambda0"):  # flags and json.loads both take nan, inf
+            if not abs(getattr(self, key) or 0.0) < float("inf"):
+                raise ConfigParseError(f"{key} must be finite, not {getattr(self, key)}")
         if self.tol <= 0:
             raise ConfigParseError("tol must be positive")
         if self.lambda0 is not None and self.lambda0 <= 0:
@@ -104,7 +107,7 @@ def _stage_profile(cfg: RunConfig, outdir: Path, cache: dict) -> dict:
     params = ProfileParams.make(cfg.mu, j0, q_j0=cfg.qj0)
     series = build_series(params, min(cfg.tol, 1e-12))
     profile = solve_profile(params, series, 1.0e4, cfg.tol)
-    cache["params"], cache["profile"] = params, profile
+    cache["profile"] = profile
     write_csv(
         outdir / "profile.csv",
         ["r", "Q", "f", "dQ"],
@@ -130,15 +133,15 @@ def _stage_portrait(cfg: RunConfig, outdir: Path, cache: dict) -> None:
 def _ensure_profile(cfg: RunConfig, outdir: Path, cache: dict):
     if "profile" not in cache:
         cache["nested_wall_time_s"] = {"profile": _run_stage("profile", cfg, outdir, cache)}
-    return cache["params"], cache["profile"]
+    return cache["profile"]
 
 
 def _stage_coercivity(cfg: RunConfig, outdir: Path, cache: dict) -> None:
-    params, profile = _ensure_profile(cfg, outdir, cache)
-    w = select_weight(profile, params.j0)
+    profile = _ensure_profile(cfg, outdir, cache)
+    w = select_weight(profile, profile.params.j0)
     count = 10 if cfg.quick else 50
     suite = make_test_suite(w.A, count=count, seed=cfg.seed)
-    rows = coercivity_probe(profile, params, w, suite)
+    rows = coercivity_probe(profile, profile.params, w, suite)
     write_csv(
         outdir / "coercivity.csv",
         ["index", "seed", "p", "s", "quotient", "pass"],
@@ -155,7 +158,7 @@ def _stage_coercivity(cfg: RunConfig, outdir: Path, cache: dict) -> None:
             "R1": w.R1,
             "cert_tailnorm": w.cert_tailnorm,
             "cert_wholenorm": w.cert_wholenorm,
-            "invariants": w.invariant_checks(params.j0),
+            "invariants": w.invariant_checks(profile.params.j0),
         },
     )
 
@@ -173,13 +176,13 @@ def _quick_renorm_n(j0: int) -> int:
 
 
 def _stage_renorm(cfg: RunConfig, outdir: Path, cache: dict) -> dict:
-    params, profile = _ensure_profile(cfg, outdir, cache)
+    profile = _ensure_profile(cfg, outdir, cache)
     lam0 = cfg.lambda0 if cfg.lambda0 is not None else 1.0e-3
     n = cfg.grid_n
     if n is None:
-        n = _quick_renorm_n(params.j0) if cfg.quick else 4096
+        n = _quick_renorm_n(profile.params.j0) if cfg.quick else 4096
     tau_end = 0.5 if cfg.quick else 2.0
-    traj = run_renorm(profile, params, lam0, tau_end, n=n)
+    traj = run_renorm(profile, profile.params, lam0, tau_end, n=n)
     kf = traj["c"].shape[1]
     write_csv(
         outdir / "renorm.csv",
@@ -191,15 +194,15 @@ def _stage_renorm(cfg: RunConfig, outdir: Path, cache: dict) -> dict:
         ],
     )
     return {"lam0": lam0, "n": n, "tau_end": tau_end,
-            "sigma_expected": sigma_coupling(params),
+            "sigma_expected": sigma_coupling(profile.params),
             "steps": traj["steps"]}
 
 
 def _stage_phys(cfg: RunConfig, outdir: Path, cache: dict) -> dict:
-    params, profile = _ensure_profile(cfg, outdir, cache)
+    profile = _ensure_profile(cfg, outdir, cache)
     # default lam0 keeps the physical diffusion coefficient lam0^{2-4beta}
     # well under the aggregation scale so the run actually blows up
-    lam0 = cfg.lambda0 if cfg.lambda0 is not None else 10.0 ** (-1.6 / (2.0 - 4.0 * params.beta))
+    lam0 = cfg.lambda0 if cfg.lambda0 is not None else 10.0 ** (-1.6 / (2.0 - 4.0 * profile.params.beta))
     # n is the resolution: the sinh-graded grid keeps the origin spacing of n
     # uniform nodes on about n/8 nodes.  The half-maximum radius starts at about
     # n/91 origin cells, so n must stay large for the 8-cell resolution floor to

@@ -105,20 +105,16 @@ def heat_multiplier_route(
     ``(y Theta)' = -(4m+3) Theta``:
 
         (L e, e) = \\int e^2 [ (-1 + 2 U_*)(Theta+kappa)
-                              - ((4m+3)/(4m)) Theta + kappa/(4m) ].
+                              - ((4m+3)/(4m)) Theta + kappa/(4m) ],
+
+    from the fine-node Gram block of ``(2 U_* - 1) e`` and ``e`` against ``e``.
     """
-    core = _WeightedL2(quad, p.theta_exponent, kappa, 0)
-    y = quad.r
     ev, p_ord = _sample(eps, quad)
-    U = heat_profile(p, y)
-    e2s = core.singular(ev, p_ord, ev, p_ord)
-    e2 = ev * ev
-    integrand = (
-        (-1.0 + 2.0 * U) * (e2s + kappa * e2)
-        - (4.0 * p.m + 3.0) / (4.0 * p.m) * e2s
-        + kappa / (4.0 * p.m) * e2
-    )
-    return core.integrate(integrand)
+    rows = np.stack(((2.0 * heat_profile(p, quad.r) - 1.0) * ev, ev))
+    core = _WeightedL2(quad, p.theta_exponent, kappa, 0)
+    (su, se), (fu, fe) = core.grams(rows, p_ord, ev[None], p_ord)[0, :, :, 0]  # fine nodes
+    c = (4.0 * p.m + 3.0) / (4.0 * p.m)
+    return float(su + kappa * fu - c * se + kappa / (4.0 * p.m) * fe)
 
 
 def make_heat_suite(p: HeatParams, count: int = 50, seed: int = 777) -> list[TestFunction]:

@@ -136,9 +136,10 @@ class RadialQuad:
         w[2:-1:2] = 2.0
         return w * (h / 3.0)
 
-    def integrate(self, F: np.ndarray, power: int = 2, coarse: bool = False):
+    def integrate(self, F: np.ndarray, power: int = 2) -> float:
         """Quadrature of ``F(r) r^power dr`` = ``F e^{(power+1)u} du``."""
-        return _WeightedL2(self, 0, 0.0, power).integrate(F, coarse)
+        w = self._simpson_weights(len(self.u), self.u[1] - self.u[0])
+        return float(np.dot(w, F * self.r ** (power + 1)))
 
 
 @dataclass(frozen=True)
@@ -157,10 +158,10 @@ class SampledRadial:
 
 @dataclass(frozen=True)
 class WeightParams:
-    """Singular weight ``w = r^{-A} + B`` with admissibility certificates.
+    """Singular weight ``w = r^{-A} + B`` with the estimates its admissibility is read from.
 
-    ``cert_wholenorm`` and ``cert_tailnorm`` store ``||r^{-1/2} dQ/dr||_{L^2}``
-    over all radii and over ``r >= R1``.
+    ``cert_wholenorm`` and ``cert_tailnorm`` are float Simpson quadratures of
+    ``||r^{-1/2} dQ/dr||_{L^2}`` over all radii and over ``r >= R1``: estimates, not bounds.
     """
 
     A: int
@@ -173,7 +174,7 @@ class WeightParams:
     mu: float = 0.0
 
     def invariant_checks(self, j0: int) -> dict[str, bool]:
-        """The four admissibility conditions, evaluated from stored certificates."""
+        """The four admissibility conditions, evaluated at face value from the stored estimates."""
         c1 = 1.0 + (-self.A + 3.0) / (4.0 * j0) <= -1.0
         c2 = math.sqrt(1.0 / (4.0 * math.pi * (self.A + 3.0))) * self.cert_wholenorm <= 1.0 / 100.0
         c3 = 1.5 * self.q_at_R1 <= 1.0 / 1000.0 and self.cert_tailnorm <= 1.0 / 5000.0
@@ -209,7 +210,7 @@ def select_weight(
     """Choose weight parameters per the admissibility conditions.
 
     ``A`` must be a multiple of 4 with ``A >= 8 j0 + 3``; the default is the
-    least such exponent, ``8 j0 + 4``.  The whole-norm certificate is computed
+    least such exponent, ``8 j0 + 4``.  The whole-norm estimate is computed
     and stored, not enforced: ``invariant_checks`` reports it.  ``R1`` is the
     smallest profile grid radius passing both tail conditions; ``B`` is the
     largest power of ten passing the flat-part condition.
@@ -287,11 +288,11 @@ class _WeightedL2:
 
     Built once per ``(quad, A, B, power)``, it holds the arrays every pairing
     on the grid reuses: the split-weight factor ``r^{-A/2}`` (formed on first
-    use; only the guarded ``singular`` and ``grams`` read it), ``r^{power+1}``
-    on the fine and the coarse (every other) nodes, and both Simpson weight
-    vectors.  It pairs grid samples with their vanishing orders, so a function
-    is sampled once however many pairings it enters.  ``A = B = 0`` (weight
-    1) is the plain quadrature behind ``RadialQuad.integrate``.
+    use; only the guarded ``grams`` reads it), ``r^{power+1}`` on the fine and
+    the coarse (every other) nodes, and both Simpson weight vectors.  Every
+    weighted product is a block of ``grams``.  It pairs grid samples with their
+    vanishing orders, so a function is sampled once however many pairings it
+    enters.
     """
 
     def __init__(self, quad: RadialQuad, A: int, B: float, power: int):
@@ -306,29 +307,12 @@ class _WeightedL2:
     def half(self) -> np.ndarray:
         return np.float_power(self.quad.r, -self.A / 2.0)
 
-    def integrate(self, F: np.ndarray, coarse: bool = False) -> float:
-        """``\\int F r^power dr`` by Simpson in u on the fine or the coarse nodes."""
-        if coarse:
-            return float(np.dot(self.w_coarse, F[::2] * self.rp_coarse))
-        return float(np.dot(self.w, F * self.rp))
-
     def cumulative(self, F: np.ndarray) -> np.ndarray:
         """Cumulative ``\\int_0^{r_i} F s^power ds`` (below-grid part negligible
         for integrands vanishing at the origin)."""
         integrand = F * self.rp
         h = self.quad.u[1] - self.quad.u[0]
         return cumulative_simpson_uniform(integrand, h) + integrand[0] / (self.power + 1.0)
-
-    def singular(self, av: np.ndarray, pa: int, bv: np.ndarray, pb: int) -> np.ndarray:
-        """``a b r^{-A}`` on the grid.
-
-        The singular factor is split evenly between the two inputs so neither
-        partial product under/overflows.  Raises DivergentIntegrand unless the
-        combined vanishing order makes ``r^{pa+pb-A+power}`` integrable at 0.
-        """
-        self._guard(pa, pb)
-        half = self.half
-        return (av * half) * (bv * half)
 
     def _guard(self, pa: int, pb: int) -> None:
         if not pa + pb + self.power > self.A - 1:
@@ -338,8 +322,10 @@ class _WeightedL2:
 
     def grams(self, X: np.ndarray, px: int, Y: np.ndarray, py: int) -> np.ndarray:
         """``\\int x_i y_j r^{-A} r^power dr`` and ``\\int x_i y_j r^power dr`` over the rows of
-        ``X`` and ``Y`` (vanishing orders ``px``, ``py``; guarded and split as in ``singular``),
-        shape ``(2, 2, len(X), len(Y))``: (fine, coarse) nodes, then (singular, flat)."""
+        ``X`` and ``Y``, shape ``(2, 2, len(X), len(Y))``: (fine, coarse) nodes, then (singular,
+        flat).  The factor ``r^{-A}`` is split evenly between the two sides so neither partial
+        product under/overflows.  Raises DivergentIntegrand unless the vanishing orders ``px``,
+        ``py`` make ``r^{px+py-A+power}`` integrable at 0."""
         self._guard(px, py)
         out = np.empty((2, 2, len(X), len(Y)))
         levels = ((1, self.w, self.rp), (2, self.w_coarse, self.rp_coarse))
@@ -350,18 +336,14 @@ class _WeightedL2:
             out[level, 0] = x @ (y * self.half[::step]).T
         return out
 
-    def integrand(self, av: np.ndarray, pa: int, bv: np.ndarray, pb: int) -> np.ndarray:
-        """``a b (r^{-A} + B)`` on the grid, under the guard of ``singular``."""
-        return self.singular(av, pa, bv, pb) + self.B * av * bv
-
     def pair(self, av: np.ndarray, pa: int, bv: np.ndarray, pb: int) -> float:
-        """``\\int a b (r^{-A} + B) r^power dr`` on the fine nodes.
+        """``\\int a b (r^{-A} + B) r^power dr`` on the fine nodes, the one-row block of ``grams``.
 
         Panel halving estimates the quadrature error and raises NoConvergence
         above 1e-8 relative.
         """
-        F = self.integrand(av, pa, bv, pb)
-        return _halving_checked(self.integrate(F), self.integrate(F, coarse=True))
+        g = self.grams(av[None], pa, bv[None], pb)[..., 0, 0]  # (fine, coarse), (singular, flat)
+        return float(_halving_checked(*(g[:, 0] + self.B * g[:, 1])))
 
     def inner(self, av: np.ndarray, pa: int, bv: np.ndarray, pb: int) -> float:
         """``4 pi \\int a b (r^{-A} + B) r^power dr``, the radial 3D inner product."""

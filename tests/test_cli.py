@@ -77,6 +77,20 @@ class TestConfig:
         assert main(["profile", "--config", str(cfile), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == "ksdlab: config key 'mu' must be float, not '0.1'\n"
 
+    @pytest.mark.parametrize("via", ["flag", "file"])
+    @pytest.mark.parametrize("key", ["mu", "qj0", "tol", "lambda0"])
+    @pytest.mark.parametrize("val", ["nan", "inf", "-inf"])
+    def test_non_finite_float_exits_2(self, tmp_path, capsys, via, key, val):
+        # argparse's float() and json.loads both take NaN and the infinities
+        argv = [f"--{key}={val}"]
+        if via == "file":
+            cfile = tmp_path / "run.json"
+            cfile.write_text(json.dumps({key: float(val)}))
+            argv = ["--config", str(cfile)]
+        assert main(["renorm", "--quick", *argv, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"ksdlab: {key} must be finite, not {float(val)}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_file_then_flag_override(self, tmp_path):
         cfile = tmp_path / "run.json"
         cfile.write_text(json.dumps({"command": "profile", "mu": 0.2, "seed": 7}))

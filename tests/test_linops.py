@@ -115,6 +115,27 @@ class TestWeightedInner:
         with pytest.raises(NoConvergence):
             heat_weighted_inner(HeatParams(m=2), g, g, 0.1, quad)
 
+    @pytest.mark.parametrize("A, power, p0", [(36, 2, 18), (12, 0, 6)])
+    def test_pair_matches_integrand_oracle(self, quad, A, power, p0):
+        # the integrand (a r^{-A/2})(b r^{-A/2}) + B a b, Simpson-integrated in u on the fine
+        # and the coarse (every other) nodes, against the Gram block behind pair, for a 3D core
+        # and a heat core (theta exponent 4m + 4 at m = 2, dy).  Each probe is paired with
+        # itself, and B is set so that the singular and the flat part weigh alike: a slip in
+        # either one fails
+        coarse_quad = RadialQuad(u=quad.u[::2], r=quad.r[::2])
+        half = np.float_power(quad.r, -A / 2.0)
+        for tf in linops._probe_suite(p0, 4, seed=3):
+            a = tf.to_polygauss()
+            av, pa = a(quad.r), a.vanish_order
+            sing, flat = (av * half) * (av * half), av * av
+            B = quad.integrate(sing, power) / quad.integrate(flat, power)
+            F = sing + B * flat
+            oracle = [quad.integrate(F, power), coarse_quad.integrate(F[::2], power)]
+            core = linops._WeightedL2(quad, A, B, power)
+            g = core.grams(av[None], pa, av[None], pa)[..., 0, 0]
+            assert g[:, 0] + B * g[:, 1] == pytest.approx(oracle, rel=1e-13)
+            assert core.pair(av, pa, av, pa) == pytest.approx(oracle[0], rel=1e-13)
+
 
 class TestSelectWeight:
     def test_pinned_A(self, weight36, mu0_params):
@@ -210,21 +231,20 @@ class TestOperator:
         Q, fq, dQ = mu0_profile.sample(r)
         coeffs = linops._operator_coeffs(mu0_params, r, Q, fq, dQ)
 
-        def I(vals):
-            return 4.0 * math.pi * core.integrate(vals)
-
         for p, s in ((18, 0.5), (20, 1.0), (18, 1.0), (20, 2.0)):
             g = monomial(p, s)
             gv, dg = g(r), g.deriv()(r)
-            g2s, g2 = core.singular(gv, p, gv, p), gv * gv  # g^2 r^{-A}, g^2
+            J = core.cumulative(gv) / (r * r)  # vanishes to order p + 1
+            rows = np.stack((gv, fq * gv, Q * gv, dQ * J))
+            # 4 pi int x g r^{-A} r^2 dr and 4 pi int x g r^2 dr for the rows x, fine nodes
+            sing, flat = 4.0 * math.pi * core.grams(rows, p, gv[None], p)[0, :, :, 0]
             I_SI = (
-                (-1.0 + beta * (3.0 - A) / 2.0) * I(g2s)
-                + 0.5 * A * I(fq * g2s)
-                + (1.5 - 2.0 * mu) * I(Q * g2s)
+                (-1.0 + beta * (3.0 - A) / 2.0) * sing[0]
+                + 0.5 * A * sing[1]
+                + (1.5 - 2.0 * mu) * sing[2]
             )
-            I_LO = B * ((-1.0 + 1.5 * beta) * I(g2) + (1.5 - 2.0 * mu) * I(Q * g2))
-            J = core.cumulative(gv) / (r * r)
-            I_NLO = I(dQ * core.integrand(J, p + 1, gv, p))  # J vanishes to order p + 1
+            I_LO = B * ((-1.0 + 1.5 * beta) * flat[0] + (1.5 - 2.0 * mu) * flat[2])
+            I_NLO = sing[3] + B * flat[3]
             direct = core.inner(linops._L_vals(core, coeffs, gv, dg), p, gv, p)
             assert I_SI + I_LO + I_NLO == pytest.approx(direct, rel=1e-10)
 

@@ -201,14 +201,14 @@ class TestRecurrence:
 
 
 class TestSeries:
-    def test_growth_certificate(self, mu0_series):
+    def test_growth_estimate(self, mu0_series):
         K, alpha = mu0_series.bound_K, mu0_series.bound_alpha
         q = mu0_series.q_coeffs
         for j in range(1, len(q)):
             if q[j] != 0.0:
                 assert abs(q[j]) <= K ** (j - alpha) / (j * j) * (1 + 1e-12)
 
-    def test_remainder_bound_monotone(self, mu0_series):
+    def test_remainder_estimate_monotone(self, mu0_series):
         r1 = mu0_series.remainder_estimate(0.3)
         r2 = mu0_series.remainder_estimate(0.6)
         assert 0 <= r1 < r2
