@@ -177,8 +177,14 @@ def _rhs(psi, ops, params, out):
 
 
 def _residual_norm(psi, ops, lam, params):
-    """Radial L2 norm of each row's right-hand side, diffusion ``lambda^{2-4beta} Lap`` included."""
-    diffusion = lam ** (2.0 - 4.0 * params.beta) * ops.lap.apply(psi)
+    """Radial L2 norm of each row's right-hand side, diffusion ``lambda^{2-4beta} Lap`` included.
+
+    ``lam`` is one float for every row, or one per record when ``psi`` stacks the records
+    of a run on its first axis.  Each ``lambda^{2-4beta}`` is a Python float, as for a
+    single slice, so each record's norm has the bits of its own call.
+    """
+    dif = [x ** (2.0 - 4.0 * params.beta) for x in np.atleast_1d(lam).tolist()]
+    diffusion = np.reshape(dif, (-1,) + (1,) * (psi.ndim - 1)) * ops.lap.apply(psi)
     return l2_norm(_rhs(psi, ops, params, diffusion), ops.grid)
 
 
@@ -234,6 +240,24 @@ def step_renorm(
     return replace(state, tau=state.tau + dt, psi=new)
 
 
+def _fit_basis(grid: np.ndarray, j0: int):
+    """The grid-only part of ``extract_modes``' fit of ``c_0 .. c_{j0+2}``: the window mask
+    ``r <= 1/2``, the Vandermonde matrix in ``(r/(1/2))^2`` and the column scale
+    ``(1/2)^{2j}``.  Raises IllConditionedFit for a window with no more nodes than the
+    ``j0 + 3`` unknowns, whose minimum-norm solution is not a fit, and for a condition
+    number above 1e12."""
+    kfit = j0 + 2
+    sel = grid <= _FIT_RADIUS
+    r = grid[sel]
+    if len(r) <= kfit:
+        raise IllConditionedFit(f"{len(r)} nodes in the fit window for {kfit + 1} modes")
+    M = np.vander((r / _FIT_RADIUS) ** 2, kfit + 1, increasing=True)
+    cond = np.linalg.cond(M)
+    if cond > 1e12:
+        raise IllConditionedFit(f"Vandermonde condition number {cond:.3g}")
+    return sel, M, _FIT_RADIUS ** (2 * np.arange(kfit + 1))
+
+
 def extract_modes(
     state: RenormState,
     profile: RadialProfile,
@@ -242,28 +266,17 @@ def extract_modes(
     """Least-squares coefficients ``c_0 .. c_{j0+2}`` of ``Psi - Q`` against
     ``{r^{2j}}`` on ``r <= 1/2`` for each row, with ``j0`` from the profile's parameters.
 
-    Columns are scaled by ``(1/2)^{2j}`` before conditioning is checked; the
-    fit window sits inside the region where the mode cutoff is 1.  A window
-    with no more nodes than the ``j0 + 3`` unknowns raises IllConditionedFit:
-    its minimum-norm solution is not a fit.
+    Columns are scaled by ``(1/2)^{2j}`` before conditioning is checked; the fit
+    window sits inside the region where the mode cutoff is 1.  A window ``_fit_basis``
+    refuses raises IllConditionedFit.
     """
-    Kfit = profile.params.j0 + 2
-    grid = state.grid
-    sel = grid <= _FIT_RADIUS
-    r = grid[sel]
-    if len(r) <= Kfit:
-        raise IllConditionedFit(f"{len(r)} nodes in the fit window for {Kfit + 1} modes")
+    sel, M, scale = _fit_basis(state.grid, profile.params.j0)
     if q_ref is None:
-        q_ref = profile.q(grid)
+        q_ref = profile.q(state.grid)
     eps = state.psi[..., sel] - q_ref[sel]
-    x = (r / _FIT_RADIUS) ** 2
-    M = np.vander(x, Kfit + 1, increasing=True)
-    cond = np.linalg.cond(M)
-    if cond > 1e12:
-        raise IllConditionedFit(f"Vandermonde condition number {cond:.3g}")
-    # one lstsq per row: a multi-column one rounds the modes differently
-    coef = np.apply_along_axis(lambda e: np.linalg.lstsq(M, e, rcond=None)[0], -1, eps)
-    return coef / _FIT_RADIUS ** (2 * np.arange(Kfit + 1))
+    # one lstsq per row: a multi-column one, or a pinv, rounds the modes differently
+    coef = [np.linalg.lstsq(M, e, rcond=None)[0] for e in eps.reshape(-1, len(M))]
+    return np.reshape(coef, eps.shape[:-1] + scale.shape) / scale
 
 
 def run_renorm(
@@ -281,18 +294,16 @@ def run_renorm(
     rows of a perturbation share each step, and ``eps_sup``, ``residual`` and ``c``
     are per row.  ``steps`` counts the ARS(2,2,2) steps, each ``_CFL_SAFETY`` of the
     advective bound unless clipped to a record time.
+
+    The loop keeps each record's ``(tau, lambda, psi)``; after the last step the stacked
+    records are evaluated in one pass along the record axis, each with the bits of its
+    own evaluation.  A fit window ``extract_modes`` would refuse stops the run before
+    the first step.
     """
     state = make_state(profile, lam0, n=n, perturbation=perturbation)
+    _fit_basis(state.grid, profile.params.j0)
     dt_adv = dt_policy(state.h, lam0, params, state.grid[-1])
-    q_ref = profile.q(state.grid)
-    records = []
-
-    def record(st):
-        records.append((st.tau, st.lam, np.max(np.abs(st.psi - q_ref), axis=-1),
-                        _residual_norm(st.psi, st.ops, st.lam, params),
-                        extract_modes(st, profile, q_ref=q_ref)))
-
-    record(state)
+    records = [(state.tau, state.lam, state.psi)]
     next_rec = _RECORD_DTAU
     steps = 0
     while state.tau < tau_end - 1e-12:
@@ -300,10 +311,16 @@ def run_renorm(
         state = step_renorm(state, profile, params, dt)
         steps += 1
         if state.tau >= next_rec - 1e-12:
-            record(state)
+            records.append((state.tau, state.lam, state.psi))
             next_rec = round(next_rec / _RECORD_DTAU + 1) * _RECORD_DTAU
-    columns = zip(("tau", "lam", "eps_sup", "residual", "c"), zip(*records))
-    return {"steps": steps, **{k: np.array(v) for k, v in columns}, "state": state}
+    taus, lams, psis = zip(*records)
+    psi = np.stack(psis)
+    q_ref = profile.q(state.grid)
+    return {"steps": steps, "tau": np.array(taus), "lam": np.array(lams),
+            "eps_sup": np.max(np.abs(psi - q_ref), axis=-1),
+            "residual": _residual_norm(psi, state.ops, lams, params),
+            "c": extract_modes(replace(state, psi=psi), profile, q_ref=q_ref),
+            "state": state}
 
 
 @dataclass(frozen=True)

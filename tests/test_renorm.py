@@ -205,18 +205,44 @@ class TestFlow:
         step_renorm(st, mu0_profile, mu0_params, dt_policy(st.h, 1e-3, mu0_params, st.grid[-1]))
         assert len(calls) == 2
 
-    def test_recorded_residual_is_state_residual(self, mu0_profile, mu0_params, monkeypatch):
-        # the residual is taken at record time from the recorded slice, with
-        # lambda at that slice's tau
-        states = []
-        extract = renorm.extract_modes
-        monkeypatch.setattr(
-            renorm, "extract_modes", lambda st, *a, **k: states.append(st) or extract(st, *a, **k)
-        )
+    def test_one_pass_over_the_records(self, mu0_profile, mu0_params, monkeypatch):
+        # the records are evaluated once, after the last step: one _rhs call for all the
+        # residuals beside the two of each step, and one mode fit
+        calls = {"_rhs": 0, "extract_modes": 0}
+        for name in calls:
+            fn = getattr(renorm, name)
+            def counted(*a, fn=fn, name=name, **k):
+                calls[name] += 1
+                return fn(*a, **k)
+            monkeypatch.setattr(renorm, name, counted)
         traj = run_renorm(mu0_profile, mu0_params, 1e-3, 0.2, n=1024)
-        assert len(states) == len(traj["residual"]) == 5
-        for st, res in zip(states, traj["residual"]):
-            assert res == _residual_norm(st.psi, st.ops, st.lam, mu0_params)
+        assert len(traj["tau"]) == 5
+        assert calls == {"_rhs": 2 * traj["steps"] + 1, "extract_modes": 1}
+
+    def test_recorded_residual_is_state_residual(self, mu0_profile, mu0_params, monkeypatch):
+        # each record of a 3-row flow holds the bits of its own slice's residual (lambda
+        # at that slice's tau), sup deviation and mode fit
+        states = []
+        step = renorm.step_renorm
+
+        def wrapped(st, *a, **k):
+            states.append(step(st, *a, **k))
+            return states[-1]
+
+        monkeypatch.setattr(renorm, "step_renorm", wrapped)
+        seeds = lambda r: np.stack([np.zeros_like(r), 1e-4 * chi_bump(r) * r * r,
+                                    1e-4 * chi_bump(r)])
+        traj = run_renorm(mu0_profile, mu0_params, 1e-3, 0.2, n=1024, perturbation=seeds)
+        first = make_state(mu0_profile, 1e-3, n=1024, perturbation=seeds)
+        slices = [first] + [st for st in states if st.tau in traj["tau"]]
+        assert [st.tau for st in slices] == list(traj["tau"])
+        assert traj["c"].shape == (5, 3, 7)
+        for i, st in enumerate(slices):
+            q = mu0_profile.q(st.grid)
+            assert np.array_equal(traj["residual"][i],
+                                  _residual_norm(st.psi, st.ops, st.lam, mu0_params))
+            assert np.array_equal(traj["eps_sup"][i], np.max(np.abs(st.psi - q), axis=-1))
+            assert np.array_equal(traj["c"][i], extract_modes(st, mu0_profile))
 
 
 class TestModes:
@@ -237,6 +263,15 @@ class TestModes:
         st = make_state(mu0_profile, 1e-3, n=512)
         with pytest.raises(IllConditionedFit):
             extract_modes(st, mu0_profile)
+
+    def test_refused_window_stops_run_before_stepping(self, mu0_profile, mu0_params, monkeypatch):
+        # the fit is made after the last step, but its window is checked before the first
+        steps = []
+        step = renorm.step_renorm
+        monkeypatch.setattr(renorm, "step_renorm", lambda *a, **k: steps.append(a) or step(*a, **k))
+        with pytest.raises(IllConditionedFit, match="6 nodes in the fit window for 7 modes"):
+            run_renorm(mu0_profile, mu0_params, 1e-3, 0.2, n=512)
+        assert steps == []
 
 
 class TestRates:
