@@ -267,8 +267,8 @@ def extract_modes(
     ``{r^{2j}}`` on ``r <= 1/2`` for each row, with ``j0`` from the profile's parameters.
 
     Columns are scaled by ``(1/2)^{2j}`` before conditioning is checked; the fit
-    window sits inside the region where the mode cutoff is 1.  A window ``_fit_basis``
-    refuses raises IllConditionedFit.
+    window sits inside the region where the mode cutoff is 1.  ``_fit_basis`` raises
+    IllConditionedFit for a window the fit cannot be made on.
     """
     sel, M, scale = _fit_basis(state.grid, profile.params.j0)
     if q_ref is None:

@@ -208,16 +208,15 @@ class TestFlow:
     def test_one_pass_over_the_records(self, mu0_profile, mu0_params, monkeypatch):
         # the records are evaluated once, after the last step: one _rhs call for all the
         # residuals beside the two of each step, and one mode fit
-        calls = {"_rhs": 0, "extract_modes": 0}
-        for name in calls:
+        calls = []
+        for name in ("_rhs", "extract_modes"):
             fn = getattr(renorm, name)
-            def counted(*a, fn=fn, name=name, **k):
-                calls[name] += 1
-                return fn(*a, **k)
-            monkeypatch.setattr(renorm, name, counted)
+            monkeypatch.setattr(renorm, name,
+                                lambda *a, fn=fn, name=name, **k: calls.append(name) or fn(*a, **k))
         traj = run_renorm(mu0_profile, mu0_params, 1e-3, 0.2, n=1024)
         assert len(traj["tau"]) == 5
-        assert calls == {"_rhs": 2 * traj["steps"] + 1, "extract_modes": 1}
+        assert calls.count("_rhs") == 2 * traj["steps"] + 1
+        assert calls.count("extract_modes") == 1
 
     def test_recorded_residual_is_state_residual(self, mu0_profile, mu0_params, monkeypatch):
         # each record of a 3-row flow holds the bits of its own slice's residual (lambda
