@@ -58,7 +58,8 @@ class ForcingDominates(KSDLabError):
 
 
 class NoBlowupDetected(KSDLabError):
-    """Sup-norm plateaued before reaching the stopping threshold."""
+    """No blowup to fit: the sup-norm halved, did not grow tenfold by ``t = 20 lam0^2``,
+    ran out of steps, or reached the half-max resolution floor before tenfold growth."""
 
 
 class SnapshotMismatch(KSDLabError):

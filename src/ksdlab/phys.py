@@ -228,13 +228,16 @@ def run_phys(
     so that records land on the time lattice ``t = k * 2.5 h^2``, ``h`` the
     origin spacing of the grid ``build_initial`` makes at resolution ``n``.  The
     run stops when the sup-norm reaches 1e4 times its initial value or the
-    half-maximum radius falls under 8 origin cells, and records that final
-    state too; each record's ``dt`` is the step the bounds allowed there.
-    NoBlowupDetected is raised past ``t = 20 lam0^2`` without tenfold growth,
-    and IllConditionedFit when fewer than 10 records lie in the fit window.
-    ``mu`` defaults to the profile's own damping; passing a different value
-    probes off-profile data (e.g. the global-existence regime, which raises
-    NoBlowupDetected once the sup-norm stalls within the step budget).
+    half-maximum radius falls under 8 origin cells.  Each state's sup-norm and
+    half-maximum radius are evaluated once, for the stops and, on the lattice, the
+    record; each record's ``dt`` is the step the bounds allowed there.  The final
+    state is recorded once: off the lattice it is appended with the last record's
+    ``dt``.  NoBlowupDetected is raised when the sup-norm halves, past ``t = 20
+    lam0^2`` without tenfold growth, when the step budget runs out, and when the
+    resolution stop comes before tenfold growth; IllConditionedFit when fewer than
+    10 records lie in the fit window.  ``mu`` defaults to the profile's own damping;
+    passing a different value probes off-profile data (e.g. the global-existence
+    regime, where the sup-norm decays).
     Returns the recorded time series, with the step count as ``steps``, and the fit.
     """
     if mu is None:
@@ -247,24 +250,17 @@ def run_phys(
     t_rec = _RECORD_SPACING * h * h
     k_rec = 1
     sup0 = float(np.max(rho))
-    series = {"t": [], "sup_norm": [], "mass": [], "half_max_radius": [], "dt": []}
-    mass0 = _fv_mass(rho, lap.weight)
+    records = []  # (t, sup_norm, mass, half_max_radius, dt) of each recorded state
+    on_lattice, dt_stable = True, 0.0  # the initial state is the first record
     sink_accum = 0.0
-
-    def record(dt):
-        series["t"].append(t)
-        series["sup_norm"].append(float(np.max(rho)))
-        series["mass"].append(_fv_mass(rho, lap.weight))
-        series["half_max_radius"].append(_half_max_radius(rho, grid))
-        series["dt"].append(dt)
-
-    record(0.0)
     for steps in range(max_steps):
         sup = float(np.max(rho))
+        hm = _half_max_radius(rho, grid)
+        if on_lattice:
+            records.append((t, sup, _fv_mass(rho, lap.weight), hm, dt_stable))
         if sup >= 1.0e4 * sup0:
             stop_reason = "threshold"
             break
-        hm = _half_max_radius(rho, grid)
         if hm < 8.0 * h:
             stop_reason = "resolution"
             break
@@ -286,19 +282,19 @@ def run_phys(
         sink_accum += sink
         rho = new
         if on_lattice:
-            t = t_next
-            k_rec += 1
-            record(dt_stable)
+            t, k_rec = t_next, k_rec + 1
         else:
             t += dt
     else:
         raise NoBlowupDetected(f"step budget exhausted; sup grew {sup / sup0:.3g}x")
-    record(series["dt"][-1])
-
-    ts = np.array(series["t"])
-    sups = np.array(series["sup_norm"])
-    if sups[-1] < 10.0 * sup0:
-        raise NoBlowupDetected(f"sup-norm plateaued at {sups[-1] / sup0:.3g}x initial")
+    if not on_lattice:
+        records.append((t, sup, _fv_mass(rho, lap.weight), hm, records[-1][-1]))
+    if sup < 10.0 * sup0:
+        raise NoBlowupDetected(
+            f"half-max radius under 8 origin cells at {sup / sup0:.3g}x growth; "
+            "the fit needs 10x"
+        )
+    ts, sups, masses, hms, dts = map(np.array, zip(*records))
 
     # Local Type-I slope s(t) = -d(1/sup)/dt is constant on the self-similar
     # window; the late stretch bends as truncated-tail corrections advect in.
@@ -312,38 +308,31 @@ def run_phys(
     hi = k0 - 1
     while hi < len(sl) and good[hi]:
         hi += 1
-    sel = np.zeros(len(ts), dtype=bool)
-    sel[k0 : hi + 1] = True
-    kept = np.count_nonzero(sel)
+    win, kept = slice(k0, hi + 1), hi + 1 - k0
     if kept < 10:
         raise IllConditionedFit(f"{kept} records pass the 5% window test; the fit needs 10")
     T_loc = ts[1:-1] + inv[1:-1] / sl
     T_est = float(np.median(T_loc[k0 - 1 : hi]))
-    if T_est <= ts[sel][-1]:
-        T_est = float(ts[sel][-1] * (1.0 + 1e-6))
+    if T_est <= ts[hi]:
+        T_est = float(ts[hi] * (1.0 + 1e-6))
 
-    x = np.log(T_est - ts[sel])
-    p_amp, r2_amp = _loglog_fit(x, sups[sel])
-    p_len, r2_len = _loglog_fit(x, np.array(series["half_max_radius"])[sel])
+    x = np.log(T_est - ts[win])
+    p_amp, r2_amp = _loglog_fit(x, sups[win])
+    p_len, r2_len = _loglog_fit(x, hms[win])
 
-    masses = np.array(series["mass"])
-    change = float((masses[-1] - masses[0]) / masses[0])
-    mass_id_err = abs((masses[-1] - mass0) - sink_accum) / mass0
     fit = BlowupFit(
         T_est=T_est,
         p_amp=p_amp,
         p_len=p_len,
-        fit_window=(float(ts[sel][0]), float(ts[sel][-1])),
+        fit_window=(float(ts[k0]), float(ts[hi])),
         r2_amp=r2_amp,
         r2_len=r2_len,
-        mass_change_rel=change,
-        mass_identity_err=float(mass_id_err),
+        mass_change_rel=float((masses[-1] - masses[0]) / masses[0]),
+        mass_identity_err=float(abs((masses[-1] - masses[0]) - sink_accum) / masses[0]),
         stop_reason=stop_reason,
     )
-    for key in series:
-        series[key] = np.array(series[key])
-    series["grid"] = grid
-    series["steps"] = steps
+    series = {"t": ts, "sup_norm": sups, "mass": masses, "half_max_radius": hms,
+              "dt": dts, "grid": grid, "steps": steps}
     return series, fit
 
 

@@ -53,6 +53,10 @@ _FIT_RADIUS = 0.5
 #: tau spacing of the records kept by run_renorm
 _RECORD_DTAU = 0.05
 
+#: records run_renorm evaluates per pass after its last step, which bounds the
+#: evaluation's memory whatever tau_end is
+_EVAL_BLOCK = 64
+
 #: outer radius of the renorm domain
 _R_DOM = 50.0
 
@@ -295,10 +299,10 @@ def run_renorm(
     are per row.  ``steps`` counts the ARS(2,2,2) steps, each ``_CFL_SAFETY`` of the
     advective bound unless clipped to a record time.
 
-    The loop keeps each record's ``(tau, lambda, psi)``; after the last step the stacked
-    records are evaluated in one pass along the record axis, each with the bits of its
-    own evaluation.  A fit window ``extract_modes`` would refuse stops the run before
-    the first step.
+    The loop keeps each record's ``(tau, lambda, psi)``; after the last step the records
+    are stacked and evaluated along the record axis, ``_EVAL_BLOCK`` records per pass,
+    each with the bits of its own evaluation.  A fit window ``extract_modes`` would
+    refuse stops the run before the first step.
     """
     state = make_state(profile, lam0, n=n, perturbation=perturbation)
     _fit_basis(state.grid, profile.params.j0)
@@ -314,13 +318,17 @@ def run_renorm(
             records.append((state.tau, state.lam, state.psi))
             next_rec = round(next_rec / _RECORD_DTAU + 1) * _RECORD_DTAU
     taus, lams, psis = zip(*records)
-    psi = np.stack(psis)
     q_ref = profile.q(state.grid)
+    eps_sup, residual, c = [], [], []
+    for b in range(0, len(records), _EVAL_BLOCK):
+        block = slice(b, b + _EVAL_BLOCK)
+        psi = np.stack(psis[block])
+        eps_sup.append(np.max(np.abs(psi - q_ref), axis=-1))
+        residual.append(_residual_norm(psi, state.ops, lams[block], params))
+        c.append(extract_modes(replace(state, psi=psi), profile, q_ref=q_ref))
     return {"steps": steps, "tau": np.array(taus), "lam": np.array(lams),
-            "eps_sup": np.max(np.abs(psi - q_ref), axis=-1),
-            "residual": _residual_norm(psi, state.ops, lams, params),
-            "c": extract_modes(replace(state, psi=psi), profile, q_ref=q_ref),
-            "state": state}
+            "eps_sup": np.concatenate(eps_sup), "residual": np.concatenate(residual),
+            "c": np.concatenate(c), "state": state}
 
 
 @dataclass(frozen=True)

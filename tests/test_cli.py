@@ -239,8 +239,10 @@ class TestRun:
         assert "nested_wall_time_s" not in prof
 
     @pytest.mark.parametrize("argv, code, prefix", [
+        # the initial half-max radius is already under 8 origin cells
         (["phys", "--mu", "0", "--lambda0", "0.2", "--grid-n", "512"], 3,
-         "ksdlab: stage_phys: "),
+         "ksdlab: stage_phys: half-max radius under 8 origin cells at 1x growth; "
+         "the fit needs 10x"),
         (["coercivity", "--mu", "0.2", "--j0", "6"], 2,
          "ksdlab: stage_coercivity: j0=6 below admissibility threshold"),
         # the default lam0 = 10^(-369.6) at mu=0.3 is 0.0 in float64

@@ -218,9 +218,27 @@ class TestFlow:
         assert calls.count("_rhs") == 2 * traj["steps"] + 1
         assert calls.count("extract_modes") == 1
 
+    def test_records_evaluated_in_blocks(self, mu0_profile, mu0_params, monkeypatch):
+        # past one block the records are evaluated one block per pass: one _rhs call
+        # per block beside the two of each step, none on more than a block of records,
+        # so the evaluation's memory does not grow with tau_end
+        shapes = []
+        rhs = renorm._rhs
+        monkeypatch.setattr(renorm, "_rhs",
+                            lambda psi, *a: shapes.append(psi.shape) or rhs(psi, *a))
+        traj = run_renorm(mu0_profile, mu0_params, 1e-3, 3.3, n=1024)
+        records = len(traj["tau"])
+        blocks = -(-records // renorm._EVAL_BLOCK)
+        assert (records, blocks) == (67, 2)
+        assert len(shapes) == 2 * traj["steps"] + blocks
+        # the steps evolve one field; each evaluation call stacks a block of records
+        assert [s[0] for s in shapes if len(s) == 2] == [renorm._EVAL_BLOCK, 3]
+
     def test_recorded_residual_is_state_residual(self, mu0_profile, mu0_params, monkeypatch):
         # each record of a 3-row flow holds the bits of its own slice's residual (lambda
-        # at that slice's tau), sup deviation and mode fit
+        # at that slice's tau), sup deviation and mode fit, across the edges of blocks
+        # of 2, 2 and 1 records
+        monkeypatch.setattr(renorm, "_EVAL_BLOCK", 2)
         states = []
         step = renorm.step_renorm
 
