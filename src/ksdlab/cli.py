@@ -218,7 +218,8 @@ def _stage_phys(cfg: RunConfig, outdir: Path, cache: dict) -> dict:
             series["half_max_radius"], series["dt"]),
     )
     write_json(outdir / "blowup_fit.json", {**asdict(fit), "lam0": lam0})
-    return {"steps": series["steps"], "nodes": len(series["grid"])}
+    return {"steps": series["steps"], "nodes": len(series["grid"]),
+            "dt_limits": series["dt_limits"]}
 
 
 def _stage_heat(cfg: RunConfig, outdir: Path, cache: dict) -> None:

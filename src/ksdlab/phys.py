@@ -83,22 +83,23 @@ def _phys_rhs(rho: np.ndarray, vol: np.ndarray, mu: float) -> tuple[np.ndarray, 
     ``sum_{k<=i} vol_k rho_k`` at face ``i+1/2``, the running sum of ``_fv_mass``.
     """
     # drift velocity u = m / r^2 >= 0 at faces (the advective flux is -rho*u, inward)
-    m_face = np.cumsum(vol[:-1] * rho[:-1])
+    m_face = vol[:-1] * rho[:-1]
+    m_face.cumsum(out=m_face)
 
-    # limited upwind reconstruction from the outer cell (flow direction -r); the
-    # outermost face has no outer slope, so it takes the outer cell's value
+    # limited upwind reconstruction from the outer cell (flow direction -r), into d once
+    # the slopes are taken; the outermost face has no outer slope: the outer cell's value
     d = rho[1:] - rho[:-1]
     slope = _minmod(d[:-1], d[1:])
     slope *= 0.5
-    rho_face = np.empty_like(d)
-    np.subtract(rho[1:-1], slope, out=rho_face[:-1])
-    rho_face[-1] = rho[-1]
+    F = d
+    np.subtract(rho[1:-1], slope, out=F[:-1])
+    F[-1] = rho[-1]
 
     # r_f^2 rho_f u_f = rho_f m_f; the divergence over the cell volumes
     # telescopes, so transport conserves the discrete mass sum exactly.  The
     # origin ball's surface-to-volume factor agrees with the pointwise limit
     # div(rho u) -> rho(0)^2 to O(h^2); the outer cell has no exterior flux.
-    F = rho_face * m_face
+    F *= m_face
     out = np.empty_like(rho)
     out[0] = F[0]
     np.subtract(F[1:], F[:-1], out=out[1:-1])
@@ -131,12 +132,16 @@ def _imex_step(
     return new, sink
 
 
-def _stable_dt(m_face: np.ndarray, sup: float, vol: np.ndarray, mu: float) -> float:
-    """CFL number 0.25 on the advective bound ``min vol/m`` and the reaction bound
-    ``0.5/((1-mu) sup)``.  ``m_face`` are the face masses of ``_phys_rhs``; the flux
-    through each face empties its outer (upwind) cell at the rate ``m_face/vol``."""
-    rate = float(np.max(m_face / vol[1:])) + 1e-300
-    return 0.25 * min(1.0 / rate, 0.5 / ((1.0 - mu) * sup + 1e-300))
+def _stable_dt(m_face: np.ndarray, sup: float, vol: np.ndarray, mu: float) -> tuple[float, str]:
+    """CFL number 0.25 on the smaller of the advective bound ``min vol/m`` and the reaction
+    bound ``0.5/((1-mu) sup)``, and its name (``"advective"`` on a tie).  ``m_face`` are the
+    face masses of ``_phys_rhs``; the flux through each face empties its outer (upwind)
+    cell at the rate ``m_face/vol``."""
+    advective = 1.0 / (float((m_face / vol[1:]).max()) + 1e-300)
+    reaction = 0.5 / ((1.0 - mu) * sup + 1e-300)
+    if advective <= reaction:
+        return 0.25 * advective, "advective"
+    return 0.25 * reaction, "reaction"
 
 
 def build_initial(profile: RadialProfile, lam0: float, n: int = 8192) -> PhysState:
@@ -176,10 +181,10 @@ def build_initial(profile: RadialProfile, lam0: float, n: int = 8192) -> PhysSta
 
 def _half_max_radius(rho: np.ndarray, grid: np.ndarray) -> float:
     sup = rho[0]
-    below = np.nonzero(rho < 0.5 * sup)[0]
-    if len(below) == 0:
+    below = rho < 0.5 * sup
+    k = below.argmax()  # the first node below half of rho(0), or 0 when there is none
+    if not below[k]:
         return float(grid[-1])
-    k = below[0]
     # linear interpolation between the straddling nodes
     r0, r1 = grid[k - 1], grid[k]
     v0, v1 = rho[k - 1], rho[k]
@@ -238,7 +243,9 @@ def run_phys(
     10 records lie in the fit window.  ``mu`` defaults to the profile's own damping;
     passing a different value probes off-profile data (e.g. the global-existence
     regime, where the sup-norm decays).
-    Returns the recorded time series, with the step count as ``steps``, and the fit.
+    Returns the recorded time series, with the step count as ``steps`` and, as
+    ``dt_limits``, the steps clipped to the lattice and those whose ``_stable_dt`` bound
+    was advective or reaction (these two sum to ``steps``), and the fit.
     """
     if mu is None:
         mu = profile.params.mu
@@ -249,12 +256,13 @@ def run_phys(
     t = 0.0
     t_rec = _RECORD_SPACING * h * h
     k_rec = 1
-    sup0 = float(np.max(rho))
+    sup0 = float(rho.max())
     records = []  # (t, sup_norm, mass, half_max_radius, dt) of each recorded state
     on_lattice, dt_stable = True, 0.0  # the initial state is the first record
     sink_accum = 0.0
+    dt_limits = {"lattice": 0, "advective": 0, "reaction": 0}
     for steps in range(max_steps):
-        sup = float(np.max(rho))
+        sup = float(rho.max())
         hm = _half_max_radius(rho, grid)
         if on_lattice:
             records.append((t, sup, _fv_mass(rho, lap.weight), hm, dt_stable))
@@ -271,22 +279,24 @@ def run_phys(
                 f"sup-norm at {sup / sup0:.3g}x initial after t = {t:.3g}"
             )
         k0, m_face = _phys_rhs(rho, lap.weight, mu)
-        dt_stable = _stable_dt(m_face, sup, lap.weight, mu)
+        dt_stable, limit = _stable_dt(m_face, sup, lap.weight, mu)
+        dt_limits[limit] += 1
         t_next = k_rec * t_rec
         on_lattice = dt_stable >= t_next - t
         dt = t_next - t if on_lattice else dt_stable
         new, sink = _imex_step(rho, k0, lap, mu, dt)
-        if not np.all(np.isfinite(new)):
+        if not np.isfinite(new).all():
             raise NonFiniteField("non-finite density")
         # discrete mass identity, accumulated: mass(t) - mass(0) = sum of sinks
         sink_accum += sink
         rho = new
         if on_lattice:
             t, k_rec = t_next, k_rec + 1
+            dt_limits["lattice"] += 1
         else:
             t += dt
     else:
-        raise NoBlowupDetected(f"step budget exhausted; sup grew {sup / sup0:.3g}x")
+        raise NoBlowupDetected(f"step budget exhausted; sup grew {rho.max() / sup0:.3g}x")
     if not on_lattice:
         records.append((t, sup, _fv_mass(rho, lap.weight), hm, records[-1][-1]))
     if sup < 10.0 * sup0:
@@ -332,7 +342,7 @@ def run_phys(
         stop_reason=stop_reason,
     )
     series = {"t": ts, "sup_norm": sups, "mass": masses, "half_max_radius": hms,
-              "dt": dts, "grid": grid, "steps": steps}
+              "dt": dts, "grid": grid, "steps": steps, "dt_limits": dt_limits}
     return series, fit
 
 

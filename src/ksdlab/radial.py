@@ -38,13 +38,18 @@ def cumulative_simpson_uniform(y: np.ndarray, h: float) -> np.ndarray:
     it is built on: ``y dx/dk`` in that coordinate ``k``.
     """
     y = np.asarray(y, dtype=float)
-    e0, o, e2 = y[..., :-2:2], y[..., 1:-1:2], y[..., 2::2]
+    y5, y1, o2 = 1.25 * y, 0.25 * y, 2.0 * y[..., 1:-1:2]  # 2 y on the odd nodes only
     sub = np.empty(y.shape[:-1] + (y.shape[-1] - 1,))
-    sub[..., :-1:2] = 1.25 * e0 + 2.0 * o - 0.25 * e2
-    sub[..., 1::2] = 1.25 * e2 + 2.0 * o - 0.25 * e0
-    sub[..., -1] = 1.25 * y[..., -1] + 2.0 * y[..., -2] - 0.25 * y[..., -3]
+    even, odd = sub[..., :-1:2], sub[..., 1::2]
+    np.add(y5[..., :-2:2], o2, out=even)
+    even -= y1[..., 2::2]
+    np.add(y5[..., 2::2], o2, out=odd)
+    odd -= y1[..., :-2:2]
+    if y.shape[-1] % 2 == 0:  # an odd number of intervals: the last one is mirrored
+        sub[..., -1] = y5[..., -1] + 2.0 * y[..., -2] - y1[..., -3]
+    sub *= h / 3.0
     out = np.zeros(y.shape)
-    np.cumsum(sub * (h / 3.0), axis=-1, out=out[..., 1:])
+    sub.cumsum(axis=-1, out=out[..., 1:])
     return out
 
 

@@ -161,20 +161,21 @@ def _rhs(psi, ops, params, out):
     wherever ``psi < 3 beta = Q0 + 3/(2 j0)``, and the upwind stencil assumes it:
     incoming flow in any row raises CFLViolation.
     """
-    m = cumulative_simpson_uniform(psi * ops.r2j, ops.h)
-    a = np.empty_like(psi)
+    # the velocity is built in the partial-mass array: f = m / r^3, and psi(0)/3 at 0
+    a = cumulative_simpson_uniform(psi * ops.r2j, ops.h)
     a[..., 0] = psi[..., 0] / 3.0
-    np.divide(m[..., 1:], ops.r3, out=a[..., 1:])
+    np.divide(a[..., 1:], ops.r3, out=a[..., 1:])
     np.subtract(params.beta, a, out=a)
     a *= ops.r_j
+    # not a.min() < 0: a NaN would hide a negative speed
     if (a[..., 2:] < 0.0).any():
         raise CFLViolation("incoming flow (f > beta): the upwind stencil needs outgoing flow")
     dpsi = _upwind(psi, ops.h)
     dpsi *= a
     out -= dpsi
-    # the -Psi damping is part of the linear rescaling
+    # the -Psi damping is part of the linear rescaling; the reaction reuses dpsi
     out -= psi
-    react = (1.0 - params.mu) * psi
+    react = np.multiply(psi, 1.0 - params.mu, out=dpsi)
     react *= psi
     out += react
     return out
@@ -202,24 +203,15 @@ def dt_policy(h, lam, params, r_dom, safety: float = _CFL_SAFETY) -> float:
     return safety * h * math.sqrt(1.0 + (r_dom / SINH_STRETCH) ** 2) / (params.beta * r_dom)
 
 
-def make_state(
-    profile: RadialProfile,
-    lam0: float,
-    n: int = 4096,
-    perturbation=None,
-) -> RenormState:
-    """Initial slice Psi(0) = Q (+ optional perturbation callable) on [0, 50].
+def make_state(profile: RadialProfile, lam0: float, n: int = 4096) -> RenormState:
+    """Initial slice Psi(0) = Q on [0, 50].
 
-    A perturbation that returns ``k`` rows makes ``k`` rows of one flow.  The grid is the
-    sinh-mapped one: ``n`` sets the resolution, so the origin spacing is at most
-    ``50/(n-1)`` as on ``linspace(0, 50, n)``, and the grid has about ``n/4.7``
+    The grid is the sinh-mapped one: ``n`` sets the resolution, so the origin spacing is
+    at most ``50/(n-1)`` as on ``linspace(0, 50, n)``, and the grid has about ``n/4.7``
     nodes (217 at n=1024, 863 at n=4096).
     """
     ops = _RenormGrid.make(n)
-    psi = profile.q(ops.grid)
-    if perturbation is not None:
-        psi = psi + perturbation(ops.grid)
-    return RenormState(tau=0.0, lam0=lam0, ops=ops, psi=psi)
+    return RenormState(tau=0.0, lam0=lam0, ops=ops, psi=profile.q(ops.grid))
 
 
 def step_renorm(
@@ -236,12 +228,12 @@ def step_renorm(
     if dt > dt_policy(ops.h, state.lam, params, ops.grid[-1], safety=_CFL_LIMIT):
         raise CFLViolation(f"dt={dt:.3g} exceeds the stability bound")
 
-    F = lambda p: _rhs(p, ops, params, np.zeros_like(p))
+    F = lambda p: _rhs(p, ops, params, np.zeros(p.shape))
     dif = (state.lam0 * math.exp(-(state.tau + 0.5 * dt) / 2.0)) ** (2.0 - 4.0 * params.beta)
     new, _ = ars222_step(psi, F(psi), F, ops.lap, dif, dt)
-    if not np.all(np.isfinite(new)):
+    if not np.isfinite(new).all():
         raise NonFiniteField("non-finite value in evolved field")
-    return replace(state, tau=state.tau + dt, psi=new)
+    return RenormState(state.tau + dt, state.lam0, ops, new)
 
 
 def _fit_basis(grid: np.ndarray, j0: int):
@@ -295,16 +287,20 @@ def run_renorm(
 
     Records every 0.05 in tau; the modes are ``extract_modes``' ``c_0 ..
     c_{j0+2}``, and the residual is that of the full flow, diffusion included.  The
-    rows of a perturbation share each step, and ``eps_sup``, ``residual`` and ``c``
-    are per row.  ``steps`` counts the ARS(2,2,2) steps, each ``_CFL_SAFETY`` of the
-    advective bound unless clipped to a record time.
+    initial data is ``Q``, sampled once, plus ``perturbation(grid)``: ``k`` rows of it
+    make ``k`` rows of one flow, and ``eps_sup``, ``residual`` and ``c`` are per row.
+    ``steps`` counts the ARS(2,2,2) steps, each ``_CFL_SAFETY`` of the advective bound
+    unless clipped to a record time.
 
     The loop keeps each record's ``(tau, lambda, psi)``; after the last step the records
     are stacked and evaluated along the record axis, ``_EVAL_BLOCK`` records per pass,
     each with the bits of its own evaluation.  A fit window ``extract_modes`` would
     refuse stops the run before the first step.
     """
-    state = make_state(profile, lam0, n=n, perturbation=perturbation)
+    state = make_state(profile, lam0, n=n)
+    q_ref = state.psi
+    if perturbation is not None:
+        state = replace(state, psi=q_ref + perturbation(state.grid))
     _fit_basis(state.grid, profile.params.j0)
     dt_adv = dt_policy(state.h, lam0, params, state.grid[-1])
     records = [(state.tau, state.lam, state.psi)]
@@ -318,12 +314,11 @@ def run_renorm(
             records.append((state.tau, state.lam, state.psi))
             next_rec = round(next_rec / _RECORD_DTAU + 1) * _RECORD_DTAU
     taus, lams, psis = zip(*records)
-    q_ref = profile.q(state.grid)
     eps_sup, residual, c = [], [], []
     for b in range(0, len(records), _EVAL_BLOCK):
         block = slice(b, b + _EVAL_BLOCK)
         psi = np.stack(psis[block])
-        eps_sup.append(np.max(np.abs(psi - q_ref), axis=-1))
+        eps_sup.append(np.abs(psi - q_ref).max(axis=-1))
         residual.append(_residual_norm(psi, state.ops, lams[block], params))
         c.append(extract_modes(replace(state, psi=psi), profile, q_ref=q_ref))
     return {"steps": steps, "tau": np.array(taus), "lam": np.array(lams),

@@ -184,7 +184,8 @@ class TestRun:
         # blowup_fit.json (now with stop_reason) and the phys manifest keys since
         # phys runs on the sinh-graded grid; renorm.csv, phys.csv and blowup_fit.json
         # since both loops diffuse with radial.flux_laplacian over shell volumes;
-        # phys.csv and blowup_fit.json since the phys drift reads the FV face masses
+        # phys.csv and blowup_fit.json since the phys drift reads the FV face masses;
+        # the phys manifest keys since it counts the limit that set each step
         out = tmp_path / "out"
         argv = ["all", "--quick", "--mu", "0", "--j0", "4", "--seed", "12345", "--out", str(out)]
         assert main(argv) == 0
@@ -211,7 +212,7 @@ class TestRun:
             "manifest_coercivity.json": base,
             "manifest_renorm.json": base + ["lam0", "n", "tau_end", "sigma_expected",
                                             "steps"],
-            "manifest_phys.json": base + ["steps", "nodes"],
+            "manifest_phys.json": base + ["steps", "nodes", "dt_limits"],
             "manifest_heat.json": base,
         }
         assert json.loads((out / "blowup_fit.json").read_text())["stop_reason"] == "resolution"

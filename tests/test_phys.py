@@ -55,7 +55,7 @@ def _rescaled(snap, lam):
 def _step(rho, lap, mu, dt=None):
     k0, m_face = _phys_rhs(rho, lap.weight, mu)
     if dt is None:
-        dt = _stable_dt(m_face, rho.max(), lap.weight, mu)
+        dt = _stable_dt(m_face, rho.max(), lap.weight, mu)[0]
     return _imex_step(rho, k0, lap, mu, dt)[0], dt
 
 
@@ -153,6 +153,14 @@ class TestDiscretization:
         grid = np.linspace(0.0, 1.0, 101)
         rho = np.maximum(1.0 - grid / 0.5, 0.0)  # half max exactly at 0.25
         assert _half_max_radius(rho, grid) == pytest.approx(0.25, abs=1e-12)
+
+    def test_half_max_edges(self):
+        # no node below half of rho(0): the outer radius; the first node below it at
+        # index 1: interpolated on the first interval
+        grid = np.linspace(0.0, 1.0, 11)
+        assert _half_max_radius(np.full(11, 2.0), grid) == 1.0
+        rho = np.array([1.0, 0.2] + [0.1] * 9)
+        assert _half_max_radius(rho, grid) == pytest.approx(0.0625, abs=1e-15)
 
 
 class TestScaling:
@@ -276,6 +284,32 @@ class TestBlowup:
         with pytest.raises(NoBlowupDetected, match="step budget"):
             run_phys(mu0_profile, lam0=1e-8, n=2048, max_steps=steps)
         assert len(calls) == 2 * steps
+
+    def test_empty_step_budget(self, mu0_profile):
+        with pytest.raises(NoBlowupDetected, match=r"step budget exhausted; sup grew 1x"):
+            run_phys(mu0_profile, lam0=1e-8, n=1024, max_steps=0)
+
+    def test_step_budget_reports_final_state(self, mu0_profile, monkeypatch):
+        # the growth in the budget message is that of the state the last step made
+        states = []
+        step = phys._imex_step
+        monkeypatch.setattr(phys, "_imex_step", lambda *a: states.append(step(*a)) or states[-1])
+        with pytest.raises(NoBlowupDetected, match="step budget") as err:
+            run_phys(mu0_profile, lam0=1e-8, n=1024, max_steps=3)
+        sup0 = build_initial(mu0_profile, 1e-8, n=1024).rho.max()
+        growth = [f"{rho.max() / sup0:.3g}x" for rho, _ in states]
+        assert len(states) == 3 and growth[-1] != growth[-2]
+        assert str(err.value).endswith(f"sup grew {growth[-1]}")
+
+    def test_dt_limits_counted(self, mu0_profile):
+        # each step's dt comes from _stable_dt's advective or reaction bound, or is
+        # clipped to land on the record lattice
+        series, _ = run_phys(mu0_profile, lam0=1e-8, n=8192)
+        limits = series["dt_limits"]
+        assert limits["advective"] + limits["reaction"] == series["steps"] == 216
+        assert limits == {"lattice": 147, "advective": 211, "reaction": 5}
+        # the records: the initial state, the 147 on the lattice and the final one off it
+        assert len(series["t"]) == 149
 
     def test_under_determined_fit_refused(self, mu0_profile):
         # this run keeps 3 records, 1 of them in the 5% window; the raw

@@ -60,6 +60,31 @@ def test_quadratic_exact():
         assert _rows_match(lambda y: cumulative_simpson_uniform(y, x[1] - x[0]), rows)
 
 
+def _simpson_terms(y, h):
+    """The kernel's sub-interval sums written one temporary per term, as it once was."""
+    e0, o, e2 = y[..., :-2:2], y[..., 1:-1:2], y[..., 2::2]
+    sub = np.empty(y.shape[:-1] + (y.shape[-1] - 1,))
+    sub[..., :-1:2] = 1.25 * e0 + 2.0 * o - 0.25 * e2
+    sub[..., 1::2] = 1.25 * e2 + 2.0 * o - 0.25 * e0
+    sub[..., -1] = 1.25 * y[..., -1] + 2.0 * y[..., -2] - 0.25 * y[..., -3]
+    out = np.zeros(y.shape)
+    np.cumsum(sub * (h / 3.0), axis=-1, out=out[..., 1:])
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 217, 218])
+def test_simpson_bits_odd_and_even_length(n):
+    # an even node count leaves a last interval of its own; rows of either parity,
+    # signed zeros among them, keep the bits of their 1-D calls and of the term form
+    rows = np.random.default_rng(n).normal(size=(3, n))
+    rows[2] = -0.0
+    got = cumulative_simpson_uniform(rows, 0.37)
+    bits = lambda a: a.view(np.int64)
+    assert np.array_equal(bits(got), bits(_simpson_terms(rows, 0.37)))
+    assert all(np.array_equal(bits(g), bits(cumulative_simpson_uniform(row, 0.37)))
+               for g, row in zip(got, rows))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(min_value=16, max_value=20000),

@@ -62,11 +62,13 @@ class TestMappedGrid:
             assert grid[0] == 0.0 and grid[-1] == 50.0
             assert grid[1] <= 50.0 / (n - 1)
 
-    def test_state_carries_its_grid(self, mu0_profile):
+    def test_state_carries_its_grid(self, mu0_profile, mu0_params):
         # the grid make_state builds from n, carried to the next slice by replace()
+        # and by step_renorm
         st = make_state(mu0_profile, 1e-3, n=512)
         assert np.array_equal(st.grid, renorm._grid(512))
         assert replace(st, psi=np.zeros_like(st.psi)).grid is st.grid
+        assert step_renorm(st, mu0_profile, mu0_params, 1e-3).ops is st.ops
 
     def test_h_is_xi_spacing(self, mu0_profile):
         # r = a sinh(xi/a), so the first r spacing exceeds the xi step that
@@ -131,6 +133,22 @@ class TestFlow:
         exact = math.exp(-tau) * mu0_profile.q(st.grid * math.exp(-beta * tau))
         assert np.max(np.abs(psi - exact)) < 1e-3
 
+    @pytest.mark.parametrize("mu, j0", [(0.0, 4), (0.2, 7)])
+    def test_rhs_adds_into_out(self, mu0_profile, mu, j0):
+        # _residual_norm passes the diffusion as out: _rhs adds into it in place, to the
+        # bits of the operator written out term by term
+        params = renorm.ProfileParams.make(mu, j0)
+        ops = make_state(mu0_profile, 1e-3, n=512).ops
+        psi = mu0_profile.q(ops.grid) + np.stack((0.0 * ops.grid, 1e-4 * chi_bump(ops.grid)))
+        out = 0.3 * ops.lap.apply(psi)
+        m = cumulative_simpson_uniform(psi * ops.r2j, ops.h)
+        f = np.concatenate((psi[:, :1] / 3.0, m[:, 1:] / ops.r3), axis=-1)
+        want = out - _upwind(psi, ops.h) * ((params.beta - f) * ops.r_j) - psi
+        want += (1.0 - mu) * psi * psi
+        got = renorm._rhs(psi, ops, params, out)
+        assert got is out
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_incoming_flow_refused(self, mu0_profile, mu0_params):
         # psi = 2 gives f = 2/3 > beta = 11/24: the flow is incoming, where
         # the upwind stencil does not hold
@@ -140,7 +158,7 @@ class TestFlow:
             step_renorm(two, mu0_profile, mu0_params, dt_policy(st.h, 1e-3, mu0_params, st.grid[-1]))
 
     def test_zero_data_stays_zero(self, mu0_profile, mu0_params):
-        st = make_state(mu0_profile, 1e-3, n=512, perturbation=None)
+        st = make_state(mu0_profile, 1e-3, n=512)
         zero = replace(st, psi=np.zeros_like(st.psi))
         out = step_renorm(zero, mu0_profile, mu0_params, dt_policy(st.h, 1e-3, mu0_params, st.grid[-1]))
         assert np.all(out.psi == 0.0)
@@ -250,7 +268,8 @@ class TestFlow:
         seeds = lambda r: np.stack([np.zeros_like(r), 1e-4 * chi_bump(r) * r * r,
                                     1e-4 * chi_bump(r)])
         traj = run_renorm(mu0_profile, mu0_params, 1e-3, 0.2, n=1024, perturbation=seeds)
-        first = make_state(mu0_profile, 1e-3, n=1024, perturbation=seeds)
+        q0 = make_state(mu0_profile, 1e-3, n=1024)
+        first = replace(q0, psi=q0.psi + seeds(q0.grid))
         slices = [first] + [st for st in states if st.tau in traj["tau"]]
         assert [st.tau for st in slices] == list(traj["tau"])
         assert traj["c"].shape == (5, 3, 7)
