@@ -86,12 +86,12 @@ def _phys_rhs(rho: np.ndarray, vol: np.ndarray, mu: float) -> tuple[np.ndarray, 
     m_face = vol[:-1] * rho[:-1]
     m_face.cumsum(out=m_face)
 
-    # limited upwind reconstruction from the outer cell (flow direction -r), into d once
-    # the slopes are taken; the outermost face has no outer slope: the outer cell's value
+    # limited upwind reconstruction from the outer cell (flow direction -r); the
+    # outermost face has no outer slope, so it takes the outer cell's value
     d = rho[1:] - rho[:-1]
     slope = _minmod(d[:-1], d[1:])
     slope *= 0.5
-    F = d
+    F = d  # the face values, then the fluxes, overwrite the differences
     np.subtract(rho[1:-1], slope, out=F[:-1])
     F[-1] = rho[-1]
 

@@ -16,6 +16,7 @@ from ksdlab.errors import (
     NonFiniteField,
 )
 from ksdlab.phys import build_initial
+from ksdlab.profile import ProfileParams
 from ksdlab.radial import ars222_step, chi_bump, cumulative_simpson_uniform, flux_laplacian
 from ksdlab.renorm import (
     _residual_norm,
@@ -137,7 +138,7 @@ class TestFlow:
     def test_rhs_adds_into_out(self, mu0_profile, mu, j0):
         # _residual_norm passes the diffusion as out: _rhs adds into it in place, to the
         # bits of the operator written out term by term
-        params = renorm.ProfileParams.make(mu, j0)
+        params = ProfileParams.make(mu, j0)
         ops = make_state(mu0_profile, 1e-3, n=512).ops
         psi = mu0_profile.q(ops.grid) + np.stack((0.0 * ops.grid, 1e-4 * chi_bump(ops.grid)))
         out = 0.3 * ops.lap.apply(psi)
