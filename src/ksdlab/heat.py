@@ -12,7 +12,6 @@ integral identities used by the full nonlocal operator probes.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,7 +138,11 @@ def heat_coercivity(
         quad = RadialQuad.make()
     bound = -1.0 / (4.0 * p.m) + 1e-3
     y = quad.r
-    L = functools.partial(_heat_L_vals, p, y, 2.0 * heat_profile(p, y))
+    u2 = 2.0 * heat_profile(p, y)
+
+    def L(_p, _s, e, de):  # the family enters only through its rows
+        return _heat_L_vals(p, y, u2, e, de)
+
     core = _WeightedL2(quad, p.theta_exponent, 0.0, 0)
     kappas = [10.0**-k for k in range(1, 7)]
     for kappa, quotients in zip(kappas, _probe_quotients(suite, core, L, kappas, bound)):

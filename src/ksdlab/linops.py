@@ -9,7 +9,8 @@ perturbations ``g`` as
 and is probed in the weighted space ``L^2_w`` with ``w(r) = r^{-A} + B``.  All
 quadrature runs on a uniform grid in ``u = ln r`` so the ``r^{-A}`` singularity
 is resolved; test functions carry enough vanishing at the origin to stay
-integrable.
+integrable.  The partial mass ``\\int_0^r g s^2 ds`` of an analytic probe is taken in
+closed form, from the lower incomplete gamma function.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .errors import DivergentIntegrand, DomainError, GridMismatch, NoConvergence
 from .profile import ProfileParams, RadialProfile
-from .radial import cumulative_simpson_uniform, horner
+from .radial import cumulative_simpson_uniform, horner, lower_gamma_ladder
 
 
 # ---------------------------------------------------------------------------
@@ -59,6 +60,24 @@ class PolyGauss:
         out[: len(dc)] += dc
         out[: len(shifted)] += shifted
         return PolyGauss(out, self.s)
+
+    def partial_mass(self, r: np.ndarray) -> np.ndarray:
+        """``\\int_0^r g(t) t^2 dt`` in closed form: the even and the odd powers of ``P`` each
+        take one ladder of ``gauss_partial_masses``."""
+        out = np.zeros(len(r))
+        for j in (self.vanish_order, self.vanish_order + 1):
+            c = self.coeffs[j::2]
+            if c.any():
+                out += c @ gauss_partial_masses(j + 2, self.s, len(c), r)
+        return out
+
+
+def gauss_partial_masses(m: int, s: float, K: int, r: np.ndarray) -> np.ndarray:
+    """``\\int_0^r t^{m+2k} e^{-t^2/s^2} dt`` for ``k < K``, shape ``(K, len(r))``: with
+    ``c = (m + 2k + 1)/2``, ``s^{2c} gamma(c, r^2/s^2) / 2``, from one incomplete gamma ladder."""
+    out = lower_gamma_ladder((m + 1) / 2.0, (r / s) ** 2, K)
+    out *= (0.5 * s ** (m + 1.0 + 2.0 * np.arange(K)))[:, None]
+    return out
 
 
 @dataclass(frozen=True)
@@ -114,32 +133,34 @@ def make_test_suite(A: int, count: int = 50, seed: int = 12345) -> list[TestFunc
 
 @dataclass(frozen=True)
 class RadialQuad:
-    """Composite-Simpson quadrature on a uniform grid in u = ln r.
+    """Trapezoid rule on a uniform grid in u = ln r, where ``\\int_0^\\infty F(r) r^power dr``
+    is ``\\int F e^{(power+1)u} du``.
 
-    ``integrate(F, power)`` approximates ``\\int_0^\\infty F(r) r^power dr``;
-    node count must be 1 mod 4 so the half-resolution estimate reuses nodes.
+    On integrands smooth in ``u`` that decay at both ends of the grid the rule converges
+    geometrically (Trefethen & Weideman, SIAM Review 56, 2014): the error on every other
+    node is about the square root of the error on all of them, so the difference of the
+    two levels bounds the fine one's error.  The node count must be 1 mod 4, so that the
+    coarse level ends on the last node and has an odd count too.
     """
 
     u: np.ndarray
     r: np.ndarray = field(default=None, compare=False)
 
     @classmethod
-    def make(cls, u_min: float = -30.0, u_max: float = math.log(100.0), n: int = 8001) -> "RadialQuad":
+    def make(cls, u_min: float = -30.0, u_max: float = math.log(100.0), n: int = 1001) -> "RadialQuad":
         if n % 4 != 1:
             raise DomainError("node count must be 1 mod 4")
         u = np.linspace(u_min, u_max, n)
         return cls(u=u, r=np.exp(u))
 
-    def _simpson_weights(self, m: int, h: float) -> np.ndarray:
-        w = np.ones(m)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        return w * (h / 3.0)
-
-    def integrate(self, F: np.ndarray, power: int = 2) -> float:
-        """Quadrature of ``F(r) r^power dr`` = ``F e^{(power+1)u} du``."""
-        w = self._simpson_weights(len(self.u), self.u[1] - self.u[0])
-        return float(np.dot(w, F * self.r ** (power + 1)))
+    def weights(self, step: int = 1) -> np.ndarray:
+        """Trapezoid weights in ``u`` on every ``step``-th node: ``\\int F(r) r^power dr`` is
+        ``weights() @ (F r^{power+1})``.  The spacing comes from the end points: ``u[1] - u[0]``
+        loses ``log2(|u[0]|/h)`` bits to cancellation (6e-12 relative at 64001 nodes)."""
+        u = self.u
+        w = np.full(len(u[::step]), step * (u[-1] - u[0]) / (len(u) - 1))
+        w[[0, -1]] *= 0.5
+        return w
 
 
 @dataclass(frozen=True)
@@ -194,12 +215,13 @@ class WeightParams:
 
 
 def _dq_weighted_norm(profile: RadialProfile, r_lo: float = 0.0) -> float:
-    """``||r^{-1/2} dQ/dr||_{L^2(r >= r_lo)}`` by Simpson in u = ln r."""
+    """``||r^{-1/2} dQ/dr||_{L^2(r >= r_lo)}`` by Simpson in u = ln r on 4001 nodes: the
+    integrand does not vanish at ``r_lo > 0``, where the trapezoid rule is second order only."""
     u_lo = -30.0 if r_lo <= 0.0 else math.log(r_lo)
-    n = 4001
-    q = RadialQuad.make(u_min=u_lo, u_max=math.log(profile.r_max), n=n)
+    q = RadialQuad.make(u_min=u_lo, u_max=math.log(profile.r_max), n=4001)
     dq = profile.sample(q.r)[2]
-    return math.sqrt(4.0 * math.pi * q.integrate(dq * dq, power=1))
+    total = cumulative_simpson_uniform(dq * dq * q.r**2, q.u[1] - q.u[0])[-1]
+    return math.sqrt(4.0 * math.pi * total)
 
 
 def select_weight(
@@ -289,30 +311,31 @@ class _WeightedL2:
     Built once per ``(quad, A, B, power)``, it holds the arrays every pairing
     on the grid reuses: the split-weight factor ``r^{-A/2}`` (formed on first
     use; only the guarded ``grams`` reads it), ``r^{power+1}`` on the fine and
-    the coarse (every other) nodes, and both Simpson weight vectors.  Every
+    the coarse (every other) nodes, and both trapezoid weight vectors.  Every
     weighted product is a block of ``grams``.  It pairs grid samples with their
     vanishing orders, so a function is sampled once however many pairings it
     enters.
     """
 
     def __init__(self, quad: RadialQuad, A: int, B: float, power: int):
-        u, r = quad.u, quad.r
+        r = quad.r
         self.quad, self.A, self.B, self.power = quad, A, B, power
         self.rp = r ** (power + 1)
         self.rp_coarse = r[::2] ** (power + 1)
-        self.w = quad._simpson_weights(len(u), u[1] - u[0])
-        self.w_coarse = quad._simpson_weights(len(u[::2]), u[2] - u[0])
+        self.w = quad.weights()
+        self.w_coarse = quad.weights(2)
 
     @functools.cached_property
     def half(self) -> np.ndarray:
         return np.float_power(self.quad.r, -self.A / 2.0)
 
     def cumulative(self, F: np.ndarray) -> np.ndarray:
-        """Cumulative ``\\int_0^{r_i} F s^power ds`` (below-grid part negligible
-        for integrands vanishing at the origin)."""
+        """Cumulative Simpson ``\\int_0^{r_i} F s^power ds`` of each row of ``F``, the part
+        below the grid taken as that of ``F`` constant there (negligible for integrands
+        vanishing at the origin)."""
         integrand = F * self.rp
         h = self.quad.u[1] - self.quad.u[0]
-        return cumulative_simpson_uniform(integrand, h) + integrand[0] / (self.power + 1.0)
+        return cumulative_simpson_uniform(integrand, h) + integrand[..., :1] / (self.power + 1.0)
 
     def _guard(self, pa: int, pb: int) -> None:
         if not pa + pb + self.power > self.A - 1:
@@ -352,16 +375,17 @@ class _WeightedL2:
 
 def _halving_checked(fine, coarse):
     """``fine``, after the panel-halving check against the ``coarse`` quadrature (scalars or
-    arrays): raises NoConvergence where the error estimate exceeds 1e-8 relative."""
-    err = np.abs(fine - coarse) / 15.0
+    arrays): raises NoConvergence where the error estimate ``|fine - coarse|``, the coarse
+    level's error and so a bound on the fine one's, exceeds 1e-8 relative."""
+    err = np.abs(fine - coarse)
     if np.any(err > 1e-8 * np.abs(fine) + 1e-300):
         raise NoConvergence(f"quadrature error estimate {np.nanmax(err):.3g} too large")
     return fine
 
 
-def _family_rows(p: int, s: float, K: int, quad: RadialQuad, L_vals) -> np.ndarray:
+def _family_rows(p: int, s: float, K: int, quad: RadialQuad, L_family) -> np.ndarray:
     """The rows ``phi_k = r^{p+2k} e^{-r^2/s^2}``, ``k < K``, each the last times ``r^2``,
-    then the rows ``L_vals(phi_k, phi_k')``, each over the slope ``phi_k ((p+2k)/r - 2r/s^2)``."""
+    then the rows ``L_family(p, s, phi, phi')`` from the slopes ``phi_k ((p+2k)/r - 2r/s^2)``."""
     r = quad.r
     r2 = r * r
     rows = np.empty((2 * K, len(r)))
@@ -370,19 +394,19 @@ def _family_rows(p: int, s: float, K: int, quad: RadialQuad, L_vals) -> np.ndarr
         np.multiply(rows[k - 1], r2, out=rows[k])
     phi, L_rows = rows[:K], rows[K:]
     np.multiply(phi, (p + 2.0 * np.arange(K))[:, None] / r - (2.0 / (s * s)) * r, out=L_rows)
-    for row, slope in zip(phi, L_rows):
-        slope[:] = L_vals(row, slope)
+    L_rows[:] = L_family(p, s, phi, L_rows)
     return rows
 
 
-def _probe_quotients(suite: list[TestFunction], core: _WeightedL2, L_vals, Bs, bound: float):
+def _probe_quotients(suite: list[TestFunction], core: _WeightedL2, L_family, Bs, bound: float):
     """Yield, for each flat part ``B`` in ``Bs``, the Rayleigh quotient ``(Lg, g)_w / (g, g)_w``
     under ``w = r^{-A} + B`` of every suite member, with its ``_rayleigh_quotient`` flag.
 
     ``L`` is linear, so a member ``g = sum_k a_k phi_k`` of the family ``(p, s, K)`` with
     rows ``phi_k = r^{p+2k} e^{-r^2/s^2}`` has ``(Lg, g)_w = a^T M a`` and ``(g, g)_w =
-    a^T G a``, ``M`` and ``G`` from ``core.grams``.  Each family's rows are built once,
-    whatever the number of ``B``; each quadratic form passes ``pair``'s panel-halving check.
+    a^T G a``, ``M`` and ``G`` from ``core.grams``.  ``L_family(p, s, phi, phi')`` gives the
+    rows ``L phi_k``.  Each family's rows are built once, whatever the number of ``B``; each
+    quadratic form passes ``pair``'s panel-halving check.
     """
     families: dict[tuple[int, float, int], list[int]] = {}
     for idx, tf in enumerate(suite):
@@ -390,7 +414,7 @@ def _probe_quotients(suite: list[TestFunction], core: _WeightedL2, L_vals, Bs, b
     forms = np.empty((2, 2, 2, len(suite)))  # (den, num), (fine, coarse), (singular, flat)
     for (p, s, K), members in families.items():
         a = np.array([suite[i].poly_coeffs for i in members])
-        rows = _family_rows(p, s, K, core.quad, L_vals)
+        rows = _family_rows(p, s, K, core.quad, L_family)
         grams = core.grams(rows, p, rows[:K], p).reshape(2, 2, 2, K, K)  # phi: G, L phi: M
         forms[..., members] = np.einsum("lwfij,ni,nj->flwn", grams, a, a)
     for B in Bs:
@@ -413,11 +437,18 @@ def _operator_coeffs(params: ProfileParams, r, Q, fq, dQ):
     return params.beta * r, r * fq, dQ, 2.0 * (1.0 - params.mu) * Q, r * r
 
 
-def _L_vals(core: _WeightedL2, coeffs, gv: np.ndarray, dg: np.ndarray) -> np.ndarray:
-    """``L g`` on the grid from the samples of ``g`` and ``g'``; ``core.power`` is 2."""
+def _L_vals(coeffs, gv: np.ndarray, dg: np.ndarray, mass: np.ndarray) -> np.ndarray:
+    """``L g`` on the grid from the samples of ``g``, ``g'`` and the partial mass
+    ``\\int_0^r g s^2 ds``, for each row of a stack as for one function."""
     beta_r, r_fq, dQ, q2, r2 = coeffs
-    J = core.cumulative(gv) / r2  # (1/r^2) int_0^r g s^2 ds
+    J = mass / r2  # (1/r^2) int_0^r g s^2 ds
     return -(gv + beta_r * dg) + r_fq * dg + dQ * J + q2 * gv
+
+
+def _L_family(coeffs, r: np.ndarray, p: int, s: float, phi: np.ndarray, dphi: np.ndarray):
+    """``L phi_k`` for the family rows ``phi_k = r^{p+2k} e^{-r^2/s^2}``, their partial masses
+    in closed form."""
+    return _L_vals(coeffs, phi, dphi, gauss_partial_masses(p + 2, s, len(phi), r))
 
 
 def apply_L(
@@ -428,13 +459,17 @@ def apply_L(
 ) -> SampledRadial:
     """Sample ``L g`` on the quadrature grid.
 
-    For PolyGauss input the advective derivative is analytic; sampled input
-    falls back to finite differences in u.  The nonlocal term uses cumulative
-    Simpson prefix sums of ``g s^2``.
+    For PolyGauss input the advective derivative and the nonlocal term's partial mass are
+    analytic; sampled input falls back to finite differences in u and cumulative Simpson
+    prefix sums of ``g s^2``.
     """
     gv, dg, p = _sample_slope(g, quad)
     coeffs = _operator_coeffs(params, quad.r, *profile.sample(quad.r))
-    vals = _L_vals(_WeightedL2(quad, 0, 0.0, 2), coeffs, gv, dg)
+    if isinstance(g, PolyGauss):
+        mass = g.partial_mass(quad.r)
+    else:
+        mass = _WeightedL2(quad, 0, 0.0, 2).cumulative(gv)
+    vals = _L_vals(coeffs, gv, dg, mass)
     return SampledRadial(r=quad.r, vals=vals, vanish_order=p)
 
 
@@ -471,7 +506,8 @@ def coercivity_probe(
     if quad is None:
         quad = RadialQuad.make()
     core = _WeightedL2(quad, w.A, w.B, 2)
-    L = functools.partial(_L_vals, core, _operator_coeffs(params, quad.r, *profile.sample(quad.r)))
+    coeffs = _operator_coeffs(params, quad.r, *profile.sample(quad.r))
+    L = functools.partial(_L_family, coeffs, quad.r)
     [quotients] = _probe_quotients(suite, core, L, (w.B,), -0.125 + 1e-3)
     return [
         {"index": idx, "seed_label": tf.seed_label, "p": tf.p, "s": tf.s,

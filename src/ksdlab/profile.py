@@ -13,6 +13,7 @@ in ``s = ln r``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
@@ -55,7 +56,9 @@ def compute_admissibility(mu: float) -> tuple[float, int]:
 class ProfileParams:
     """Parameter tuple (mu, j0, q_j0) fixing one profile problem.
 
-    The similarity exponent ``beta = 1/(3(1-mu)) + 1/(2 j0)`` is derived from it.
+    The similarity exponent ``beta = 1/(3(1-mu)) + 1/(2 j0)`` is derived from it; it and
+    ``q0``, ``f0`` are computed on first read and kept, since the time loops read them
+    every step.
     ``q_j0`` is the leading Taylor coefficient of ``Q - Q0`` (negative for the
     decreasing profile; 0 is accepted and yields the constant solution).
     """
@@ -73,17 +76,17 @@ class ProfileParams:
         if self.q_j0 > 0:
             raise DomainError(f"q_j0={self.q_j0} must be <= 0")
 
-    @property
+    @functools.cached_property
     def q0(self) -> float:
         """Profile value at the origin, ``Q0 = 1/(1-mu)``."""
         return 1.0 / (1.0 - self.mu)
 
-    @property
+    @functools.cached_property
     def f0(self) -> float:
         """Averaged-mass value at the origin, ``f0 = Q0/3``."""
         return 1.0 / (3.0 * (1.0 - self.mu))
 
-    @property
+    @functools.cached_property
     def beta(self) -> float:
         """Similarity exponent ``1/(3(1-mu)) + 1/(2 j0)``."""
         return self.f0 + 1.0 / (2.0 * self.j0)

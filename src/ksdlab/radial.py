@@ -1,5 +1,6 @@
 """Radial kernels shared by the time loops, the operator probes and the profile: uniform-grid
-quadrature, the sinh-mapped grid both time loops run on, Horner evaluation, the cutoff bump,
+quadrature, the lower incomplete gamma function the probes' partial masses take, the
+sinh-mapped grid both time loops run on, Horner evaluation, the cutoff bump,
 the one finite-volume Laplacian and its tridiagonal type, and the one IMEX time step both
 time loops take.  The field kernels act along the last axis, on each row of a stack as on
 one field."""
@@ -51,6 +52,55 @@ def cumulative_simpson_uniform(y: np.ndarray, h: float) -> np.ndarray:
     out = np.zeros(y.shape)
     sub.cumsum(axis=-1, out=out[..., 1:])
     return out
+
+
+def lower_gamma_ladder(a: float, x, K: int) -> np.ndarray:
+    """``gamma(a + k, x)`` for ``k < K``, shape ``(K,) + x.shape``: the lower incomplete gamma
+    function ``int_0^x t^{a+k-1} e^{-t} dt``, for ``a > 0`` and ``x >= 0``.
+
+    One evaluation at the top order ``b = a + K - 1``: ``Gamma(b)`` where
+    ``x >= b + 40 + 9 sqrt(b)`` (there ``Gamma(b, x)/Gamma(b)`` is below 1e-17 for every ``b``
+    up to 170, past which ``Gamma(b)`` overflows), else the all-positive series
+    ``x^b e^{-x} sum_k x^k / (b)_{k+1}`` (DLMF 8.7.1), summed until the last term is under
+    2^-54 of the sum.  The lower orders step down with the stable recurrence
+    ``gamma(c, x) = (gamma(c + 1, x) + x^c e^{-x}) / c``, which divides each error by ``c``.
+    """
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    top = a + K - 1
+    out = np.empty((K, flat.size))
+    out[...] = np.array([math.gamma(a + k) for k in range(K)])[:, None]
+    idx = np.flatnonzero(flat < top + 40.0 + 9.0 * math.sqrt(top))
+    idx = idx[np.argsort(flat[idx], kind="stable")]
+    xs = flat[idx]
+    # the series on ascending x, a block of terms at a time, each block a running product
+    # of the ratios x/(b + k): a larger x needs more terms, so the nodes still summing are
+    # a suffix, and the blocks lengthen as it shortens
+    term = np.full(len(xs), 1.0 / top)
+    total = term.copy()
+    i = k = 0
+    while i < len(xs):
+        xv = xs[i:]
+        block = min(256, max(8, 4096 // len(xv)))
+        terms = xv / (top + np.arange(k + 1, k + block + 1))[:, None]
+        terms[0] *= term[i:]
+        np.cumprod(terms, axis=0, out=terms)
+        total[i:] += terms.sum(axis=0)
+        term[i:] = terms[-1]
+        k += block
+        done = terms[-1] <= 2.0**-54 * total[i:]
+        i += len(xv) if done.all() else int(done.argmin())
+    # x^c e^{-x} for c = a, ..., b, each the last times x, then gamma(c, x) over it in place
+    g = np.empty((K, len(xs)))
+    g[0] = xs**a * np.exp(-xs)
+    for k in range(1, K):
+        np.multiply(g[k - 1], xs, out=g[k])
+    g[K - 1] *= total
+    for k in range(K - 2, -1, -1):
+        g[k] += g[k + 1]
+        g[k] /= a + k
+    out[:, idx] = g
+    return out.reshape((K,) + x.shape)
 
 
 def horner(coeffs, x):

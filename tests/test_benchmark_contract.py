@@ -127,6 +127,6 @@ def test_kernel_metrics_run(mu0_params, mu0_profile, monkeypatch):
     monkeypatch.setattr(kernels, "per_call_us", once)
     metrics = kernels.kernel_metrics(mu0_params, mu0_profile)
     assert {"kernel.renorm.step_renorm.n4096.us", "kernel.phys.pde_residual.n8192.us",
-            "kernel.linops.apply_L.n8001.us",
+            "kernel.linops.apply_L.n1001.us",
             "kernel.profile.series_recurrence.N400.madds"} <= set(metrics)
     assert all(math.isfinite(v) for v in metrics.values())

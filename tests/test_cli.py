@@ -154,16 +154,17 @@ class TestRun:
 
     def test_probe_csvs_pinned(self, tmp_path):
         # bytes of both probe tables at a fixed seed; both since the quotients
-        # come from per-family Gram matrices, a new quadrature order that the
-        # per-probe oracle tests hold to 1e-13
+        # come from the trapezoid rule on 1001 nodes with closed-form partial masses:
+        # the coercivity quotients moved by up to 1.7e-8 relative, the cumulative
+        # Simpson error of the 8001-node route, the heat ones by round-off
         out = tmp_path / "out"
         for cmd in ("coercivity", "heat"):
             assert main([cmd, "--mu", "0", "--j0", "4", "--seed", "12345", "--out", str(out)]) == 0
         digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                    for name in ("coercivity.csv", "heat.csv")}
         assert digests == {
-            "coercivity.csv": "d375c1138e5d2b11238e7fdaf5b5b7ee0e69baf9290753a5707250b4ac56f86c",
-            "heat.csv": "a914b6d727138c88ae384debd26efd6dd90d45fb076752bfa84247f2c556502a",
+            "coercivity.csv": "04cb884e0bc6964b03a8dcb658cc754ac6ff0cb28e39a81c6e3d9e41eca77a63",
+            "heat.csv": "0f1262f4fa68389c75ea5c418218e60612de50b3c67d59ec08d0579c0ce4aa3a",
         }
 
     def test_mu02_residual_pinned(self, tmp_path):
@@ -185,7 +186,10 @@ class TestRun:
         # phys runs on the sinh-graded grid; renorm.csv, phys.csv and blowup_fit.json
         # since both loops diffuse with radial.flux_laplacian over shell volumes;
         # phys.csv and blowup_fit.json since the phys drift reads the FV face masses;
-        # the phys manifest keys since it counts the limit that set each step
+        # the phys manifest keys since it counts the limit that set each step;
+        # coercivity.csv and heat.csv since the probes take the trapezoid rule on
+        # 1001 nodes, and coercivity_certificate.json since its two norms sum their
+        # Simpson terms as a prefix sum (last bits)
         out = tmp_path / "out"
         argv = ["all", "--quick", "--mu", "0", "--j0", "4", "--seed", "12345", "--out", str(out)]
         assert main(argv) == 0
@@ -193,10 +197,10 @@ class TestRun:
                    for p in out.iterdir() if not p.name.startswith("manifest_")}
         assert digests == {
             "blowup_fit.json": "150b8c6211ad3b26d992376dc4fcad03c977bcfa5dd0ffb895ec372e7b8eb9cc",
-            "coercivity.csv": "5f2372efcdbbe88f7716d57ab72fc6422b92e34de2a792fa7c1878dcf4d6d762",
+            "coercivity.csv": "0e853bd03b9b476a759f7fb709320cea44f07a35353f6b95f32a66eaaa18d37b",
             "coercivity_certificate.json":
-                "27d6a622b36f333f26eae09f5b9ee9f5666fe91bdbf2bf701cdaa669a55d28d5",
-            "heat.csv": "8bc1c8d0f014961ae358c01ec704df176ca17b9242a50543f8a348589bd96d5d",
+                "b93a8b54713652316f47feef49601926511595f9a4adc243337c870454780e5a",
+            "heat.csv": "fb034c6294b687d3237e5c1ac87e54741ba7ba05600f0c034d9db73408fc9ea5",
             "heat_certificate.json": "54b5230bf9e9e09458bd00591fdf27607ee3f53b88741aeab42277cf39ea1f5e",
             "phys.csv": "b6c28fc367e751a1a28a9e39f54300dfe262ce85d3770c2df2d9b99802be1560",
             "portrait.csv": "9ae938e4050946aaf036207c70af0b9ad02eb1bb3704479dd444711cd24ac83d",
@@ -382,3 +386,20 @@ def test_cli_import_leaves_scipy_integrate_and_linalg_out():
     # radial loads LAPACK on the first solve, which only the time loops make
     names = ["scipy.integrate", "scipy.linalg", "scipy.optimize", "scipy.special"]
     assert _loaded_by_cli_import(names) == "[]"
+
+
+def test_certify_commands_leave_scipy_out(tmp_path):
+    # running, not only importing: the profile and both probes, quadrature and partial
+    # masses included, load no scipy module (scipy.special alone nearly doubles a fresh
+    # process's resident memory)
+    env = {**os.environ, "PYTHONPATH": str(Path(ksdlab.__file__).parents[1])}
+    code = (
+        "import sys\n"
+        "from ksdlab.cli import main\n"
+        "for argv in (['profile'], ['coercivity', '--quick'], ['heat', '--quick']):\n"
+        f"    assert main(argv + ['--out', {str(tmp_path)!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -2,6 +2,7 @@
 
 import math
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath as mp
@@ -118,6 +119,16 @@ class TestParams:
         assert p.beta == pytest.approx(11.0 / 24.0, abs=1e-15)
         assert p.q0 == 1.0
         assert p.f0 == pytest.approx(1.0 / 3.0, abs=1e-15)
+
+    def test_derived_values_kept(self):
+        # q0, f0 and beta are computed on first read and kept, with the bits of their
+        # formulas; replace() builds a new instance that computes its own
+        p = ProfileParams.make(0.2, 7)
+        assert (p.q0, p.f0, p.beta) == (1.0 / 0.8, 1.0 / (3.0 * 0.8), 1.0 / (3.0 * 0.8) + 1.0 / 14.0)
+        assert {k: vars(p)[k] for k in ("q0", "f0", "beta")} == {"q0": p.q0, "f0": p.f0,
+                                                                  "beta": p.beta}
+        q = replace(p, mu=0.0, j0=4)
+        assert (q.q0, q.beta) == (1.0, 1.0 / 3.0 + 1.0 / 8.0)
 
     def test_positive_seed_rejected(self):
         with pytest.raises(DomainError):

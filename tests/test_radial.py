@@ -1,10 +1,12 @@
 """The uniform-grid cumulative Simpson kernel against scipy and exact polynomials, the
-sinh-mapped grid, the finite-volume Laplacian both time loops build, Horner evaluation
-against numpy's polyval, and the ARS(2,2,2) step against a matrix exponential.  The
-kernels act along the last axis: each row of a stack gets the bits of its own 1-D call."""
+lower incomplete gamma ladder against mpmath, the sinh-mapped grid, the finite-volume
+Laplacian both time loops build, Horner evaluation against numpy's polyval, and the
+ARS(2,2,2) step against a matrix exponential.  The kernels act along the last axis: each
+row of a stack gets the bits of its own 1-D call."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,7 @@ from ksdlab.radial import (
     flux_laplacian,
     horner,
     l2_norm,
+    lower_gamma_ladder,
     sinh_grid,
 )
 
@@ -228,3 +231,30 @@ def test_horner_bits_match_polyval():
     for xs in x:
         got = horner(c, xs)
         assert np.ndim(got) == 0 and _bits(got) == _bits(polyval(xs, c))
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0] + [a + d for a in np.arange(8.0, 57.0, 8.0) for d in (0.5, 1.0)])
+def test_lower_gamma_ladder_matches_mpmath(a):
+    # ladders of 8 orders from each start cover the half-integer and integer orders up to
+    # 64, on x from 1e-26 to 1e4 and on both sides of the top order's switch to Gamma(b);
+    # where gamma underflows the ladder must give 0 or a subnormal
+    K = 8
+    b = a + K - 1
+    edge = b + 40.0 + 9.0 * math.sqrt(b)
+    x = np.concatenate((np.logspace(-26.0, 4.0, 61), [b, edge * (1 - 1e-12), edge]))
+    got = lower_gamma_ladder(a, x, K)
+    assert got.shape == (K, len(x))
+    with mpmath.workdps(40):
+        for k in range(K):
+            ref = [float(mpmath.gammainc(a + k, 0, mpmath.mpf(xi))) for xi in x]
+            assert got[k] == pytest.approx(ref, rel=1e-13, abs=1e-300)
+
+
+def test_lower_gamma_ladder_shape_and_order():
+    # any shape and order of x, zero included: the ladder sorts its series nodes
+    x = np.array([[30.0, 0.0, 1e-3], [2.5, 500.0, 7.0]])
+    got = lower_gamma_ladder(2.5, x, 3)
+    assert got.shape == (3, 2, 3)
+    flat = lower_gamma_ladder(2.5, x.ravel()[::-1], 3)[:, ::-1].reshape(3, 2, 3)
+    assert np.array_equal(got, flat)
+    assert np.all(got[:, 0, 1] == 0.0)
