@@ -124,9 +124,9 @@ class TestParams:
         # q0, f0 and beta are computed on first read and kept, with the bits of their
         # formulas; replace() builds a new instance that computes its own
         p = ProfileParams.make(0.2, 7)
-        assert (p.q0, p.f0, p.beta) == (1.0 / 0.8, 1.0 / (3.0 * 0.8), 1.0 / (3.0 * 0.8) + 1.0 / 14.0)
-        assert {k: vars(p)[k] for k in ("q0", "f0", "beta")} == {"q0": p.q0, "f0": p.f0,
-                                                                  "beta": p.beta}
+        f0 = 1.0 / (3.0 * 0.8)
+        assert (p.q0, p.f0, p.beta) == (1.0 / 0.8, f0, f0 + 1.0 / 14.0)
+        assert [vars(p)[k] for k in ("q0", "f0", "beta")] == [p.q0, p.f0, p.beta]
         q = replace(p, mu=0.0, j0=4)
         assert (q.q0, q.beta) == (1.0, 1.0 / 3.0 + 1.0 / 8.0)
 

@@ -233,7 +233,7 @@ def test_horner_bits_match_polyval():
         assert np.ndim(got) == 0 and _bits(got) == _bits(polyval(xs, c))
 
 
-@pytest.mark.parametrize("a", [0.5, 1.0] + [a + d for a in np.arange(8.0, 57.0, 8.0) for d in (0.5, 1.0)])
+@pytest.mark.parametrize("a", [0.5, 1.0] + [a + d for a in range(8, 57, 8) for d in (0.5, 1.0)])
 def test_lower_gamma_ladder_matches_mpmath(a):
     # ladders of 8 orders from each start cover the half-integer and integer orders up to
     # 64, on x from 1e-26 to 1e4 and on both sides of the top order's switch to Gamma(b);
