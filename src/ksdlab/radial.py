@@ -56,11 +56,11 @@ def cumulative_simpson_uniform(y: np.ndarray, h: float) -> np.ndarray:
 
 def lower_gamma_ladder(a: float, x, K: int) -> np.ndarray:
     """``gamma(a + k, x)`` for ``k < K``, shape ``(K,) + x.shape``: the lower incomplete gamma
-    function ``int_0^x t^{a+k-1} e^{-t} dt``, for ``a > 0`` and ``x >= 0``.
+    function ``int_0^x t^{a+k-1} e^{-t} dt``, for ``a > 0``, ``x >= 0`` and a top order
+    ``b = a + K - 1`` up to 120 (at ``b = 130`` the series' ``x^b`` overflows).
 
-    One evaluation at the top order ``b = a + K - 1``: ``Gamma(b)`` where
-    ``x >= b + 40 + 9 sqrt(b)`` (there ``Gamma(b, x)/Gamma(b)`` is below 1e-17 for every ``b``
-    up to 170, past which ``Gamma(b)`` overflows), else the all-positive series
+    One evaluation at the top order: ``Gamma(b)`` where ``x >= b + 40 + 9 sqrt(b)`` (there
+    ``Gamma(b, x)/Gamma(b)`` is below 1e-17 for every ``b`` up to 170), else the all-positive series
     ``x^b e^{-x} sum_k x^k / (b)_{k+1}`` (DLMF 8.7.1), summed until the last term is under
     2^-54 of the sum.  The lower orders step down with the stable recurrence
     ``gamma(c, x) = (gamma(c + 1, x) + x^c e^{-x}) / c``, which divides each error by ``c``.
