@@ -219,7 +219,7 @@ def _stage_phys(cfg: RunConfig, outdir: Path, cache: dict) -> dict:
     )
     write_json(outdir / "blowup_fit.json", {**asdict(fit), "lam0": lam0})
     return {"steps": series["steps"], "nodes": len(series["grid"]),
-            "dt_limits": series["dt_limits"]}
+            "dt_limits": series["dt_limits"], "fit_report": series["fit_report"]}
 
 
 def _stage_heat(cfg: RunConfig, outdir: Path, cache: dict) -> None:

@@ -245,7 +245,11 @@ def run_phys(
     regime, where the sup-norm decays).
     Returns the recorded time series, with the step count as ``steps`` and, as
     ``dt_limits``, the steps clipped to the lattice and those whose ``_stable_dt`` bound
-    was advective or reaction (these two sum to ``steps``), and the fit.
+    was advective or reaction (these two sum to ``steps``), and the fit.  The series'
+    ``fit_report`` says what the fit rests on: the window's span in decades of
+    ``T_est - t``, the sup-norm growth and half-maximum radius shrink over it, the
+    records and how many of them lie past ``T_est``, and the first and last local
+    blowup-time estimates ``t + (1/sup)/s``.
     """
     if mu is None:
         mu = profile.params.mu
@@ -341,8 +345,18 @@ def run_phys(
         mass_identity_err=float(abs((masses[-1] - masses[0]) - sink_accum) / masses[0]),
         stop_reason=stop_reason,
     )
+    fit_report = {
+        "window_decades": float(np.log10((T_est - ts[k0]) / (T_est - ts[hi]))),
+        "sup_ratio": float(sups[hi] / sups[k0]),
+        "radius_ratio": float(hms[k0] / hms[hi]),
+        "records": len(ts),
+        "records_past_T_est": int(np.count_nonzero(ts > T_est)),
+        "T_local_first": float(T_loc[0]),
+        "T_local_last": float(T_loc[-1]),
+    }
     series = {"t": ts, "sup_norm": sups, "mass": masses, "half_max_radius": hms,
-              "dt": dts, "grid": grid, "steps": steps, "dt_limits": dt_limits}
+              "dt": dts, "grid": grid, "steps": steps, "dt_limits": dt_limits,
+              "fit_report": fit_report}
     return series, fit
 
 

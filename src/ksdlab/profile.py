@@ -127,10 +127,14 @@ def series_recurrence(mu: float, beta: float, n: int, j0: int, q_j0: float = -1.
         # Q_i, 2i Q_i and Q_i/(2i+3) at i = k j0, by lattice index k (0 unused)
         q, a, b = [None], [None], [None]
         for k in range(1, n // j0 + 1):
-            # at j = k j0, j0 S_j / (j - j0) is S_j / (k - 1)
-            qk = Decimal(q_j0) if k == 1 else (
-                sum(map(mul, a[1:k], b[k - 1:0:-1]))
-                + one_m_mu * sum(map(mul, q[1:k], q[k - 1:0:-1]))) / (k - 1)
+            if k == 1:
+                qk = Decimal(q_j0)
+            else:
+                # at j = k j0, j0 S_j / (j - j0) is S_j / (k - 1); Q_i Q_{k-i} is formed
+                # for i <= k/2 and mirrored, the middle term once, and summed in order of i
+                half = list(map(mul, q[1:k // 2 + 1], q[k - 1:(k - 1) // 2:-1]))
+                qk = (sum(map(mul, a[1:k], b[k - 1:0:-1]))
+                      + one_m_mu * sum(half + half[::-1][1 - k % 2:])) / (k - 1)
             Q[k * j0] = qk
             q.append(qk)
             a.append(2 * k * j0 * qk)
@@ -166,11 +170,6 @@ class PowerSeries:
 
     def eval_f(self, r):
         return _even_series(self.f_coeffs, r)
-
-    def eval_dq(self, r):
-        """Term-wise derivative dQ/dr."""
-        j = np.arange(1, len(self.q_coeffs))
-        return _even_series(2 * j * self.q_coeffs[1:], r) * np.asarray(r, dtype=float)
 
     def remainder_estimate(self, r: float) -> float:
         """Geometric estimate of the truncation remainder |sum_{j>N} Q_j r^{2j}|."""
@@ -249,6 +248,33 @@ def build_series(params: ProfileParams, tol: float) -> PowerSeries:
     )
 
 
+def _series_values(series: PowerSeries, r: np.ndarray):
+    """``(Q, f, dQ/dr)`` of the series at ``r``, by one Horner pass in ``r^2`` over the three
+    series stacked as rows, ``dQ/dr = r sum_j 2(j+1) Q_{j+1} r^{2j}`` padded with a top zero.
+
+    A power whose three coefficients are all zero gets the multiply but not the add, so the
+    lattice-sparse series cost about half the adds.  Adding a zero changes only the sign of
+    a zero, and the constant term, which is always added, settles that sign as the full
+    pass does: Q and f end on their nonzero Q_0 and f_0, dQ/dr on ``+0``.  So each row keeps
+    the bits of ``radial.horner`` on its own coefficients (and of ``polyval``).
+    """
+    n = len(series.q_coeffs)
+    rows = np.zeros((n, 3, 1))
+    rows[:, 0, 0] = series.q_coeffs
+    rows[:, 1, 0] = series.f_coeffs
+    rows[:-1, 2, 0] = 2 * np.arange(1, n) * series.q_coeffs[1:]
+    live = rows.any(axis=(1, 2))
+    live[0] = True
+    x = np.square(r)
+    out = np.zeros((3, len(r)))
+    for c, nonzero in zip(rows[::-1], live[::-1]):
+        out *= x
+        if nonzero:
+            out += c
+    out[2] *= r
+    return out
+
+
 def _evaluate(r, params: ProfileParams, series: PowerSeries, r_h: float, sol, r_max: float):
     """``(Q, f, dQ/dr)`` at ``r`` in ``[0, r_max]``: the series on ``r <= r_h``, the
     continuation ``sol`` (or the constant ``(Q0, f0)`` when it is None) outside,
@@ -260,7 +286,8 @@ def _evaluate(r, params: ProfileParams, series: PowerSeries, r_h: float, sol, r_
     q, f, dq = np.empty_like(rs), np.empty_like(rs), np.empty_like(rs)
     inner = rs <= r_h
     ri = rs[inner]
-    q[inner], f[inner], dq[inner] = series.eval_q(ri), series.eval_f(ri), series.eval_dq(ri)
+    if ri.size:
+        q[inner], f[inner], dq[inner] = _series_values(series, ri)
     outer = ~inner
     if np.any(outer):
         ro = rs[outer]
@@ -353,8 +380,14 @@ def _continue(mu: float, beta: float, s_lo: float, s_hi: float, q_h: float, f_h:
             raise StepSizeUnderflow(f"beta - f collapsed at r={math.exp(s):.4g}")
         q, f, dq = [q_s], [f_s], []
         for k in range(p):
-            n_k = (1.0 - mu) * sum(map(mul, q, reversed(q))) - q[k]
-            dq.append((n_k + sum(map(mul, dq, f[k:0:-1]))) / (beta - f_s))
+            # both Cauchy sums add left to right from 0.0: builtin sum compensates
+            # floats since Python 3.12, which would change the bits with the interpreter
+            qq = dqf = 0.0
+            for x in map(mul, q, reversed(q)):
+                qq += x
+            for x in map(mul, dq, f[k:0:-1]):
+                dqf += x
+            dq.append(((1.0 - mu) * qq - q[k] + dqf) / (beta - f_s))
             q.append(dq[k] / (k + 1))
             f.append((q[k] - 3.0 * f[k]) / (k + 1))
         radii = [[(abs(c[0]) / abs(c[j])) ** (1.0 / j) if c[j] else math.inf
@@ -369,7 +402,9 @@ def _continue(mu: float, beta: float, s_lo: float, s_hi: float, q_h: float, f_h:
         knots.append(s)
         coeffs.append((q, f))
         s = s_hi if h == s_hi - s else s + h
-        q_s, f_s = float(horner(q, h)), float(horner(f, h))
+        q_s = f_s = 0.0  # Horner in h on floats: the multiply and add of radial.horner
+        for a, b in zip(reversed(q), reversed(f)):
+            q_s, f_s = q_s * h + a, f_s * h + b
         if f_s - q_s / 3.0 < 0.0:
             raise RegionExitScenario1(f"trajectory crossed f = Q/3 at r={math.exp(s):.4g}")
         if q_s <= 0.0:

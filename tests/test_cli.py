@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import ksdlab
 from ksdlab.cli import RunConfig, _quick_renorm_n, main, parse_config, portrait_scan
 from ksdlab.errors import ConfigParseError
-from ksdlab.io import fmt_float, write_csv
+from ksdlab.io import write_csv
 from ksdlab.renorm import fit_nodes
 
 
@@ -186,7 +186,8 @@ class TestRun:
         # phys runs on the sinh-graded grid; renorm.csv, phys.csv and blowup_fit.json
         # since both loops diffuse with radial.flux_laplacian over shell volumes;
         # phys.csv and blowup_fit.json since the phys drift reads the FV face masses;
-        # the phys manifest keys since it counts the limit that set each step;
+        # the phys manifest keys since it counts the limit that set each step, and
+        # since it reports what the blowup fit rests on;
         # coercivity.csv and heat.csv since the probes take the trapezoid rule on
         # 1001 nodes, and coercivity_certificate.json since its two norms sum their
         # Simpson terms as a prefix sum (last bits)
@@ -216,7 +217,7 @@ class TestRun:
             "manifest_coercivity.json": base,
             "manifest_renorm.json": base + ["lam0", "n", "tau_end", "sigma_expected",
                                             "steps"],
-            "manifest_phys.json": base + ["steps", "nodes", "dt_limits"],
+            "manifest_phys.json": base + ["steps", "nodes", "dt_limits", "fit_report"],
             "manifest_heat.json": base,
         }
         assert json.loads((out / "blowup_fit.json").read_text())["stop_reason"] == "resolution"
@@ -312,17 +313,45 @@ class TestRun:
 _finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
+def _fmt_float(x) -> str:
+    """The former field rendering of ``write_csv``: 17 significant digits for floats."""
+    if isinstance(x, (float, np.floating)):
+        return "%.17g" % x
+    return str(x)
+
+
+def _reference_csv(path, header, rows):
+    """The former ``write_csv``, ``csv.writer`` on each field's ``_fmt_float``: the byte oracle."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        wr = csv.writer(fh, lineterminator="\r\n")
+        wr.writerow(header)
+        for row in rows:
+            wr.writerow([_fmt_float(v) for v in row])
+
+
+_edge_floats = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, math.nan, math.inf, -math.inf])
+_text = st.text(st.sampled_from(list('ab ,"\r\n%\'\té')) | st.characters(
+    blacklist_categories=("Cs",), blacklist_characters="\x00"), max_size=6)
+_field = st.one_of(
+    st.floats(), _edge_floats, st.floats().map(np.float64), _edge_floats.map(np.float64),
+    st.integers(), st.integers(-2**63, 2**63 - 1).map(np.int64), st.booleans(),
+    _text, st.just(""),
+)
+
+
 class TestCsvDeterminism:
     @given(x=_finite)
     @example(x=0.0)
     @example(x=-0.0)
     @example(x=5e-324)
     @example(x=-2.2250738585072009e-308)
-    def test_float_round_trip(self, x):
+    def test_float_round_trip(self, tmp_path_factory, x):
         # 17 significant digits give back every binary64, the sign of zero included
+        path = tmp_path_factory.getbasetemp() / "x.csv"
+        write_csv(path, ["x", "y"], [(x, np.float64(x))])
+        fields = path.read_bytes().split(b"\r\n")[1].split(b",")
         bits = lambda v: np.float64(v).view(np.int64)
-        assert bits(float(fmt_float(x))) == bits(x)
-        assert bits(float(fmt_float(np.float64(x)))) == bits(x)
+        assert [bits(float(v)) for v in fields] == [bits(x)] * 2
 
     @given(rows=st.lists(st.lists(_finite, min_size=1, max_size=4), min_size=1, max_size=5))
     @example(rows=[[-0.0, 0.0, 5e-324]])
@@ -335,6 +364,21 @@ class TestCsvDeterminism:
             bodies.append((out / name).read_bytes())
         assert bodies[0] == bodies[1]
         assert bodies[0].count(b"\n") == bodies[0].count(b"\r\n") == len(rows) + 1
+
+    @given(header=st.lists(_text, max_size=4),
+           rows=st.lists(st.lists(_field, max_size=5), max_size=6))
+    @example(header=[""], rows=[[""], [], ["", ""], [np.float64(-0.0), -0.0, 5e-324]])
+    @example(header=["a,b", 'q"', "x\ry", "x\ny"],
+             rows=[[math.nan, math.inf, -math.inf, np.int64(-7)], [True, np.bool_(False), 3]])
+    @example(header=[], rows=[])
+    @settings(max_examples=200)
+    def test_bytes_match_csv_writer(self, tmp_path_factory, header, rows):
+        # the one-template writer against the former csv.writer loop, byte for byte, on
+        # ragged tables of floats, ints, bools and text, rows given as an iterator
+        out = tmp_path_factory.getbasetemp()
+        write_csv(out / "got.csv", header, (tuple(row) for row in rows))
+        _reference_csv(out / "want.csv", header, rows)
+        assert (out / "got.csv").read_bytes() == (out / "want.csv").read_bytes()
 
 
 class TestThreads:

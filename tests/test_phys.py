@@ -1,5 +1,7 @@
 """Physical-variable solver: conservation, scaling symmetry, blowup fits."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -310,6 +312,24 @@ class TestBlowup:
         assert limits == {"lattice": 147, "advective": 211, "reaction": 5}
         # the records: the initial state, the 147 on the lattice and the final one off it
         assert len(series["t"]) == 149
+
+    def test_fit_report(self, mu0_profile):
+        # what the fit rests on: at n=8192 the window spans 0.23 decades of T - t, the
+        # sup-norm grows 1.68x and the half-max radius shrinks 1.31x over it, 19 of the
+        # 149 records lie past T_est, and the local blowup-time estimate drifts
+        series, fit = run_phys(mu0_profile, lam0=1e-8, n=8192)
+        rep = series["fit_report"]
+        t, sup, hm = series["t"], series["sup_norm"], series["half_max_radius"]
+        lo, hi = np.searchsorted(t, fit.fit_window)
+        assert t[[lo, hi]].tolist() == list(fit.fit_window)
+        assert rep["window_decades"] == math.log10((fit.T_est - t[lo]) / (fit.T_est - t[hi]))
+        assert (rep["sup_ratio"], rep["radius_ratio"]) == (sup[hi] / sup[lo], hm[lo] / hm[hi])
+        assert rep["records"] == len(t) == 149
+        assert rep["records_past_T_est"] == np.count_nonzero(t > fit.T_est) == 19
+        assert round(rep["window_decades"], 2) == 0.23
+        assert (round(rep["sup_ratio"], 2), round(rep["radius_ratio"], 2)) == (1.68, 1.31)
+        assert rep["T_local_first"] == pytest.approx(1.0e-16, rel=1e-3)
+        assert rep["T_local_last"] > 1.15 * rep["T_local_first"]
 
     def test_under_determined_fit_refused(self, mu0_profile):
         # this run keeps 3 records, 1 of them in the 5% window; the raw

@@ -20,6 +20,7 @@ from ksdlab.errors import (
     RegionExitScenario2,
     StepSizeUnderflow,
 )
+from ksdlab.linops import RadialQuad
 from ksdlab.profile import (
     N_MAX,
     ProfileParams,
@@ -30,6 +31,7 @@ from ksdlab.profile import (
     series_recurrence,
     solve_profile,
 )
+from ksdlab.radial import horner
 
 
 #: working precision (decimal digits) of the ``mp.mpf`` operator oracle
@@ -350,6 +352,54 @@ class TestSolve:
             assert np.array_equal(stored.view(np.int64), fresh.view(np.int64))
         r = float(prof.grid[100])
         assert (prof.q(r), prof.sample(r)[1]) == (prof.q_vals[100], prof.f_vals[100])
+
+    @pytest.mark.parametrize("mu,j0", [(0.0, 4), (0.2, 7), (0.25, 10)])
+    def test_stacked_series_matches_per_series_horner(self, mu, j0):
+        # the one zero-skipping pass over (Q, f, dQ/dr) against a full Horner pass per
+        # series, every coefficient added, on the profile grid, on the 4001-node grid of
+        # _dq_weighted_norm and at r = 0 and subnormal r, where dQ/dr must be +0.0
+        p = ProfileParams.make(mu, j0)
+        series = build_series(p, 1e-12)
+        prof = solve_profile(p, series, 1.0e4, 1e-10)
+        dq_coeffs = 2 * np.arange(1, len(series.q_coeffs)) * series.q_coeffs[1:]
+        quad = RadialQuad.make(u_min=-30.0, u_max=math.log(prof.r_max), n=4001)
+        tiny = np.array([0.0, 5e-324, 1e-320, 2.2250738585072014e-308, 1e-160])
+        for r in (prof.grid, quad.r, tiny):
+            r = r[r <= prof.handoff_radius]
+            x = np.square(r)
+            want = (horner(series.q_coeffs, x), horner(series.f_coeffs, x),
+                    horner(dq_coeffs, x) * r)
+            for got, ref in zip(prof.sample(r), want):
+                assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+        dq_tiny = prof.sample(tiny)[2]
+        assert np.all(dq_tiny.view(np.int64) == 0)  # +0.0, not -0.0
+
+    @pytest.mark.parametrize("mu", [0.0, 0.2])
+    def test_continuation_sums_left_to_right(self, mu):
+        # every step's coefficients against the recurrence written with explicit
+        # left-to-right adds from 0.0, bit for bit: the bits must not depend on how the
+        # interpreter's builtin sum adds floats
+        p = ProfileParams.make(mu, compute_admissibility(mu)[1])
+        series = build_series(p, 1e-12)
+        prof = solve_profile(p, series, 1.0e4, 1e-10)
+        r_h = prof.handoff_radius
+        coeffs = prof.sol.coeffs
+        assert coeffs[0, 0, 0] == float(series.eval_q(r_h))
+        assert coeffs[1, 0, 0] == float(series.eval_f(r_h))
+        for i in range(coeffs.shape[2]):
+            q, f, dq = [float(coeffs[0, 0, i])], [float(coeffs[1, 0, i])], []
+            for k in range(profile_mod.TAYLOR_ORDER):
+                qq = 0.0
+                for a, b in zip(q, reversed(q)):
+                    qq += a * b
+                dqf = 0.0
+                for a, b in zip(dq, f[k:0:-1]):
+                    dqf += a * b
+                dq.append(((1.0 - mu) * qq - q[k] + dqf) / (p.beta - f[0]))
+                q.append(dq[k] / (k + 1))
+                f.append((q[k] - 3.0 * f[k]) / (k + 1))
+            assert np.array_equal(coeffs[:, :, i].view(np.int64),
+                                  np.array([q, f]).view(np.int64))
 
 
 class TestGridAndClassify:
