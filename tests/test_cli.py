@@ -314,14 +314,14 @@ _finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
 def _fmt_float(x) -> str:
-    """The former field rendering of ``write_csv``: 17 significant digits for floats."""
+    """One field of the byte oracle: floats with 17 significant digits, the rest by ``str``."""
     if isinstance(x, (float, np.floating)):
         return "%.17g" % x
     return str(x)
 
 
 def _reference_csv(path, header, rows):
-    """The former ``write_csv``, ``csv.writer`` on each field's ``_fmt_float``: the byte oracle."""
+    """The byte oracle of ``write_csv``: ``csv.writer`` on each field's ``_fmt_float``."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         wr = csv.writer(fh, lineterminator="\r\n")
         wr.writerow(header)
@@ -331,7 +331,7 @@ def _reference_csv(path, header, rows):
 
 _edge_floats = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, math.nan, math.inf, -math.inf])
 _text = st.text(st.sampled_from(list('ab ,"\r\n%\'\té')) | st.characters(
-    blacklist_categories=("Cs",), blacklist_characters="\x00"), max_size=6)
+    exclude_categories=("Cs",), exclude_characters="\x00"), max_size=6)
 _field = st.one_of(
     st.floats(), _edge_floats, st.floats().map(np.float64), _edge_floats.map(np.float64),
     st.integers(), st.integers(-2**63, 2**63 - 1).map(np.int64), st.booleans(),
@@ -373,8 +373,8 @@ class TestCsvDeterminism:
     @example(header=[], rows=[])
     @settings(max_examples=200)
     def test_bytes_match_csv_writer(self, tmp_path_factory, header, rows):
-        # the one-template writer against the former csv.writer loop, byte for byte, on
-        # ragged tables of floats, ints, bools and text, rows given as an iterator
+        # write_csv against csv.writer, byte for byte, on ragged tables of floats, ints,
+        # bools and text, rows given as an iterator
         out = tmp_path_factory.getbasetemp()
         write_csv(out / "got.csv", header, (tuple(row) for row in rows))
         _reference_csv(out / "want.csv", header, rows)
