@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -303,9 +304,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+#: a negative number, exponent form included: argparse's own pattern has no exponent, so
+#: it reads ``-1e-3`` as an option
+_NEGATIVE = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """``--flag -1e-3`` as ``--flag=-1e-3``, which argparse parses on every version."""
+    out: list[str] = []
+    for token in argv:
+        prev = out[-1] if out else ""
+        if (prev.startswith("--") and prev != "--" and "=" not in prev
+                and _NEGATIVE.fullmatch(token)):
+            out[-1] = f"{prev}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def parse_config(argv=None) -> RunConfig:
     """Merge config file and flags (flags win) into a validated RunConfig."""
-    ns = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    ns = _build_parser().parse_args(_attach_negative_values(argv))
     base: dict = {}
     if ns.config:
         try:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -144,14 +144,17 @@ class RadialQuad:
     """
 
     u: np.ndarray
-    r: np.ndarray = field(default=None, compare=False)
 
     @classmethod
     def make(cls, u_min: float = -30.0, u_max: float = math.log(100.0), n: int = 1001) -> "RadialQuad":
         if n % 4 != 1:
             raise DomainError("node count must be 1 mod 4")
-        u = np.linspace(u_min, u_max, n)
-        return cls(u=u, r=np.exp(u))
+        return cls(u=np.linspace(u_min, u_max, n))
+
+    @functools.cached_property
+    def r(self) -> np.ndarray:
+        """The radii ``e^u``, formed on first read."""
+        return np.exp(self.u)
 
     def weights(self, step: int = 1) -> np.ndarray:
         """Trapezoid weights in ``u`` on every ``step``-th node: ``\\int F(r) r^power dr`` is
@@ -329,14 +332,6 @@ class _WeightedL2:
     def half(self) -> np.ndarray:
         return np.float_power(self.quad.r, -self.A / 2.0)
 
-    def cumulative(self, F: np.ndarray) -> np.ndarray:
-        """Cumulative Simpson ``\\int_0^{r_i} F s^power ds`` of each row of ``F``, the part
-        below the grid taken as that of ``F`` constant there (negligible for integrands
-        vanishing at the origin)."""
-        integrand = F * self.rp
-        h = self.quad.u[1] - self.quad.u[0]
-        return cumulative_simpson_uniform(integrand, h) + integrand[..., :1] / (self.power + 1.0)
-
     def _guard(self, pa: int, pb: int) -> None:
         if not pa + pb + self.power > self.A - 1:
             raise DivergentIntegrand(
@@ -367,10 +362,6 @@ class _WeightedL2:
         """
         g = self.grams(av[None], pa, bv[None], pb)[..., 0, 0]  # (fine, coarse), (singular, flat)
         return float(_halving_checked(*(g[:, 0] + self.B * g[:, 1])))
-
-    def inner(self, av: np.ndarray, pa: int, bv: np.ndarray, pb: int) -> float:
-        """``4 pi \\int a b (r^{-A} + B) r^power dr``, the radial 3D inner product."""
-        return 4.0 * math.pi * self.pair(av, pa, bv, pb)
 
 
 def _halving_checked(fine, coarse):
@@ -454,22 +445,14 @@ def _L_family(coeffs, r: np.ndarray, p: int, s: float, phi: np.ndarray, dphi: np
 def apply_L(
     profile: RadialProfile,
     params: ProfileParams,
-    g: PolyGauss | SampledRadial,
+    g: PolyGauss,
     quad: RadialQuad,
 ) -> SampledRadial:
-    """Sample ``L g`` on the quadrature grid.
-
-    For PolyGauss input the advective derivative and the nonlocal term's partial mass are
-    analytic; sampled input falls back to finite differences in u and cumulative Simpson
-    prefix sums of ``g s^2``.
-    """
+    """Sample ``L g`` on the quadrature grid, with the analytic slope of ``g`` and the
+    closed-form partial mass of the nonlocal term."""
     gv, dg, p = _sample_slope(g, quad)
     coeffs = _operator_coeffs(params, quad.r, *profile.sample(quad.r))
-    if isinstance(g, PolyGauss):
-        mass = g.partial_mass(quad.r)
-    else:
-        mass = _WeightedL2(quad, 0, 0.0, 2).cumulative(gv)
-    vals = _L_vals(coeffs, gv, dg, mass)
+    vals = _L_vals(coeffs, gv, dg, g.partial_mass(quad.r))
     return SampledRadial(r=quad.r, vals=vals, vanish_order=p)
 
 
@@ -486,7 +469,7 @@ def weighted_inner(
     """
     gv, pg = _sample(g, quad)
     hv, ph = _sample(h, quad)
-    return _WeightedL2(quad, w.A, w.B, 2).inner(gv, pg, hv, ph)
+    return 4.0 * math.pi * _WeightedL2(quad, w.A, w.B, 2).pair(gv, pg, hv, ph)
 
 
 def coercivity_probe(

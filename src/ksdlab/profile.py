@@ -142,16 +142,12 @@ def series_recurrence(mu: float, beta: float, n: int, j0: int, q_j0: float = -1.
     return Q
 
 
-def _even_series(coeffs: np.ndarray, r):
-    """``sum_j coeffs[j] r^{2j}`` by Horner's rule in ``r^2``."""
-    return horner(coeffs, np.square(np.asarray(r, dtype=float)))
-
-
 @dataclass(frozen=True)
 class PowerSeries:
     """Even Taylor coefficients of (Q, f) at the origin, with fitted growth estimates.
 
-    ``Q(r) = sum_j q_coeffs[j] r^{2j}``; ``f_coeffs[j] = q_coeffs[j]/(2j+3)``.
+    ``Q(r) = sum_j q_coeffs[j] r^{2j}``; ``f_coeffs[j] = q_coeffs[j]/(2j+3)``.  The nonzero
+    coefficients sit every ``stride`` indices, the last at the truncation order.
     ``radius_estimate`` is a geometric-ratio fit of the convergence radius.
     ``bound_K`` and ``bound_alpha`` fit ``|Q_j| <= bound_K^(j-bound_alpha)/j^2``
     over the stored ``j >= 1`` only, so they say nothing of the omitted ones.
@@ -160,26 +156,19 @@ class PowerSeries:
     q_coeffs: np.ndarray
     f_coeffs: np.ndarray
     radius_estimate: float
-    truncation: int
     bound_K: float
     bound_alpha: float
-    stride: int = 1
-
-    def eval_q(self, r):
-        return _even_series(self.q_coeffs, r)
-
-    def eval_f(self, r):
-        return _even_series(self.f_coeffs, r)
+    stride: int
 
     def remainder_estimate(self, r: float) -> float:
         """Geometric estimate of the truncation remainder |sum_{j>N} Q_j r^{2j}|."""
         t = (r / self.radius_estimate) ** 2
         if t >= 1.0:
             return np.inf
-        # nonzero coefficients appear every `stride` indices; the first omitted
-        # term sits `stride` slots past the stored truncation
+        # the first omitted term sits `stride` slots past the last stored one
         u = t**self.stride
-        lead = abs(self.q_coeffs[self.truncation]) * r ** (2 * self.truncation)
+        n = len(self.q_coeffs) - 1
+        lead = abs(self.q_coeffs[n]) * r ** (2 * n)
         return lead * u / (1.0 - u)
 
 
@@ -241,7 +230,6 @@ def build_series(params: ProfileParams, tol: float) -> PowerSeries:
         q_coeffs=qk,
         f_coeffs=fk,
         radius_estimate=radius,
-        truncation=n_trunc,
         bound_K=K,
         bound_alpha=alpha,
         stride=stride,
@@ -441,15 +429,18 @@ def solve_profile(
     mu, beta = params.mu, params.beta
 
     # --- handoff radius ---
+    # horner on 0-d values: one point through the stacked _series_values costs about 4x as much
     scan = np.linspace(0.95 * series.radius_estimate, 0.05, 400)
     r_h = next((float(r) for r in scan if series.remainder_estimate(r) < tol
-                and (beta - series.eval_f(r)) > 0.5 * (beta - params.f0)), None)
+                and (beta - horner(series.f_coeffs, r * r)) > 0.5 * (beta - params.f0)), None)
     if r_h is None:
         raise NoConvergence("no handoff radius brings the series remainder estimate below tol")
 
     constant = params.q_j0 == 0.0
+    x_h = r_h * r_h
     sol = None if constant else _continue(mu, beta, math.log(r_h), math.log(r_max),
-                                          float(series.eval_q(r_h)), float(series.eval_f(r_h)))
+                                          float(horner(series.q_coeffs, x_h)),
+                                          float(horner(series.f_coeffs, x_h)))
 
     grid = make_grid(r_max)
     q_vals, f_vals, dq_vals = _evaluate(grid, params, series, r_h, sol, r_max)

@@ -1,6 +1,6 @@
-"""Every public function and class in ``ksdlab``, and every public method and property
-of its public classes, is used by the package itself, the benchmark, or the acceptance
-criteria."""
+"""Every function and class in ``ksdlab``, and every method and property of its classes, is
+used by the package itself or the benchmark; a public one may instead be used by the
+acceptance criteria.  So no helper stays in the package for the other tests alone."""
 
 import ast
 from collections import Counter
@@ -25,25 +25,36 @@ def _refs(node: ast.AST, attributes_only: bool = False) -> Counter:
     return out
 
 
-def _public(body):
-    return [d for d in body
-            if isinstance(d, (ast.FunctionDef, ast.ClassDef)) and not d.name.startswith("_")]
+def _defs(body):
+    """The functions and classes of ``body``, dunder methods left out: Python calls those."""
+    return [d for d in body if isinstance(d, (ast.FunctionDef, ast.ClassDef))
+            and not (d.name.startswith("__") and d.name.endswith("__"))]
 
 
-def _unreferenced() -> set[str]:
-    """Public top-level names in ``src/ksdlab``, and ``Class.member`` for the public methods
-    and properties of its public classes, that nothing refers to outside their own
-    definition: not the package, no ``perfbench`` module and no acceptance criterion.  A
-    top-level name counts by any reference, a member by attribute access."""
-    src = [ast.parse(p.read_text()) for p in sorted((ROOT / "src" / "ksdlab").glob("*.py"))]
-    outside = [ast.parse(p.read_text()) for p in
-               [*sorted((ROOT / "perfbench").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]]
+def _parse(paths):
+    return [ast.parse(p.read_text()) for p in paths]
+
+
+def _unreferenced(private: bool) -> set[str]:
+    """Top-level names in ``src/ksdlab``, and ``Class.member`` for the methods and properties
+    of its classes, that nothing refers to outside their own definition.  A public name (of a
+    public class) may be referred to by the package, a ``perfbench`` module or an acceptance
+    criterion; a private one, or any member of a private class, by the package or a
+    ``perfbench`` module only.  A top-level name counts by any reference, a member by
+    attribute access."""
+    src = _parse(sorted((ROOT / "src" / "ksdlab").glob("*.py")))
+    outside = _parse(sorted((ROOT / "perfbench").glob("*.py")))
+    if not private:
+        outside += _parse([ROOT / "tests" / "test_acceptance.py"])
     defs = []  # (reported name, definition, attributes_only)
     for tree in src:
-        for d in _public(tree.body):
-            defs.append((d.name, d, False))
+        for d in _defs(tree.body):
+            hidden = d.name.startswith("_")
+            if hidden == private:
+                defs.append((d.name, d, False))
             if isinstance(d, ast.ClassDef):
-                defs += [(f"{d.name}.{m.name}", m, True) for m in _public(d.body)]
+                defs += [(f"{d.name}.{m.name}", m, True) for m in _defs(d.body)
+                         if (hidden or m.name.startswith("_")) == private]
 
     def total(trees, attributes_only):
         return sum((_refs(t, attributes_only) for t in trees), Counter())
@@ -58,4 +69,8 @@ def _unreferenced() -> set[str]:
 
 
 def test_public_names_have_a_caller():
-    assert _unreferenced() == set()
+    assert _unreferenced(private=False) == set()
+
+
+def test_private_names_have_a_caller_outside_the_tests():
+    assert _unreferenced(private=True) == set()

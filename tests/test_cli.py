@@ -91,6 +91,16 @@ class TestConfig:
         assert capsys.readouterr().err == f"ksdlab: {key} must be finite, not {float(val)}\n"
         assert not (tmp_path / "o").exists()
 
+    def test_spaced_exponent_value(self, tmp_path):
+        # argparse takes "-1e-3" for an option, not a negative number; the spaced form
+        # must run the same profile as the attached one
+        tables = []
+        for sub, argv in (("spaced", ["--qj0", "-1e-3"]), ("attached", ["--qj0=-1e-3"])):
+            out = tmp_path / sub
+            assert main(["profile", *argv, "--out", str(out)]) == 0
+            tables.append((out / "profile.csv").read_bytes())
+        assert tables[0] == tables[1]
+
     def test_file_then_flag_override(self, tmp_path):
         cfile = tmp_path / "run.json"
         cfile.write_text(json.dumps({"command": "profile", "mu": 0.2, "seed": 7}))

@@ -23,6 +23,7 @@ from ksdlab.linops import (
     weighted_inner,
 )
 from ksdlab.profile import ProfileParams, build_series, solve_profile
+from ksdlab.radial import cumulative_simpson_uniform
 
 
 @pytest.fixture(scope="module")
@@ -59,39 +60,35 @@ class TestQuadrature:
             val = integrate(quad, g, power=k)
             assert val == pytest.approx(gaussian_moment(k, 1.0), rel=1e-12)
 
-    def test_cumulative_matches_total(self, quad):
-        g = np.exp(-(quad.r**2))
-        cum = linops._WeightedL2(quad, 0, 0.0, 2).cumulative(g)
-        assert cum[-1] == pytest.approx(integrate(quad, g, power=2), rel=1e-8)
+    def test_r_derived_from_u(self, quad):
+        # a quadrature built from u alone has its radii, with the bits of the full grid's
+        coarse = RadialQuad(u=quad.u[::2])
+        assert np.array_equal(coarse.r.view(np.int64), quad.r[::2].view(np.int64))
 
     def test_node_count_guard(self):
         with pytest.raises(DomainError):
             RadialQuad.make(n=1000)
 
-    def test_cumulative_stack_matches_rows(self, quad):
-        # the part below the grid is added row by row: each row of a stack gets the bits
-        # of its own call
-        core = linops._WeightedL2(quad, 0, 0.0, 2)
-        rows = np.random.default_rng(5).normal(size=(3, len(quad.r))) * quad.r**4
-        stacked = core.cumulative(rows)
-        assert all(np.array_equal(got, core.cumulative(row)) for got, row in zip(stacked, rows))
-
     def test_closed_form_partial_masses(self):
         # the closed-form partial masses of the A = 36 families' rows, and of a PolyGauss
-        # with odd and even powers, against cumulative Simpson on 64001 nodes, each row
-        # scaled by its total mass
+        # with odd and even powers, against cumulative Simpson of F r^3 in u = ln r on 64001
+        # nodes (the mass below r = e^-30 is far under the tolerance), each row scaled by
+        # its total mass
         quad = RadialQuad.make(n=64001)
-        core = linops._WeightedL2(quad, 0, 0.0, 2)
         r = quad.r
+
+        def cumulative(F):
+            return cumulative_simpson_uniform(F * r**3, quad.u[1] - quad.u[0])
+
         for p in (18, 20):
             for s in (0.5, 1.0, 2.0, 4.0):
                 exact = linops.gauss_partial_masses(p + 2, s, 7, r)
                 rows = r ** (p + 2.0 * np.arange(7))[:, None] * np.exp(-(r / s) ** 2)
-                err = np.abs(core.cumulative(rows) - exact).max(axis=1)
+                err = np.abs(cumulative(rows) - exact).max(axis=1)
                 assert np.all(err <= 1e-10 * exact[:, -1])
         g = PolyGauss(np.array([0.0, 0.0, 0.5, -1.0, 0.3, 0.0, -0.7, 0.2]), 1.3)
         exact = g.partial_mass(r)
-        assert np.abs(core.cumulative(g(r)) - exact).max() <= 1e-10 * np.abs(exact).max()
+        assert np.abs(cumulative(g(r)) - exact).max() <= 1e-10 * np.abs(exact).max()
 
 
 class TestPolyGauss:
@@ -152,7 +149,7 @@ class TestWeightedInner:
         # and a heat core (theta exponent 4m + 4 at m = 2, dy).  Each probe is paired with
         # itself, and B is set so that the singular and the flat part weigh alike: a slip in
         # either one fails
-        coarse_quad = RadialQuad(u=quad.u[::2], r=quad.r[::2])
+        coarse_quad = RadialQuad(u=quad.u[::2])
         half = np.float_power(quad.r, -A / 2.0)
         for tf in linops._probe_suite(p0, 4, seed=3):
             a = tf.to_polygauss()
@@ -275,7 +272,8 @@ class TestOperator:
             )
             I_LO = B * ((-1.0 + 1.5 * beta) * flat[0] + (1.5 - 2.0 * mu) * flat[2])
             I_NLO = sing[3] + B * flat[3]
-            direct = core.inner(linops._L_vals(coeffs, gv, dg, g.partial_mass(r)), p, gv, p)
+            direct = 4.0 * math.pi * core.pair(
+                linops._L_vals(coeffs, gv, dg, g.partial_mass(r)), p, gv, p)
             assert I_SI + I_LO + I_NLO == pytest.approx(direct, rel=1e-10)
 
 

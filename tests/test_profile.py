@@ -15,6 +15,7 @@ from scipy.integrate import cumulative_simpson
 from ksdlab import profile as profile_mod
 from ksdlab.errors import (
     DomainError,
+    NoConvergence,
     OutOfRange,
     RegionExitScenario1,
     RegionExitScenario2,
@@ -282,6 +283,17 @@ class TestSolve:
         assert np.allclose(prof.f_vals, 1.0 / 3.0)
         assert prof.tail_exponent == 0.0
 
+    def test_no_handoff_radius(self, mu0_params, mu0_series):
+        # the remainder estimate at the smallest scanned radius, 0.05, is about 3e-152
+        with pytest.raises(NoConvergence, match="no handoff radius brings the series"):
+            solve_profile(mu0_params, mu0_series, 1.0e4, 1e-160)
+
+    def test_residual_above_tol(self, mu0_params, mu0_series):
+        # a handoff radius exists at 1e-20, but the float residual of the sampled
+        # profile is round-off, far above 10*tol
+        with pytest.raises(NoConvergence, match=r"sampled residual .* exceeds 10\*tol"):
+            solve_profile(mu0_params, mu0_series, 1.0e4, 1e-20)
+
     def test_mu02_profile(self):
         p = ProfileParams.make(0.2, 7)
         prof = solve_profile(p, build_series(p, 1e-12), 1.0e4, 1e-8)
@@ -384,8 +396,8 @@ class TestSolve:
         prof = solve_profile(p, series, 1.0e4, 1e-10)
         r_h = prof.handoff_radius
         coeffs = prof.sol.coeffs
-        assert coeffs[0, 0, 0] == float(series.eval_q(r_h))
-        assert coeffs[1, 0, 0] == float(series.eval_f(r_h))
+        assert coeffs[0, 0, 0] == float(horner(series.q_coeffs, r_h * r_h))
+        assert coeffs[1, 0, 0] == float(horner(series.f_coeffs, r_h * r_h))
         for i in range(coeffs.shape[2]):
             q, f, dq = [float(coeffs[0, 0, i])], [float(coeffs[1, 0, i])], []
             for k in range(profile_mod.TAYLOR_ORDER):
