@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -28,9 +27,7 @@ from .profile import (
     compute_admissibility,
     solve_profile,
 )
-from .renorm import fit_nodes, run_renorm, sigma_coupling
-
-COMMANDS = ("profile", "portrait", "coercivity", "renorm", "phys", "heat", "all")
+from .renorm import quick_resolution, run_renorm, sigma_coupling
 
 
 @dataclass
@@ -164,24 +161,12 @@ def _stage_coercivity(cfg: RunConfig, outdir: Path, cache: dict) -> None:
     )
 
 
-def _quick_renorm_n(j0: int) -> int:
-    """Least power of two >= 1024 whose renorm grid leaves ``j0 + 3`` nodes in the fit window.
-
-    ``run_renorm`` fits ``j0 + 3`` modes on ``r <= 1/2`` of the grid ``make_state``
-    builds at resolution n; ``fit_nodes`` counts that grid's nodes there.
-    """
-    n = 1024
-    while fit_nodes(n) < j0 + 3:
-        n *= 2
-    return n
-
-
 def _stage_renorm(cfg: RunConfig, outdir: Path, cache: dict) -> dict:
     profile = _ensure_profile(cfg, outdir, cache)
     lam0 = cfg.lambda0 if cfg.lambda0 is not None else 1.0e-3
     n = cfg.grid_n
     if n is None:
-        n = _quick_renorm_n(profile.params.j0) if cfg.quick else 4096
+        n = quick_resolution(profile.params.j0) if cfg.quick else 4096
     tau_end = 0.5 if cfg.quick else 2.0
     traj = run_renorm(profile, profile.params, lam0, tau_end, n=n)
     kf = traj["c"].shape[1]
@@ -250,6 +235,8 @@ _STAGES = {
     "heat": _stage_heat,
 }
 
+COMMANDS = (*_STAGES, "all")
+
 
 def _run_stage(name: str, cfg: RunConfig, outdir: Path, cache: dict) -> float:
     """Run one stage, write ``manifest_<name>.json`` with its wall time, return that time.
@@ -304,18 +291,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-#: a negative number, exponent form included: argparse's own pattern has no exponent, so
-#: it reads ``-1e-3`` as an option
-_NEGATIVE = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
+def _is_negative_number(token: str) -> bool:
+    """``token`` starts with ``-`` and ``float`` parses it: argparse's own pattern has no
+    exponent, ``inf`` or ``nan``, so it reads ``-1e-3`` and ``-inf`` as options."""
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return token.startswith("-")
 
 
 def _attach_negative_values(argv: list[str]) -> list[str]:
-    """``--flag -1e-3`` as ``--flag=-1e-3``, which argparse parses on every version."""
+    """``--flag -1e-3`` as ``--flag=-1e-3``, which argparse parses on every version; the
+    flag's ``type`` and ``RunConfig`` then decide on the value."""
     out: list[str] = []
     for token in argv:
         prev = out[-1] if out else ""
         if (prev.startswith("--") and prev != "--" and "=" not in prev
-                and _NEGATIVE.fullmatch(token)):
+                and _is_negative_number(token)):
             out[-1] = f"{prev}={token}"
         else:
             out.append(token)

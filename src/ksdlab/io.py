@@ -92,13 +92,5 @@ def write_manifest(path, config: dict, wall_time: float, extra: dict | None = No
     write_json(path, doc)
 
 
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    raise TypeError(f"not JSON-serializable: {type(obj)}")
-
-
 def write_json(path, doc: dict) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2, default=_jsonable) + "\n")
+    Path(path).write_text(json.dumps(doc, indent=2) + "\n")

@@ -193,7 +193,6 @@ class WeightParams:
     R1: float
     cert_tailnorm: float
     cert_wholenorm: float
-    q_origin: float = 1.0
     q_at_R1: float = 0.0
     mu: float = 0.0
 
@@ -202,19 +201,22 @@ class WeightParams:
         c1 = 1.0 + (-self.A + 3.0) / (4.0 * j0) <= -1.0
         c2 = math.sqrt(1.0 / (4.0 * math.pi * (self.A + 3.0))) * self.cert_wholenorm <= 1.0 / 100.0
         c3 = 1.5 * self.q_at_R1 <= 1.0 / 1000.0 and self.cert_tailnorm <= 1.0 / 5000.0
-        with np.errstate(over="ignore"):  # R1^A is inf, and c4 fails, at large A
-            r1a = float(np.float_power(self.R1, self.A))
-        c4 = (
-            (1.5 - 2.0 * self.mu) * self.B * r1a * self.q_origin
-            + 50.0 * self.B * r1a * self.cert_wholenorm**2
-            <= 1.0 / 100.0
-        )
+        c4 = self.B <= 0.0 or math.log10(self.B) <= _log10_flat_bound(
+            self.A, self.R1, self.mu, self.cert_wholenorm)
         return {
             "exponent_gap": c1,
             "wholenorm_smallness": c2,
             "tail_smallness": c3,
             "flat_part_smallness": c4,
         }
+
+
+def _log10_flat_bound(A: int, R1: float, mu: float, wholenorm: float) -> float:
+    """log10 of the largest ``B`` passing the flat-part smallness condition
+    ``B R1^A ((3/2 - 2 mu) Q0 + 50 wholenorm^2) <= 1/100``, ``Q0 = 1/(1 - mu)``: in log10,
+    since ``R1^A`` overflows at large ``A``."""
+    coef = (1.5 - 2.0 * mu) * (1.0 / (1.0 - mu)) + 50.0 * wholenorm**2
+    return -2.0 - A * math.log10(R1) - math.log10(coef)
 
 
 def _dq_weighted_norm(profile: RadialProfile, r_lo: float = 0.0) -> float:
@@ -238,7 +240,8 @@ def select_weight(
     least such exponent, ``8 j0 + 4``.  The whole-norm estimate is computed
     and stored, not enforced: ``invariant_checks`` reports it.  ``R1`` is the
     smallest profile grid radius passing both tail conditions; ``B`` is the
-    largest power of ten passing the flat-part condition.
+    largest power of ten passing the flat-part condition, and a DomainError where
+    that power underflows to 0.
     """
     if profile.tail_exponent >= -2.0:
         raise DomainError("profile tail too fat for the weighted estimates")
@@ -268,11 +271,10 @@ def select_weight(
 
     # B: largest 10^{-k} passing the flat-part smallness condition
     mu = profile.params.mu
-    q0 = profile.params.q0
-    coef = (1.5 - 2.0 * mu) * q0 + 50.0 * wholenorm**2
-    log10_bound = -2.0 - A * math.log10(R1) - math.log10(coef)
-    k = max(1, math.ceil(-log10_bound))
+    k = max(1, math.ceil(-_log10_flat_bound(A, R1, mu, wholenorm)))
     B = 10.0 ** (-k)
+    if B == 0.0:
+        raise DomainError(f"flat part B = 1e-{k} underflows to 0 at A={A}, R1={R1:.4g}")
 
     return WeightParams(
         A=A,
@@ -280,7 +282,6 @@ def select_weight(
         R1=R1,
         cert_tailnorm=tailnorm,
         cert_wholenorm=wholenorm,
-        q_origin=q0,
         q_at_R1=float(q_vals[i1]),
         mu=mu,
     )

@@ -86,6 +86,15 @@ def fit_nodes(n: int) -> int:
     return int(np.count_nonzero(_grid(n) <= _FIT_RADIUS))
 
 
+def quick_resolution(j0: int) -> int:
+    """The quick ``renorm`` resolution: the least power of two >= 1024 whose grid has as
+    many nodes in the fit window as the ``j0 + 3`` modes ``extract_modes`` fits there."""
+    n = 1024
+    while fit_nodes(n) < j0 + 3:
+        n *= 2
+    return n
+
+
 @dataclass(frozen=True, eq=False)
 class _RenormGrid:
     """The grid-only arrays of ``_rhs``, built once per resolution.
@@ -239,7 +248,7 @@ def step_renorm(
 def _fit_basis(grid: np.ndarray, j0: int):
     """The grid-only part of ``extract_modes``' fit of ``c_0 .. c_{j0+2}``: the window mask
     ``r <= 1/2``, the Vandermonde matrix in ``(r/(1/2))^2`` and the column scale
-    ``(1/2)^{2j}``.  Raises IllConditionedFit for a window with no more nodes than the
+    ``(1/2)^{2j}``.  Raises IllConditionedFit for a window with fewer nodes than the
     ``j0 + 3`` unknowns, whose minimum-norm solution is not a fit, and for a condition
     number above 1e12."""
     kfit = j0 + 2

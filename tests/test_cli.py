@@ -15,10 +15,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ksdlab
-from ksdlab.cli import RunConfig, _quick_renorm_n, main, parse_config, portrait_scan
+from ksdlab.cli import RunConfig, main, parse_config, portrait_scan
 from ksdlab.errors import ConfigParseError
 from ksdlab.io import write_csv
-from ksdlab.renorm import fit_nodes
+from ksdlab.renorm import fit_nodes, quick_resolution
 
 
 class TestConfig:
@@ -77,12 +77,15 @@ class TestConfig:
         assert main(["profile", "--config", str(cfile), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == "ksdlab: config key 'mu' must be float, not '0.1'\n"
 
-    @pytest.mark.parametrize("via", ["flag", "file"])
+    @pytest.mark.parametrize("via", ["flag", "file", "spaced"])
     @pytest.mark.parametrize("key", ["mu", "qj0", "tol", "lambda0"])
     @pytest.mark.parametrize("val", ["nan", "inf", "-inf"])
     def test_non_finite_float_exits_2(self, tmp_path, capsys, via, key, val):
-        # argparse's float() and json.loads both take NaN and the infinities
+        # argparse's float() and json.loads both take NaN and the infinities; spaced,
+        # "-inf" reaches the flag's float() too, not argparse's option matching
         argv = [f"--{key}={val}"]
+        if via == "spaced":
+            argv = [f"--{key}", val]
         if via == "file":
             cfile = tmp_path / "run.json"
             cfile.write_text(json.dumps({key: float(val)}))
@@ -270,6 +273,9 @@ class TestRun:
         # lam0^2 = 1e-320 is subnormal, not 0, but the peak Q0/lam0^2 overflows
         (["phys", "--mu", "0", "--lambda0", "1e-160", "--grid-n", "512"], 2,
          "ksdlab: stage_phys: lam0 = 1e-160: the initial peak Q0/lam0^2 overflows"),
+        # at A=188 the flat part's largest passing power of ten is 1e-334, 0.0 in float64
+        (["coercivity", "--quick", "--mu", "0.3", "--j0", "23"], 2,
+         "ksdlab: stage_coercivity: flat part B = 1e-334 underflows to 0 at A=188, R1=55.7\n"),
     ])
     def test_stage_failure_exit_code(self, tmp_path, capsys, recwarn, argv, code, prefix):
         # a numerical failure exits 3 and a rejected parameter 2, each named
@@ -314,7 +320,7 @@ class TestRun:
     @pytest.mark.parametrize("j0", [8, 9, 18, 19, 38])
     def test_quick_renorm_n_is_least(self, j0):
         # the count comes from the grid make_state builds, not a closed form
-        n = _quick_renorm_n(j0)
+        n = quick_resolution(j0)
         assert fit_nodes(n) >= j0 + 3
         if n > 1024:
             assert fit_nodes(n // 2) < j0 + 3

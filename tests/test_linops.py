@@ -205,18 +205,14 @@ class TestSelectWeight:
 
         assert passes(8484) and not passes(8480)
 
-    def test_B_is_maximal(self, mu0_profile, mu0_params, weight36):
-        w10 = WeightParams(
-            A=weight36.A,
-            B=10.0 * weight36.B,
-            R1=weight36.R1,
-            cert_tailnorm=weight36.cert_tailnorm,
-            cert_wholenorm=weight36.cert_wholenorm,
-            q_origin=weight36.q_origin,
-            q_at_R1=weight36.q_at_R1,
-            mu=weight36.mu,
-        )
-        assert not w10.invariant_checks(mu0_params.j0)["flat_part_smallness"]
+    def test_B_is_maximal(self, mu0_params, weight36):
+        # B passes the flat-part condition and 10 B fails it; at mu=0.3, j0=22 (A=180)
+        # R1^A overflows and B = 1e-323 is subnormal
+        params = ProfileParams.make(0.3, 22)
+        profile = solve_profile(params, build_series(params, 1e-12), 1.0e4, 1e-10)
+        for w, j0 in ((weight36, mu0_params.j0), (select_weight(profile, 22), 22)):
+            assert w.invariant_checks(j0)["flat_part_smallness"]
+            assert not replace(w, B=10.0 * w.B).invariant_checks(j0)["flat_part_smallness"]
 
     def test_A_validation(self, mu0_profile):
         with pytest.raises(DomainError):
