@@ -139,7 +139,7 @@ def _stage_coercivity(cfg: RunConfig, outdir: Path, cache: dict) -> None:
     w = select_weight(profile, profile.params.j0)
     count = 10 if cfg.quick else 50
     suite = make_test_suite(w.A, count=count, seed=cfg.seed)
-    rows = coercivity_probe(profile, profile.params, w, suite)
+    rows = coercivity_probe(profile, w, suite)
     write_csv(
         outdir / "coercivity.csv",
         ["index", "seed", "p", "s", "quotient", "pass"],
@@ -168,7 +168,7 @@ def _stage_renorm(cfg: RunConfig, outdir: Path, cache: dict) -> dict:
     if n is None:
         n = quick_resolution(profile.params.j0) if cfg.quick else 4096
     tau_end = 0.5 if cfg.quick else 2.0
-    traj = run_renorm(profile, profile.params, lam0, tau_end, n=n)
+    traj = run_renorm(profile, lam0, tau_end, n=n)
     kf = traj["c"].shape[1]
     write_csv(
         outdir / "renorm.csv",

@@ -38,7 +38,7 @@ class HeatParams:
     c: float = 1.0
 
     def __post_init__(self):
-        if self.m < 2:
+        if not float(self.m).is_integer() or self.m < 2:
             raise DomainError("m must be an integer >= 2")
         if self.c <= 0:
             raise DomainError("c must be positive")
@@ -89,7 +89,7 @@ def heat_weighted_inner(
     """
     av, pa = _sample(a, quad)
     bv, pb = _sample(b, quad)
-    return _WeightedL2(quad, p.theta_exponent, kappa, 0).pair(av, pa, bv, pb)
+    return _WeightedL2(quad, p.theta_exponent, 0).pair(av, pa, bv, pb, kappa)
 
 
 def heat_multiplier_route(
@@ -110,7 +110,7 @@ def heat_multiplier_route(
     """
     ev, p_ord = _sample(eps, quad)
     rows = np.stack(((2.0 * heat_profile(p, quad.r) - 1.0) * ev, ev))
-    core = _WeightedL2(quad, p.theta_exponent, kappa, 0)
+    core = _WeightedL2(quad, p.theta_exponent, 0)
     (su, se), (fu, fe) = core.grams(rows, p_ord, ev[None], p_ord)[0, :, :, 0]  # fine nodes
     c = (4.0 * p.m + 3.0) / (4.0 * p.m)
     return float(su + kappa * fu - c * se + kappa / (4.0 * p.m) * fe)
@@ -143,7 +143,7 @@ def heat_coercivity(
     def L(_p, _s, e, de):  # the family enters only through its rows
         return _heat_L_vals(p, y, u2, e, de)
 
-    core = _WeightedL2(quad, p.theta_exponent, 0.0, 0)
+    core = _WeightedL2(quad, p.theta_exponent, 0)
     kappas = [10.0**-k for k in range(1, 7)]
     for kappa, quotients in zip(kappas, _probe_quotients(suite, core, L, kappas, bound)):
         records = [

@@ -312,7 +312,7 @@ def _sample_slope(x: PolyGauss | SampledRadial, quad: RadialQuad):
 class _WeightedL2:
     """The pairing ``\\int a b (r^{-A} + B) r^power dr`` on one RadialQuad.
 
-    Built once per ``(quad, A, B, power)``, it holds the arrays every pairing
+    Built once per ``(quad, A, power)``, it holds the arrays every pairing
     on the grid reuses: the split-weight factor ``r^{-A/2}`` (formed on first
     use; only the guarded ``grams`` reads it), ``r^{power+1}`` on the fine and
     the coarse (every other) nodes, and both trapezoid weight vectors.  Every
@@ -321,9 +321,9 @@ class _WeightedL2:
     enters.
     """
 
-    def __init__(self, quad: RadialQuad, A: int, B: float, power: int):
+    def __init__(self, quad: RadialQuad, A: int, power: int):
         r = quad.r
-        self.quad, self.A, self.B, self.power = quad, A, B, power
+        self.quad, self.A, self.power = quad, A, power
         self.rp = r ** (power + 1)
         self.rp_coarse = r[::2] ** (power + 1)
         self.w = quad.weights()
@@ -355,14 +355,14 @@ class _WeightedL2:
             out[level, 0] = x @ (y * self.half[::step]).T
         return out
 
-    def pair(self, av: np.ndarray, pa: int, bv: np.ndarray, pb: int) -> float:
+    def pair(self, av: np.ndarray, pa: int, bv: np.ndarray, pb: int, B: float) -> float:
         """``\\int a b (r^{-A} + B) r^power dr`` on the fine nodes, the one-row block of ``grams``.
 
         Panel halving estimates the quadrature error and raises NoConvergence
         above 1e-8 relative.
         """
         g = self.grams(av[None], pa, bv[None], pb)[..., 0, 0]  # (fine, coarse), (singular, flat)
-        return float(_halving_checked(*(g[:, 0] + self.B * g[:, 1])))
+        return float(_halving_checked(*(g[:, 0] + B * g[:, 1])))
 
 
 def _halving_checked(fine, coarse):
@@ -470,27 +470,26 @@ def weighted_inner(
     """
     gv, pg = _sample(g, quad)
     hv, ph = _sample(h, quad)
-    return 4.0 * math.pi * _WeightedL2(quad, w.A, w.B, 2).pair(gv, pg, hv, ph)
+    return 4.0 * math.pi * _WeightedL2(quad, w.A, 2).pair(gv, pg, hv, ph, w.B)
 
 
 def coercivity_probe(
     profile: RadialProfile,
-    params: ProfileParams,
     w: WeightParams,
     suite: list[TestFunction],
     quad: RadialQuad | None = None,
 ) -> list[dict]:
     """Rayleigh quotients ``(Lg, g)_w / ||g||_w^2`` over the suite.
 
-    Flags any quotient above the coercivity bound -1/8 + 1e-3, and any
-    non-finite one (an overflowing weight gives NaN, which must not pass).
-    Results are order-stable by suite index.  The quotients come from the
-    Gram matrices of each ``(p, s)`` family (``_probe_quotients``).
+    ``L`` takes mu and beta from ``profile.params``, the weight ``r^{-A} + B`` takes A and B
+    from ``w``.  Flags any quotient above the coercivity bound -1/8 + 1e-3, and any
+    non-finite one (an overflowing weight gives NaN, which must not pass).  Results are
+    order-stable by suite index; they come from each ``(p, s)`` family's Gram matrices.
     """
     if quad is None:
         quad = RadialQuad.make()
-    core = _WeightedL2(quad, w.A, w.B, 2)
-    coeffs = _operator_coeffs(params, quad.r, *profile.sample(quad.r))
+    core = _WeightedL2(quad, w.A, 2)
+    coeffs = _operator_coeffs(profile.params, quad.r, *profile.sample(quad.r))
     L = functools.partial(_L_family, coeffs, quad.r)
     [quotients] = _probe_quotients(suite, core, L, (w.B,), -0.125 + 1e-3)
     return [

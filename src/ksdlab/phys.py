@@ -151,9 +151,11 @@ def build_initial(profile: RadialProfile, lam0: float, n: int = 8192) -> PhysSta
     domain extends to ``1.1 * 2 R2`` in self-similar units.  The grid is
     ``sinh_grid`` of resolution ``n`` with stretch scale ``3 lam0^{2 beta}``: the
     origin spacing of ``linspace`` with ``n`` nodes, on 1044 nodes at n=8192 and
-    mu=0.  DomainError when ``lam0^2``, ``lam0^{2 beta}`` or the peak ``Q0/lam0^2``
-    leaves float64 (0 or not finite), or when Q never drops below 1e-4 Q0.
+    mu=0.  DomainError for a negative ``lam0``, when ``lam0^2``, ``lam0^{2 beta}`` or the
+    peak ``Q0/lam0^2`` leaves float64 (0 or not finite), or when Q never drops below 1e-4 Q0.
     """
+    if lam0 < 0.0:
+        raise DomainError(f"lam0 = {lam0:.6g} is negative")
     beta = profile.params.beta
     try:
         amp, L = lam0**2, lam0 ** (2.0 * beta)

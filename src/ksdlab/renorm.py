@@ -217,8 +217,11 @@ def make_state(profile: RadialProfile, lam0: float, n: int = 4096) -> RenormStat
 
     The grid is the sinh-mapped one: ``n`` sets the resolution, so the origin spacing is
     at most ``50/(n-1)`` as on ``linspace(0, 50, n)``, and the grid has about ``n/4.7``
-    nodes (217 at n=1024, 863 at n=4096).
+    nodes (217 at n=1024, 863 at n=4096).  DomainError for a negative or non-finite
+    ``lam0``; ``lam0 = 0`` is the flow without diffusion.
     """
+    if not 0.0 <= lam0 < math.inf:
+        raise DomainError(f"lam0 = {lam0:.6g} must be finite and >= 0")
     ops = _RenormGrid.make(n)
     return RenormState(tau=0.0, lam0=lam0, ops=ops, psi=profile.q(ops.grid))
 
@@ -286,7 +289,6 @@ def extract_modes(
 
 def run_renorm(
     profile: RadialProfile,
-    params: ProfileParams,
     lam0: float,
     tau_end: float,
     n: int = 4096,
@@ -294,23 +296,24 @@ def run_renorm(
 ) -> dict:
     """Evolve to ``tau_end`` recording (tau, lambda, sup|eps|, modes, residual).
 
-    Records every 0.05 in tau; the modes are ``extract_modes``' ``c_0 ..
-    c_{j0+2}``, and the residual is that of the full flow, diffusion included.  The
-    initial data is ``Q``, sampled once, plus ``perturbation(grid)``: ``k`` rows of it
-    make ``k`` rows of one flow, and ``eps_sup``, ``residual`` and ``c`` are per row.
-    ``steps`` counts the ARS(2,2,2) steps, each ``_CFL_SAFETY`` of the advective bound
-    unless clipped to a record time.
+    mu, j0 and beta are ``profile.params``'.  Records every 0.05 in tau; the modes are
+    ``extract_modes``' ``c_0 .. c_{j0+2}``, the residual that of the full flow, diffusion
+    included.  The initial data is ``Q``, sampled once, plus ``perturbation(grid)``: ``k``
+    rows of it make ``k`` rows of one flow, and ``eps_sup``, ``residual`` and ``c`` are
+    per row.  ``steps`` counts the ARS(2,2,2) steps, each ``_CFL_SAFETY`` of the advective
+    bound unless clipped to a record time.
 
     The loop keeps each record's ``(tau, lambda, psi)``; after the last step the records
     are stacked and evaluated along the record axis, ``_EVAL_BLOCK`` records per pass,
     each with the bits of its own evaluation.  A fit window ``extract_modes`` would
     refuse stops the run before the first step.
     """
+    params = profile.params
     state = make_state(profile, lam0, n=n)
     q_ref = state.psi
     if perturbation is not None:
         state = replace(state, psi=q_ref + perturbation(state.grid))
-    _fit_basis(state.grid, profile.params.j0)
+    _fit_basis(state.grid, params.j0)
     dt_adv = dt_policy(state.h, lam0, params, state.grid[-1])
     records = [(state.tau, state.lam, state.psi)]
     next_rec = _RECORD_DTAU
@@ -346,10 +349,10 @@ class RateFit:
     dc: np.ndarray
 
 
-def _seeded_difference(profile, params, lam0, tau_end, n, perturbation):
+def _seeded_difference(profile, lam0, tau_end, n, perturbation):
     """One flow with the rows ``(Q, Q + perturbation)``, and the seeded row's modes
     minus the unseeded row's."""
-    flow = run_renorm(profile, params, lam0, tau_end, n=n,
+    flow = run_renorm(profile, lam0, tau_end, n=n,
                       perturbation=lambda r: np.stack((np.zeros_like(r), perturbation(r))))
     return flow, flow["c"][:, 1] - flow["c"][:, 0]
 
@@ -370,12 +373,12 @@ def measure_rates(
     row of one flow; this cancels the static forcing to leading order.
     Returns the log-linear slope of |delta c_j| over the full window.
     """
-    if j > params.j0:
-        raise DomainError("seed mode must satisfy j <= j0")
+    if not 0 <= j <= params.j0:
+        raise DomainError("seed mode must satisfy 0 <= j <= j0")
     if amplitude > 1e-3 * params.q0:
         raise DomainError("amplitude too large for the linear regime")
     pert = lambda r: amplitude * chi_bump(r) * r ** (2 * j)
-    flow, dc = _seeded_difference(profile, params, lam0, tau_end, n, pert)
+    flow, dc = _seeded_difference(profile, lam0, tau_end, n, pert)
     tau = flow["tau"]
     dcj = dc[:, j]
     if np.any(dcj == 0.0):
@@ -395,18 +398,17 @@ def measure_rates(
 
 
 def measure_coupling(
-    params: ProfileParams,
     profile: RadialProfile,
     tau_end: float = 2.0,
     lam0: float = 1e-3,
     n: int = 4096,
 ) -> float:
-    """Slope of ``d(delta c_{j0})/d tau`` against ``delta c_0`` for a seeded
-    constant mode ``1e-4 chi``; the linear prediction is ``-(2 j0/3 + 2(1-mu))``."""
+    """Slope of ``d(delta c_{j0})/d tau`` against ``delta c_0`` for a seeded constant mode
+    ``1e-4 chi``; the linear prediction, from ``profile.params``, is ``-(2 j0/3 + 2(1-mu))``."""
     pert = lambda r: 1e-4 * chi_bump(r)
-    flow, dc = _seeded_difference(profile, params, lam0, tau_end, n, pert)
+    flow, dc = _seeded_difference(profile, lam0, tau_end, n, pert)
     dc0 = dc[:, 0]
-    ddt = np.gradient(dc[:, params.j0], flow["tau"])
+    ddt = np.gradient(dc[:, profile.params.j0], flow["tau"])
     return float(np.dot(ddt, dc0) / np.dot(dc0, dc0))
 
 

@@ -112,7 +112,7 @@ def test_criterion_05_coercivity_probe(mu0_profile, mu0_params):
     w = select_weight(mu0_profile, mu0_params.j0, A=36)
     checks = w.invariant_checks(mu0_params.j0)
     suite = make_test_suite(36, count=50)
-    rows = coercivity_probe(mu0_profile, mu0_params, w, suite)
+    rows = coercivity_probe(mu0_profile, w, suite)
     elapsed = time.perf_counter() - t0
     worst = max(r["quotient"] for r in rows)
     quotients_ok = len(rows) == 50 and worst <= -0.125 + 1e-3
@@ -138,7 +138,7 @@ def test_criterion_06_modulation_rates(mu0_profile, mu0_params):
                 mu0_params, mu0_profile, j, lam0=1e-3, amplitude=1e-4, n=4096
             )
             rates[j] = fit.rate
-        sigma = measure_coupling(mu0_params, mu0_profile, lam0=1e-3, n=4096)
+        sigma = measure_coupling(mu0_profile, lam0=1e-3, n=4096)
         elapsed = time.perf_counter() - t0
         rate_ok = all(
             abs(rates[j] - (4 - j) / 4.0) <= 0.10 * (4 - j) / 4.0 for j in rates
@@ -166,11 +166,11 @@ def test_criterion_06_modulation_rates(mu0_profile, mu0_params):
     _report(6, ok, detail)
 
 
-def test_criterion_07_exact_profile_drift(mu0_profile, mu0_params):
+def test_criterion_07_exact_profile_drift(mu0_profile):
     sups = []
     lams = (1e-1, 1e-2, 1e-3)
     for lam0 in lams:
-        traj = run_renorm(mu0_profile, mu0_params, lam0, 2.0, n=1024)
+        traj = run_renorm(mu0_profile, lam0, 2.0, n=1024)
         sups.append(max(traj["eps_sup"]))
     slope = np.polyfit(np.log(lams), np.log(sups), 1)[0]
     ok = abs(slope - 1.0 / 6.0) <= 0.20 / 6.0

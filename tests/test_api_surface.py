@@ -1,7 +1,8 @@
 """Every function, class and module-level name in ``ksdlab``, and every method and property
 of its classes, is used by the package itself or the benchmark; a public one may instead be
 used by the acceptance criteria.  So no helper or constant stays in the package for the
-other tests alone."""
+other tests alone.  And each value enters once: no function takes a profile beside its
+parameters, which the profile carries, and every parameter of a public function is read."""
 
 import ast
 from collections import Counter
@@ -83,3 +84,68 @@ def test_public_names_have_a_caller():
 
 def test_private_names_have_a_caller_outside_the_tests():
     assert _unreferenced(private=True) == set()
+
+
+# Parameters kept only because a ``perfbench`` call binds them by position, each with that
+# call: the benchmark change that drops them there deletes them here too.
+PROFILE_BESIDE_PARAMS = {
+    "apply_L": ("kernels.py", "linops.apply_L(prof, params, g, quad)"),
+    "step_renorm": ("kernels.py", "renorm.step_renorm(state, prof, params, dt)"),
+    "measure_rates": ("worker.py", "renorm.measure_rates(self.params, self.profile, 1,"),
+}
+UNREAD_PARAMETERS = {
+    "step_renorm.profile": ("kernels.py", "renorm.step_renorm(state, prof, params, dt)"),
+    "dt_policy.lam": ("kernels.py", "renorm.dt_policy(h, state.lam, params, state.grid[-1])"),
+}
+
+
+def _functions():
+    """``(name, definition, public)`` for every function in ``src/ksdlab``, a method named
+    ``Class.method``; public means a public module-level function or a public method of a
+    public class."""
+    out = []
+    for tree in _parse(sorted((ROOT / "src" / "ksdlab").glob("*.py"))):
+        for name, d in _defs(tree.body):
+            if isinstance(d, ast.FunctionDef):
+                out.append((name, d, not name.startswith("_")))
+            else:
+                out += [(f"{name}.{m}", md, not (name.startswith("_") or m.startswith("_")))
+                        for m, md in _defs(d.body) if isinstance(md, ast.FunctionDef)]
+    return out
+
+
+def _arguments(d: ast.FunctionDef) -> list[ast.arg]:
+    a = d.args
+    return [x for x in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+            if x is not None and x.arg not in ("self", "cls")]
+
+
+def _binds(exemptions: dict) -> None:
+    for fname, call in exemptions.values():
+        assert call in (ROOT / "perfbench" / fname).read_text(), f"{fname} no longer calls {call}"
+
+
+def test_profile_carries_its_params():
+    # mu, j0 and beta enter with the profile, as profile.params, never beside it
+    def kind(arg):
+        note = ast.unparse(arg.annotation) if arg.annotation else ""
+        if arg.arg == "profile" or "RadialProfile" in note:
+            return "profile"
+        if arg.arg == "params" or "ProfileParams" in note:
+            return "params"
+
+    both = {name for name, d, _ in _functions()
+            if {"profile", "params"} <= {kind(a) for a in _arguments(d)}}
+    assert both == set(PROFILE_BESIDE_PARAMS)
+    _binds(PROFILE_BESIDE_PARAMS)
+
+
+def test_public_parameters_are_read():
+    unread = set()
+    for name, d, public in _functions():
+        if public:
+            loads = {n.id for n in ast.walk(d) if isinstance(n, ast.Name)
+                     and isinstance(n.ctx, ast.Load)}
+            unread |= {f"{name}.{a.arg}" for a in _arguments(d) if a.arg not in loads}
+    assert unread == set(UNREAD_PARAMETERS)
+    _binds(UNREAD_PARAMETERS)

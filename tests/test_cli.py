@@ -285,9 +285,18 @@ class TestRun:
         assert [w for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
 
     def test_coercivity_weight_follows_j0(self, tmp_path):
-        # the weight exponent is the least admissible one, 8 j0 + 4 = 44 at j0=5
+        # the weight exponent is the least admissible one, 8 j0 + 4 = 44 at j0=5; the
+        # bytes of the only mu != 0 probe tables hold that the profile's mu and beta
+        # reach the operator
         out = tmp_path / "out"
         assert main(["coercivity", "--quick", "--mu", "0.1", "--j0", "5", "--out", str(out)]) == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in ("coercivity.csv", "coercivity_certificate.json")}
+        assert digests == {
+            "coercivity.csv": "0e1eb7ec06b93242b0c1c9fabc306edb2fb895277cdb13400d37f434a0bbba07",
+            "coercivity_certificate.json":
+                "566efc76a28f5734c22132a62fec668ca2cd84d7ee5c71638ca7fa0eacf51bfc",
+        }
         cert = json.loads((out / "coercivity_certificate.json").read_text())
         assert cert["A"] == 44
         with open(out / "coercivity.csv", newline="") as fh:

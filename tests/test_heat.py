@@ -63,6 +63,11 @@ class TestProfile:
         with pytest.raises(DomainError):
             HeatParams(m=2, c=-1.0)
 
+    def test_non_integral_m_rejected(self):
+        # the weight y^{-4m-4} and the profile's y^{2m} need an integral m
+        with pytest.raises(DomainError, match="integer"):
+            HeatParams(m=2.5)
+
 
 class TestOperator:
     def test_zero_in_zero_out(self, hp, quad):

@@ -158,10 +158,10 @@ class TestWeightedInner:
             B = integrate(quad, sing, power) / integrate(quad, flat, power)
             F = sing + B * flat
             oracle = [integrate(quad, F, power), integrate(coarse_quad, F[::2], power)]
-            core = linops._WeightedL2(quad, A, B, power)
+            core = linops._WeightedL2(quad, A, power)
             g = core.grams(av[None], pa, av[None], pa)[..., 0, 0]
             assert g[:, 0] + B * g[:, 1] == pytest.approx(oracle, rel=1e-13)
-            assert core.pair(av, pa, av, pa) == pytest.approx(oracle[0], rel=1e-13)
+            assert core.pair(av, pa, av, pa, B) == pytest.approx(oracle[0], rel=1e-13)
 
 
 class TestSelectWeight:
@@ -249,7 +249,7 @@ class TestOperator:
         # carry the drift's integration by parts, int (r f_Q g') g w =
         # -1/2 int Q g^2 w + (A/2) int g^2 f_Q r^{-A}, so a wrong split fails the sum
         mu, beta, A, B = mu0_params.mu, mu0_params.beta, weight36.A, weight36.B
-        core = linops._WeightedL2(quad, A, B, 2)
+        core = linops._WeightedL2(quad, A, 2)
         r = quad.r
         Q, fq, dQ = mu0_profile.sample(r)
         coeffs = linops._operator_coeffs(mu0_params, r, Q, fq, dQ)
@@ -269,7 +269,7 @@ class TestOperator:
             I_LO = B * ((-1.0 + 1.5 * beta) * flat[0] + (1.5 - 2.0 * mu) * flat[2])
             I_NLO = sing[3] + B * flat[3]
             direct = 4.0 * math.pi * core.pair(
-                linops._L_vals(coeffs, gv, dg, g.partial_mass(r)), p, gv, p)
+                linops._L_vals(coeffs, gv, dg, g.partial_mass(r)), p, gv, p, B)
             assert I_SI + I_LO + I_NLO == pytest.approx(direct, rel=1e-10)
 
 
@@ -287,39 +287,39 @@ class TestCoercivity:
         # itself, 2p + 2 > A - 1
         quad = RadialQuad.make(n=5)
         for A in range(4, 201):
-            core, p = linops._WeightedL2(quad, A, 0.0, 2), min_vanish_order(A)
+            core, p = linops._WeightedL2(quad, A, 2), min_vanish_order(A)
             assert p % 2 == 0
             core._guard(p, p)
             with pytest.raises(DivergentIntegrand):
                 core._guard(p - 2, p - 2)
 
-    def test_suite_starts_at_min_vanish_order(self, mu0_profile, mu0_params, weight36):
+    def test_suite_starts_at_min_vanish_order(self, mu0_profile, weight36):
         # at A=38 the least even integrable order is 18: g^2 r^{-A} r^2 ~ r^{2p-36}
         # at the origin, integrable for 2p + 2 > A - 1
         suite = make_test_suite(38, count=4)
         assert [tf.p for tf in suite] == [18, 20, 18, 20]
-        rows = coercivity_probe(mu0_profile, mu0_params, replace(weight36, A=38), suite)
+        rows = coercivity_probe(mu0_profile, replace(weight36, A=38), suite)
         assert all(math.isfinite(r["quotient"]) for r in rows)
 
-    def test_quotients_negative(self, mu0_profile, mu0_params, weight36):
+    def test_quotients_negative(self, mu0_profile, weight36):
         suite = make_test_suite(36, count=12)
-        rows = coercivity_probe(mu0_profile, mu0_params, weight36, suite)
+        rows = coercivity_probe(mu0_profile, weight36, suite)
         assert len(rows) == 12
         for r in rows:
             assert r["quotient"] <= -0.125 + 1e-3
             assert not r["flagged"]
 
-    def test_nonfinite_quotient_flagged(self, mu0_profile, mu0_params, weight36):
+    def test_nonfinite_quotient_flagged(self, mu0_profile, weight36):
         # at A=60 the split weight r^{-A/2} overflows on the r = e^{-30} end of
         # the quadrature grid and every quotient is NaN; none may pass
         w = replace(weight36, A=60)
         suite = make_test_suite(w.A, count=4)
         with np.errstate(over="ignore", invalid="ignore"):
-            rows = coercivity_probe(mu0_profile, mu0_params, w, suite)
+            rows = coercivity_probe(mu0_profile, w, suite)
         assert all(math.isnan(r["quotient"]) for r in rows)
         assert all(r["flagged"] for r in rows)
 
-    def test_each_family_built_once(self, mu0_profile, mu0_params, weight36, monkeypatch):
+    def test_each_family_built_once(self, mu0_profile, weight36, monkeypatch):
         # the 50 probes fall into 4 (p, s) families: each family's rows are
         # sampled and put through L once, and no probe is sampled on its own
         builds, calls = [], []
@@ -328,7 +328,7 @@ class TestCoercivity:
                             lambda *a: builds.append(a[:2]) or family_rows(*a))
         monkeypatch.setattr(PolyGauss, "__call__", lambda g, r: calls.append(1) or call(g, r))
         suite = make_test_suite(36, count=50)
-        rows = coercivity_probe(mu0_profile, mu0_params, weight36, suite)
+        rows = coercivity_probe(mu0_profile, weight36, suite)
         assert len(rows) == 50
         assert len(builds) <= 4 and len(set(builds)) == len(builds)
         assert not calls
@@ -340,7 +340,7 @@ class TestCoercivity:
         # the Gram-matrix quotients against the public route, one probe at a time
         w = replace(weight36, A=A)
         suite = make_test_suite(A, count=50, seed=seed)
-        rows = coercivity_probe(mu0_profile, mu0_params, w, suite, quad)
+        rows = coercivity_probe(mu0_profile, w, suite, quad)
         for tf, row in zip(suite, rows):
             g = tf.to_polygauss()
             Lg = apply_L(mu0_profile, mu0_params, g, quad)
@@ -348,19 +348,19 @@ class TestCoercivity:
             assert row["quotient"] == pytest.approx(ref, rel=1e-13, abs=0.0)
             assert row["flagged"] is not (math.isfinite(ref) and ref <= -0.125 + 1e-3)
 
-    def test_unresolved_grid_rejected(self, mu0_profile, mu0_params, weight36):
+    def test_unresolved_grid_rejected(self, mu0_profile, weight36):
         # 401 nodes leave the quadratic forms' panel-halving estimate at 1e-4 relative,
         # above the 1e-8 threshold (601 nodes are at its edge, 1.2e-8)
         with pytest.raises(NoConvergence):
-            coercivity_probe(mu0_profile, mu0_params, weight36, make_test_suite(36),
+            coercivity_probe(mu0_profile, weight36, make_test_suite(36),
                              RadialQuad.make(n=401))
 
-    def test_low_order_rejected(self, mu0_profile, mu0_params, weight36):
+    def test_low_order_rejected(self, mu0_profile, weight36):
         from ksdlab.linops import TestFunction
 
         bad = TestFunction(p=10, s=1.0, poly_coeffs=np.ones(3))
         with pytest.raises(DivergentIntegrand):
-            coercivity_probe(mu0_profile, mu0_params, weight36, [bad])
+            coercivity_probe(mu0_profile, weight36, [bad])
 
 
 class TestSobolev:

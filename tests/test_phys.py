@@ -91,6 +91,11 @@ class TestDiscretization:
         with pytest.raises(DomainError, match=named):
             build_initial(mu0_profile, lam0, n=64)
 
+    def test_negative_lam0_rejected(self, mu0_profile):
+        # lam0^(2 beta) of a negative lam0 is complex
+        with pytest.raises(DomainError, match="negative"):
+            run_phys(mu0_profile, lam0=-1e-8)
+
     def test_laplacian_bands_are_flux_form(self, mu0_profile):
         # the diffusive part of the FV flux form on the graded grid, written out
         # face by face over the exact shell volumes: faces midway between nodes, the

@@ -158,6 +158,20 @@ class TestFlow:
         with pytest.raises(CFLViolation, match="incoming"):
             step_renorm(two, mu0_profile, mu0_params, dt_policy(st.h, 1e-3, mu0_params, st.grid[-1]))
 
+    @pytest.mark.parametrize("lam0", [-1e-3, -math.inf, math.inf, math.nan])
+    def test_lam0_negative_or_non_finite_rejected(self, mu0_profile, lam0):
+        with pytest.raises(DomainError, match="lam0"):
+            make_state(mu0_profile, lam0, n=512)
+
+    def test_lam0_zero_is_the_diffusion_free_flow(self, mu0_profile, mu0_params):
+        # lambda^{2-4beta} = 0: a step at lam0 = 0 is the limit of vanishing diffusion
+        steps = []
+        for lam0 in (0.0, 1e-300):
+            st = make_state(mu0_profile, lam0, n=512)
+            steps.append(step_renorm(st, mu0_profile, mu0_params,
+                                     dt_policy(st.h, lam0, mu0_params, st.grid[-1])).psi)
+        assert np.array_equal(*steps)
+
     def test_zero_data_stays_zero(self, mu0_profile, mu0_params):
         st = make_state(mu0_profile, 1e-3, n=512)
         zero = replace(st, psi=np.zeros_like(st.psi))
@@ -178,11 +192,11 @@ class TestFlow:
         # the bits of three runs of one field each, the first of them unseeded: the rows
         # share every step's dt and factorization
         seeds = (None, lambda r: 1e-4 * chi_bump(r) * r * r, lambda r: 1e-4 * chi_bump(r))
-        rows = run_renorm(mu0_profile, mu0_params, 1e-24, 0.2, n=1024, perturbation=lambda r:
+        rows = run_renorm(mu0_profile, 1e-24, 0.2, n=1024, perturbation=lambda r:
                           np.stack([np.zeros_like(r), seeds[1](r), seeds[2](r)]))
         assert rows["c"].shape == (5, 3, 7)
         for i, seed in enumerate(seeds):
-            one = run_renorm(mu0_profile, mu0_params, 1e-24, 0.2, n=1024, perturbation=seed)
+            one = run_renorm(mu0_profile, 1e-24, 0.2, n=1024, perturbation=seed)
             assert rows["steps"] == one["steps"]
             for key in ("tau", "lam"):
                 assert np.array_equal(rows[key], one[key])
@@ -224,7 +238,7 @@ class TestFlow:
         step_renorm(st, mu0_profile, mu0_params, dt_policy(st.h, 1e-3, mu0_params, st.grid[-1]))
         assert len(calls) == 2
 
-    def test_one_pass_over_the_records(self, mu0_profile, mu0_params, monkeypatch):
+    def test_one_pass_over_the_records(self, mu0_profile, monkeypatch):
         # the records are evaluated once, after the last step: one _rhs call for all the
         # residuals beside the two of each step, and one mode fit
         calls = []
@@ -232,12 +246,12 @@ class TestFlow:
             fn = getattr(renorm, name)
             monkeypatch.setattr(renorm, name,
                                 lambda *a, fn=fn, name=name, **k: calls.append(name) or fn(*a, **k))
-        traj = run_renorm(mu0_profile, mu0_params, 1e-3, 0.2, n=1024)
+        traj = run_renorm(mu0_profile, 1e-3, 0.2, n=1024)
         assert len(traj["tau"]) == 5
         assert calls.count("_rhs") == 2 * traj["steps"] + 1
         assert calls.count("extract_modes") == 1
 
-    def test_records_evaluated_in_blocks(self, mu0_profile, mu0_params, monkeypatch):
+    def test_records_evaluated_in_blocks(self, mu0_profile, monkeypatch):
         # past one block the records are evaluated one block per pass: one _rhs call
         # per block beside the two of each step, none on more than a block of records,
         # so the evaluation's memory does not grow with tau_end
@@ -245,7 +259,7 @@ class TestFlow:
         rhs = renorm._rhs
         monkeypatch.setattr(renorm, "_rhs",
                             lambda psi, *a: shapes.append(psi.shape) or rhs(psi, *a))
-        traj = run_renorm(mu0_profile, mu0_params, 1e-3, 3.3, n=1024)
+        traj = run_renorm(mu0_profile, 1e-3, 3.3, n=1024)
         records = len(traj["tau"])
         blocks = -(-records // renorm._EVAL_BLOCK)
         assert (records, blocks) == (67, 2)
@@ -268,7 +282,7 @@ class TestFlow:
         monkeypatch.setattr(renorm, "step_renorm", wrapped)
         seeds = lambda r: np.stack([np.zeros_like(r), 1e-4 * chi_bump(r) * r * r,
                                     1e-4 * chi_bump(r)])
-        traj = run_renorm(mu0_profile, mu0_params, 1e-3, 0.2, n=1024, perturbation=seeds)
+        traj = run_renorm(mu0_profile, 1e-3, 0.2, n=1024, perturbation=seeds)
         q0 = make_state(mu0_profile, 1e-3, n=1024)
         first = replace(q0, psi=q0.psi + seeds(q0.grid))
         slices = [first] + [st for st in states if st.tau in traj["tau"]]
@@ -301,23 +315,23 @@ class TestModes:
         with pytest.raises(IllConditionedFit):
             extract_modes(st, mu0_profile)
 
-    def test_refused_window_stops_run_before_stepping(self, mu0_profile, mu0_params, monkeypatch):
+    def test_refused_window_stops_run_before_stepping(self, mu0_profile, monkeypatch):
         # the fit is made after the last step, but its window is checked before the first
         steps = []
         step = renorm.step_renorm
         monkeypatch.setattr(renorm, "step_renorm", lambda *a, **k: steps.append(a) or step(*a, **k))
         with pytest.raises(IllConditionedFit, match="6 nodes in the fit window for 7 modes"):
-            run_renorm(mu0_profile, mu0_params, 1e-3, 0.2, n=512)
+            run_renorm(mu0_profile, 1e-3, 0.2, n=512)
         assert steps == []
 
 
 class TestRates:
     @pytest.mark.parametrize("lam0, n, most", [(1e-24, 1024, 400), (1e-3, 4096, 650)])
-    def test_step_count(self, mu0_profile, mu0_params, lam0, n, most):
+    def test_step_count(self, mu0_profile, lam0, n, most):
         # on the mapped grid the advective CFL is not set by R_dom = 50, and
         # implicit diffusion leaves it the only bound: at lam0=1e-3, n=4096 the
         # explicit diffusion limit took 19573 steps
-        assert run_renorm(mu0_profile, mu0_params, lam0, 2.0, n=n)["steps"] <= most
+        assert run_renorm(mu0_profile, lam0, 2.0, n=n)["steps"] <= most
 
     def test_unstable_mode_rates(self, mu0_profile, mu0_params):
         # lam0 deep in the perturbative regime so the diffusive drift sits at the
@@ -338,8 +352,8 @@ class TestRates:
     def test_coupling_constant(self, mu0_params):
         assert sigma_coupling(mu0_params) == pytest.approx(-14.0 / 3.0, abs=1e-12)
 
-    def test_measured_coupling(self, mu0_profile, mu0_params):
-        sig = measure_coupling(mu0_params, mu0_profile, lam0=1e-24, n=1024)
+    def test_measured_coupling(self, mu0_profile):
+        sig = measure_coupling(mu0_profile, lam0=1e-24, n=1024)
         assert sig == pytest.approx(-14.0 / 3.0, rel=0.30)
         assert sig == pytest.approx(-4.576014050789637, rel=1e-12)  # pinned output
 
@@ -363,15 +377,20 @@ class TestRates:
         with pytest.raises(DomainError):
             measure_rates(mu0_params, mu0_profile, 5, n=256)
 
+    def test_negative_mode_rejected(self, mu0_profile, mu0_params):
+        # a seed r^{-2} would divide by zero at the origin
+        with pytest.raises(DomainError, match="0 <= j"):
+            measure_rates(mu0_params, mu0_profile, -1, n=256)
+
 
 class TestDriftScaling:
-    def test_perturbative_drift_slope(self, mu0_profile, mu0_params):
+    def test_perturbative_drift_slope(self, mu0_profile):
         # with eps(0) = 0 the sup deviation from Q after tau <= 2 scales like
         # lam0^{1/6} once lam0 is small enough to clear the O(h^2) floor
         sups = []
         lams = (1e-12, 1e-15, 1e-18)
         for lam0 in lams:
-            traj = run_renorm(mu0_profile, mu0_params, lam0, 2.0, n=2048)
+            traj = run_renorm(mu0_profile, lam0, 2.0, n=2048)
             sups.append(np.max(traj["eps_sup"]))
         slope = np.polyfit(np.log(lams), np.log(sups), 1)[0]
         assert slope == pytest.approx(1.0 / 6.0, rel=0.20)
