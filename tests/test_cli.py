@@ -156,27 +156,31 @@ class TestRun:
         assert outs[0] == outs[1]
 
     def test_profile_outputs_pinned(self, tmp_path):
-        # the profile bytes since the Taylor continuation; residual_max, which the
-        # inner series sets, is the seed-day value
+        # the profile bytes since the series grows to its own truncation certificate,
+        # which moved the fitted radius and with it the handoff; residual_max, which the
+        # inner series sets, is the seed-day value; the manifest names the series kept
         out = tmp_path / "out"
         assert main(["profile", "--mu", "0", "--j0", "4", "--out", str(out)]) == 0
         digest = hashlib.sha256((out / "profile.csv").read_bytes()).hexdigest()
-        assert digest == "a2e8078c6c513a5751d5b59fd02f3e1bbcd3d42bbf7b46c4046d3e66d3b3c948"
+        assert digest == "ef3ec113f32157b0a27a320d1d6dcd01c2d6a4d0d3d26818d67bd6b5a0a1da51"
         manifest = json.loads((out / "manifest_profile.json").read_text())
         assert manifest["residual_max"] == 1.1535229327286345e-08
+        assert (manifest["series_order"], manifest["series_terms"]) == (56, 32)
+        assert manifest["series_radius"] == 0.9016181571029571
 
     def test_probe_csvs_pinned(self, tmp_path):
         # bytes of both probe tables at a fixed seed; both since the quotients
         # come from the trapezoid rule on 1001 nodes with closed-form partial masses:
         # the coercivity quotients moved by up to 1.7e-8 relative, the cumulative
-        # Simpson error of the 8001-node route, the heat ones by round-off
+        # Simpson error of the 8001-node route, the heat ones by round-off; coercivity.csv
+        # since the grown series moved the profile's handoff radius
         out = tmp_path / "out"
         for cmd in ("coercivity", "heat"):
             assert main([cmd, "--mu", "0", "--j0", "4", "--seed", "12345", "--out", str(out)]) == 0
         digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                    for name in ("coercivity.csv", "heat.csv")}
         assert digests == {
-            "coercivity.csv": "04cb884e0bc6964b03a8dcb658cc754ac6ff0cb28e39a81c6e3d9e41eca77a63",
+            "coercivity.csv": "d48ac279c41f58b474fec12f0884b6e16a7b584cc9ce744bf094e492e77193a2",
             "heat.csv": "0f1262f4fa68389c75ea5c418218e60612de50b3c67d59ec08d0579c0ce4aa3a",
         }
 
@@ -203,29 +207,32 @@ class TestRun:
         # since it reports what the blowup fit rests on;
         # coercivity.csv and heat.csv since the probes take the trapezoid rule on
         # 1001 nodes, and coercivity_certificate.json since its two norms sum their
-        # Simpson terms as a prefix sum (last bits)
+        # Simpson terms as a prefix sum (last bits); every profile-derived artifact but
+        # heat's since the series grows to its own truncation certificate, and the
+        # profile manifest keys since it names the series kept
         out = tmp_path / "out"
         argv = ["all", "--quick", "--mu", "0", "--j0", "4", "--seed", "12345", "--out", str(out)]
         assert main(argv) == 0
         digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                    for p in out.iterdir() if not p.name.startswith("manifest_")}
         assert digests == {
-            "blowup_fit.json": "150b8c6211ad3b26d992376dc4fcad03c977bcfa5dd0ffb895ec372e7b8eb9cc",
-            "coercivity.csv": "0e853bd03b9b476a759f7fb709320cea44f07a35353f6b95f32a66eaaa18d37b",
+            "blowup_fit.json": "44466ba9aba8c6ddd7c1ab10c47b9b7f042c9f11d9d1223cff8feaf7e3e2ffef",
+            "coercivity.csv": "8f0473a6a63ee1fb3593c55235999068c77d728931b4d409fd26b1d22f00cae2",
             "coercivity_certificate.json":
-                "b93a8b54713652316f47feef49601926511595f9a4adc243337c870454780e5a",
+                "fdcc444261897712d88880a58e0e99b41a91ae02d1ffac2007147304cc09adf5",
             "heat.csv": "fb034c6294b687d3237e5c1ac87e54741ba7ba05600f0c034d9db73408fc9ea5",
             "heat_certificate.json": "54b5230bf9e9e09458bd00591fdf27607ee3f53b88741aeab42277cf39ea1f5e",
-            "phys.csv": "b6c28fc367e751a1a28a9e39f54300dfe262ce85d3770c2df2d9b99802be1560",
+            "phys.csv": "02d6c1b8ef493eaf6ad1d9d8c40423121b708e84666b703f0b0fe8051d9fcd2e",
             "portrait.csv": "9ae938e4050946aaf036207c70af0b9ad02eb1bb3704479dd444711cd24ac83d",
-            "profile.csv": "a2e8078c6c513a5751d5b59fd02f3e1bbcd3d42bbf7b46c4046d3e66d3b3c948",
-            "renorm.csv": "679d4c894739c8f666848663738269f47488301da2f397d9745c4ea306eaed5d",
+            "profile.csv": "ef3ec113f32157b0a27a320d1d6dcd01c2d6a4d0d3d26818d67bd6b5a0a1da51",
+            "renorm.csv": "e1af23babef456b25f198ea2f51f7af30561d503404a12301833200380e60e97",
         }
         base = ["schema_version", "library_version", "config", "config_hash",
                 "wall_time_s", "written_at"]
         keys = {p.name: list(json.loads(p.read_text())) for p in out.glob("manifest_*.json")}
         assert keys == {
-            "manifest_profile.json": base + ["tail_exponent", "residual_max", "handoff_radius"],
+            "manifest_profile.json": base + ["tail_exponent", "residual_max", "handoff_radius",
+                                             "series_order", "series_terms", "series_radius"],
             "manifest_portrait.json": base,
             "manifest_coercivity.json": base,
             "manifest_renorm.json": base + ["lam0", "n", "tau_end", "sigma_expected",
@@ -239,12 +246,13 @@ class TestRun:
 
     def test_mu02_quick_renorm_pinned(self, tmp_path):
         # the reaction coefficient 1 - mu and the j0 + 3 = 10 mode fit at mu != 0;
-        # renorm.csv since renorm diffuses with radial.flux_laplacian
+        # renorm.csv since renorm diffuses with radial.flux_laplacian, and since the
+        # series grows to its own truncation certificate
         out = tmp_path / "out"
         argv = ["renorm", "--quick", "--mu", "0.2", "--j0", "7", "--seed", "12345", "--out", str(out)]
         assert main(argv) == 0
         digest = hashlib.sha256((out / "renorm.csv").read_bytes()).hexdigest()
-        assert digest == "1704e9320eb501164dfb00c980b526dbb22ad825b852c75338abe0b5874edfa6"
+        assert digest == "5ba3ad7770241aa4a7da980ccdd96624a4577344f538c80ebe223b9bc4027330"
 
     def test_nested_profile_time(self, tmp_path):
         # coercivity alone runs the profile stage inside itself: its wall time
@@ -287,15 +295,15 @@ class TestRun:
     def test_coercivity_weight_follows_j0(self, tmp_path):
         # the weight exponent is the least admissible one, 8 j0 + 4 = 44 at j0=5; the
         # bytes of the only mu != 0 probe tables hold that the profile's mu and beta
-        # reach the operator
+        # reach the operator; both since the series grows to its own truncation certificate
         out = tmp_path / "out"
         assert main(["coercivity", "--quick", "--mu", "0.1", "--j0", "5", "--out", str(out)]) == 0
         digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                    for name in ("coercivity.csv", "coercivity_certificate.json")}
         assert digests == {
-            "coercivity.csv": "0e1eb7ec06b93242b0c1c9fabc306edb2fb895277cdb13400d37f434a0bbba07",
+            "coercivity.csv": "544ca0bf42328fd55c1c9623459840a1dccf94c17d287293bcbd4eb7b59aee8a",
             "coercivity_certificate.json":
-                "566efc76a28f5734c22132a62fec668ca2cd84d7ee5c71638ca7fa0eacf51bfc",
+                "2fc38a5b8cdde495e30b7683db1546606398162f13df31d6707ec2b838ae2c5f",
         }
         cert = json.loads((out / "coercivity_certificate.json").read_text())
         assert cert["A"] == 44

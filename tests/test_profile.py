@@ -23,7 +23,7 @@ from ksdlab.errors import (
 )
 from ksdlab.linops import RadialQuad
 from ksdlab.profile import (
-    N_MAX,
+    SERIES_MAX_TERMS,
     ProfileParams,
     build_series,
     classify_beta,
@@ -163,10 +163,12 @@ class TestRecurrence:
         "mu, j0", [(0.0, 4), (0.1, 5), (0.2, 7), (0.25, 10), (0.3, 22), (0.32, 52)]
     )
     def test_floats_match_operator_form(self, mu, j0):
-        # build_series consumes the float64 roundings, so those must not move
+        # build_series consumes the float64 roundings, so those must not move, to the
+        # length it grows the recurrence to
         p = ProfileParams.make(mu, j0)
-        got = series_recurrence(p.mu, p.beta, N_MAX, j0=j0, q_j0=-1.0)
-        ref = operator_recurrence(mu, j0, -1.0, N_MAX)
+        n = build_series(p, 1e-12).lattice_terms * j0
+        got = series_recurrence(p.mu, p.beta, n, j0=j0, q_j0=-1.0)
+        ref = operator_recurrence(mu, j0, -1.0, n)
         assert [float(q) for q in got] == [float(q) for q in ref]
 
     @given(
@@ -231,6 +233,52 @@ class TestSeries:
         q, f = mu0_series.q_coeffs, mu0_series.f_coeffs
         for j in range(len(q)):
             assert f[j] == pytest.approx(q[j] / (2 * j + 3), rel=1e-15, abs=1e-300)
+
+    @pytest.mark.parametrize("mu, j0, order", [
+        (0.0, 4, 56), (0.1, 5, 55), (0.2, 7, 56), (0.25, 10, 50), (0.3, 22, 44), (0.32, 52, 104),
+    ])
+    def test_grown_to_its_certificate(self, mu, j0, order):
+        # the run to 16 lattice terms fits a radius, the run to 32 moves it by under 5e-3
+        # and passes the truncation test at 0.8x that radius; the radius is the fit over
+        # the last 16 lattice terms, at least 15 of them at j0=52 too (7 at N=400)
+        p = ProfileParams.make(mu, j0)
+        series = build_series(p, 1e-12)
+        assert (series.lattice_terms, len(series.q_coeffs) - 1) == (32, order)
+        q = np.array([float(c) for c in series_recurrence(p.mu, p.beta, 32 * j0, j0=j0)])
+        js = np.arange(17, 33) * j0
+        assert np.all(q[js] != 0.0) and len(js) >= 15
+        slope = np.polyfit(js, np.log(np.abs(q[js])), 1)[0]
+        assert series.radius_estimate == 1.0 / math.sqrt(math.exp(slope))
+        r_plan, m = 0.8 * series.radius_estimate, order + j0
+        assert abs(q[m]) * r_plan ** (2 * m) / (1.0 - 0.8 ** (2 * j0)) < 1e-12
+
+    def test_recurrence_work_bounded(self, monkeypatch):
+        # the two series a certify run builds, at mu=0 and mu=0.2: each runs the recurrence
+        # to 16 and then 32 lattice terms, never to the 400 orders of a fixed length
+        calls = []
+        rec = profile_mod.series_recurrence
+        monkeypatch.setattr(profile_mod, "series_recurrence",
+                            lambda *a, **k: calls.append(a[2]) or rec(*a, **k))
+        for mu, j0 in ((0.0, 4), (0.2, 7)):
+            calls.clear()
+            build_series(ProfileParams.make(mu, j0), 1e-12)
+            assert calls == [16 * j0, 32 * j0]
+
+    def test_length_cap_raises(self):
+        # at mu=0 the remainder estimate falls about 0.17x per lattice term, to near 1e-198
+        # at the 256-term cap: tol=1e-200 is out of reach, tol=1e-100 stops at 128 terms
+        p = ProfileParams.make(0.0, 4)
+        assert build_series(p, 1e-100).lattice_terms == 128
+        with pytest.raises(NoConvergence, match=f"within {SERIES_MAX_TERMS} lattice terms"):
+            build_series(p, 1e-200)
+
+    def test_coefficients_finite_at_the_cap(self):
+        # |Q_{k j0}| grows about 2.3x per lattice term; at j0=52 the largest of the 256
+        # terms is near 1e92, so each rounds to a finite float64
+        p = ProfileParams.make(0.32, 52)
+        q = [float(c) for c in series_recurrence(p.mu, p.beta, SERIES_MAX_TERMS * 52, j0=52)]
+        assert all(map(math.isfinite, q))
+        assert 1e80 < abs(q[-1]) < 1e100
 
     def test_phase_slope_at_origin(self, mu0_series):
         # df/dQ along the separatrix leaving P0 is f_{j0}/Q_{j0} = 1/(2 j0 + 3)
@@ -303,9 +351,9 @@ class TestSolve:
         assert np.all(np.diff(prof.q_vals) <= 0)
         assert np.all(np.diff(prof.q_vals[prof.grid >= 0.2]) < 0)
 
-    @pytest.mark.parametrize("mu", [0.28, 0.3])
+    @pytest.mark.parametrize("mu", [0.28, 0.3, 0.32])
     def test_near_critical_mu_profile(self, mu):
-        # j0 = 15 and 22: the residual check's FD step follows the 1/(2 j0) scale
+        # j0 = 15, 22 and 52: the residual check's FD step follows the 1/(2 j0) scale
         # of Q in ln r, so the accurate ODE solution is not falsely rejected
         p = ProfileParams.make(mu, compute_admissibility(mu)[1])
         tol = 1e-10
