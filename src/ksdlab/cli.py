@@ -102,7 +102,7 @@ def _stage_profile(cfg: RunConfig, outdir: Path, cache: dict) -> dict:
     j0 = cfg.j0
     if j0 is None:
         _, j0 = compute_admissibility(cfg.mu)
-    params = ProfileParams.make(cfg.mu, j0, q_j0=cfg.qj0)
+    params = ProfileParams(mu=cfg.mu, j0=j0, q_j0=cfg.qj0)
     series = build_series(params, min(cfg.tol, 1e-12))
     profile = solve_profile(params, series, 1.0e4, cfg.tol)
     cache["profile"] = profile

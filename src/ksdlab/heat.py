@@ -22,7 +22,7 @@ from .linops import (
     RadialQuad,
     SampledRadial,
     TestFunction,
-    _probe_quotients,
+    _probe,
     _probe_suite,
     _sample,
     _sample_slope,
@@ -49,8 +49,8 @@ class HeatParams:
 
     @property
     def min_vanish_order(self) -> int:
-        """Least vanishing order keeping e^2 (y Theta)' integrable near 0."""
-        return 2 * self.m + 2
+        """Least even vanishing order keeping e^2 Theta integrable near 0: 2m + 2."""
+        return _WeightedL2.least_order(self.theta_exponent, 0)
 
 
 def heat_profile(p: HeatParams, y):
@@ -134,23 +134,13 @@ def heat_coercivity(
     smallest one is reported with its flagged records.  Each ``(p, s)`` family
     of the suite is sampled once per call, whatever the number of kappas tried.
     """
-    if quad is None:
-        quad = RadialQuad.make()
-    bound = -1.0 / (4.0 * p.m) + 1e-3
-    y = quad.r
+    core = _WeightedL2(quad, p.theta_exponent, 0)
+    y = core.quad.r
     u2 = 2.0 * heat_profile(p, y)
 
     def L(_p, _s, e, de):  # the family enters only through its rows
         return _heat_L_vals(p, y, u2, e, de)
 
-    core = _WeightedL2(quad, p.theta_exponent, 0)
-    kappas = [10.0**-k for k in range(1, 7)]
-    for kappa, quotients in zip(kappas, _probe_quotients(suite, core, L, kappas, bound)):
-        records = [
-            {"index": idx, "s": tf.s, "quotient": quot, "flagged": flagged}
-            for idx, (tf, (quot, flagged)) in enumerate(zip(suite, quotients))
-        ]
-        all_pass = not any(r["flagged"] for r in records)
-        if all_pass:
-            break
+    kappa, records, all_pass = _probe(suite, core, L, [10.0**-k for k in range(1, 7)],
+                                      -1.0 / (4.0 * p.m) + 1e-3)
     return {"kappa": kappa, "records": records, "all_pass": all_pass}

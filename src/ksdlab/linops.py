@@ -101,10 +101,8 @@ class TestFunction:
 
 
 def min_vanish_order(A: int) -> int:
-    """Least even p with r^{2p} integrable against r^{-A+2} dr near 0, the order the
-    weighted core's guard admits for a function paired with itself: ``2p + 2 > A - 1``."""
-    p = (A - 3) // 2 + 1
-    return p + (p % 2)
+    """Least even p with r^{2p} integrable against r^{-A+2} dr near 0: ``2p + 2 > A - 1``."""
+    return _WeightedL2.least_order(A, 2)
 
 
 def _probe_suite(p0: int, count: int, seed: int) -> list[TestFunction]:
@@ -241,8 +239,10 @@ def select_weight(
     and stored, not enforced: ``invariant_checks`` reports it.  ``R1`` is the
     smallest profile grid radius passing both tail conditions; ``B`` is the
     largest power of ten passing the flat-part condition, and a DomainError where
-    that power underflows to 0.
+    that power underflows to 0.  ``j0`` must be ``profile.params.j0``.
     """
+    if j0 != profile.params.j0:
+        raise DomainError(f"j0={j0} differs from profile.params.j0={profile.params.j0}")
     if profile.tail_exponent >= -2.0:
         raise DomainError("profile tail too fat for the weighted estimates")
     least_A = 8 * j0 + 4  # the least multiple of 4 with A >= 8 j0 + 3
@@ -312,16 +312,18 @@ def _sample_slope(x: PolyGauss | SampledRadial, quad: RadialQuad):
 class _WeightedL2:
     """The pairing ``\\int a b (r^{-A} + B) r^power dr`` on one RadialQuad.
 
-    Built once per ``(quad, A, power)``, it holds the arrays every pairing
-    on the grid reuses: the split-weight factor ``r^{-A/2}`` (formed on first
-    use; only the guarded ``grams`` reads it), ``r^{power+1}`` on the fine and
-    the coarse (every other) nodes, and both trapezoid weight vectors.  Every
+    Built once per ``(quad, A, power)``, on ``RadialQuad.make()`` when ``quad`` is None, it
+    holds the arrays every pairing on the grid reuses: the split-weight factor ``r^{-A/2}``
+    (formed on first use; only the guarded ``grams`` reads it), ``r^{power+1}`` on the fine
+    and the coarse (every other) nodes, and both trapezoid weight vectors.  Every
     weighted product is a block of ``grams``.  It pairs grid samples with their
     vanishing orders, so a function is sampled once however many pairings it
     enters.
     """
 
-    def __init__(self, quad: RadialQuad, A: int, power: int):
+    def __init__(self, quad: RadialQuad | None, A: int, power: int):
+        if quad is None:
+            quad = RadialQuad.make()
         r = quad.r
         self.quad, self.A, self.power = quad, A, power
         self.rp = r ** (power + 1)
@@ -338,6 +340,13 @@ class _WeightedL2:
             raise DivergentIntegrand(
                 f"vanishing order {pa}+{pb} with r^{self.power} dr not above A-1={self.A - 1}"
             )
+
+    @staticmethod
+    def least_order(A: int, power: int) -> int:
+        """Least even vanishing order ``p`` that ``_guard`` admits for a function paired with
+        itself: ``2p + power > A - 1``."""
+        p = (A - 1 - power) // 2 + 1
+        return p + p % 2
 
     def grams(self, X: np.ndarray, px: int, Y: np.ndarray, py: int) -> np.ndarray:
         """``\\int x_i y_j r^{-A} r^power dr`` and ``\\int x_i y_j r^power dr`` over the rows of
@@ -390,15 +399,18 @@ def _family_rows(p: int, s: float, K: int, quad: RadialQuad, L_family) -> np.nda
     return rows
 
 
-def _probe_quotients(suite: list[TestFunction], core: _WeightedL2, L_family, Bs, bound: float):
-    """Yield, for each flat part ``B`` in ``Bs``, the Rayleigh quotient ``(Lg, g)_w / (g, g)_w``
-    under ``w = r^{-A} + B`` of every suite member, with its ``_rayleigh_quotient`` flag.
+def _probe(suite: list[TestFunction], core: _WeightedL2, L_family, Bs, bound: float):
+    """``(B, records, all_pass)`` for the first flat part ``B`` in ``Bs`` under which every
+    Rayleigh quotient ``(Lg, g)_w / (g, g)_w`` of the suite, ``w = r^{-A} + B``, passes, or for
+    the last ``B`` when none does.
 
-    ``L`` is linear, so a member ``g = sum_k a_k phi_k`` of the family ``(p, s, K)`` with
-    rows ``phi_k = r^{p+2k} e^{-r^2/s^2}`` has ``(Lg, g)_w = a^T M a`` and ``(g, g)_w =
-    a^T G a``, ``M`` and ``G`` from ``core.grams``.  ``L_family(p, s, phi, phi')`` gives the
-    rows ``L phi_k``.  Each family's rows are built once, whatever the number of ``B``; each
-    quadratic form passes ``pair``'s panel-halving check.
+    A record holds the suite index, seed label, ``p``, ``s``, the quotient and whether it is
+    flagged.  Only a finite quotient at or below ``bound`` passes: an overflowing weight gives
+    NaN, which must not pass.  ``L`` is linear, so a member ``g = sum_k a_k phi_k`` of the
+    family ``(p, s, K)`` with rows ``phi_k = r^{p+2k} e^{-r^2/s^2}`` has ``(Lg, g)_w = a^T M a``
+    and ``(g, g)_w = a^T G a``, ``M`` and ``G`` from ``core.grams``.  ``L_family(p, s, phi,
+    phi')`` gives the rows ``L phi_k``.  Each family's rows are built once, whatever the
+    number of ``B``; each quadratic form passes ``pair``'s panel-halving check.
     """
     families: dict[tuple[int, float, int], list[int]] = {}
     for idx, tf in enumerate(suite):
@@ -411,17 +423,16 @@ def _probe_quotients(suite: list[TestFunction], core: _WeightedL2, L_family, Bs,
         forms[..., members] = np.einsum("lwfij,ni,nj->flwn", grams, a, a)
     for B in Bs:
         den, num = (_halving_checked(*(f[:, 0] + B * f[:, 1])).tolist() for f in forms)
-        yield [_rayleigh_quotient(n, d, bound) for n, d in zip(num, den)]
-
-
-def _rayleigh_quotient(num: float, den: float, bound: float) -> tuple[float, bool]:
-    """``num / den`` and whether it is flagged.
-
-    Only a finite quotient at or below ``bound`` passes: an overflowing
-    weight gives NaN, which must not pass.
-    """
-    quot = num / den
-    return quot, not (math.isfinite(quot) and quot <= bound)
+        quotients = [n / d for n, d in zip(num, den)]
+        records = [
+            {"index": idx, "seed_label": tf.seed_label, "p": tf.p, "s": tf.s,
+             "quotient": q, "flagged": not (math.isfinite(q) and q <= bound)}
+            for idx, (tf, q) in enumerate(zip(suite, quotients))
+        ]
+        all_pass = not any(r["flagged"] for r in records)
+        if all_pass:
+            break
+    return B, records, all_pass
 
 
 def _operator_coeffs(params: ProfileParams, r, Q, fq, dQ):
@@ -450,7 +461,9 @@ def apply_L(
     quad: RadialQuad,
 ) -> SampledRadial:
     """Sample ``L g`` on the quadrature grid, with the analytic slope of ``g`` and the
-    closed-form partial mass of the nonlocal term."""
+    closed-form partial mass of the nonlocal term.  ``params`` must be ``profile.params``."""
+    if params != profile.params:
+        raise DomainError(f"params {params} differ from profile.params {profile.params}")
     gv, dg, p = _sample_slope(g, quad)
     coeffs = _operator_coeffs(params, quad.r, *profile.sample(quad.r))
     vals = _L_vals(coeffs, gv, dg, g.partial_mass(quad.r))
@@ -486,14 +499,7 @@ def coercivity_probe(
     non-finite one (an overflowing weight gives NaN, which must not pass).  Results are
     order-stable by suite index; they come from each ``(p, s)`` family's Gram matrices.
     """
-    if quad is None:
-        quad = RadialQuad.make()
     core = _WeightedL2(quad, w.A, 2)
-    coeffs = _operator_coeffs(profile.params, quad.r, *profile.sample(quad.r))
-    L = functools.partial(_L_family, coeffs, quad.r)
-    [quotients] = _probe_quotients(suite, core, L, (w.B,), -0.125 + 1e-3)
-    return [
-        {"index": idx, "seed_label": tf.seed_label, "p": tf.p, "s": tf.s,
-         "quotient": quot, "flagged": flagged}
-        for idx, (tf, (quot, flagged)) in enumerate(zip(suite, quotients))
-    ]
+    r = core.quad.r
+    L = functools.partial(_L_family, _operator_coeffs(profile.params, r, *profile.sample(r)), r)
+    return _probe(suite, core, L, (w.B,), -0.125 + 1e-3)[1]

@@ -222,7 +222,7 @@ class BlowupFit:
 
 def run_phys(
     profile: RadialProfile,
-    lam0: float = 0.2,
+    lam0: float,
     mu: float | None = None,
     n: int = 8192,
     max_steps: int = 2_000_000,

@@ -342,11 +342,7 @@ def run_renorm(
 class RateFit:
     """Fitted modal growth rate for one seeded mode."""
 
-    j: int
     rate: float
-    expected: float
-    tau: np.ndarray
-    dc: np.ndarray
 
 
 def _seeded_difference(profile, lam0, tau_end, n, perturbation):
@@ -371,8 +367,11 @@ def measure_rates(
     The unseeded flow drifts by O(lam0^{2-4beta}) under diffusive forcing, so
     the rate is fitted on the difference between the seeded and the unseeded
     row of one flow; this cancels the static forcing to leading order.
-    Returns the log-linear slope of |delta c_j| over the full window.
+    Returns the log-linear slope of |delta c_j| over the full window.  ``params`` must be
+    ``profile.params``, which the flow steps.
     """
+    if params != profile.params:
+        raise DomainError(f"params {params} differ from profile.params {profile.params}")
     if not 0 <= j <= params.j0:
         raise DomainError("seed mode must satisfy 0 <= j <= j0")
     if amplitude > 1e-3 * params.q0:
@@ -393,8 +392,7 @@ def measure_rates(
     if np.all(forcing > 0.1 * dcdt):
         raise ForcingDominates("diffusive forcing exceeds modal derivative throughout")
 
-    expected = (params.j0 - j) / params.j0
-    return RateFit(j=j, rate=rate, expected=expected, tau=tau, dc=dcj)
+    return RateFit(rate=rate)
 
 
 def measure_coupling(

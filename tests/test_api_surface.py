@@ -1,8 +1,9 @@
 """Every function, class and module-level name in ``ksdlab``, and every method and property
 of its classes, is used by the package itself or the benchmark; a public one may instead be
 used by the acceptance criteria.  So no helper or constant stays in the package for the
-other tests alone.  And each value enters once: no function takes a profile beside its
-parameters, which the profile carries, and every parameter of a public function is read."""
+other tests alone.  Likewise every dataclass field is read.  And each value enters once: no
+function takes a profile beside its parameters, which the profile carries, and every
+parameter of a public function is read."""
 
 import ast
 from collections import Counter
@@ -84,6 +85,35 @@ def test_public_names_have_a_caller():
 
 def test_private_names_have_a_caller_outside_the_tests():
     assert _unreferenced(private=True) == set()
+
+
+# Dataclasses that the package writes out whole through ``asdict``, each with that call: every
+# field reaches an artifact, so each counts as read.
+SERIALIZED_WHOLE = {
+    "BlowupFit": ("cli.py", "asdict(fit)"),
+    "RunConfig": ("cli.py", "asdict(self)"),
+}
+
+
+def test_dataclass_fields_are_read():
+    # a field counts as read by any attribute load of its name in the package, a perfbench
+    # module or an acceptance criterion, so a name another class shares hides it
+    src = _parse(sorted((ROOT / "src" / "ksdlab").glob("*.py")))
+    readers = src + _parse(sorted((ROOT / "perfbench").glob("*.py")))
+    readers += _parse([ROOT / "tests" / "test_acceptance.py"])
+    loads = {n.attr for t in readers for n in ast.walk(t)
+             if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    unread = set()
+    for tree in src:
+        for name, d in _defs(tree.body):
+            if (isinstance(d, ast.ClassDef) and name not in SERIALIZED_WHOLE
+                    and any(ast.unparse(x).startswith("dataclass") for x in d.decorator_list)):
+                fields = [f.target.id for f in d.body if isinstance(f, ast.AnnAssign)]
+                unread |= {f"{name}.{f}" for f in fields if f not in loads}
+    assert unread == set()
+    for fname, call in SERIALIZED_WHOLE.values():
+        text = (ROOT / "src" / "ksdlab" / fname).read_text()
+        assert call in text, f"{fname} no longer calls {call}"
 
 
 # Parameters kept only because a ``perfbench`` call binds them by position, each with that

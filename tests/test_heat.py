@@ -33,6 +33,16 @@ def monomial(p, s):
     return PolyGauss(c, s)
 
 
+def per_probe_quotients(hp, suite, kappa, quad):
+    """``(L e, e) / (e, e)`` under ``Theta + kappa`` for each member, on the public route."""
+    quotients = []
+    for tf in suite:
+        g = tf.to_polygauss()
+        num = heat_weighted_inner(hp, heat_apply_L(hp, g, quad), g, kappa, quad)
+        quotients.append(num / heat_weighted_inner(hp, g, g, kappa, quad))
+    return quotients
+
+
 def profile_dy(p, y):
     """Closed-form derivative ``U_*'(y) = -2 m c y^{2m-1} U_*^2``."""
     U = heat_profile(p, y)
@@ -152,6 +162,18 @@ class TestCoercivity:
         assert all(r["flagged"] for r in report["records"])
         assert not report["all_pass"]
 
+    @pytest.mark.parametrize("m, kappa", [(4, 1e-2), (2, 1e-6)])
+    def test_first_passing_kappa_kept(self, m, kappa, quad):
+        # at c=0.01 heat_coercivity keeps neither the first nor the last kappa tried: every
+        # larger kappa flags a probe on the per-probe route (at m=4, one at 1e-1)
+        hp = HeatParams(m=m, c=0.01)
+        suite = make_heat_suite(hp, count=20)
+        report = heat_coercivity(hp, suite)
+        assert report["kappa"] == kappa and report["all_pass"]
+        bound = -1.0 / (4.0 * m) + 1e-3
+        for larger in (10.0**-k for k in range(1, round(-np.log10(kappa)))):
+            assert max(per_probe_quotients(hp, suite, larger, quad)) > bound
+
     @pytest.mark.parametrize("m, count", [(2, 50), (40, 4)])
     def test_each_family_built_once_per_call(self, m, count, monkeypatch):
         # the suite falls into at most 4 (p, s) families, each sampled once
@@ -176,11 +198,7 @@ class TestCoercivity:
         report = heat_coercivity(hp, suite, quad)
         bound = -1.0 / (4.0 * hp.m) + 1e-3
         for kappa in (10.0**-k for k in range(1, 7)):
-            refs = []
-            for tf in suite:
-                g = tf.to_polygauss()
-                num = heat_weighted_inner(hp, heat_apply_L(hp, g, quad), g, kappa, quad)
-                refs.append(num / heat_weighted_inner(hp, g, g, kappa, quad))
+            refs = per_probe_quotients(hp, suite, kappa, quad)
             flags = [not (np.isfinite(q) and q <= bound) for q in refs]
             if not any(flags):
                 break

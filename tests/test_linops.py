@@ -8,7 +8,13 @@ import pytest
 
 from ksdlab import linops
 from ksdlab.errors import DivergentIntegrand, DomainError, GridMismatch, NoConvergence
-from ksdlab.heat import HeatParams, heat_apply_L, heat_weighted_inner
+from ksdlab.heat import (
+    HeatParams,
+    heat_apply_L,
+    heat_coercivity,
+    heat_weighted_inner,
+    make_heat_suite,
+)
 from ksdlab.linops import (
     PolyGauss,
     RadialQuad,
@@ -220,6 +226,11 @@ class TestSelectWeight:
         with pytest.raises(DomainError):
             select_weight(mu0_profile, 4, A=32)  # below 8 j0 + 3
 
+    def test_j0_must_be_profile_j0(self, mu0_profile):
+        # A's floor 8 j0 + 4 must come from the j0 the profile was built at
+        with pytest.raises(DomainError, match="differs from profile.params.j0=4"):
+            select_weight(mu0_profile, 5)
+
 
 class TestOperator:
     def test_linearity(self, mu0_profile, mu0_params, quad):
@@ -229,6 +240,11 @@ class TestOperator:
         L_g = apply_L(mu0_profile, mu0_params, g, quad)
         L_h = apply_L(mu0_profile, mu0_params, h, quad)
         assert np.allclose(L_sum.vals, L_g.vals + L_h.vals, rtol=1e-12, atol=1e-14)
+
+    def test_params_must_be_profile_params(self, mu0_profile, quad):
+        # L's coefficients and the profile it linearizes around come from one (mu, j0)
+        with pytest.raises(DomainError, match="differ from profile.params"):
+            apply_L(mu0_profile, ProfileParams.make(0.1, 5), monomial(18, 1.0), quad)
 
     def test_degenerate_matches_heat(self, quad):
         # constant profile branch: f = f0, dQ = 0, 2(1-mu)Q0 = 2, so L reduces
@@ -347,6 +363,14 @@ class TestCoercivity:
             ref = weighted_inner(Lg, g, w, quad) / weighted_inner(g, g, w, quad)
             assert row["quotient"] == pytest.approx(ref, rel=1e-13, abs=0.0)
             assert row["flagged"] is not (math.isfinite(ref) and ref <= -0.125 + 1e-3)
+
+    def test_records_match_heat_records(self, mu0_profile, weight36):
+        # one probe loop, linops._probe, assembles the records of the 3D probe and the heat toy
+        rows = coercivity_probe(mu0_profile, weight36, make_test_suite(36, count=4))
+        hp = HeatParams(m=2)
+        report = heat_coercivity(hp, make_heat_suite(hp, count=4))
+        keys = {"index", "seed_label", "p", "s", "quotient", "flagged"}
+        assert [set(r) for r in rows + report["records"]] == [keys] * 8
 
     def test_unresolved_grid_rejected(self, mu0_profile, weight36):
         # 401 nodes leave the quadratic forms' panel-halving estimate at 1e-4 relative,

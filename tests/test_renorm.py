@@ -338,8 +338,7 @@ class TestRates:
         # discretization floor rather than polluting the linear dynamics
         for j, tol in ((0, 0.05), (1, 0.05)):
             fit = measure_rates(mu0_params, mu0_profile, j, lam0=1e-24, n=1024)
-            assert fit.expected == pytest.approx((4 - j) / 4.0, abs=1e-15)
-            assert fit.rate == pytest.approx(fit.expected, rel=tol)
+            assert fit.rate == pytest.approx((4 - j) / 4.0, rel=tol)
         # pinned output of the last fit (j=1): the run constants must keep the arithmetic
         assert fit.rate == pytest.approx(0.7500486229416136, rel=1e-12)
 
@@ -376,6 +375,11 @@ class TestRates:
     def test_mode_guard(self, mu0_profile, mu0_params):
         with pytest.raises(DomainError):
             measure_rates(mu0_params, mu0_profile, 5, n=256)
+
+    def test_params_must_be_profile_params(self, mu0_profile):
+        # the flow steps profile.params: guards and forcing check read the same values
+        with pytest.raises(DomainError, match="differ from profile.params"):
+            measure_rates(ProfileParams.make(0.0, 5), mu0_profile, 1, n=256)
 
     def test_negative_mode_rejected(self, mu0_profile, mu0_params):
         # a seed r^{-2} would divide by zero at the origin
