@@ -1,7 +1,7 @@
 """Command-line front end: stage orchestration, config handling, artifacts.
 
-Each subcommand runs one pipeline stage (or ``all``) and writes CSV/JSON
-artifacts plus a manifest into the output directory.  Configuration comes
+Each subcommand runs one pipeline stage, after ``profile`` when it reads the profile,
+or ``all``; each stage writes CSV/JSON artifacts and its manifest.  Configuration comes
 from an optional JSON file plus flags; flags win.  Exit codes: 0 success,
 2 validation failure (bad parameters or config), 3 numerical failure.
 """
@@ -32,7 +32,7 @@ from .renorm import quick_resolution, run_renorm, sigma_coupling
 
 @dataclass
 class RunConfig:
-    """One resolved run request; round-trips losslessly through to_dict."""
+    """One resolved run request; round-trips losslessly through ``asdict``."""
 
     command: str
     mu: float = 0.0
@@ -59,9 +59,6 @@ class RunConfig:
             raise ConfigParseError("grid-n must be >= 64")
         if self.seed < 0:
             raise ConfigParseError("seed must be non-negative")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
@@ -131,14 +128,8 @@ def _stage_portrait(cfg: RunConfig, outdir: Path, cache: dict) -> None:
     )
 
 
-def _ensure_profile(cfg: RunConfig, outdir: Path, cache: dict):
-    if "profile" not in cache:
-        cache["nested_wall_time_s"] = {"profile": _run_stage("profile", cfg, outdir, cache)}
-    return cache["profile"]
-
-
 def _stage_coercivity(cfg: RunConfig, outdir: Path, cache: dict) -> None:
-    profile = _ensure_profile(cfg, outdir, cache)
+    profile = cache["profile"]
     w = select_weight(profile, profile.params.j0)
     count = 10 if cfg.quick else 50
     suite = make_test_suite(w.A, count=count, seed=cfg.seed)
@@ -165,7 +156,7 @@ def _stage_coercivity(cfg: RunConfig, outdir: Path, cache: dict) -> None:
 
 
 def _stage_renorm(cfg: RunConfig, outdir: Path, cache: dict) -> dict:
-    profile = _ensure_profile(cfg, outdir, cache)
+    profile = cache["profile"]
     lam0 = cfg.lambda0 if cfg.lambda0 is not None else 1.0e-3
     n = cfg.grid_n
     if n is None:
@@ -188,7 +179,7 @@ def _stage_renorm(cfg: RunConfig, outdir: Path, cache: dict) -> dict:
 
 
 def _stage_phys(cfg: RunConfig, outdir: Path, cache: dict) -> dict:
-    profile = _ensure_profile(cfg, outdir, cache)
+    profile = cache["profile"]
     # default lam0 keeps the physical diffusion coefficient lam0^{2-4beta}
     # well under the aggregation scale so the run actually blows up
     lam0 = cfg.lambda0 if cfg.lambda0 is not None else 10.0 ** (-1.6 / (2.0 - 4.0 * profile.params.beta))
@@ -240,33 +231,31 @@ _STAGES = {
 
 COMMANDS = (*_STAGES, "all")
 
-
-def _run_stage(name: str, cfg: RunConfig, outdir: Path, cache: dict) -> float:
-    """Run one stage, write ``manifest_<name>.json`` with its wall time, return that time.
-    It includes a profile stage run inside by ``_ensure_profile``: see ``nested_wall_time_s``."""
-    t0 = time.perf_counter()
-    extra = _STAGES[name](cfg, outdir, cache) or {}
-    wall = time.perf_counter() - t0
-    if "nested_wall_time_s" in cache:
-        extra["nested_wall_time_s"] = cache.pop("nested_wall_time_s")
-    write_manifest(outdir / f"manifest_{name}.json", cfg.to_dict(), wall, extra=extra)
-    return wall
+#: the stages that read ``cache["profile"]``; run alone, each runs ``profile`` first
+_ON_PROFILE = ("coercivity", "renorm", "phys")
 
 
 def run(config: RunConfig) -> int:
-    """Execute the configured stage(s); returns the process exit code."""
+    """Execute the configured stage(s), each timed into its own ``manifest_<name>.json``;
+    returns the process exit code."""
     outdir = Path(config.out)
     outdir.mkdir(parents=True, exist_ok=True)
     cache: dict = {}
-    for name in _STAGES if config.command == "all" else (config.command,):
+    names = list(_STAGES) if config.command == "all" else [config.command]
+    if config.command in _ON_PROFILE:
+        names.insert(0, "profile")
+    for name in names:
+        t0 = time.perf_counter()
         try:
-            _run_stage(name, config, outdir, cache)
+            extra = _STAGES[name](config, outdir, cache) or {}
         except (DomainError, ConfigParseError) as exc:
             print(f"ksdlab: stage_{name}: {exc}", file=sys.stderr)
             return 2
         except KSDLabError as exc:
             print(f"ksdlab: stage_{name}: {exc}", file=sys.stderr)
             return 3
+        wall = time.perf_counter() - t0
+        write_manifest(outdir / f"manifest_{name}.json", asdict(config), wall, extra=extra)
     return 0
 
 

@@ -205,6 +205,12 @@ def build_series(params: ProfileParams, tol: float) -> PowerSeries:
     """
     if tol <= 0:
         raise DomainError("tol must be positive")
+    # the recurrence keeps every coefficient up to its order, lattice or not: SERIES_MAX_TERMS
+    # lattice terms are 256 j0 dense ones, so j0 <= 4096 caps them at 2^20 (about 0.1 GB of
+    # Decimals), where the default j0 of 2,000,002 at mu = 0.333333 would ask for 5e8
+    if params.j0 * SERIES_MAX_TERMS > 2**20:
+        raise DomainError(f"j0={params.j0} above {2**20 // SERIES_MAX_TERMS}: the series "
+                          f"would hold {params.j0 * SERIES_MAX_TERMS} coefficients")
     stride = params.j0
     terms, prev = 16, None
     while True:

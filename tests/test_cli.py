@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ksdlab
+from ksdlab import cli
 from ksdlab.cli import RunConfig, main, parse_config, portrait_scan
 from ksdlab.errors import ConfigParseError
 from ksdlab.io import write_csv
@@ -24,7 +26,7 @@ from ksdlab.renorm import fit_nodes, quick_resolution
 class TestConfig:
     def test_round_trip(self):
         cfg = RunConfig(command="profile", mu=0.2, j0=7, tol=1e-9, quick=True)
-        assert RunConfig.from_dict(cfg.to_dict()) == cfg
+        assert RunConfig.from_dict(asdict(cfg)) == cfg
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigParseError):
@@ -76,6 +78,12 @@ class TestConfig:
         cfile.write_text(json.dumps({"mu": "0.1"}))
         assert main(["profile", "--config", str(cfile), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == "ksdlab: config key 'mu' must be float, not '0.1'\n"
+
+    def test_flags_match_config_keys(self):
+        # the flags and the config keys are two hand-written lists: a key added to one
+        # and not the other fails here
+        dests = {a.dest for a in cli._build_parser()._actions} - {"help", "command", "config"}
+        assert dests == set(RunConfig.__dataclass_fields__) - {"command"}
 
     @pytest.mark.parametrize("via", ["flag", "file", "spaced"])
     @pytest.mark.parametrize("key", ["mu", "qj0", "tol", "lambda0"])
@@ -254,24 +262,30 @@ class TestRun:
         digest = hashlib.sha256((out / "renorm.csv").read_bytes()).hexdigest()
         assert digest == "5ba3ad7770241aa4a7da980ccdd96624a4577344f538c80ebe223b9bc4027330"
 
-    def test_nested_profile_time(self, tmp_path):
-        # coercivity alone runs the profile stage inside itself: its wall time
-        # includes the profile's, and its manifest names that share
+    @pytest.mark.parametrize("argv", [["coercivity", "--quick"], ["renorm", "--quick"], ["phys"]],
+                             ids=["coercivity", "renorm", "phys"])
+    def test_profile_runs_first_as_its_own_stage(self, tmp_path, monkeypatch, argv):
+        # a stage that reads the profile, run alone, runs the profile stage before it, as
+        # `all` does: one solve, and two manifests that each time their own stage only
+        calls = []
+        solve = cli.solve_profile
+        monkeypatch.setattr(cli, "solve_profile", lambda *a, **k: calls.append(a) or solve(*a, **k))
         out = tmp_path / "out"
-        assert main(["coercivity", "--quick", "--mu", "0", "--j0", "4", "--out", str(out)]) == 0
-        prof = json.loads((out / "manifest_profile.json").read_text())
-        coer = json.loads((out / "manifest_coercivity.json").read_text())
-        assert coer["nested_wall_time_s"] == {"profile": prof["wall_time_s"]}
-        assert prof["wall_time_s"] <= coer["wall_time_s"]
-        assert "nested_wall_time_s" not in prof
+        assert main(argv + ["--mu", "0", "--j0", "4", "--out", str(out)]) == 0
+        assert len(calls) == 1
+        manifests = sorted(p.name for p in out.glob("manifest_*.json"))
+        assert manifests == sorted(["manifest_profile.json", f"manifest_{argv[0]}.json"])
+        for name in manifests:
+            assert "nested_wall_time_s" not in json.loads((out / name).read_text())
 
     @pytest.mark.parametrize("argv, code, prefix", [
         # the initial half-max radius is already under 8 origin cells
         (["phys", "--mu", "0", "--lambda0", "0.2", "--grid-n", "512"], 3,
          "ksdlab: stage_phys: half-max radius under 8 origin cells at 1x growth; "
          "the fit needs 10x"),
+        # coercivity alone runs the profile stage first, and that is the stage that refuses j0
         (["coercivity", "--mu", "0.2", "--j0", "6"], 2,
-         "ksdlab: stage_coercivity: j0=6 below admissibility threshold"),
+         "ksdlab: stage_profile: j0=6 below admissibility threshold"),
         # the default lam0 = 10^(-369.6) at mu=0.3 is 0.0 in float64
         (["phys", "--mu", "0.3", "--quick"], 2,
          "ksdlab: stage_phys: lam0 = 0: lam0^2 = 0 or lam0^(2 beta) = 0 underflows to 0"),
@@ -284,6 +298,9 @@ class TestRun:
         # at A=188 the flat part's largest passing power of ten is 1e-334, 0.0 in float64
         (["coercivity", "--quick", "--mu", "0.3", "--j0", "23"], 2,
          "ksdlab: stage_coercivity: flat part B = 1e-334 underflows to 0 at A=188, R1=55.7\n"),
+        # one above the j0 whose 256 lattice terms are 2^20 dense coefficients
+        (["profile", "--mu", "0", "--j0", "4097"], 2,
+         "ksdlab: stage_profile: j0=4097 above 4096: the series would hold 1048832 coefficients\n"),
     ])
     def test_stage_failure_exit_code(self, tmp_path, capsys, recwarn, argv, code, prefix):
         # a numerical failure exits 3 and a rejected parameter 2, each named
@@ -414,33 +431,15 @@ class TestCsvDeterminism:
         assert (out / "got.csv").read_bytes() == (out / "want.csv").read_bytes()
 
 
-class TestThreads:
-    """KSD_LAB_THREADS is applied by ``import ksdlab``, before numpy loads."""
-
-    def _pool_after_import(self, **env_over):
-        env = {k: v for k, v in os.environ.items()
-               if k not in ("KSD_LAB_THREADS", "OMP_NUM_THREADS",
-                            "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
-        env["PYTHONPATH"] = str(Path(ksdlab.__file__).parents[1])
-        env.update(env_over)
-        code = (
-            "import ksdlab, os, sys; "
-            "assert 'numpy' not in sys.modules; "
-            "print(os.environ.get('OPENBLAS_NUM_THREADS'))"
-        )
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
-        return out.stdout.strip()
-
-    def test_sets_pool_before_numpy(self):
-        assert self._pool_after_import(KSD_LAB_THREADS="1") == "1"
-
-    def test_explicit_pool_wins(self):
-        assert self._pool_after_import(
-            KSD_LAB_THREADS="1", OPENBLAS_NUM_THREADS="2") == "2"
-
-    def test_unset_leaves_pool_alone(self):
-        assert self._pool_after_import() == "None"
+def test_package_import_has_no_side_effects():
+    # `import ksdlab` leaves the environment as it found it and loads no numpy: the BLAS
+    # and OpenMP pools take their sizes from the standard OMP_/OPENBLAS_/MKL_NUM_THREADS
+    env = {**os.environ, "PYTHONPATH": str(Path(ksdlab.__file__).parents[1])}
+    code = ("import os, sys; before = dict(os.environ); import ksdlab; "
+            "print(dict(os.environ) == before, 'numpy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "True False"
 
 
 def _loaded_by_cli_import(names):

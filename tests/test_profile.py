@@ -281,6 +281,18 @@ class TestSeries:
         assert all(map(math.isfinite, q))
         assert 1e80 < abs(q[-1]) < 1e100
 
+    def test_dense_length_bounded(self, monkeypatch):
+        # 256 lattice terms hold 256 j0 dense coefficients, so a j0 above 4096 is refused
+        # before the first recurrence runs; j0=52, the least admissible at mu=0.32, builds
+        calls = []
+        rec = profile_mod.series_recurrence
+        monkeypatch.setattr(profile_mod, "series_recurrence",
+                            lambda *a, **k: calls.append(a[2]) or rec(*a, **k))
+        with pytest.raises(DomainError, match="j0=4097 above 4096"):
+            build_series(ProfileParams(0.0, 4097), 1e-12)
+        assert calls == []
+        assert build_series(ProfileParams(0.32, 52), 1e-12).lattice_terms == 32
+
     def test_phase_slope_at_origin(self, mu0_series):
         # df/dQ along the separatrix leaving P0 is f_{j0}/Q_{j0} = 1/(2 j0 + 3)
         j0 = 4
