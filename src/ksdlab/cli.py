@@ -187,8 +187,8 @@ def _stage_phys(cfg: RunConfig, outdir: Path, cache: dict) -> dict:
     # uniform nodes on about n/8 nodes.  The half-maximum radius starts at about
     # n/91 origin cells, so n must stay large for the 8-cell resolution floor to
     # leave a usable growth window; diffusion is implicit, so dt follows the
-    # advective and reaction bounds, capped by the 2.5 h^2 record spacing,
-    # instead of the explicit 0.125 h^2
+    # advective and reaction bounds instead of the explicit 0.125 h^2, and the
+    # records on the 2.5 h^2 lattice are interpolated between step ends
     n = cfg.grid_n if cfg.grid_n is not None else 8192
     series, fit = run_phys(profile, lam0=lam0, n=n)
     write_csv(
@@ -199,7 +199,8 @@ def _stage_phys(cfg: RunConfig, outdir: Path, cache: dict) -> dict:
     )
     write_json(outdir / "blowup_fit.json", {**asdict(fit), "lam0": lam0})
     return {"steps": series["steps"], "nodes": len(series["grid"]),
-            "dt_limits": series["dt_limits"], "fit_report": series["fit_report"]}
+            "dt_limits": series["dt_limits"], "dt_range": series["dt_range"],
+            "fit_report": series["fit_report"]}
 
 
 def _stage_heat(cfg: RunConfig, outdir: Path, cache: dict) -> None:

@@ -58,8 +58,14 @@ class ForcingDominates(KSDLabError):
 
 
 class NoBlowupDetected(KSDLabError):
-    """No blowup to fit: the sup-norm halved, did not grow tenfold by ``t = 20 lam0^2``,
-    ran out of steps, or reached the half-max resolution floor before tenfold growth."""
+    """No blowup to fit.  ``stop`` names the stop: ``"decay"`` when the sup-norm halved,
+    ``"no_growth"`` when it did not grow tenfold by ``t = 20 lam0^2``, ``"budget"`` when the
+    steps ran out, ``"resolution"`` when the half-max radius reached the resolution floor
+    before tenfold growth."""
+
+    def __init__(self, message: str, stop: str):
+        super().__init__(message)
+        self.stop = stop
 
 
 class SnapshotMismatch(KSDLabError):

@@ -229,29 +229,30 @@ def run_phys(
 ) -> tuple[dict, BlowupFit]:
     """Integrate to the stopping threshold and fit the blowup exponents.
 
-    ARS(2,2,2) steps (``_imex_step``) treat diffusion implicitly, so ``dt`` is
-    set by the advective bound ``min vol/m`` on the face masses and the reaction
-    bound, at CFL number 0.25 (``_stable_dt``), and clipped
-    so that records land on the time lattice ``t = k * 2.5 h^2``, ``h`` the
-    origin spacing of the grid ``build_initial`` makes at resolution ``n``.  The
-    run stops when the sup-norm reaches 1e4 times its initial value or the
-    half-maximum radius falls under 8 origin cells.  Each state's sup-norm and
-    half-maximum radius are evaluated once, for the stops and, on the lattice, the
-    record; each record's ``dt`` is the step the bounds allowed there.  The final
-    state is recorded once: off the lattice it is appended with the last record's
-    ``dt``.  NoBlowupDetected is raised when the sup-norm halves, past ``t = 20
-    lam0^2`` without tenfold growth, when the step budget runs out, and when the
-    resolution stop comes before tenfold growth; IllConditionedFit when fewer than
-    10 records lie in the fit window.  ``mu`` defaults to the profile's own damping;
-    passing a different value probes off-profile data (e.g. the global-existence
-    regime, where the sup-norm decays).
-    Returns the recorded time series, with the step count as ``steps`` and, as
-    ``dt_limits``, the steps clipped to the lattice and those whose ``_stable_dt`` bound
-    was advective or reaction (these two sum to ``steps``), and the fit.  The series'
-    ``fit_report`` says what the fit rests on: the window's span in decades of
-    ``T_est - t``, the sup-norm growth and half-maximum radius shrink over it, the
-    records and how many of them lie past ``T_est``, and the first and last local
-    blowup-time estimates ``t + (1/sup)/s``.
+    ARS(2,2,2) steps (``_imex_step``) treat diffusion implicitly, so each step is
+    the advective bound ``min vol/m`` on the face masses or the reaction bound, at
+    CFL number 0.25 (``_stable_dt``).  Records lie on the time lattice
+    ``t = k * 2.5 h^2``, ``h`` the origin spacing of the grid ``build_initial`` makes
+    at resolution ``n``: each lattice time a step passes is recorded from the state
+    interpolated linearly between the step's two ends, with that step's ``dt``, so the
+    FV mass of a record is that of its two ends interpolated too.  The run stops when
+    the sup-norm of a stepped state reaches 1e4 times its initial value or its
+    half-maximum radius falls under 8 origin cells.  The final state is recorded
+    once: off the lattice it is appended with the last step's ``dt``.
+    NoBlowupDetected is raised, with ``stop`` naming the stop, when the sup-norm
+    halves (``"decay"``), past ``t = 20 lam0^2`` without tenfold growth
+    (``"no_growth"``), when the step budget runs out (``"budget"``), and when the
+    resolution stop comes before tenfold growth (``"resolution"``); IllConditionedFit
+    when fewer than 10 records lie in the fit window.  ``mu`` defaults to the
+    profile's own damping; passing a different value probes off-profile data (e.g.
+    the global-existence regime, where the sup-norm decays).
+    Returns the recorded time series, with the step count as ``steps``, as
+    ``dt_limits`` the steps whose ``_stable_dt`` bound was advective or reaction
+    (these sum to ``steps``), as ``dt_range`` the least and largest step in units of
+    ``h^2``, and the fit.  The series' ``fit_report`` says what the fit rests on: the
+    window's span in decades of ``T_est - t``, the sup-norm growth and half-maximum
+    radius shrink over it, the records and how many of them lie past ``T_est``, and
+    the first and last local blowup-time estimates ``t + (1/sup)/s``.
     """
     if mu is None:
         mu = profile.params.mu
@@ -259,19 +260,18 @@ def run_phys(
     grid, rho = state.grid, state.rho
     h = grid[1] - grid[0]
     lap = flux_laplacian(grid)
+    vol = lap.weight
     t = 0.0
     t_rec = _RECORD_SPACING * h * h
-    k_rec = 1
-    sup0 = float(rho.max())
-    records = []  # (t, sup_norm, mass, half_max_radius, dt) of each recorded state
-    on_lattice, dt_stable = True, 0.0  # the initial state is the first record
+    k_rec = 1  # the next lattice time is k_rec * t_rec
+    sup0 = sup = float(rho.max())
+    hm = _half_max_radius(rho, grid)
+    # (t, sup_norm, mass, half_max_radius, dt) of each recorded state, the initial one first
+    records = [(t, sup, _fv_mass(rho, vol), hm, 0.0)]
     sink_accum = 0.0
-    dt_limits = {"lattice": 0, "advective": 0, "reaction": 0}
+    dt_limits = {"advective": 0, "reaction": 0}
+    dt_min, dt_max = math.inf, 0.0
     for steps in range(max_steps):
-        sup = float(rho.max())
-        hm = _half_max_radius(rho, grid)
-        if on_lattice:
-            records.append((t, sup, _fv_mass(rho, lap.weight), hm, dt_stable))
         if sup >= 1.0e4 * sup0:
             stop_reason = "threshold"
             break
@@ -282,33 +282,36 @@ def run_phys(
         # diffusion/damping won (the global-existence regime)
         if sup < 0.5 * sup0 or (t > 20.0 * lam0**2 and sup < 10.0 * sup0):
             raise NoBlowupDetected(
-                f"sup-norm at {sup / sup0:.3g}x initial after t = {t:.3g}"
+                f"sup-norm at {sup / sup0:.3g}x initial after t = {t:.3g}",
+                stop="decay" if sup < 0.5 * sup0 else "no_growth",
             )
-        k0, m_face = _phys_rhs(rho, lap.weight, mu)
-        dt_stable, limit = _stable_dt(m_face, sup, lap.weight, mu)
+        k0, m_face = _phys_rhs(rho, vol, mu)
+        dt, limit = _stable_dt(m_face, sup, vol, mu)
         dt_limits[limit] += 1
-        t_next = k_rec * t_rec
-        on_lattice = dt_stable >= t_next - t
-        dt = t_next - t if on_lattice else dt_stable
+        dt_min, dt_max = min(dt_min, dt), max(dt_max, dt)
         new, sink = _imex_step(rho, k0, lap, mu, dt)
         if not np.isfinite(new).all():
             raise NonFiniteField("non-finite density")
         # discrete mass identity, accumulated: mass(t) - mass(0) = sum of sinks
         sink_accum += sink
-        rho = new
-        if on_lattice:
-            t, k_rec = t_next, k_rec + 1
-            dt_limits["lattice"] += 1
-        else:
-            t += dt
+        # each lattice time in (t, t + dt] is recorded from the state interpolated linearly
+        # between the step's two ends
+        while (t_k := k_rec * t_rec) <= t + dt:
+            u = rho + (t_k - t) / dt * (new - rho)
+            records.append((t_k, float(u.max()), _fv_mass(u, vol), _half_max_radius(u, grid), dt))
+            k_rec += 1
+        rho, t = new, t + dt
+        sup, hm = float(rho.max()), _half_max_radius(rho, grid)
     else:
-        raise NoBlowupDetected(f"step budget exhausted; sup grew {rho.max() / sup0:.3g}x")
-    if not on_lattice:
-        records.append((t, sup, _fv_mass(rho, lap.weight), hm, records[-1][-1]))
+        raise NoBlowupDetected(f"step budget exhausted; sup grew {sup / sup0:.3g}x",
+                               stop="budget")
+    if records[-1][0] != t:
+        records.append((t, sup, _fv_mass(rho, vol), hm, dt))
     if sup < 10.0 * sup0:
         raise NoBlowupDetected(
             f"half-max radius under 8 origin cells at {sup / sup0:.3g}x growth; "
-            "the fit needs 10x"
+            "the fit needs 10x",
+            stop="resolution",
         )
     ts, sups, masses, hms, dts = map(np.array, zip(*records))
 
@@ -358,6 +361,7 @@ def run_phys(
     }
     series = {"t": ts, "sup_norm": sups, "mass": masses, "half_max_radius": hms,
               "dt": dts, "grid": grid, "steps": steps, "dt_limits": dt_limits,
+              "dt_range": [float(dt_min / (h * h)), float(dt_max / (h * h))],
               "fit_report": fit_report}
     return series, fit
 

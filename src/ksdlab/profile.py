@@ -99,7 +99,8 @@ class ProfileParams:
         return cls(mu=mu, j0=j0, q_j0=q_j0)
 
 
-def series_recurrence(mu: float, beta: float, n: int, j0: int, q_j0: float = -1.0):
+def series_recurrence(mu: float, beta: float, n: int, j0: int, q_j0: float = -1.0,
+                      prefix: list | None = None):
     """Run the Taylor recurrence at SERIES_DIGITS decimal digits; return a Decimal Q_j list.
 
     For ``1 <= j != j0`` the coefficient is forced:
@@ -117,18 +118,25 @@ def series_recurrence(mu: float, beta: float, n: int, j0: int, q_j0: float = -1.
     the other entries stay exactly 0.  The sum is split so that it divides
     nowhere, ``S_j = sum (2i Q_i) (Q_{j-i}/(2(j-i)+3)) + (1-mu) sum Q_i Q_{j-i}``,
     with ``2i Q_i`` and ``Q_i/(2i+3)`` formed once per lattice index.
+    ``prefix``, an earlier return for the same ``(mu, j0, q_j0)`` and a smaller ``n``, is
+    extended: its lattice terms are kept and only the later ones formed, with the bits
+    of a fresh run.
     """
     expected = ProfileParams(mu, j0, q_j0).beta
     if abs(beta - expected) > 1e-12:
         raise DomainError(f"beta={beta} != 1/(3(1-mu)) + 1/(2 j0) = {expected}")
-    Q = [Decimal(0)] * (n + 1)
+    prefix = prefix or []
+    Q = prefix + [Decimal(0)] * (n + 1 - len(prefix))
     with localcontext() as ctx:
         ctx.prec = SERIES_DIGITS
         one_m_mu = 1 - Decimal(mu)
         Q[0] = 1 / one_m_mu
-        # Q_i, 2i Q_i and Q_i/(2i+3) at i = k j0, by lattice index k (0 unused)
-        q, a, b = [None], [None], [None]
-        for k in range(1, n // j0 + 1):
+        # Q_i, 2i Q_i and Q_i/(2i+3) at i = k j0, by lattice index k (0 unused); the
+        # prefix's two products are formed again, at O(1) each
+        q = [None] + Q[j0:len(prefix):j0]
+        a = [None] + [2 * k * j0 * qk for k, qk in enumerate(q[1:], 1)]
+        b = [None] + [qk / (2 * k * j0 + 3) for k, qk in enumerate(q[1:], 1)]
+        for k in range(len(q), n // j0 + 1):
             if k == 1:
                 qk = Decimal(q_j0)
             else:
@@ -192,10 +200,10 @@ def build_series(params: ProfileParams, tol: float) -> PowerSeries:
     """Construct the origin Taylor series to the remainder estimate ``tol``.
 
     The recurrence runs at SERIES_DIGITS decimal digits to 16 lattice terms ``Q_{k j0}``,
-    then to twice as many, and so on, each run rounded to float64.  On each run the
-    convergence radius is fitted to the last half of the lattice terms, and the stored
-    truncation N is the shortest prefix whose geometric remainder estimate at the planned
-    handoff radius (80% of that radius) is below ``tol``.  Growth stops once such an N
+    then extends them to twice as many, and so on, each run rounded to float64.  On each
+    run the convergence radius is fitted to the last half of the lattice terms, and the
+    stored truncation N is the shortest prefix whose geometric remainder estimate at the
+    planned handoff radius (80% of that radius) is below ``tol``.  Growth stops once such an N
     exists and the doubling moved the radius by less than 5e-3 relative; past
     SERIES_MAX_TERMS it raises NoConvergence.  At tol=1e-12 it stops at 32 terms at every
     (mu, j0) tried, though the fit still drifts there: at mu=0 it gives 0.9042, 0.9018,
@@ -212,11 +220,12 @@ def build_series(params: ProfileParams, tol: float) -> PowerSeries:
         raise DomainError(f"j0={params.j0} above {2**20 // SERIES_MAX_TERMS}: the series "
                           f"would hold {params.j0 * SERIES_MAX_TERMS} coefficients")
     stride = params.j0
-    terms, prev = 16, None
+    terms, prev, Q = 16, None, None
     while True:
         Q = series_recurrence(params.mu, params.beta, terms * stride, j0=params.j0,
-                              q_j0=params.q_j0)
-        q = np.array([float(c) for c in Q])
+                              q_j0=params.q_j0, prefix=Q)
+        q = np.zeros(len(Q))
+        q[::stride] = [float(c) for c in Q[::stride]]
 
         nz = np.nonzero(q[1:])[0] + 1
         if len(nz) >= 4:
@@ -290,10 +299,13 @@ def _series_values(series: PowerSeries, r: np.ndarray):
     return out
 
 
-def _evaluate(r, params: ProfileParams, series: PowerSeries, r_h: float, sol, r_max: float):
+def _evaluate(r, params: ProfileParams, series: PowerSeries, r_h: float, sol, r_max: float,
+              deriv: bool = False):
     """``(Q, f, dQ/dr)`` at ``r`` in ``[0, r_max]``: the series on ``r <= r_h``, the
     continuation ``sol`` (or the constant ``(Q0, f0)`` when it is None) outside,
-    with ``dQ/dr`` from the ODE right-hand side there.  Scalars in, scalars out."""
+    with ``dQ/dr`` from the ODE right-hand side there.  Scalars in, scalars out.
+    With ``deriv`` a fourth item follows: the continuation's own ``(dQ/ds, df/ds)`` at
+    the points outside ``r_h``, from the same evaluation, or None when ``sol`` is."""
     r = np.asarray(r, dtype=float)
     if np.any(r < 0) or np.any(r > r_max * (1 + 1e-12)):
         raise OutOfRange(f"radius outside [0, {r_max}]")
@@ -304,17 +316,18 @@ def _evaluate(r, params: ProfileParams, series: PowerSeries, r_h: float, sol, r_
     if ri.size:
         q[inner], f[inner], dq[inner] = _series_values(series, ri)
     outer = ~inner
+    tail = None
     if np.any(outer):
         ro = rs[outer]
         if sol is None:
             q[outer], f[outer] = params.q0, params.f0
         else:
-            q[outer], f[outer] = sol(np.log(ro))
+            q[outer], f[outer], *tail = sol(np.log(ro), deriv=deriv)
         qo, fo = q[outer], f[outer]
         dq[outer] = ((1.0 - params.mu) * qo * qo - qo) / ((params.beta - fo) * ro)
     if r.ndim == 0:
         return q[0], f[0], dq[0]
-    return q, f, dq
+    return (q, f, dq, tail) if deriv else (q, f, dq)
 
 
 @dataclass(frozen=True)
@@ -360,9 +373,9 @@ TAYLOR_ORDER = 24
 class TaylorTail:
     """The continuation past the handoff radius, one Taylor polynomial in ``s = ln r`` per
     step: ``coeffs[c, k, i]`` is the ``k``-th coefficient of component ``c`` (Q, then f) in
-    powers of ``s - knots[i]`` on step ``i``.  Called on ``s`` it gives ``(Q, f)``, or with
-    ``deriv`` their ``s``-derivatives, from the same polynomials.  ``remainder`` is the
-    largest per-step truncation estimate."""
+    powers of ``s - knots[i]`` on step ``i``.  Called on ``s`` it gives ``(Q, f)``, and with
+    ``deriv`` also their ``s``-derivatives, from the same gathered polynomials.
+    ``remainder`` is the largest per-step truncation estimate."""
 
     knots: np.ndarray
     coeffs: np.ndarray
@@ -371,9 +384,11 @@ class TaylorTail:
     def __call__(self, s, deriv: bool = False):
         i = np.clip(np.searchsorted(self.knots, s, side="right") - 1, 0, len(self.knots) - 1)
         c, h = self.coeffs[:, :, i], s - self.knots[i]
-        if deriv:
-            c = np.arange(1, c.shape[1])[:, None] * c[:, 1:]
-        return horner(c[0], h), horner(c[1], h)
+        values = horner(c[0], h), horner(c[1], h)
+        if not deriv:
+            return values
+        d = np.arange(1, c.shape[1])[:, None] * c[:, 1:]
+        return values + (horner(d[0], h), horner(d[1], h))
 
 
 def _continue(mu: float, beta: float, s_lo: float, s_hi: float, q_h: float, f_h: float):
@@ -470,7 +485,8 @@ def solve_profile(
                                           float(horner(series.f_coeffs, x_h)))
 
     grid = make_grid(r_max)
-    q_vals, f_vals, dq_vals = _evaluate(grid, params, series, r_h, sol, r_max)
+    q_vals, f_vals, dq_vals, tail = _evaluate(grid, params, series, r_h, sol, r_max,
+                                              deriv=True)
 
     # --- residuals: the series on the inner grid, the polynomials' defect outside ---
     inner = (grid > 0) & (grid <= r_h)
@@ -484,8 +500,8 @@ def solve_profile(
         - (1.0 - mu) * q_vals[inner] ** 2
     )
     residual = float(np.max(np.abs(res_i))) if len(ri) else 0.0
-    if np.any(outer) and sol is not None:
-        dqds, dfds = sol(np.log(grid[outer]), deriv=True)
+    if tail:
+        dqds, dfds = tail
         qo, fo = q_vals[outer], f_vals[outer]
         res_q = qo + (beta - fo) * dqds - (1.0 - mu) * qo * qo
         res_f = dfds - (qo - 3.0 * fo)

@@ -217,20 +217,22 @@ class TestRun:
         # 1001 nodes, and coercivity_certificate.json since its two norms sum their
         # Simpson terms as a prefix sum (last bits); every profile-derived artifact but
         # heat's since the series grows to its own truncation certificate, and the
-        # profile manifest keys since it names the series kept
+        # profile manifest keys since it names the series kept; phys.csv and
+        # blowup_fit.json since phys steps at its stability bound and interpolates the
+        # lattice records, and the phys manifest keys since it reports the step range
         out = tmp_path / "out"
         argv = ["all", "--quick", "--mu", "0", "--j0", "4", "--seed", "12345", "--out", str(out)]
         assert main(argv) == 0
         digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                    for p in out.iterdir() if not p.name.startswith("manifest_")}
         assert digests == {
-            "blowup_fit.json": "44466ba9aba8c6ddd7c1ab10c47b9b7f042c9f11d9d1223cff8feaf7e3e2ffef",
+            "blowup_fit.json": "0dc456ad70fe47dcfcc0d017b0412326984f8fe002a4d8ed87317c423314d8d4",
             "coercivity.csv": "8f0473a6a63ee1fb3593c55235999068c77d728931b4d409fd26b1d22f00cae2",
             "coercivity_certificate.json":
                 "fdcc444261897712d88880a58e0e99b41a91ae02d1ffac2007147304cc09adf5",
             "heat.csv": "fb034c6294b687d3237e5c1ac87e54741ba7ba05600f0c034d9db73408fc9ea5",
             "heat_certificate.json": "54b5230bf9e9e09458bd00591fdf27607ee3f53b88741aeab42277cf39ea1f5e",
-            "phys.csv": "02d6c1b8ef493eaf6ad1d9d8c40423121b708e84666b703f0b0fe8051d9fcd2e",
+            "phys.csv": "46f7ac467bd4c56a8a19274441dcd92fcd8d38f24f59f6af5bf891fe4a3adfea",
             "portrait.csv": "9ae938e4050946aaf036207c70af0b9ad02eb1bb3704479dd444711cd24ac83d",
             "profile.csv": "ef3ec113f32157b0a27a320d1d6dcd01c2d6a4d0d3d26818d67bd6b5a0a1da51",
             "renorm.csv": "e1af23babef456b25f198ea2f51f7af30561d503404a12301833200380e60e97",
@@ -245,7 +247,8 @@ class TestRun:
             "manifest_coercivity.json": base,
             "manifest_renorm.json": base + ["lam0", "n", "tau_end", "sigma_expected",
                                             "steps"],
-            "manifest_phys.json": base + ["steps", "nodes", "dt_limits", "fit_report"],
+            "manifest_phys.json": base + ["steps", "nodes", "dt_limits", "dt_range",
+                                          "fit_report"],
             "manifest_heat.json": base,
         }
         assert json.loads((out / "blowup_fit.json").read_text())["stop_reason"] == "resolution"

@@ -225,8 +225,8 @@ class TestBlowup:
         assert rel_drift < 1e-10
         assert fit.T_est == pytest.approx(1e-16, rel=0.05)
         # pinned outputs: the run constants must keep the arithmetic
-        assert fit.p_amp == pytest.approx(-0.9932696612474293, rel=1e-12)
-        assert fit.p_len == pytest.approx(0.5158498240584938, rel=1e-12)
+        assert fit.p_amp == pytest.approx(-0.9933412892819883, rel=1e-12)
+        assert fit.p_len == pytest.approx(0.515918683213892, rel=1e-12)
         # every record but the final (stopping) one sits on the 2.5 h^2 lattice
         grid = series["grid"]
         t_rec = 2.5 * (grid[1] - grid[0]) ** 2
@@ -236,11 +236,33 @@ class TestBlowup:
         assert len(minima) == len(series["t"]) and min(minima) >= 0.0
 
     def test_final_state_recorded_once(self, mu0_profile):
-        # the CLI's default lam0 at n=4096: the last step lands on the lattice, so the
-        # stopping state is already a record and is not appended again
+        # the CLI's default lam0 at n=4096: 18 lattice records, then the stopping state
+        # off the lattice, appended once
         series, _ = run_phys(mu0_profile, lam0=10**-9.6, n=4096)
-        assert len(series["t"]) == 18
+        assert len(series["t"]) == 19
         assert np.all(np.diff(series["t"]) > 0.0)
+
+    def test_stop_on_lattice_recorded_once(self, mu0_profile, monkeypatch):
+        # each step cut to end on the next lattice time: the stopping state is then the
+        # step's end itself, already a record, and it is not appended again
+        h = np.diff(build_initial(mu0_profile, 10**-9.6, n=4096).grid[:2])[0]
+        t_rec, t, k = 2.5 * h * h, [0.0], [1]
+        stable = phys._stable_dt
+
+        def clipped(m_face, sup, vol, mu):
+            dt, limit = stable(m_face, sup, vol, mu)
+            if dt >= k[0] * t_rec - t[0]:
+                dt, k[0] = k[0] * t_rec - t[0], k[0] + 1
+            t[0] += dt
+            return dt, limit
+
+        monkeypatch.setattr(phys, "_stable_dt", clipped)
+        minima = _record_minima(monkeypatch)
+        series, fit = run_phys(mu0_profile, lam0=10**-9.6, n=4096)
+        assert fit.stop_reason == "resolution"
+        assert series["t"][-1] == t[0]
+        assert series["t"].tolist() == (np.arange(len(series["t"])) * t_rec).tolist()
+        assert len(minima) == len(series["t"]) == 18
 
     def test_graded_grid_keeps_uniform_physics(self, mu0_profile):
         # the benchmark's run on 1044 graded nodes against the exponents the same
@@ -286,13 +308,15 @@ class TestBlowup:
         # operator, and with it the face-mass sum, twice
         calls = self._count_rhs(monkeypatch)
         steps = 5
-        with pytest.raises(NoBlowupDetected, match="step budget"):
+        with pytest.raises(NoBlowupDetected, match="step budget") as err:
             run_phys(mu0_profile, lam0=1e-8, n=2048, max_steps=steps)
+        assert err.value.stop == "budget"
         assert len(calls) == 2 * steps
 
     def test_empty_step_budget(self, mu0_profile):
-        with pytest.raises(NoBlowupDetected, match=r"step budget exhausted; sup grew 1x"):
+        with pytest.raises(NoBlowupDetected, match=r"step budget exhausted; sup grew 1x") as err:
             run_phys(mu0_profile, lam0=1e-8, n=1024, max_steps=0)
+        assert err.value.stop == "budget"
 
     def test_step_budget_reports_final_state(self, mu0_profile, monkeypatch):
         # the growth in the budget message is that of the state the last step made
@@ -305,21 +329,31 @@ class TestBlowup:
         growth = [f"{rho.max() / sup0:.3g}x" for rho, _ in states]
         assert len(states) == 3 and growth[-1] != growth[-2]
         assert str(err.value).endswith(f"sup grew {growth[-1]}")
+        assert err.value.stop == "budget"
 
-    def test_dt_limits_counted(self, mu0_profile):
-        # each step's dt comes from _stable_dt's advective or reaction bound, or is
-        # clipped to land on the record lattice
+    def test_dt_limits_counted(self, mu0_profile, monkeypatch):
+        # each step is _stable_dt's advective or reaction bound, unclipped
+        taken = []
+        stable = phys._stable_dt
+        monkeypatch.setattr(phys, "_stable_dt", lambda *a: taken.append(stable(*a)) or taken[-1])
         series, _ = run_phys(mu0_profile, lam0=1e-8, n=8192)
         limits = series["dt_limits"]
-        assert limits["advective"] + limits["reaction"] == series["steps"] == 216
-        assert limits == {"lattice": 147, "advective": 211, "reaction": 5}
-        # the records: the initial state, the 147 on the lattice and the final one off it
-        assert len(series["t"]) == 149
+        assert limits["advective"] + limits["reaction"] == series["steps"] == 159
+        assert limits == {"advective": 154, "reaction": 5}
+        # the records: the initial state, the 148 lattice times the steps pass and the
+        # final one off the lattice
+        assert len(series["t"]) == 150
+        # the least and largest step in units of the origin h^2, the largest past the
+        # 2.5 h^2 record spacing
+        h2 = (series["grid"][1] - series["grid"][0]) ** 2
+        dts = [dt for dt, _ in taken]
+        assert len(dts) == 159 and series["dt_range"] == [min(dts) / h2, max(dts) / h2]
+        assert (round(series["dt_range"][0], 2), round(series["dt_range"][1], 2)) == (0.75, 3.63)
 
     def test_fit_report(self, mu0_profile):
-        # what the fit rests on: at n=8192 the window spans 0.23 decades of T - t, the
-        # sup-norm grows 1.68x and the half-max radius shrinks 1.31x over it, 19 of the
-        # 149 records lie past T_est, and the local blowup-time estimate drifts
+        # what the fit rests on: at n=8192 the window spans 0.22 decades of T - t, the
+        # sup-norm grows 1.67x and the half-max radius shrinks 1.31x over it, 20 of the
+        # 150 records lie past T_est, and the local blowup-time estimate drifts
         series, fit = run_phys(mu0_profile, lam0=1e-8, n=8192)
         rep = series["fit_report"]
         t, sup, hm = series["t"], series["sup_norm"], series["half_max_radius"]
@@ -327,10 +361,10 @@ class TestBlowup:
         assert t[[lo, hi]].tolist() == list(fit.fit_window)
         assert rep["window_decades"] == np.log10((fit.T_est - t[lo]) / (fit.T_est - t[hi]))
         assert (rep["sup_ratio"], rep["radius_ratio"]) == (sup[hi] / sup[lo], hm[lo] / hm[hi])
-        assert rep["records"] == len(t) == 149
-        assert rep["records_past_T_est"] == np.count_nonzero(t > fit.T_est) == 19
-        assert round(rep["window_decades"], 2) == 0.23
-        assert (round(rep["sup_ratio"], 2), round(rep["radius_ratio"], 2)) == (1.68, 1.31)
+        assert rep["records"] == len(t) == 150
+        assert rep["records_past_T_est"] == np.count_nonzero(t > fit.T_est) == 20
+        assert round(rep["window_decades"], 2) == 0.22
+        assert (round(rep["sup_ratio"], 2), round(rep["radius_ratio"], 2)) == (1.67, 1.31)
         assert rep["T_local_first"] == pytest.approx(1.0e-16, rel=1e-3)
         assert rep["T_local_last"] > 1.15 * rep["T_local_first"]
 
@@ -344,14 +378,23 @@ class TestBlowup:
         # a moderate lam0 leaves the physical diffusion coefficient
         # lam0^{1/6} near one, and the lump spreads instead of collapsing; at n=512
         # the initial half-max radius is under 8 origin cells, so n=1024
-        with pytest.raises(NoBlowupDetected, match="sup-norm at 0.5x initial"):
+        with pytest.raises(NoBlowupDetected, match=r"sup-norm at 0\.456x initial") as err:
             run_phys(mu0_profile, lam0=0.2, n=1024)
+        assert err.value.stop == "decay"
 
     def test_global_existence_probe(self, mu0_profile):
         # damping above the profile's own decays the lump; n=1024 reaches the
         # 8-cell floor at 1.6x growth first
-        with pytest.raises(NoBlowupDetected, match="sup-norm at 0.5x initial"):
+        with pytest.raises(NoBlowupDetected, match=r"sup-norm at 0\.497x initial") as err:
             run_phys(mu0_profile, lam0=1e-8, mu=0.4, n=4096)
+        assert err.value.stop == "decay"
+
+    def test_resolution_before_growth(self, mu0_profile):
+        # damping above the profile's own at n=1024: the half-max radius reaches the
+        # 8-cell floor at 1.88x growth, short of the 10x the fit needs
+        with pytest.raises(NoBlowupDetected, match="under 8 origin cells at 1.88x") as err:
+            run_phys(mu0_profile, lam0=1e-8, mu=0.25, n=1024)
+        assert err.value.stop == "resolution"
 
 
 class TestMassTelescoping:

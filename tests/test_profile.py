@@ -255,15 +255,31 @@ class TestSeries:
 
     def test_recurrence_work_bounded(self, monkeypatch):
         # the two series a certify run builds, at mu=0 and mu=0.2: each runs the recurrence
-        # to 16 and then 32 lattice terms, never to the 400 orders of a fixed length
+        # to 16 lattice terms and then extends those to 32, never to the 400 orders of a
+        # fixed length
         calls = []
         rec = profile_mod.series_recurrence
         monkeypatch.setattr(profile_mod, "series_recurrence",
-                            lambda *a, **k: calls.append(a[2]) or rec(*a, **k))
+                            lambda *a, **k: calls.append((a[2], len(k["prefix"] or [])))
+                            or rec(*a, **k))
         for mu, j0 in ((0.0, 4), (0.2, 7)):
             calls.clear()
             build_series(ProfileParams.make(mu, j0), 1e-12)
-            assert calls == [16 * j0, 32 * j0]
+            assert calls == [(16 * j0, 0), (32 * j0, 16 * j0 + 1)]
+
+    @pytest.mark.parametrize("mu, j0", [(0.0, 4), (0.2, 7)])
+    def test_extended_prefix_is_a_fresh_run(self, mu, j0):
+        # a run extended from a shorter one, once and twice, holds the digits and exponent
+        # of every coefficient of a fresh run to the same length
+        p = ProfileParams.make(mu, j0)
+
+        def run(terms, prefix=None):
+            return series_recurrence(p.mu, p.beta, terms * j0, j0=j0, q_j0=-1.0, prefix=prefix)
+
+        once = run(32, run(16))
+        for got, want in ((once, run(32)), (run(64, once), run(64))):
+            assert len(got) == len(want)
+            assert [q.as_tuple() for q in got] == [q.as_tuple() for q in want]
 
     def test_length_cap_raises(self):
         # at mu=0 the remainder estimate falls about 0.17x per lattice term, to near 1e-198
