@@ -112,7 +112,7 @@ def _stage_profile(cfg: RunConfig, outdir: Path, cache: dict) -> dict:
         "tail_exponent": profile.tail_exponent,
         "residual_max": profile.residual_max,
         "handoff_radius": profile.handoff_radius,
-        "series_order": len(series.q_coeffs) - 1,
+        "series_order": (len(series.q_coeffs) - 1) * series.j0,
         "series_terms": series.lattice_terms,
         "series_radius": series.radius_estimate,
     }

@@ -6,9 +6,9 @@ The radial profile ``Q`` solves, with ``f(r) = r^{-3} \\int_0^r Q s^2 ds``,
     f' = (Q - 3 f)/r,
 
 starting at the stagnation point ``P0 = (Q0, f0) = (1/(1-mu), 1/(3(1-mu)))``.
-The solution is seeded by an even Taylor series at the origin (the leading
-correction enters at order ``r^{2 j0}``) and continued outward by Taylor steps
-in ``s = ln r``.
+The solution is seeded by a Taylor series at the origin in ``z = r^{2 j0}`` (every
+coefficient off the lattice ``r^{2 k j0}`` is exactly 0) and continued outward by
+Taylor steps in ``s = ln r``.
 """
 
 from __future__ import annotations
@@ -101,7 +101,9 @@ class ProfileParams:
 
 def series_recurrence(mu: float, beta: float, n: int, j0: int, q_j0: float = -1.0,
                       prefix: list | None = None):
-    """Run the Taylor recurrence at SERIES_DIGITS decimal digits; return a Decimal Q_j list.
+    """Run the Taylor recurrence at SERIES_DIGITS decimal digits to order ``n``; return the
+    Decimal lattice terms ``[Q_0, Q_{j0}, Q_{2 j0}, ...]``, index ``k`` standing for ``z^k``,
+    ``z = r^{2 j0}``.
 
     For ``1 <= j != j0`` the coefficient is forced:
 
@@ -114,26 +116,22 @@ def series_recurrence(mu: float, beta: float, n: int, j0: int, q_j0: float = -1.
     injected as the free datum.  Below ``j0`` every ``S_j`` is 0, and by
     induction so is every ``Q_j`` with ``j0`` not dividing ``j``: a product
     ``Q_i Q_{j-i}`` of two lattice terms lies on the lattice.  So only
-    ``j = 2 j0, 3 j0, ...`` are computed, summing ``i = j0, 2 j0, ..., j - j0``;
-    the other entries stay exactly 0.  The sum is split so that it divides
-    nowhere, ``S_j = sum (2i Q_i) (Q_{j-i}/(2(j-i)+3)) + (1-mu) sum Q_i Q_{j-i}``,
-    with ``2i Q_i`` and ``Q_i/(2i+3)`` formed once per lattice index.
+    ``j = 2 j0, 3 j0, ...`` are computed and kept, summing ``i = j0, 2 j0, ..., j - j0``.
+    The sum is split so that it divides nowhere,
+    ``S_j = sum (2i Q_i) (Q_{j-i}/(2(j-i)+3)) + (1-mu) sum Q_i Q_{j-i}``,
+    with ``2i Q_i`` and ``Q_i/(2i+3)`` formed once per lattice term.
     ``prefix``, an earlier return for the same ``(mu, j0, q_j0)`` and a smaller ``n``, is
-    extended: its lattice terms are kept and only the later ones formed, with the bits
-    of a fresh run.
+    extended: its terms are kept and only the later ones formed, with the bits of a fresh run.
     """
     expected = ProfileParams(mu, j0, q_j0).beta
     if abs(beta - expected) > 1e-12:
         raise DomainError(f"beta={beta} != 1/(3(1-mu)) + 1/(2 j0) = {expected}")
-    prefix = prefix or []
-    Q = prefix + [Decimal(0)] * (n + 1 - len(prefix))
     with localcontext() as ctx:
         ctx.prec = SERIES_DIGITS
         one_m_mu = 1 - Decimal(mu)
-        Q[0] = 1 / one_m_mu
-        # Q_i, 2i Q_i and Q_i/(2i+3) at i = k j0, by lattice index k (0 unused); the
-        # prefix's two products are formed again, at O(1) each
-        q = [None] + Q[j0:len(prefix):j0]
+        q = list(prefix or [1 / one_m_mu])
+        # 2i Q_i and Q_i/(2i+3) at i = k j0, by lattice index k (0 unused); the prefix's are
+        # formed again, at O(1) each
         a = [None] + [2 * k * j0 * qk for k, qk in enumerate(q[1:], 1)]
         b = [None] + [qk / (2 * k * j0 + 3) for k, qk in enumerate(q[1:], 1)]
         for k in range(len(q), n // j0 + 1):
@@ -145,22 +143,23 @@ def series_recurrence(mu: float, beta: float, n: int, j0: int, q_j0: float = -1.
                 half = list(map(mul, q[1:k // 2 + 1], q[k - 1:(k - 1) // 2:-1]))
                 qk = (sum(map(mul, a[1:k], b[k - 1:0:-1]))
                       + one_m_mu * sum(half + half[::-1][1 - k % 2:])) / (k - 1)
-            Q[k * j0] = qk
             q.append(qk)
             a.append(2 * k * j0 * qk)
             b.append(qk / (2 * k * j0 + 3))
-    return Q
+    return q
 
 
 @dataclass(frozen=True)
 class PowerSeries:
-    """Even Taylor coefficients of (Q, f) at the origin, with fitted growth estimates.
+    """Taylor coefficients of (Q, f) at the origin in ``z = r^{2 j0}``, with fitted growth
+    estimates.
 
-    ``Q(r) = sum_j q_coeffs[j] r^{2j}``; ``f_coeffs[j] = q_coeffs[j]/(2j+3)``.  The nonzero
-    coefficients sit every ``stride`` indices, the last at the truncation order.
-    ``radius_estimate`` is a geometric-ratio fit of the convergence radius.
+    ``Q(r) = sum_k q_coeffs[k] z^k``, ``q_coeffs[k]`` being the coefficient ``Q_{k j0}`` of
+    ``r^{2 k j0}`` (every other Taylor coefficient is exactly 0), and ``f_coeffs[k] =
+    q_coeffs[k]/(2 k j0 + 3)``; the constant terms are ``params.q0`` and ``params.f0``.
+    ``radius_estimate`` is a geometric-ratio fit of the convergence radius in ``r``.
     ``bound_K`` and ``bound_alpha`` fit ``|Q_j| <= bound_K^(j-bound_alpha)/j^2``
-    over the stored ``j >= 1`` only, so they say nothing of the omitted ones.
+    over the stored ``j = k j0 >= 1`` only, so they say nothing of the omitted ones.
     ``lattice_terms`` is how many lattice terms the recurrence ran to for the fit.
     """
 
@@ -169,31 +168,16 @@ class PowerSeries:
     radius_estimate: float
     bound_K: float
     bound_alpha: float
-    stride: int
+    j0: int
     lattice_terms: int
 
     def remainder_estimate(self, r: float) -> float:
-        """Geometric estimate of the truncation remainder |sum_{j>N} Q_j r^{2j}|."""
-        t = (r / self.radius_estimate) ** 2
-        if t >= 1.0:
+        """Geometric estimate of the truncation remainder |sum_{k>n} Q_{k j0} z^k|."""
+        u = (r / self.radius_estimate) ** (2 * self.j0)
+        if u >= 1.0:
             return np.inf
-        # the first omitted term sits `stride` slots past the last stored one
-        u = t**self.stride
         n = len(self.q_coeffs) - 1
-        lead = abs(self.q_coeffs[n]) * r ** (2 * n)
-        return lead * u / (1.0 - u)
-
-
-def _growth_fit(q: np.ndarray) -> tuple[float, float]:
-    """Smallest K (at alpha=1) with |Q_j| <= K^(j-alpha)/j^2 over stored j>=1."""
-    alpha = 1.0
-    K = 1.0
-    for j in range(1, len(q)):
-        if q[j] == 0.0:
-            continue
-        val = (j * j * abs(q[j])) ** (1.0 / (j - alpha)) if j > alpha else np.inf
-        K = max(K, val)
-    return float(K * (1.0 + 1e-12)), alpha
+        return abs(self.q_coeffs[n]) * (r ** (2 * self.j0)) ** n * u / (1.0 - u)
 
 
 def build_series(params: ProfileParams, tol: float) -> PowerSeries:
@@ -213,40 +197,29 @@ def build_series(params: ProfileParams, tol: float) -> PowerSeries:
     """
     if tol <= 0:
         raise DomainError("tol must be positive")
-    # the recurrence keeps every coefficient up to its order, lattice or not: SERIES_MAX_TERMS
-    # lattice terms are 256 j0 dense ones, so j0 <= 4096 caps them at 2^20 (about 0.1 GB of
-    # Decimals), where the default j0 of 2,000,002 at mu = 0.333333 would ask for 5e8
-    if params.j0 * SERIES_MAX_TERMS > 2**20:
-        raise DomainError(f"j0={params.j0} above {2**20 // SERIES_MAX_TERMS}: the series "
-                          f"would hold {params.j0 * SERIES_MAX_TERMS} coefficients")
-    stride = params.j0
+    j0 = params.j0
     terms, prev, Q = 16, None, None
     while True:
-        Q = series_recurrence(params.mu, params.beta, terms * stride, j0=params.j0,
+        Q = series_recurrence(params.mu, params.beta, terms * j0, j0=j0,
                               q_j0=params.q_j0, prefix=Q)
-        q = np.zeros(len(Q))
-        q[::stride] = [float(c) for c in Q[::stride]]
+        q = np.array([params.q0] + [float(c) for c in Q[1:]])
 
-        nz = np.nonzero(q[1:])[0] + 1
-        if len(nz) >= 4:
-            # geometric-ratio fit of log|Q_j| over the last half of nonzero indices
-            js = nz[len(nz) // 2:]
-            slope = np.polyfit(js, np.log(np.abs(q[js])), 1)[0]
+        ks = np.flatnonzero(q[1:]) + 1
+        if len(ks) >= 4:
+            # geometric-ratio fit of log|Q_j| over the last half of the nonzero terms, j = k j0
+            ks = ks[len(ks) // 2:]
+            slope = np.polyfit(ks * j0, np.log(np.abs(q[ks])), 1)[0]
             growth = math.exp(slope)
             radius = 1.0 / math.sqrt(growth)
         else:
             radius = 1.0
 
-        # truncate on the sparsity stride: nonzero coefficients sit at multiples of
-        # j0, so the remainder after keeping q[n] starts at index n + j0
+        # truncate after term n: the remainder starts at term n + 1
         r_h_plan = 0.8 * radius
-        u = (r_h_plan / radius) ** (2 * stride)
-        n_trunc = None
-        for n in range(2 * stride, len(q) - stride, stride):
-            lead = abs(q[n + stride]) * r_h_plan ** (2 * (n + stride))
-            if lead / (1.0 - u) < tol:
-                n_trunc = n
-                break
+        u = (r_h_plan / radius) ** (2 * j0)
+        z_plan = r_h_plan ** (2 * j0)
+        n_trunc = next((n for n in range(2, terms)
+                        if abs(q[n + 1]) * z_plan ** (n + 1) / (1.0 - u) < tol), None)
         settled = prev is not None and abs(radius - prev) < 5e-3 * radius
         if n_trunc is not None and settled:
             break
@@ -258,44 +231,37 @@ def build_series(params: ProfileParams, tol: float) -> PowerSeries:
             )
         terms, prev = 2 * terms, radius
 
-    qk = q[: n_trunc + 1].copy()
-    fk = qk / (2 * np.arange(n_trunc + 1) + 3)
-    K, alpha = _growth_fit(qk)
+    qk = q[: n_trunc + 1]
+    fk = qk / (2 * j0 * np.arange(n_trunc + 1) + 3)
+    fk[0] = params.f0
+    # the smallest K (at alpha = 1) with |Q_j| <= K^(j - alpha)/j^2 over the stored j = k j0
+    alpha = 1.0
+    K = 1.0
+    for j, c in zip(range(j0, (n_trunc + 1) * j0, j0), qk[1:]):
+        K = max(K, (j * j * abs(c)) ** (1.0 / (j - alpha)))
     return PowerSeries(
         q_coeffs=qk,
         f_coeffs=fk,
         radius_estimate=radius,
-        bound_K=K,
+        bound_K=float(K * (1.0 + 1e-12)),
         bound_alpha=alpha,
-        stride=stride,
+        j0=j0,
         lattice_terms=terms,
     )
 
 
 def _series_values(series: PowerSeries, r: np.ndarray):
-    """``(Q, f, dQ/dr)`` of the series at ``r``, by one Horner pass in ``r^2`` over the three
-    series stacked as rows, ``dQ/dr = r sum_j 2(j+1) Q_{j+1} r^{2j}`` padded with a top zero.
-
-    A power whose three coefficients are all zero gets the multiply but not the add, so the
-    lattice-sparse series cost about half the adds.  Adding a zero changes only the sign of
-    a zero, and the constant term, which is always added, settles that sign as the full
-    pass does: Q and f end on their nonzero Q_0 and f_0, dQ/dr on ``+0``.  So each row keeps
-    the bits of ``radial.horner`` on its own coefficients (and of ``polyval``).
-    """
-    n = len(series.q_coeffs)
-    rows = np.zeros((n, 3, 1))
-    rows[:, 0, 0] = series.q_coeffs
+    """``(Q, f, dQ/dr)`` of the series at ``r``, by one Horner pass in ``z = r^{2 j0}`` over
+    the three series stacked as rows, ``dQ/dr = r^{2 j0 - 1} sum_k 2 (k+1) j0 Q_{(k+1) j0} z^k``
+    padded with a top zero.  Where ``r^{2 j0 - 1}`` is 0 that product is -0.0 (its sum ends on
+    ``2 j0 q_j0 <= 0``), and adding 0.0 makes it +0.0."""
+    q, j0 = series.q_coeffs, series.j0
+    rows = np.zeros((len(q), 3, 1))
+    rows[:, 0, 0] = q
     rows[:, 1, 0] = series.f_coeffs
-    rows[:-1, 2, 0] = 2 * np.arange(1, n) * series.q_coeffs[1:]
-    live = rows.any(axis=(1, 2))
-    live[0] = True
-    x = np.square(r)
-    out = np.zeros((3, len(r)))
-    for c, nonzero in zip(rows[::-1], live[::-1]):
-        out *= x
-        if nonzero:
-            out += c
-    out[2] *= r
+    rows[:-1, 2, 0] = 2 * j0 * np.arange(1, len(q)) * q[1:]
+    out = horner(rows, np.broadcast_to(r ** (2 * j0), (3, len(r))))
+    out[2] = out[2] * r ** (2 * j0 - 1) + 0.0
     return out
 
 
@@ -462,7 +428,9 @@ def solve_profile(
     The handoff radius is the largest scanned radius where the series remainder
     estimate is below ``tol`` and ``beta - f`` retains at least half its origin
     value (keeps the ODE right-hand side well conditioned).  ``_continue`` takes
-    it on in ``s = ln r``.  ``residual_max``, which must stay within ``10*tol``, is
+    it on in ``s = ln r`` from the float ``(Q, f)`` there, which must keep the series'
+    deviation ``d_h = Q(r_h) - Q0 = z_h P(z_h)`` to 1e-2 relative (NoConvergence when it
+    does not, or when ``d_h`` is 0).  ``residual_max``, which must stay within ``10*tol``, is
     the largest of the series residual inside, the polynomials' defect against
     the ODE outside, and the continuation's truncation estimate.
     """
@@ -474,15 +442,22 @@ def solve_profile(
     # horner on 0-d values: one point through the stacked _series_values costs about 4x as much
     scan = np.linspace(0.95 * series.radius_estimate, 0.05, 400)
     r_h = next((float(r) for r in scan if series.remainder_estimate(r) < tol
-                and (beta - horner(series.f_coeffs, r * r)) > 0.5 * (beta - params.f0)), None)
+                and (beta - horner(series.f_coeffs, r ** (2 * params.j0)))
+                > 0.5 * (beta - params.f0)), None)
     if r_h is None:
         raise NoConvergence("no handoff radius brings the series remainder estimate below tol")
 
     constant = params.q_j0 == 0.0
-    x_h = r_h * r_h
-    sol = None if constant else _continue(mu, beta, math.log(r_h), math.log(r_max),
-                                          float(horner(series.q_coeffs, x_h)),
-                                          float(horner(series.f_coeffs, x_h)))
+    z_h = r_h ** (2 * params.j0)
+    q_h = float(horner(series.q_coeffs, z_h))
+    # the deviation d_h = Q(r_h) - Q0 picks the member of the scaling family, and every member
+    # solves the ODE, so the residual cannot see a float state that rounded it away
+    d_h = z_h * horner(series.q_coeffs[1:], z_h)
+    if not constant and not (d_h != 0 and abs(q_h - params.q0 - d_h) <= 1e-2 * abs(d_h)):
+        raise NoConvergence(f"handoff state lost the series deviation: at r_h={r_h:.6g} the "
+                            f"series has Q - Q0 = {d_h:.3g}, the float state {q_h - params.q0:.3g}")
+    sol = None if constant else _continue(mu, beta, math.log(r_h), math.log(r_max), q_h,
+                                          float(horner(series.f_coeffs, z_h)))
 
     grid = make_grid(r_max)
     q_vals, f_vals, dq_vals, tail = _evaluate(grid, params, series, r_h, sol, r_max,

@@ -63,11 +63,12 @@ def test_criterion_01_profile_construction(mu0_params):
 
 
 def test_criterion_02_series_coefficients(mu0_series):
+    # the recurrence returns the lattice terms Q_{4k}, k <= 50; Q_8 is term k = 2
     Q = series_recurrence(0.0, 11.0 / 24.0, 200, j0=4, q_j0=-1.0)
-    # independent exact-rational oracle for the low coefficients
+    # independent exact-rational oracle, which also runs the off-lattice coefficients
     q0 = Fraction(1)
-    Qfr = [q0] + [Fraction(0)] * 8
-    for j in range(1, 9):
+    Qfr = [q0] + [Fraction(0)] * 200
+    for j in range(1, 201):
         if j == 4:
             Qfr[j] = Fraction(-1)
             continue
@@ -77,18 +78,17 @@ def test_criterion_02_series_coefficients(mu0_series):
             for i in range(1, j)
         )
         Qfr[j] = S / den
-    sparsity = all(Q[j] == 0 for j in range(1, 201) if j % 4)
-    q8 = abs(float(Q[8]) - 19.0 / 11.0) < 1e-12 and Qfr[8] == Fraction(19, 11)
-    zeros = Q[1] == 0 and Q[2] == 0 and Q[3] == 0
+    sparsity = len(Q) == 51 and all(Qfr[j] == 0 for j in range(1, 201) if j % 4)
+    q8 = abs(float(Q[2]) - 19.0 / 11.0) < 1e-12 and Qfr[8] == Fraction(19, 11)
+    zeros = Qfr[1] == 0 and Qfr[2] == 0 and Qfr[3] == 0
     K, alpha = mu0_series.bound_K, mu0_series.bound_alpha
     qc = mu0_series.q_coeffs
     bound = all(
-        abs(qc[j]) <= K ** (j - alpha) / (j * j) * (1 + 1e-12)
-        for j in range(1, len(qc))
-        if qc[j] != 0.0
+        abs(c) <= K ** (j - alpha) / (j * j) * (1 + 1e-12)
+        for j, c in zip(range(4, 4 * len(qc), 4), qc[1:])
     )
     ok = sparsity and q8 and zeros and bound
-    _report(2, ok, f"Q8={float(Q[8])!r}, bound (K={K:.3f}, alpha={alpha:.2f})")
+    _report(2, ok, f"Q8={float(Q[2])!r}, bound (K={K:.3f}, alpha={alpha:.2f})")
 
 
 def test_criterion_03_tail_exponent(mu0_profile):

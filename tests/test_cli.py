@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -164,13 +165,13 @@ class TestRun:
         assert outs[0] == outs[1]
 
     def test_profile_outputs_pinned(self, tmp_path):
-        # the profile bytes since the series grows to its own truncation certificate,
-        # which moved the fitted radius and with it the handoff; residual_max, which the
-        # inner series sets, is the seed-day value; the manifest names the series kept
+        # the profile bytes since the series is evaluated in z = r^(2 j0), which moved dQ by
+        # up to 4.4e-16 relative on 52 rows; residual_max, which the inner series sets, is
+        # the seed-day value; the manifest names the series kept
         out = tmp_path / "out"
         assert main(["profile", "--mu", "0", "--j0", "4", "--out", str(out)]) == 0
         digest = hashlib.sha256((out / "profile.csv").read_bytes()).hexdigest()
-        assert digest == "ef3ec113f32157b0a27a320d1d6dcd01c2d6a4d0d3d26818d67bd6b5a0a1da51"
+        assert digest == "9784d00cb1d9557a0978c53669fdba4e535266daed3d488c5f55d7e3d5b4df26"
         manifest = json.loads((out / "manifest_profile.json").read_text())
         assert manifest["residual_max"] == 1.1535229327286345e-08
         assert (manifest["series_order"], manifest["series_terms"]) == (56, 32)
@@ -193,11 +194,13 @@ class TestRun:
         }
 
     def test_mu02_residual_pinned(self, tmp_path):
+        # since the series takes its constant terms from ProfileParams: f0 there is one ulp
+        # off the 50-digit f0 at mu=0.2
         out = tmp_path / "out"
         argv = ["profile", "--mu", "0.2", "--j0", "7", "--tol", "1e-8", "--out", str(out)]
         assert main(argv) == 0
         manifest = json.loads((out / "manifest_profile.json").read_text())
-        assert manifest["residual_max"] == 8.194491751822852e-10
+        assert manifest["residual_max"] == 8.194496192714951e-10
 
     def test_all_quick_artifacts_pinned(self, tmp_path):
         # every stage through the one stage runner: the bytes of each artifact
@@ -219,7 +222,8 @@ class TestRun:
         # heat's since the series grows to its own truncation certificate, and the
         # profile manifest keys since it names the series kept; phys.csv and
         # blowup_fit.json since phys steps at its stability bound and interpolates the
-        # lattice records, and the phys manifest keys since it reports the step range
+        # lattice records, and the phys manifest keys since it reports the step range;
+        # profile.csv since the series is evaluated in z = r^(2 j0) (dQ moved, by round-off)
         out = tmp_path / "out"
         argv = ["all", "--quick", "--mu", "0", "--j0", "4", "--seed", "12345", "--out", str(out)]
         assert main(argv) == 0
@@ -234,7 +238,7 @@ class TestRun:
             "heat_certificate.json": "54b5230bf9e9e09458bd00591fdf27607ee3f53b88741aeab42277cf39ea1f5e",
             "phys.csv": "46f7ac467bd4c56a8a19274441dcd92fcd8d38f24f59f6af5bf891fe4a3adfea",
             "portrait.csv": "9ae938e4050946aaf036207c70af0b9ad02eb1bb3704479dd444711cd24ac83d",
-            "profile.csv": "ef3ec113f32157b0a27a320d1d6dcd01c2d6a4d0d3d26818d67bd6b5a0a1da51",
+            "profile.csv": "9784d00cb1d9557a0978c53669fdba4e535266daed3d488c5f55d7e3d5b4df26",
             "renorm.csv": "e1af23babef456b25f198ea2f51f7af30561d503404a12301833200380e60e97",
         }
         base = ["schema_version", "library_version", "config", "config_hash",
@@ -257,13 +261,15 @@ class TestRun:
 
     def test_mu02_quick_renorm_pinned(self, tmp_path):
         # the reaction coefficient 1 - mu and the j0 + 3 = 10 mode fit at mu != 0;
-        # renorm.csv since renorm diffuses with radial.flux_laplacian, and since the
-        # series grows to its own truncation certificate
+        # renorm.csv since renorm diffuses with radial.flux_laplacian, since the
+        # series grows to its own truncation certificate, and since it takes its constant
+        # terms from ProfileParams, whose f0 is one ulp off the 50-digit one at mu=0.2
+        # (entries moved by up to 3.7e-10 of their column's largest)
         out = tmp_path / "out"
         argv = ["renorm", "--quick", "--mu", "0.2", "--j0", "7", "--seed", "12345", "--out", str(out)]
         assert main(argv) == 0
         digest = hashlib.sha256((out / "renorm.csv").read_bytes()).hexdigest()
-        assert digest == "5ba3ad7770241aa4a7da980ccdd96624a4577344f538c80ebe223b9bc4027330"
+        assert digest == "2bd76454da515076776515922f5bf880722b340861c3296c81d24fd35fdebfaa"
 
     @pytest.mark.parametrize("argv", [["coercivity", "--quick"], ["renorm", "--quick"], ["phys"]],
                              ids=["coercivity", "renorm", "phys"])
@@ -301,9 +307,14 @@ class TestRun:
         # at A=188 the flat part's largest passing power of ten is 1e-334, 0.0 in float64
         (["coercivity", "--quick", "--mu", "0.3", "--j0", "23"], 2,
          "ksdlab: stage_coercivity: flat part B = 1e-334 underflows to 0 at A=188, R1=55.7\n"),
-        # one above the j0 whose 256 lattice terms are 2^20 dense coefficients
-        (["profile", "--mu", "0", "--j0", "4097"], 2,
-         "ksdlab: stage_profile: j0=4097 above 4096: the series would hold 1048832 coefficients\n"),
+        # the float Q(r_h) = Q0 + d_h has rounded away the deviation d_h, the datum that picks
+        # the member of the scaling family, at j0=600 as at the default j0=2002 of mu=0.333
+        (["profile", "--mu", "0", "--j0", "600"], 3,
+         "ksdlab: stage_profile: handoff state lost the series deviation: at r_h=0.949226 "
+         "the series has Q - Q0 = -6.98e-28, the float state 0\n"),
+        (["profile", "--mu", "0.333"], 3,
+         "ksdlab: stage_profile: handoff state lost the series deviation: at r_h=0.949798 "
+         "the series has Q - Q0 = -2.73e-90, the float state 0\n"),
     ])
     def test_stage_failure_exit_code(self, tmp_path, capsys, recwarn, argv, code, prefix):
         # a numerical failure exits 3 and a rejected parameter 2, each named
@@ -312,18 +323,39 @@ class TestRun:
         assert capsys.readouterr().err.startswith(prefix)
         assert [w for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
 
+    @pytest.mark.parametrize("mu, j0, code", [
+        ("0", None, 0), ("0.1", None, 0), ("0.2", None, 0), ("0.25", None, 0), ("0.3", None, 0),
+        ("0.32", None, 0), ("0.33", None, 0), ("0.331", None, 0), ("0.332", None, 3),
+        ("0.333", None, 3), ("0.3333333", None, 3), ("0", "300", 0), ("0", "600", 3),
+    ])
+    def test_profile_stage_map(self, tmp_path, capsys, mu, j0, code):
+        # the profile column of the stage map: `profile --quick` at the default j0 and at
+        # j0 = 300 and 600 at mu=0; from j0 near 300 the float state at the handoff loses
+        # the deviation, and at mu=0.3333333 (j0 = 20,000,002) z underflows to 0 there.
+        # Each cell holds its exit code, the head of its stderr line and no RuntimeWarning
+        argv = ["profile", "--quick", "--mu", mu] + (["--j0", j0] if j0 else [])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", RuntimeWarning)
+            assert main(argv + ["--out", str(tmp_path / "o")]) == code
+        head = "ksdlab: stage_profile: handoff state lost the series deviation: at r_h="
+        err = capsys.readouterr().err
+        assert err[:len(head)] == (head if code else "")
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
     def test_coercivity_weight_follows_j0(self, tmp_path):
         # the weight exponent is the least admissible one, 8 j0 + 4 = 44 at j0=5; the
         # bytes of the only mu != 0 probe tables hold that the profile's mu and beta
-        # reach the operator; both since the series grows to its own truncation certificate
+        # reach the operator; both since the series grows to its own truncation certificate,
+        # and since it takes its constant terms from ProfileParams (quotients moved by up
+        # to 1.7e-15 relative)
         out = tmp_path / "out"
         assert main(["coercivity", "--quick", "--mu", "0.1", "--j0", "5", "--out", str(out)]) == 0
         digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                    for name in ("coercivity.csv", "coercivity_certificate.json")}
         assert digests == {
-            "coercivity.csv": "544ca0bf42328fd55c1c9623459840a1dccf94c17d287293bcbd4eb7b59aee8a",
+            "coercivity.csv": "916837c2f5a2caeef2916f0ff56d4c6f50600fa2f4b91f6ed55fd8a4bb914838",
             "coercivity_certificate.json":
-                "2fc38a5b8cdde495e30b7683db1546606398162f13df31d6707ec2b838ae2c5f",
+                "4f6c0b1605c57077007aa75a4acfa015e02a0dd4e66e138d3345838f782081f5",
         }
         cert = json.loads((out / "coercivity_certificate.json").read_text())
         assert cert["A"] == 44

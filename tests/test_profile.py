@@ -3,6 +3,7 @@
 import math
 import time
 from dataclasses import replace
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import mpmath as mp
@@ -150,14 +151,16 @@ class TestRecurrence:
     @example(mu=0.0, extra=0)
     @settings(max_examples=15, deadline=None)
     def test_against_rational_oracle(self, mu, extra):
-        # the oracle runs every index j, the recurrence only the lattice j0 N
+        # the oracle runs every index j, the recurrence only the lattice j = k j0, one term
+        # per k up to the order n
         j0 = compute_admissibility(mu)[1] + extra
         n = 10 * j0 + j0 // 2
         p = ProfileParams.make(mu, j0)
         Qmp = series_recurrence(p.mu, p.beta, n, j0=j0, q_j0=-1.0)
         Qfr = rational_recurrence(Fraction(mu), j0, Fraction(-1), n)
-        for j in range(n + 1):
-            assert float(Qmp[j]) == pytest.approx(float(Qfr[j]), rel=1e-13, abs=1e-300)
+        assert len(Qmp) == n // j0 + 1
+        for k in range(n // j0 + 1):
+            assert float(Qmp[k]) == pytest.approx(float(Qfr[k * j0]), rel=1e-13, abs=1e-300)
 
     @pytest.mark.parametrize(
         "mu, j0", [(0.0, 4), (0.1, 5), (0.2, 7), (0.25, 10), (0.3, 22), (0.32, 52)]
@@ -169,7 +172,7 @@ class TestRecurrence:
         n = build_series(p, 1e-12).lattice_terms * j0
         got = series_recurrence(p.mu, p.beta, n, j0=j0, q_j0=-1.0)
         ref = operator_recurrence(mu, j0, -1.0, n)
-        assert [float(q) for q in got] == [float(q) for q in ref]
+        assert [float(q) for q in got] == [float(q) for q in ref[::j0]]
 
     @given(
         mu=st.floats(min_value=0.0, max_value=0.3),
@@ -184,19 +187,21 @@ class TestRecurrence:
         p = ProfileParams.make(mu, j0)
         got = series_recurrence(p.mu, p.beta, n, j0=j0, q_j0=-1.0)
         exact = rational_recurrence(Fraction(mu), j0, Fraction(-1), n)
-        for q, e in zip(got, exact, strict=True):
+        for q, e in zip(got, exact[::j0], strict=True):
             err = abs(Fraction(q) - e)
             assert err <= Fraction(1, 10**45) * abs(e)
 
     def test_q8_value(self):
+        # Q_8 is lattice term k = 2
         Qmp = series_recurrence(0.0, 11.0 / 24.0, 8, j0=4, q_j0=-1.0)
-        assert float(Qmp[8]) == pytest.approx(19.0 / 11.0, abs=1e-12)
+        assert float(Qmp[2]) == pytest.approx(19.0 / 11.0, abs=1e-12)
 
     def test_sparsity_to_200(self):
-        Qmp = series_recurrence(0.0, 11.0 / 24.0, 200, j0=4, q_j0=-1.0)
+        # the coefficients the recurrence never forms, off the lattice, are exactly 0
+        Qfr = rational_recurrence(Fraction(0), 4, Fraction(-1), 200)
         for j in range(1, 201):
             if j % 4:
-                assert Qmp[j] == 0
+                assert Qfr[j] == 0
 
     def test_inconsistent_beta_rejected(self):
         # beta must equal 1/(3(1-mu)) + 1/(2 j0); 1/3 + 1/10 belongs to j0=5
@@ -209,20 +214,21 @@ class TestRecurrence:
     )
     @settings(max_examples=10, deadline=None)
     def test_sparsity_property(self, j0, qj):
-        Q = series_recurrence(0.0, 1.0 / 3.0 + 1.0 / (2 * j0), 4 * j0, j0=j0, q_j0=qj)
+        Q = rational_recurrence(Fraction(0), j0, Fraction(qj), 4 * j0)
         for j in range(1, 4 * j0 + 1):
             if j % j0:
                 assert Q[j] == 0
         assert Q[2 * j0] != 0
+        assert series_recurrence(0.0, 1.0 / 3.0 + 1.0 / (2 * j0), 4 * j0, j0=j0, q_j0=qj)[2] != 0
 
 
 class TestSeries:
     def test_growth_estimate(self, mu0_series):
         K, alpha = mu0_series.bound_K, mu0_series.bound_alpha
         q = mu0_series.q_coeffs
-        for j in range(1, len(q)):
-            if q[j] != 0.0:
-                assert abs(q[j]) <= K ** (j - alpha) / (j * j) * (1 + 1e-12)
+        for k in range(1, len(q)):
+            j = k * mu0_series.j0
+            assert abs(q[k]) <= K ** (j - alpha) / (j * j) * (1 + 1e-12)
 
     def test_remainder_estimate_monotone(self, mu0_series):
         r1 = mu0_series.remainder_estimate(0.3)
@@ -231,8 +237,8 @@ class TestSeries:
 
     def test_f_coeffs_relation(self, mu0_series):
         q, f = mu0_series.q_coeffs, mu0_series.f_coeffs
-        for j in range(len(q)):
-            assert f[j] == pytest.approx(q[j] / (2 * j + 3), rel=1e-15, abs=1e-300)
+        for k in range(len(q)):
+            assert f[k] == pytest.approx(q[k] / (2 * k * mu0_series.j0 + 3), rel=1e-15, abs=1e-300)
 
     @pytest.mark.parametrize("mu, j0, order", [
         (0.0, 4, 56), (0.1, 5, 55), (0.2, 7, 56), (0.25, 10, 50), (0.3, 22, 44), (0.32, 52, 104),
@@ -243,15 +249,15 @@ class TestSeries:
         # the last 16 lattice terms, at least 15 of them at j0=52 too (7 at N=400)
         p = ProfileParams.make(mu, j0)
         series = build_series(p, 1e-12)
-        assert (series.lattice_terms, len(series.q_coeffs) - 1) == (32, order)
+        assert (series.lattice_terms, (len(series.q_coeffs) - 1) * j0) == (32, order)
         q = np.array([float(c) for c in series_recurrence(p.mu, p.beta, 32 * j0, j0=j0)])
         nz = np.flatnonzero(q[1:]) + 1
-        js = nz[len(nz) // 2:]
-        assert np.array_equal(js, np.arange(17, 33) * j0)
-        slope = np.polyfit(js, np.log(np.abs(q[js])), 1)[0]
+        ks = nz[len(nz) // 2:]
+        assert np.array_equal(ks, np.arange(17, 33))
+        slope = np.polyfit(ks * j0, np.log(np.abs(q[ks])), 1)[0]
         assert series.radius_estimate == 1.0 / math.sqrt(math.exp(slope))
         r_plan, m = 0.8 * series.radius_estimate, order + j0
-        assert abs(q[m]) * r_plan ** (2 * m) / (1.0 - 0.8 ** (2 * j0)) < 1e-12
+        assert abs(q[m // j0]) * r_plan ** (2 * m) / (1.0 - 0.8 ** (2 * j0)) < 1e-12
 
     def test_recurrence_work_bounded(self, monkeypatch):
         # the two series a certify run builds, at mu=0 and mu=0.2: each runs the recurrence
@@ -265,7 +271,7 @@ class TestSeries:
         for mu, j0 in ((0.0, 4), (0.2, 7)):
             calls.clear()
             build_series(ProfileParams.make(mu, j0), 1e-12)
-            assert calls == [(16 * j0, 0), (32 * j0, 16 * j0 + 1)]
+            assert calls == [(16 * j0, 0), (32 * j0, 17)]
 
     @pytest.mark.parametrize("mu, j0", [(0.0, 4), (0.2, 7)])
     def test_extended_prefix_is_a_fresh_run(self, mu, j0):
@@ -297,22 +303,38 @@ class TestSeries:
         assert all(map(math.isfinite, q))
         assert 1e80 < abs(q[-1]) < 1e100
 
-    def test_dense_length_bounded(self, monkeypatch):
-        # 256 lattice terms hold 256 j0 dense coefficients, so a j0 above 4096 is refused
-        # before the first recurrence runs; j0=52, the least admissible at mu=0.32, builds
-        calls = []
-        rec = profile_mod.series_recurrence
-        monkeypatch.setattr(profile_mod, "series_recurrence",
-                            lambda *a, **k: calls.append(a[2]) or rec(*a, **k))
-        with pytest.raises(DomainError, match="j0=4097 above 4096"):
-            build_series(ProfileParams(0.0, 4097), 1e-12)
-        assert calls == []
-        assert build_series(ProfileParams(0.32, 52), 1e-12).lattice_terms == 32
+    def test_huge_j0_builds_in_z(self):
+        # j0 = 20,000,002, the least admissible at mu = 0.3333333: the 32 lattice terms are
+        # all the recurrence forms, however large j0 is
+        p = ProfileParams(0.3333333, 20_000_002)
+        t0 = time.perf_counter()
+        series = build_series(p, 1e-12)
+        assert time.perf_counter() - t0 < 1.0
+        assert series.lattice_terms == 32
+
+    @pytest.mark.parametrize("mu", [0.33, 0.332, 0.333])
+    def test_deviation_keeps_its_precision(self, mu):
+        # z P(z) = Q - Q0 from the stored floats against the 50-digit sum of the lattice
+        # terms at r = 0.95, where the float Q(r) - Q0 is round-off: one ulp or 0 at
+        # mu = 0.333, whose deviation is -6.4e-90
+        p = ProfileParams.make(mu, compute_admissibility(mu)[1])
+        series = build_series(p, 1e-12)
+        z = 0.95 ** (2 * p.j0)
+        got = z * horner(series.q_coeffs[1:], z)
+        Q = series_recurrence(p.mu, p.beta, (len(series.q_coeffs) - 1) * p.j0, j0=p.j0)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            zd = Decimal(0.95) ** (2 * p.j0)
+            want = float(sum(c * zd**k for k, c in enumerate(Q[1:], 1)))
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+        if mu == 0.333:
+            assert 6e-90 < -got < 7e-90
+            assert abs(horner(series.q_coeffs, z) - p.q0) <= np.spacing(p.q0)
 
     def test_phase_slope_at_origin(self, mu0_series):
         # df/dQ along the separatrix leaving P0 is f_{j0}/Q_{j0} = 1/(2 j0 + 3)
         j0 = 4
-        assert mu0_series.f_coeffs[j0] / mu0_series.q_coeffs[j0] == pytest.approx(
+        assert mu0_series.f_coeffs[1] / mu0_series.q_coeffs[1] == pytest.approx(
             1.0 / 11.0, abs=1e-15
         )
 
@@ -444,22 +466,26 @@ class TestSolve:
 
     @pytest.mark.parametrize("mu,j0", [(0.0, 4), (0.2, 7), (0.25, 10)])
     def test_stacked_series_matches_per_series_horner(self, mu, j0):
-        # the one zero-skipping pass over (Q, f, dQ/dr) against a full Horner pass per
-        # series, every coefficient added, on the profile grid, on the 4001-node grid of
+        # the one pass in z = r^(2 j0) over (Q, f, dQ/dr) against a Horner pass in z per
+        # series, bit for bit, on the profile grid, on the 4001-node grid of
         # _dq_weighted_norm and at r = 0 and subnormal r, where dQ/dr must be +0.0
         p = ProfileParams.make(mu, j0)
         series = build_series(p, 1e-12)
         prof = solve_profile(p, series, 1.0e4, 1e-10)
-        dq_coeffs = 2 * np.arange(1, len(series.q_coeffs)) * series.q_coeffs[1:]
+        assert (series.q_coeffs[0], series.f_coeffs[0]) == (p.q0, p.f0)
+        dq_coeffs = 2 * j0 * np.arange(1, len(series.q_coeffs)) * series.q_coeffs[1:]
         quad = RadialQuad.make(u_min=-30.0, u_max=math.log(prof.r_max), n=4001)
         tiny = np.array([0.0, 5e-324, 1e-320, 2.2250738585072014e-308, 1e-160])
         for r in (prof.grid, quad.r, tiny):
             r = r[r <= prof.handoff_radius]
-            x = np.square(r)
-            want = (horner(series.q_coeffs, x), horner(series.f_coeffs, x),
-                    horner(dq_coeffs, x) * r)
-            for got, ref in zip(prof.sample(r), want):
-                assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+            z = r ** (2 * j0)
+            want = (horner(series.q_coeffs, z), horner(series.f_coeffs, z),
+                    horner(dq_coeffs, z) * r ** (2 * j0 - 1))
+            got = prof.sample(r)
+            for g, ref in zip(got[:2], want[:2]):
+                assert np.array_equal(g.view(np.int64), ref.view(np.int64))
+            # equal as numbers: the bits, but for the sign of a zero
+            assert np.array_equal(got[2], want[2])
         dq_tiny = prof.sample(tiny)[2]
         assert np.all(dq_tiny.view(np.int64) == 0)  # +0.0, not -0.0
 
@@ -473,8 +499,9 @@ class TestSolve:
         prof = solve_profile(p, series, 1.0e4, 1e-10)
         r_h = prof.handoff_radius
         coeffs = prof.sol.coeffs
-        assert coeffs[0, 0, 0] == float(horner(series.q_coeffs, r_h * r_h))
-        assert coeffs[1, 0, 0] == float(horner(series.f_coeffs, r_h * r_h))
+        z_h = r_h ** (2 * p.j0)
+        assert coeffs[0, 0, 0] == float(horner(series.q_coeffs, z_h))
+        assert coeffs[1, 0, 0] == float(horner(series.f_coeffs, z_h))
         for i in range(coeffs.shape[2]):
             q, f, dq = [float(coeffs[0, 0, i])], [float(coeffs[1, 0, i])], []
             for k in range(profile_mod.TAYLOR_ORDER):
